@@ -22,6 +22,9 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     Rat = Fraction
     _HAVE_GMPY2 = False
 
+#: the concrete class of exact scalars (gmpy2's mpq, or Fraction)
+_RAT_TYPE = type(Rat(0))
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -58,9 +61,7 @@ def rat(x):
         return Rat(x)
     if isinstance(x, (Fraction, str)):
         return Rat(x)
-    if type(x) is type(Rat(0)):
-        return x
-    if isinstance(x, Rat if isinstance(Rat, type) else tuple()):  # pragma: no cover
+    if type(x) is _RAT_TYPE:
         return x
     # last resort: things exposing integer numerator/denominator
     num = getattr(x, "numerator", None)

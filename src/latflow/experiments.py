@@ -343,7 +343,11 @@ def _aligning_element(head, n):
     for i in range(len(block), n):
         rows[i][i] = 1.0
     z = ExactMatrix(rows, FLOAT)
-    assert abs(z.det() - 1.0) <= 1e-6
+    d = z.det()
+    if not abs(d - 1.0) <= 1e-6:  # also catches nan from overflowing heads
+        raise ValueError(
+            "aligning element for head %r is not in SL_%d (det %r)" % (head, n, d)
+        )
     return z
 
 

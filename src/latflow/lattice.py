@@ -2,9 +2,12 @@
 
 The enumeration engine LLL-reduces the basis, circumscribes the box with a
 sphere, and walks a depth-first tree with per-level integer intervals.  On
-the exact backend every comparison is a rational comparison, so membership
-on a box face is decided exactly; the float path inflates radii by 1e-9 and
-warns when a point lands within 1e-9 of a face.
+the exact backend the box-normalised basis is first scaled by its common
+denominator D, so LLL runs integrally and each leaf is tested against the
+box [-D, D]^n with integer arithmetic; interval bounds are rational
+comparisons, so membership on a box face is decided exactly.  The float
+path inflates radii by 1e-9 and warns when a point lands within 1e-9 of a
+face.
 """
 
 from __future__ import annotations
@@ -241,14 +244,20 @@ def enumerate_basis_in_box(
         [scalar(c[i], backend) / box.bounds[i] for i in range(n)]
         for c in basis_cols
     ]
-    unit = Box((scalar(1, backend),) * n, box.closed, backend)
-    reduced, u_cols = linalg.lll_reduce(cols, backend)
-    _, mu, c = linalg.gram_schmidt(reduced)
+    scale = 1
+    if backend == EXACT:
+        # Scale by the common denominator D: LLL and the leaf test then run
+        # on integers, the unit box becomes [-D, D]^n and the sphere n D^2.
+        # mu and rem / c, hence the tree and its order, do not see D.
+        scale, cols = linalg.clear_denominators(cols)
+    unit = Box((scalar(scale, backend),) * n, box.closed, backend)
+    reduced, u_cols, mu, c = linalg.lll_reduce(cols, backend)
 
-    r2 = scalar(n, backend)
+    r2 = scalar(n * scale * scale, backend)
     if backend == FLOAT:
         r2 = r2 * (1.0 + FLOAT_SLACK)
     interval = _int_interval_exact if backend == EXACT else _int_interval_float
+    zero = 0.0 if backend == FLOAT else 0
 
     xs = [0] * n
     found = []
@@ -259,7 +268,7 @@ def enumerate_basis_in_box(
         if j < 0:
             if not any(xs):
                 return
-            v = [scalar(0, backend)] * n
+            v = [zero] * n
             for l in range(n):
                 if xs[l]:
                     col = reduced[l]
@@ -267,7 +276,7 @@ def enumerate_basis_in_box(
                     for i in range(n):
                         v[i] = v[i] + x * col[i]
             if unit.contains(v):
-                point = tuple(v[i] * box.bounds[i] for i in range(n))
+                point = tuple(v[i] * box.bounds[i] / scale for i in range(n))
                 found.append((point, tuple(xs)))
                 if first_only:
                     raise _FirstHit

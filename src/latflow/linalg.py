@@ -5,11 +5,18 @@ list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines assume entries support field arithmetic
 and exact comparison with 0 (ints, Fraction, mpq); the float variants pick
 pivots by magnitude.
+
+LLL on the exact backend is integral: the basis is scaled by its common
+denominator and the reduction keeps integer Gram determinants and scaled
+Gram-Schmidt coefficients, updated in place on each size reduction and
+swap, so no rational Gram-Schmidt is ever recomputed.
 """
 
 from __future__ import annotations
 
-from .backend import EXACT, FLOAT, Rat, rat, rat_floor
+import math
+
+from .backend import EXACT, FLOAT, Rat, rat
 
 
 def identity(n, one=1, zero=0):
@@ -167,12 +174,6 @@ def solve(a, b, approx=False):
     return mat_vec(inv, b)
 
 
-def _round_nearest(x, approx):
-    if approx:
-        return int(x + 0.5) if x >= 0 else -int(-x + 0.5)
-    return rat_floor(rat(x) + Rat(1, 2))
-
-
 def gram_schmidt(cols):
     """Gram-Schmidt on a list of column vectors; returns (bstar, mu, norms2)."""
     n = len(cols)
@@ -193,40 +194,128 @@ def gram_schmidt(cols):
     return bstar, mu, norms2
 
 
+def clear_denominators(cols):
+    """(D, D * cols) for D the least common denominator of the rational
+    entries, so that the second item holds integer columns."""
+    scale = math.lcm(*(int(x.denominator) for col in cols for x in col))
+    return scale, [
+        [int(x.numerator) * (scale // int(x.denominator)) for x in col]
+        for col in cols
+    ]
+
+
 def lll_reduce(cols, backend=EXACT, max_iters=100_000):
     """LLL reduction (delta = 3/4) of a list of column vectors.
 
-    Returns (reduced_cols, u_cols) where u_cols are the columns of the
+    Returns (reduced_cols, u_cols, mu, c).  u_cols are the columns of the
     unimodular integer transform U with  B_reduced = B_original U,  so a
-    coefficient vector x w.r.t. the reduced basis pulls back to U x.
+    coefficient vector x w.r.t. the reduced basis pulls back to U x.  mu
+    and c are the Gram-Schmidt coefficients and squared norms of
+    reduced_cols, equal to what gram_schmidt(reduced_cols) returns.  On
+    the exact backend integer input gives integer reduced_cols.
+
+    Each pass size-reduces column k against j = k-1, ..., 0 with
+    q = floor(mu_kj + 1/2) (so mu = 1/2 reduces and mu = -1/2 does not),
+    then applies the Lovasz test; raises RuntimeError after max_iters
+    passes on the exact backend.  The float loop just stops there (float
+    LLL may cycle on degenerate input; the basis is still valid).
     """
-    approx = backend == FLOAT
+    if backend == FLOAT:
+        return _lll_float(cols, max_iters)
+    return _lll_integral(cols, max_iters)
+
+
+def _lll_float(cols, max_iters):
     n = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-    if n <= 1:
-        return b, u
-    delta = 0.75 if approx else Rat(3, 4)
     _, mu, c = gram_schmidt(b)
     k = 1
     iters = 0
     while k < n:
         iters += 1
         if iters > max_iters:
-            if approx:
-                break  # float LLL may cycle on degenerate input; basis still valid
-            raise RuntimeError("LLL failed to terminate")  # pragma: no cover
+            break
         for j in range(k - 1, -1, -1):
-            q = _round_nearest(mu[k][j], approx)
+            m = mu[k][j]
+            q = int(m + 0.5) if m >= 0 else -int(-m + 0.5)
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 _, mu, c = gram_schmidt(b)
-        if c[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * c[k - 1]:
+        if c[k] >= (0.75 - mu[k][k - 1] * mu[k][k - 1]) * c[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             u[k], u[k - 1] = u[k - 1], u[k]
             _, mu, c = gram_schmidt(b)
             k = max(k - 1, 1)
-    return b, u
+    return b, u, mu, c
+
+
+def _lll_integral(cols, max_iters):
+    """Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) on D * cols, D the common denominator.
+
+    With d[i] the Gram determinant of the first i columns (d[0] = 1) and
+    lam[i][j] = d[j+1] * mu[i][j], both integral, every size reduction and
+    swap updates only the entries it changes; Gram-Schmidt is never
+    recomputed.  The steps taken are those of LLL on cols itself, since
+    mu and the Lovasz test do not see the scale D.
+    """
+    n = len(cols)
+    scale, b = clear_denominators(cols)
+    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = dot(b[i], b[j])
+            for m in range(j):
+                s = (d[m + 1] * s - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = s
+            elif s == 0:
+                raise ValueError("linearly dependent columns")
+            else:
+                d[i + 1] = s
+    k = 1
+    iters = 0
+    while k < n:
+        iters += 1
+        if iters > max_iters:
+            raise RuntimeError("LLL failed to terminate")
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            q = (2 * lk[j] + dj) // (2 * dj)  # floor(mu_kj + 1/2)
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                lk[j] -= q * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        l = lk[k - 1]
+        # c_k >= (3/4 - mu^2) c_{k-1}, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            lk1 = lam[k - 1]
+            for j in range(k - 1):
+                lk[j], lk1[j] = lk1[j], lk[j]
+            dk = (d[k - 1] * d[k + 1] + l * l) // d[k]
+            for i in range(k + 1, n):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
+                li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
+            d[k] = dk
+            k = max(k - 1, 1)
+    mu = [[Rat(lam[i][j], d[j + 1]) if j < i else 0 for j in range(n)] for i in range(n)]
+    c = [Rat(d[i + 1], d[i] * scale * scale) for i in range(n)]
+    if scale != 1:
+        b = [[Rat(x, scale) for x in col] for col in b]
+    return b, u, mu, c

@@ -262,7 +262,10 @@ class RateSchedule:
             return all(f.eval_exact(i) >= 0 for f in checks)
 
         lo = max(f.root_bound() for f in checks)
-        assert ok(lo)  # beyond every root, leading signs (all >= 0) rule
+        if not ok(lo):  # beyond every root, leading signs (all >= 0) rule
+            raise RuntimeError(
+                "coordinates not ordered at their root bound %d" % lo
+            )
         while lo > 1 and ok(lo - 1):
             lo -= 1
         return lo
@@ -365,7 +368,10 @@ def layered_presentation(schedule: RateSchedule) -> LayeredSchedule:
     if not divergent:
         raise ValueError("schedule has no divergent coordinate")
     m1 = divergent[-1]
-    assert divergent == list(range(1, m1 + 1))  # prefix, by validation
+    if divergent != list(range(1, m1 + 1)):  # RateSchedule validation ensures it
+        raise ValueError(
+            "divergent coordinates %r do not form a prefix" % (divergent,)
+        )
 
     # blocks: maximal runs of equal growth parts among coordinates 1..m_1
     anchors = []  # last coordinate of each run, in coordinate order
@@ -391,7 +397,10 @@ def layered_presentation(schedule: RateSchedule) -> LayeredSchedule:
         anchor = min(m for m in anchors if m >= r)
         anchored.append(forms[anchor - 1])
         gap = f - forms[anchor - 1]
-        assert gap.is_bounded()  # same growth part within a block
+        if not gap.is_bounded():  # same growth part within a block
+            raise RuntimeError(
+                "coordinate %d differs from its anchor by %s" % (r, gap)
+            )
         residual.append(gap.constant_part())
 
     return LayeredSchedule(

@@ -173,3 +173,44 @@ def random_unimodular(rng, n, ops=6, max_mult=2):
         i, j = rng.randrange(n), rng.randrange(n)
         rows[i], rows[j] = rows[j], rows[i]
     return rows
+
+
+def _gram_schmidt(cols):
+    bstar, mu, norms2 = [], [], []
+    for i, b in enumerate(cols):
+        v = list(b)
+        row = []
+        for j in range(i):
+            m = sum(x * y for x, y in zip(b, bstar[j])) / norms2[j]
+            row.append(m)
+            v = [x - m * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        mu.append(row)
+        norms2.append(sum(x * x for x in v))
+    return mu, norms2
+
+
+def lll_reference(cols):
+    """Textbook LLL (delta = 3/4) over Fractions, recomputing Gram-Schmidt
+    from scratch after every change.  Column k is size-reduced against
+    j = k-1, ..., 0 by q = floor(mu_kj + 1/2) before the Lovasz test.
+    Returns (reduced_cols, u_cols) with reduced = cols @ U."""
+    b = [[frac(x) for x in col] for col in cols]
+    n = len(b)
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            mu, _ = _gram_schmidt(b)
+            q = _floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+        mu, c = _gram_schmidt(b)
+        if c[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * c[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return b, u

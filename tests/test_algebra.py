@@ -1,5 +1,6 @@
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,63 @@ def test_rat_coercions():
     with pytest.raises(BackendMismatch):
         rat(0.5)  # silent float rationalization is the bug class we ban
     assert as_fraction(Rat(22, 8)).denominator == 4
+
+
+class _IntRatio:
+    """numerator/denominator as plain ints, like any numbers.Rational."""
+
+    numerator, denominator = 3, 4
+
+
+class _IntLike:
+    def __init__(self, v):
+        self.v = v
+
+    def __int__(self):
+        return self.v
+
+
+class _IntLikeRatio:
+    """numerator/denominator that only convert to int, like gmpy2's mpz."""
+
+    numerator, denominator = _IntLike(-5), _IntLike(6)
+
+
+class _TextRatio:
+    numerator, denominator = "one", "two"
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (-7, Rat(-7)),
+        (Fraction(2, 6), Rat(1, 3)),
+        ("-3/9", Rat(-1, 3)),
+        (Rat(5, 7), Rat(5, 7)),
+        (_IntRatio(), Rat(3, 4)),
+        (_IntLikeRatio(), Rat(-5, 6)),
+    ],
+    ids=["int", "fraction", "str", "rat", "int-ratio", "int-like-ratio"],
+)
+def test_rat_accepts(x, want):
+    got = rat(x)
+    assert got == want
+    assert type(got) is type(Rat(0))
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        (0.5, BackendMismatch),
+        (None, BackendMismatch),
+        (_TextRatio(), BackendMismatch),
+        ("1/2/3", ValueError),
+    ],
+    ids=["float", "no-ratio", "non-integer-ratio", "malformed-str"],
+)
+def test_rat_refuses(x, error):
+    with pytest.raises(error):
+        rat(x)
 
 
 def test_rat_floor_ceil():

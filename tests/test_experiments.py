@@ -200,6 +200,17 @@ def test_shear_scan_skips_negative_scalar_heads():
     assert rows[0].used + rows[0].skipped == 21
 
 
+def test_shear_scan_refuses_overflowing_heads():
+    # a derivative of size 1e200 overflows |head|^2, so the aligning element
+    # comes out as nan; the scan stops instead of averaging garbage
+    curve = Curve(((0, 0), (10**200, 10**200)))
+    tent = Tent((0.0,) * 3, 2.0, 1.0, FLOAT)
+    with pytest.raises(ValueError, match="not in SL_3"):
+        shear_invariance_scan(
+            curve, RateSchedule.parse("i, i"), (4,), (0.0,), 3, tent
+        )
+
+
 def test_thread_determinism():
     schedule = RateSchedule.parse("i")
     tent = Tent((0.0, 0.0), 2.0, 1.0, FLOAT)

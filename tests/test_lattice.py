@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from latflow.backend import (
     EXACT,
     FLOAT,
+    FLOAT_SLACK,
     BudgetExceeded,
     FaceProximity,
     Rat,
@@ -98,6 +100,40 @@ def test_enumerate_matches_brute_random(seed):
     mine = sorted(tuple(x for x in p) for p in enumerate_in_box(Lattice(g), box))
     ref = _brute.enumerate_box(g.columns(), bounds, closed)
     assert [tuple(map(str, p)) for p in mine] == [tuple(map(str, p)) for p in ref]
+
+
+def test_float_and_exact_enumeration_differ_only_near_faces():
+    # float.as_integer_ratio gives dyadic rationals equal to the float
+    # inputs, so both backends see the same lattice and box; the float path
+    # may only disagree about points within FLOAT_SLACK of a face
+    def exact(x):
+        return Fraction(*x.as_integer_ratio())
+
+    rng = random.Random(5)
+    agreed = 0
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        rows = _brute.random_unimodular(rng, n)
+        fcols = [
+            [rows[i][j] + rng.choice((0.0, 0.0, 0.5, -0.25, rng.uniform(-0.3, 0.3)))
+             for i in range(n)]
+            for j in range(n)
+        ]
+        bounds = [rng.choice((1.0, 0.5, 1.25, rng.uniform(0.4, 2.0))) for _ in range(n)]
+        closed = [rng.random() < 0.5 for _ in range(n)]
+        ecols = [[exact(x) for x in col] for col in fcols]
+        ebounds = [exact(b) for b in bounds]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            fl = enumerate_basis_in_box(fcols, Box(tuple(bounds), tuple(closed), FLOAT), FLOAT)
+        ex = enumerate_basis_in_box(ecols, Box(tuple(ebounds), tuple(closed), EXACT), EXACT)
+        fl_coeffs, ex_coeffs = {c for _, c in fl}, {c for _, c in ex}
+        for coeffs in fl_coeffs ^ ex_coeffs:
+            point = [sum(col[i] * x for col, x in zip(ecols, coeffs)) for i in range(n)]
+            face_gap = min(abs(abs(v) / b - 1) for v, b in zip(point, ebounds))
+            assert face_gap <= FLOAT_SLACK, (fcols, bounds, closed, coeffs)
+        agreed += len(fl_coeffs & ex_coeffs)
+    assert agreed > 100
 
 
 def test_first_only_returns_valid_point():

@@ -1,0 +1,80 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from latflow.backend import EXACT
+from latflow.linalg import clear_denominators, det, gram_schmidt, lll_reduce
+
+import _brute
+
+
+def _random_basis(rng, n):
+    """A rational basis normalised by an anisotropic box, the way the
+    enumeration feeds LLL: a random unimodular matrix with tiny and huge
+    denominators sprinkled in, each coordinate divided by its box bound."""
+    rows = _brute.random_unimodular(rng, n, ops=8, max_mult=3)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.3:
+                den = rng.choice((2, 3, 7, 10**9, 2**61 - 1, 10**30 + 57))
+                rows[i][j] += Fraction(rng.randint(-den, den), den)
+    bounds = [Fraction(rng.randint(1, 9), 10 ** rng.randint(0, 6)) * 10 ** rng.randint(0, 6)
+              for _ in range(n)]
+    cols = [[Fraction(rows[i][j]) / bounds[i] for i in range(n)] for j in range(n)]
+    if det([[cols[j][i] for j in range(n)] for i in range(n)]) == 0:
+        return _random_basis(rng, n)
+    return cols
+
+
+def _mul(cols, u_cols):
+    n = len(cols)
+    return [[sum(cols[k][i] * uc[k] for k in range(n)) for i in range(n)] for uc in u_cols]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_lll_matches_reference_loop(seed):
+    rng = random.Random(seed)
+    for n in (2, 3, 4, 5):
+        cols = _random_basis(rng, n)
+        reduced, u, mu, c = lll_reduce(cols, EXACT)
+        assert (reduced, u) == _brute.lll_reference(cols)
+        assert _mul(cols, u) == reduced
+        assert det([[Fraction(u[j][i]) for j in range(n)] for i in range(n)]) in (1, -1)
+        for k in range(1, n):
+            assert all(-Fraction(1, 2) <= mu[k][j] < Fraction(1, 2) for j in range(k))
+            assert c[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * c[k - 1]
+        _, gs_mu, gs_c = gram_schmidt([[Fraction(x) for x in col] for col in reduced])
+        assert (mu, c) == (gs_mu, gs_c)
+
+
+def test_exact_lll_half_ties():
+    # mu = +1/2 is reduced (q = 1), mu = -1/2 is left alone (q = 0)
+    plus, u, mu, _ = lll_reduce([[2, 0], [1, 5]], EXACT)
+    assert plus == [[2, 0], [-1, 5]] and mu[1][0] == Fraction(-1, 2)
+    minus, u, mu, _ = lll_reduce([[2, 0], [-1, 5]], EXACT)
+    assert minus == [[2, 0], [-1, 5]] and u == [[1, 0], [0, 1]]
+
+
+def test_exact_lll_integer_input_stays_integral():
+    reduced, _, _, c = lll_reduce([[1, 0, 0], [7, 1, 0], [3, 9, 1]], EXACT)
+    assert all(type(x) is int for col in reduced for x in col)
+    assert c == gram_schmidt([[Fraction(x) for x in col] for col in reduced])[2]
+
+
+def test_exact_lll_iteration_cap_raises():
+    long_first = [[Fraction(5, 3), 0], [0, 1]]  # one swap, so two passes
+    assert lll_reduce(long_first, EXACT, max_iters=2)[0] == [[0, 1], [Fraction(5, 3), 0]]
+    with pytest.raises(RuntimeError):
+        lll_reduce(long_first, EXACT, max_iters=1)
+
+
+def test_exact_lll_refuses_dependent_columns():
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2], [Fraction(1, 2), 1]], EXACT)
+
+
+def test_clear_denominators():
+    scale, cols = clear_denominators([[Fraction(1, 6), 2], [Fraction(-3, 4), 0]])
+    assert scale == 12
+    assert cols == [[2, 24], [-9, 0]]

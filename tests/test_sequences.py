@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,16 @@ def test_layered_presentation_shared_growth():
 def test_layered_presentation_needs_divergence():
     with pytest.raises(ValueError):
         layered_presentation(RateSchedule.parse("4, 2"))
+
+
+def test_layered_presentation_needs_divergent_prefix():
+    # RateSchedule validation rules this out; an unvalidated schedule-like
+    # object with a constant coordinate ahead of a divergent one is refused
+    fake = SimpleNamespace(
+        n=3, forms=(ClosedForm.constant(1), ClosedForm.parse("i"))
+    )
+    with pytest.raises(ValueError, match="prefix"):
+        layered_presentation(fake)
 
 
 def test_exp_identity_exact_on_integer_forms():
