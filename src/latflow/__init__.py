@@ -85,7 +85,6 @@ from .weights import (
     straightening_shear,
     weight_alignment_check,
     weight_table,
-    zero_projection_lemma_check,
 )
 from .sequences import (
     ClosedForm,

@@ -51,7 +51,6 @@ from .weights import (
     layered_lemma_check,
     spanning_zero_check,
     weight_alignment_check,
-    zero_projection_lemma_check,
 )
 
 CSV_TAG = "# latflow-csv v1"
@@ -533,10 +532,11 @@ def _cmd_lemma_verify(ns):
     for t in range(trials):
         pts = _random_support_points(rng, rep.n, sizes[0])
         if k == 1:
-            main_rep = zero_projection_lemma_check(rep, sizes[0], pts)
+            # with one block the projection lemma is the spanning check itself
+            main_rep = span_rep = spanning_zero_check(rep, sizes, growth, pts)
         else:
             main_rep = layered_lemma_check(rep, sizes, growth, pts)
-        span_rep = spanning_zero_check(rep, sizes, growth, pts)
+            span_rep = spanning_zero_check(rep, sizes, growth, pts)
         trial_rows.append(
             [t, main_rep.ok, main_rep.hypothesis_dim, span_rep.ok, span_rep.hypothesis_dim]
         )

@@ -2,9 +2,10 @@
 
 Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
-lists of rows.  The exact routines assume entries support field arithmetic
-and exact comparison with 0 (ints, Fraction, mpq); the float variants pick
-pivots by magnitude.
+lists of rows.  The exact routines take ints, Fraction or mpq entries and
+decide every comparison with 0 exactly; the float variants pick pivots by
+magnitude.  gram_schmidt takes float or rational entries (not plain ints,
+which `/` turns into floats); its only caller here is the float LLL.
 
 LLL on the exact backend is integral: the basis is scaled by its common
 denominator and the reduction keeps integer Gram determinants and scaled
@@ -89,7 +90,9 @@ def det(a, approx=False):
         if piv != j:
             m[piv], m[j] = m[j], m[piv]
             sign = -sign
-        p = m[j][j]
+        # one exact pivot per column keeps integer input exact (int / int is
+        # a float) without coercing every entry
+        p = m[j][j] if approx else rat(m[j][j])
         prod = prod * p
         for i in range(j + 1, n):
             f = m[i][j] / p

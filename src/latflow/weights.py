@@ -91,24 +91,6 @@ class RepSpace:
                 coords.append(sum(mat_rows[j][j] for j in range(i)))
         return coords
 
-    def _adjoint_compose(self, coords):
-        n = self.n
-        rows = [[Rat(0)] * n for _ in range(n)]
-        labs = self.labels()
-        h = [Rat(0)] * n  # partial sums, h[0] unused as h_0 = 0
-        for lab, c in zip(labs, coords):
-            if lab[0] == "E":
-                _, p, q = lab
-                rows[p - 1][q - 1] = rows[p - 1][q - 1] + c
-            else:
-                h[lab[1]] = c
-        for j in range(n):
-            # 0-based row j carries d_{j+1} = h_{j+1} - h_j with h_0 = h_n = 0
-            cur = h[j + 1] if j + 1 <= n - 1 else Rat(0)
-            prev = h[j] if j >= 1 else Rat(0)
-            rows[j][j] = rows[j][j] + (cur - prev)
-        return rows
-
     # -- actions --------------------------------------------------------------
     def group_matrix(self, g: ExactMatrix) -> ExactMatrix:
         """The representation matrix of a group element (exact backend)."""
@@ -331,6 +313,16 @@ def split_spaces(rep: RepSpace, block_sizes, growth: GrowthSpec) -> WeightSplit:
     return WeightSplit(rep, sizes, growth, labs, ws, cls)
 
 
+def _combine(coeffs, vecs, dim):
+    """The vector sum of c * v over paired coefficients and vectors."""
+    out = [Rat(0)] * dim
+    for c, v in zip(coeffs, vecs):
+        if c != 0:
+            for i, x in enumerate(v):
+                out[i] = out[i] + c * x
+    return out
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Exact subspace in canonical (reduced row echelon) form."""
@@ -365,15 +357,10 @@ class Subspace:
             return Subspace(self.ambient_dim, ())
         cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
         a = linalg.transpose(cols)  # ambient_dim rows, r1+r2 cols
-        gens = []
-        for kv in linalg.kernel_basis(a):
-            coeffs = kv[: self.dim]
-            vec = [Rat(0)] * self.ambient_dim
-            for c, b in zip(coeffs, self.basis):
-                if c != 0:
-                    for i, x in enumerate(b):
-                        vec[i] = vec[i] + c * x
-            gens.append(vec)
+        gens = [
+            _combine(kv[: self.dim], self.basis, self.ambient_dim)
+            for kv in linalg.kernel_basis(a)
+        ]
         return Subspace.from_generators(gens, self.ambient_dim)
 
 
@@ -391,20 +378,26 @@ def _points_ok(points, n, m1):
     return linalg.rank(diffs) == m1, pts
 
 
+def _shear_actions(rep: RepSpace, points):
+    """The representation matrix of the shear u(e), once per point."""
+    return [rep.group_matrix(row_unipotent([rat(x) for x in e], EXACT)) for e in points]
+
+
+def _space_from_actions(rep: RepSpace, split: WeightSplit, actions) -> Subspace:
+    """Vectors v with u(e) v free of every expanding weight direction, for
+    each given action u(e)."""
+    plus = split.indices("+")
+    rows = [list(act.rows[i]) for act in actions for i in plus]
+    if not rows:
+        return Subspace(rep.dim, tuple(tuple(linalg.identity(rep.dim)[i]) for i in range(rep.dim)))
+    return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
+
+
 def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
     """Vectors all of whose shear translates by the given points have zero
     component in every expanding weight direction."""
     split = split_spaces(rep, block_sizes, growth)
-    plus = split.indices("+")
-    rows = []
-    for e in points:
-        act = rep.group_matrix(row_unipotent([rat(x) for x in e], EXACT))
-        for i in plus:
-            rows.append(list(act.rows[i]))
-    if not rows:
-        return Subspace(rep.dim, tuple(tuple(linalg.identity(rep.dim)[i]) for i in range(rep.dim)))
-    gens = linalg.kernel_basis(rows)
-    return Subspace.from_generators(gens, rep.dim)
+    return _space_from_actions(rep, split, _shear_actions(rep, points))
 
 
 @dataclass(frozen=True)
@@ -415,8 +408,9 @@ class LemmaReport:
     notes: tuple = ()
 
 
-def _zero_row_selector(split: WeightSplit, first=None):
-    return split.zero_weight_indices(first)
+def _report(space: Subspace, violations):
+    notes = () if space.dim else ("hypothesis space trivial",)
+    return LemmaReport(not violations, space.dim, tuple(violations), notes)
 
 
 def _kernel_on_selected_rows(cols, row_indices, dim_h):
@@ -434,41 +428,24 @@ def _kernel_on_selected_rows(cols, row_indices, dim_h):
     return linalg.kernel_basis(mat)
 
 
-def _act_on_basis(rep, e, basis):
-    """Columns u(e) . b for b in basis; returns list of columns."""
-    act = rep.group_matrix(row_unipotent([rat(x) for x in e], EXACT))
-    return [act.apply(b) for b in basis]
+def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning):
+    """The common core of the lemma checks: (split, points, space, images).
 
-
-def zero_projection_lemma_check(rep: RepSpace, m1, points, require_spanning=True):
-    """Single-block check: on the hypothesis space of an affine-spanning
-    point set, every shear translate keeps a nonzero zero-weight component.
-
-    Violations are (point, vector) pairs with u(e) v losing its entire
-    zero-weight part; a correct implementation finds none when the points
-    affinely span, and is expected to find some for degenerate point sets
-    (run with require_spanning=False to observe them).
+    space is the hypothesis space of the points and images[t] holds the
+    columns u(e_t) b over its basis b; images is empty when the space is
+    trivial, so the checks find nothing to violate.
     """
-    spanning, pts = _points_ok(points, rep.n, m1)
+    sizes = validate_block_sizes(rep.n, block_sizes)
+    if growth.k != len(sizes):
+        raise ValueError("growth/block count mismatch")
+    spanning, pts = _points_ok(points, rep.n, sizes[0])
     if require_spanning and not spanning:
-        raise ValueError("points must affinely span the embedded R^%d" % m1)
-    growth = GrowthSpec.simple([(1, 1)])
-    split = split_spaces(rep, (m1,), growth)
-    space = hypothesis_space(rep, (m1,), growth, pts)
-    zero_rows = _zero_row_selector(split)
-    violations = []
-    for e in pts:
-        if space.dim == 0:
-            break
-        cols = _act_on_basis(rep, e, space.basis)
-        for y in _kernel_on_selected_rows(cols, zero_rows, space.dim):
-            vec = [Rat(0)] * rep.dim
-            for c, b in zip(y, space.basis):
-                for i, x in enumerate(b):
-                    vec[i] = vec[i] + c * x
-            violations.append((tuple(e), tuple(vec)))
-    notes = () if space.dim else ("hypothesis space trivial",)
-    return LemmaReport(not violations, space.dim, tuple(violations), notes)
+        raise ValueError("points must affinely span the embedded R^%d" % sizes[0])
+    split = split_spaces(rep, sizes, growth)
+    actions = _shear_actions(rep, pts)
+    space = _space_from_actions(rep, split, actions)
+    images = [[act.apply(b) for b in space.basis] for act in actions] if space.dim else []
+    return split, pts, space, images
 
 
 def layered_lemma_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
@@ -482,63 +459,39 @@ def layered_lemma_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, 
     sizes = validate_block_sizes(rep.n, block_sizes)
     if growth.k != len(sizes) or growth.k < 2:
         raise ValueError("need k >= 2 matching block sizes")
-    spanning, pts = _points_ok(points, rep.n, sizes[0])
-    if require_spanning and not spanning:
-        raise ValueError("points must affinely span the embedded R^%d" % sizes[0])
-    split = split_spaces(rep, sizes, growth)
-    split_trunc = split_spaces(rep, sizes[:-1], growth.truncate(growth.k - 1))
-    space = hypothesis_space(rep, sizes, growth, pts)
-    plus_trunc = split_trunc.indices("+")
+    split, pts, space, images = _lemma_images(rep, sizes, growth, points, require_spanning)
+    plus_trunc = split_spaces(rep, sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
     zero_full = split.zero_weight_indices()
     zero_head = split.zero_weight_indices(first=growth.k - 1)
     violations = []
-    for e in pts:
-        if space.dim == 0:
-            break
-        cols = _act_on_basis(rep, e, space.basis)
+    for e, cols in zip(pts, images):
         for i in plus_trunc:
             if any(col[i] != 0 for col in cols):
-                violations.append(("expanding-after-truncation", tuple(e), i))
+                violations.append(("expanding-after-truncation", e, i))
         hmat = [[col[i] for col in cols] for i in zero_head]
         for y in _kernel_on_selected_rows(cols, zero_full, space.dim):
-            img = [
-                sum(row[j] * y[j] for j in range(len(y))) for row in hmat
-            ]
-            if any(x != 0 for x in img):
-                vec = [Rat(0)] * rep.dim
-                for c, b in zip(y, space.basis):
-                    for i, x in enumerate(b):
-                        vec[i] = vec[i] + c * x
-                violations.append(("invariant-shadow-lost", tuple(e), tuple(vec)))
-    notes = () if space.dim else ("hypothesis space trivial",)
-    return LemmaReport(not violations, space.dim, tuple(violations), notes)
+            if any(linalg.dot(row, y) != 0 for row in hmat):
+                vec = _combine(y, space.basis, rep.dim)
+                violations.append(("invariant-shadow-lost", e, tuple(vec)))
+    return _report(space, violations)
 
 
 def spanning_zero_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
     """Full-strength conclusion: on the hypothesis space, every shear
-    translate keeps a nonzero fully-invariant (all-blocks-zero) component."""
-    sizes = validate_block_sizes(rep.n, block_sizes)
-    if growth.k != len(sizes):
-        raise ValueError("growth/block count mismatch")
-    spanning, pts = _points_ok(points, rep.n, sizes[0])
-    if require_spanning and not spanning:
-        raise ValueError("points must affinely span the embedded R^%d" % sizes[0])
-    split = split_spaces(rep, sizes, growth)
-    space = hypothesis_space(rep, sizes, growth, pts)
+    translate keeps a nonzero fully-invariant (all-blocks-zero) component.
+
+    With one block this is the zero-projection lemma.  A single divergent
+    growth layer classifies each weight by its sign alone, so there the
+    report does not depend on the growth spec.
+    """
+    split, pts, space, images = _lemma_images(rep, block_sizes, growth, points, require_spanning)
     zero_rows = split.zero_weight_indices()
-    violations = []
-    for e in pts:
-        if space.dim == 0:
-            break
-        cols = _act_on_basis(rep, e, space.basis)
-        for y in _kernel_on_selected_rows(cols, zero_rows, space.dim):
-            vec = [Rat(0)] * rep.dim
-            for c, b in zip(y, space.basis):
-                for i, x in enumerate(b):
-                    vec[i] = vec[i] + c * x
-            violations.append((tuple(e), tuple(vec)))
-    notes = () if space.dim else ("hypothesis space trivial",)
-    return LemmaReport(not violations, space.dim, tuple(violations), notes)
+    violations = [
+        (e, tuple(_combine(y, space.basis, rep.dim)))
+        for e, cols in zip(pts, images)
+        for y in _kernel_on_selected_rows(cols, zero_rows, space.dim)
+    ]
+    return _report(space, violations)
 
 
 def straightening_shear(n, block, points):
@@ -697,17 +650,6 @@ def _block_algebra_generators(n, block):
     return gens
 
 
-def _gen_matrix(n, lab):
-    rows = [[Rat(0)] * n for _ in range(n)]
-    if lab[0] == "E":
-        rows[lab[1] - 1][lab[2] - 1] = Rat(1)
-    else:
-        i = lab[1]
-        rows[i - 1][i - 1] = Rat(1)
-        rows[i][i] = Rat(-1)
-    return ExactMatrix(rows, EXACT)
-
-
 def block_invariant_space(rep: RepSpace, block) -> Subspace:
     """Common kernel of the block subgroup's algebra in the representation:
     exactly the vectors fixed by the whole block subgroup."""
@@ -715,7 +657,7 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
         raise ValueError("block out of range")
     rows = []
     for lab in _block_algebra_generators(rep.n, block):
-        act = rep.algebra_matrix(_gen_matrix(rep.n, lab))
+        act = rep.algebra_matrix(ExactMatrix(rep._basis_matrix(lab), EXACT))
         rows.extend([list(r) for r in act.rows])
     gens = linalg.kernel_basis(rows)
     return Subspace.from_generators(gens, rep.dim)
@@ -725,7 +667,7 @@ def is_block_fixed(rep: RepSpace, vec, block) -> bool:
     """True iff the vector is killed by every block-subgroup generator."""
     v = [rat(x) for x in vec]
     for lab in _block_algebra_generators(rep.n, block):
-        act = rep.algebra_matrix(_gen_matrix(rep.n, lab))
+        act = rep.algebra_matrix(ExactMatrix(rep._basis_matrix(lab), EXACT))
         if any(x != 0 for x in act.apply(v)):
             return False
     return True
@@ -746,10 +688,4 @@ def curve_hypothesis_fixed_check(rep: RepSpace, block_sizes, growth: GrowthSpec,
     pts = [curve.eval_exact(s) for s in curve.sample_points(count)]
     space = hypothesis_space(rep, sizes, growth, pts)
     target = block_invariant_space(rep, sizes[0] + 1)
-    ok = space.is_contained_in(target)
-    return LemmaReport(
-        ok,
-        space.dim,
-        () if ok else tuple(space.basis),
-        ("hypothesis space trivial",) if space.dim == 0 else (),
-    )
+    return _report(space, () if space.is_contained_in(target) else space.basis)

@@ -43,7 +43,6 @@ from latflow import (
     varying_first_weight_scan,
     window_dual_soluble,
     window_primal_soluble,
-    zero_projection_lemma_check,
 )
 import latflow.linalg as linalg
 
@@ -219,6 +218,7 @@ def test_criterion_07_lemma_sweep_no_counterexamples():
         rng = random.Random(707)
         start = time.monotonic()
         growth = GrowthSpec.simple([(1, 1), (1, 2)])
+        one_block = GrowthSpec.simple([(1, 1)])
         for n in (3, 4):
             reps = [RepSpace(n, "wedge", d) for d in range(1, n)]
             reps.append(RepSpace(n, "adjoint"))
@@ -229,7 +229,7 @@ def test_criterion_07_lemma_sweep_no_counterexamples():
                     for _ in range(20):
                         pts = _affine_spanning_points(rng, n, sizes[0])
                         if len(sizes) == 1:
-                            r = zero_projection_lemma_check(rep, sizes[0], pts)
+                            r = spanning_zero_check(rep, sizes, one_block, pts)
                             assert r.ok, (rep, sizes, pts, r.violations[:2])
                         else:
                             r1 = layered_lemma_check(rep, sizes, growth, pts)
@@ -238,8 +238,9 @@ def test_criterion_07_lemma_sweep_no_counterexamples():
                             assert r2.ok, (rep, sizes, pts, r2.violations[:2])
         # negative control: collinear points really do admit violations,
         # so the sweep above is not vacuous
-        bad = zero_projection_lemma_check(
-            RepSpace(3, "adjoint"), 2, [(0, 0), (1, 0), (2, 0)], require_spanning=False
+        bad = spanning_zero_check(
+            RepSpace(3, "adjoint"), (2,), one_block, [(0, 0), (1, 0), (2, 0)],
+            require_spanning=False,
         )
         assert not bad.ok and len(bad.violations) >= 1
         assert time.monotonic() - start < 300.0

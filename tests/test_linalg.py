@@ -78,3 +78,13 @@ def test_clear_denominators():
     scale, cols = clear_denominators([[Fraction(1, 6), 2], [Fraction(-3, 4), 0]])
     assert scale == 12
     assert cols == [[2, 24], [-9, 0]]
+
+
+def test_exact_det_of_integer_matrices_stays_exact():
+    # int / int is a float division; the exact det must not take it
+    d = det([[2, 1], [1, 1]])
+    assert d == 1 and not isinstance(d, float)
+    _, u, _, _ = lll_reduce(_random_basis(random.Random(0), 4), EXACT)
+    assert all(type(x) is int for col in u for x in col)
+    d = det([[u[j][i] for j in range(4)] for i in range(4)])
+    assert d in (1, -1) and not isinstance(d, float)

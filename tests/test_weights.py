@@ -21,7 +21,6 @@ from latflow.weights import (
     straightening_shear,
     weight_alignment_check,
     weight_table,
-    zero_projection_lemma_check,
 )
 
 from _brute import random_unimodular
@@ -92,9 +91,13 @@ def test_split_spaces_partitions_basis():
     assert 0 in split.indices("+")
 
 
+# the single-block (zero-projection) lemma is spanning_zero_check with one block
+ONE_BLOCK = GrowthSpec.simple([(1, 1)])
+
+
 def test_zero_projection_lemma_on_spanning_points():
     rep = RepSpace(3, "adjoint")
-    report = zero_projection_lemma_check(rep, 2, [(0, 0), (1, 0), (0, 1)])
+    report = spanning_zero_check(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (0, 1)])
     assert report.ok
     assert report.hypothesis_dim > 0  # non-vacuous for the adjoint
     assert report.violations == ()
@@ -103,22 +106,22 @@ def test_zero_projection_lemma_on_spanning_points():
 def test_zero_projection_lemma_rejects_non_spanning():
     rep = RepSpace(3, "adjoint")
     with pytest.raises(ValueError):
-        zero_projection_lemma_check(rep, 2, [(0, 0), (1, 0), (2, 0)])
+        spanning_zero_check(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (2, 0)])
 
 
 def test_degenerate_points_produce_violations():
     # the affine-spanning hypothesis is sharp: collinear points leave room
     # for translates that lose their entire zero-weight component
     rep = RepSpace(3, "adjoint")
-    report = zero_projection_lemma_check(
-        rep, 2, [(0, 0), (1, 0), (2, 0)], require_spanning=False
+    report = spanning_zero_check(
+        rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (2, 0)], require_spanning=False
     )
     assert not report.ok
     assert len(report.violations) >= 1
     # and for the wedge square with all points equal
     wedge = RepSpace(3, "wedge", 2)
-    report = zero_projection_lemma_check(
-        wedge, 2, [(0, 0), (0, 0), (0, 0)], require_spanning=False
+    report = spanning_zero_check(
+        wedge, (2,), ONE_BLOCK, [(0, 0), (0, 0), (0, 0)], require_spanning=False
     )
     assert not report.ok
 
@@ -130,6 +133,19 @@ def test_layered_lemma_and_spanning_zero():
     rep1 = layered_lemma_check(rep, (2, 1), growth, pts)
     rep2 = spanning_zero_check(rep, (2, 1), growth, pts)
     assert rep1.ok and rep2.ok
+
+
+def test_layered_clause_ii_violations_are_spanning_violations():
+    # degenerate points: a translate that loses its fully-invariant part
+    # while keeping a first-block-invariant one is also a spanning violation
+    rep = RepSpace(3, "adjoint")
+    growth = GrowthSpec.simple([(1, 1), (1, 2)])
+    pts = [(1, 0)]
+    layered = layered_lemma_check(rep, (2, 1), growth, pts, require_spanning=False)
+    spanning = spanning_zero_check(rep, (2, 1), growth, pts, require_spanning=False)
+    lost = [v[1:] for v in layered.violations if v[0] == "invariant-shadow-lost"]
+    assert lost
+    assert set(lost) <= set(spanning.violations)
 
 
 def test_random_spanning_points_never_violate():
