@@ -383,21 +383,22 @@ def _shear_actions(rep: RepSpace, points):
     return [rep.group_matrix(row_unipotent([rat(x) for x in e], EXACT)) for e in points]
 
 
-def _space_from_actions(rep: RepSpace, split: WeightSplit, actions) -> Subspace:
+def _space_from_actions(split: WeightSplit, actions) -> Subspace:
     """Vectors v with u(e) v free of every expanding weight direction, for
     each given action u(e)."""
+    dim = split.rep.dim
     plus = split.indices("+")
     rows = [list(act.rows[i]) for act in actions for i in plus]
     if not rows:
-        return Subspace(rep.dim, tuple(tuple(linalg.identity(rep.dim)[i]) for i in range(rep.dim)))
-    return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
+        return Subspace(dim, tuple(tuple(linalg.identity(dim)[i]) for i in range(dim)))
+    return Subspace.from_generators(linalg.kernel_basis(rows), dim)
 
 
 def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
     """Vectors all of whose shear translates by the given points have zero
     component in every expanding weight direction."""
     split = split_spaces(rep, block_sizes, growth)
-    return _space_from_actions(rep, split, _shear_actions(rep, points))
+    return _space_from_actions(split, _shear_actions(rep, points))
 
 
 @dataclass(frozen=True)
@@ -443,7 +444,7 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
         raise ValueError("points must affinely span the embedded R^%d" % sizes[0])
     split = split_spaces(rep, sizes, growth)
     actions = _shear_actions(rep, pts)
-    space = _space_from_actions(rep, split, actions)
+    space = _space_from_actions(split, actions)
     images = [[act.apply(b) for b in space.basis] for act in actions] if space.dim else []
     return split, pts, space, images
 
