@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
 
-from latflow.cli import CSV_TAG, main
+import pytest
+
+from latflow.cli import CSV_TAG, _build_parser, main
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -175,3 +178,162 @@ def test_nondiv_cli(tmp_path):
     assert lines[0] == CSV_TAG
     assert lines[1].split(",") == ["index", "eps", "count", "below", "fraction"]
     assert len(lines) == 2 + 3 * 2  # indices 1..3 x two eps values
+
+
+# -- the CLI surface, pinned flag by flag ----------------------------------
+
+_S, _I, _F, _T = (None, "store"), (int, "store"), (float, "store"), (None, "store_true")
+
+_GRID = {"grid": _S, "seed": _I, "threads": _I, "budget": _I}
+_CURVE = {"curve": _S, "domain": _S}
+_SCHEDULE = {"sequence": _S, "indices": _S, "imax": _I}
+_TENT = {"tent_center": _S, "tent_radius": _F, "tent_height": _F}
+_IO = {"config": _S, "out": _S}
+
+# subcommand -> dest -> (argparse type, action); every default is None
+SURFACE = {
+    "improvability": {
+        **_CURVE, "weights": _S, "mu": _S, "samples": _I, **_GRID, **_IO,
+    },
+    "equidist": {
+        **_CURVE, **_SCHEDULE, "samples": _I, **_TENT, "doubled": _T,
+        "gap_tol": _F, **_GRID, **_IO,
+    },
+    "nondiv": {
+        **_CURVE, **_SCHEDULE, "samples": _I, "eps": _S, "frac_tol": _S,
+        **_GRID, **_IO,
+    },
+    "twist": {
+        **_CURVE, **_SCHEDULE, "t": _S, "samples": _I, **_TENT,
+        "defect_tol": _F, **_GRID, **_IO,
+    },
+    "lemma-verify": {
+        "rep": _S, "config_sizes": _S, "growth": _S, "trials": _I,
+        "seed": _I, **_CURVE, **_IO,
+    },
+    "constructions": {
+        "gamma": _S, "lead": _I, "scan_tail": _S, "scan_weights": _S,
+        "scan_mu": _S, "threshold": _T, "expect_soluble": _T, **_IO,
+    },
+    "layered": {"sequence": _S, "check_at": _S, "err_tol": _F, **_IO},
+}
+
+_ACTIONS = {"store": argparse._StoreAction, "store_true": argparse._StoreTrueAction}
+
+
+def _subparsers():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_cli_subcommands_and_flags_are_pinned():
+    subs = _subparsers()
+    assert sorted(subs) == sorted(SURFACE)
+    for name, flags in SURFACE.items():
+        actions = [a for a in subs[name]._actions if a.dest != "help"]
+        assert sorted(a.dest for a in actions) == sorted(flags), name
+        for a in actions:
+            typ, action = flags[a.dest]
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")], (name, a.dest)
+            assert a.type is typ, (name, a.dest)
+            assert type(a) is _ACTIONS[action], (name, a.dest)
+            assert a.default is None, (name, a.dest)
+            want = ["equispaced", "random"] if a.dest == "grid" else None
+            assert a.choices == want, (name, a.dest)
+
+
+def _resolved(tmp_path, argv):
+    out = str(tmp_path / argv[0])
+    assert main(argv + ["--out", out]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return manifest["config"], manifest["content_hash"]
+
+
+_GRID_ARGV = ["--grid", "random", "--seed", "3", "--threads", "1", "--budget", "10000000"]
+
+# one argv per subcommand that sets every flag, and the resolved value types
+FULL_ARGV = {
+    "improvability": (
+        ["--curve", "s, s^2", "--domain", "0,1", "--weights", "10,10",
+         "--mu", "1/2", "--samples", "4", *_GRID_ARGV],
+        dict(curve=str, domain=str, weights=str, mu=str, samples=int,
+             grid=str, seed=int, threads=int, budget=int, out=str),
+    ),
+    "equidist": (
+        ["--curve", "s", "--domain", "0,1", "--sequence", "i", "--indices", "2",
+         "--imax", "3", "--samples", "4", "--tent-center", "0,0",
+         "--tent-radius", "2", "--tent-height", "1", "--doubled",
+         "--gap-tol", "100", *_GRID_ARGV],
+        dict(curve=str, domain=str, sequence=str, indices=str, imax=int,
+             samples=int, tent_center=str, tent_radius=float,
+             tent_height=float, doubled=bool, gap_tol=float, grid=str,
+             seed=int, threads=int, budget=int, out=str),
+    ),
+    "nondiv": (
+        ["--curve", "s", "--domain", "0,1", "--sequence", "i", "--indices", "2",
+         "--imax", "3", "--samples", "4", "--eps", "0.05", "--frac-tol", "1",
+         *_GRID_ARGV],
+        dict(curve=str, domain=str, sequence=str, indices=str, imax=int,
+             samples=int, eps=str, frac_tol=str, grid=str, seed=int,
+             threads=int, budget=int, out=str),
+    ),
+    "twist": (
+        ["--curve", "s", "--domain", "0,1", "--sequence", "i", "--indices", "2",
+         "--imax", "3", "--t", "0,0.5", "--samples", "4", "--tent-center", "0,0",
+         "--tent-radius", "2", "--tent-height", "1", "--defect-tol", "100",
+         *_GRID_ARGV],
+        dict(curve=str, domain=str, sequence=str, indices=str, imax=int, t=str,
+             samples=int, tent_center=str, tent_radius=float,
+             tent_height=float, defect_tol=float, grid=str, seed=int,
+             threads=int, budget=int, out=str),
+    ),
+    "lemma-verify": (
+        ["--rep", "wedge:3:2", "--config-sizes", "2,1", "--growth", "1:1,1:2",
+         "--trials", "1", "--seed", "0", "--curve", "s, s^2", "--domain", "0,1"],
+        dict(rep=str, config_sizes=str, growth=str, trials=int, seed=int,
+             curve=str, domain=str, out=str),
+    ),
+    "constructions": (
+        ["--gamma", "2,3", "--lead", "1", "--scan-tail", "2", "--scan-weights",
+         "10", "--scan-mu", "19/20", "--threshold", "--expect-soluble"],
+        dict(gamma=str, lead=int, scan_tail=str, scan_weights=str, scan_mu=str,
+             threshold=bool, expect_soluble=bool, out=str),
+    ),
+    "layered": (
+        ["--sequence", "i^2, i", "--check-at", "5", "--err-tol", "1e-9"],
+        dict(sequence=str, check_at=str, err_tol=float, out=str),
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FULL_ARGV))
+def test_cli_full_argv_resolves_to_pinned_types(tmp_path, capsys, cmd):
+    argv, types = FULL_ARGV[cmd]
+    cfg, _ = _resolved(tmp_path, [cmd] + argv)
+    assert {k: type(v) for k, v in cfg.items()} == types
+
+
+def test_cli_defaults_keep_their_types(tmp_path, capsys):
+    # an int default stays an int; only an explicit --tent-radius is a float
+    cfg, _ = _resolved(tmp_path, ["equidist", "--imax", "2", "--samples", "20",
+                                  "--tent-radius", "2"])
+    assert cfg["tent_radius"] == 2.0 and type(cfg["tent_radius"]) is float
+    assert cfg["tent_height"] == 1 and type(cfg["tent_height"]) is int
+    assert cfg["imax"] == 2 and cfg["samples"] == 20 and cfg["budget"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, content_hash",
+    [
+        (["layered", "--sequence", "2*i, i, 3"],
+         "feb2aac71ce5d2ccac946bb34f683f0994196466"),
+        (["equidist", "--imax", "2", "--samples", "20", "--tent-radius", "2"],
+         "08245fc48e02d7f320687a8a5bb10038700183a2"),
+        (["constructions", "--scan-tail", "2", "--scan-weights", "10"],
+         "e7c937d9b739158a0a66520c43339cb92975841d"),
+    ],
+)
+def test_cli_content_hash_is_frozen(tmp_path, capsys, argv, content_hash):
+    assert _resolved(tmp_path, argv)[1] == content_hash
