@@ -94,12 +94,10 @@ from .sequences import (
 )
 from .experiments import (
     BasePoint,
-    EmpiricalMeasure,
     ImprovabilityRow,
     NondivergenceRow,
     ShearRow,
     SiegelRow,
-    empirical_measure,
     equidistribution_siegel,
     improvability_scan,
     nondivergence_scan,

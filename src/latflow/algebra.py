@@ -26,7 +26,6 @@ from . import linalg
 from .backend import (
     EXACT,
     FLOAT,
-    BackendMismatch,
     check_same_backend,
     format_scalar,
     parse_scalar,
@@ -119,19 +118,6 @@ class ExactMatrix:
     def trace(self):
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
-    def scale(self, c):
-        c = scalar(c, self.backend)
-        return ExactMatrix([[c * x for x in row] for row in self.rows], self.backend)
-
-    def add(self, other):
-        check_same_backend(self.backend, other.backend)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.backend,
-        )
-
     # -- comparisons / conversions ------------------------------------------
     def __eq__(self, other):
         return (
@@ -142,15 +128,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash((self.backend, self.rows))
-
-    def close_to(self, other, tol=_DET_TOL):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(
-            abs(float(x) - float(y)) <= tol
-            for r, s in zip(self.rows, other.rows)
-            for x, y in zip(r, s)
-        )
 
     def to_float(self):
         if self.backend == FLOAT:

@@ -10,7 +10,6 @@ coercion.
 
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 
@@ -52,6 +51,8 @@ def rat(x):
     rejected: silently rationalizing a float is exactly the bug the backend
     tagging exists to prevent.
     """
+    if type(x) is _RAT_TYPE:
+        return x
     if isinstance(x, float):
         raise BackendMismatch(
             "refusing to coerce float %r into the exact backend; "
@@ -61,8 +62,6 @@ def rat(x):
         return Rat(x)
     if isinstance(x, (Fraction, str)):
         return Rat(x)
-    if type(x) is _RAT_TYPE:
-        return x
     # last resort: things exposing integer numerator/denominator
     num = getattr(x, "numerator", None)
     den = getattr(x, "denominator", None)
@@ -83,10 +82,6 @@ def scalar(x, backend):
     if backend == FLOAT:
         return float(x)
     raise ValueError("unknown backend %r" % (backend,))
-
-
-def is_zero(x):
-    return x == 0
 
 
 def rat_floor(q) -> int:
@@ -120,6 +115,28 @@ def parse_scalar(s: str, backend):
     return float(s)
 
 
+def _poly_terms(text, var):
+    """(coefficient, power) pairs of a sum like '1/2*s^2 - s + 3' in the
+    variable letter var, in written order; empty text gives no pairs."""
+    text = text.replace(" ", "").replace("-", "+-")
+    pairs = []
+    for term in (t for t in text.split("+") if t):
+        if var not in term:
+            pairs.append((rat(term), 0))
+            continue
+        coef_s, _, pow_s = term.partition(var)
+        coef_s = coef_s.rstrip("*")
+        coef = Rat(-1) if coef_s == "-" else rat(coef_s or 1)
+        if pow_s.startswith("^"):
+            power = int(pow_s[1:])
+        elif pow_s == "":
+            power = 1
+        else:
+            raise ValueError("cannot parse term %r" % term)
+        pairs.append((coef, power))
+    return pairs
+
+
 def check_same_backend(*backends):
     first = backends[0]
     for b in backends[1:]:
@@ -139,7 +156,3 @@ def warn_if_near_face(margin: float, where: str = "") -> None:
             FaceProximity,
             stacklevel=3,
         )
-
-
-def sqrt_float(x: float) -> float:
-    return math.sqrt(x) if x > 0.0 else 0.0

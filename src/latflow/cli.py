@@ -7,8 +7,10 @@ with --out also writes <command>.json (the full report) and a
 manifest.json echoing the resolved configuration together with a
 git-blob-style sha1 content hash of it.
 
-Every flag can instead be supplied through a JSON --config file keyed by
-the flag's long name (dashes as underscores); explicit flags win.
+Every flag is declared once, in the _FLAGS table.  A subcommand takes
+the flags named by the keys of its *_DEFAULTS dict (see _COMMANDS), and
+the keys of a JSON --config file are the same flag names, with dashes as
+underscores; explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import ExactMatrix
-from .backend import EXACT, FLOAT, BudgetExceeded, Rat, rat
+from .backend import FLOAT, BudgetExceeded, Rat, rat
 from .constructions import (
     block_transport_witness,
     scan_radius_threshold,
@@ -134,11 +136,56 @@ def _emit(command, cfg, header, rows, report):
 
 # -- flag parsing ----------------------------------------------------------
 
+_SWITCH = {"action": "store_true", "default": None}
+
+# every flag once, as add_argument keywords; a flag without a type is kept
+# as the string given, and a switch stays None (not False) when absent
+_FLAGS = {
+    "config": {"help": "JSON config file; flags override it"},
+    "out": {"help": "output directory for csv/json/manifest"},
+    "grid": {"choices": ["equispaced", "random"]},
+    "seed": {"type": int},
+    "threads": {"type": int},
+    "budget": {"type": int, "help": "enumeration node budget"},
+    "curve": {"help": "comma-separated polynomials in s"},
+    "domain": {"help": "parameter interval a,b (default 0,1)"},
+    "sequence": {"help": "comma-separated closed forms in i"},
+    "indices": {"help": "explicit index list, e.g. 4,6,8"},
+    "imax": {"type": int, "help": "use indices ordered_from..imax"},
+    "samples": {"type": int},
+    "tent_center": {},
+    "tent_radius": {"type": float},
+    "tent_height": {"type": float},
+    "weights": {"help": "rows 'a,b;c,d;...'"},
+    "mu": {"help": "window radii, comma separated rationals"},
+    "doubled": _SWITCH,
+    "gap_tol": {"type": float, "help": "gate: final-index relative gap at most this"},
+    "eps": {"help": "thresholds, comma separated"},
+    "frac_tol": {"help": "gate: every escape fraction at most this"},
+    "t": {"help": "shear amounts, comma separated"},
+    "defect_tol": {"type": float,
+                   "help": "gate: final-index defect at most tol * sup f"},
+    "rep": {"help": "wedge:n:d or adjoint:n"},
+    "config_sizes": {"help": "block sizes m1,m2,... (decreasing)"},
+    "growth": {"help": "per-layer forms 'c:p,c:p' ('+' joins monomials)"},
+    "trials": {"type": int},
+    "gamma": {"help": "integer weights a,b,... for the staircase"},
+    "lead": {"type": int, "help": "leading ones in the transport witness"},
+    "scan_tail": {"help": "fixed tail weights for the first-weight scan"},
+    "scan_weights": {"help": "first weights to sweep"},
+    "scan_mu": {"help": "window radius"},
+    "threshold": {**_SWITCH, "help": "bisect the all-soluble radius threshold"},
+    "expect_soluble": {**_SWITCH,
+                       "help": "gate: fail when any grid point is insoluble"},
+    "check_at": {"help": "indices for the exp identity check"},
+    "err_tol": {"type": float},
+}
+
 
 def _merged(ns, defaults):
     """Resolve flags against the optional JSON config file; flags win."""
     cfg = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         with open(ns.config) as fh:
             cfg = json.load(fh)
         unknown = sorted(set(cfg) - set(defaults))
@@ -146,7 +193,7 @@ def _merged(ns, defaults):
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
     out = {}
     for key, dv in defaults.items():
-        v = getattr(ns, key, None)
+        v = getattr(ns, key)
         if v is None:
             v = cfg.get(key, dv)
         out[key] = v
@@ -276,8 +323,7 @@ IMPROVABILITY_DEFAULTS = dict(
 )
 
 
-def _cmd_improvability(ns):
-    cfg = _merged(ns, IMPROVABILITY_DEFAULTS)
+def _cmd_improvability(cfg):
     curve = _parse_curve(cfg)
     rows = improvability_scan(
         curve,
@@ -322,8 +368,7 @@ EQUIDIST_DEFAULTS = dict(
 )
 
 
-def _cmd_equidist(ns):
-    cfg = _merged(ns, EQUIDIST_DEFAULTS)
+def _cmd_equidist(cfg):
     curve = _parse_curve(cfg)
     schedule = _parse_schedule(cfg)
     indices = _resolve_indices(cfg, schedule)
@@ -370,8 +415,7 @@ NONDIV_DEFAULTS = dict(
 )
 
 
-def _cmd_nondiv(ns):
-    cfg = _merged(ns, NONDIV_DEFAULTS)
+def _cmd_nondiv(cfg):
     curve = _parse_curve(cfg)
     schedule = _parse_schedule(cfg)
     indices = _resolve_indices(cfg, schedule)
@@ -417,8 +461,7 @@ TWIST_DEFAULTS = dict(
 )
 
 
-def _cmd_twist(ns):
-    cfg = _merged(ns, TWIST_DEFAULTS)
+def _cmd_twist(cfg):
     curve = _parse_curve(cfg)
     schedule = _parse_schedule(cfg)
     indices = _resolve_indices(cfg, schedule)
@@ -504,8 +547,7 @@ def _random_support_points(rng, n, m1):
             return pts
 
 
-def _cmd_lemma_verify(ns):
-    cfg = _merged(ns, LEMMA_DEFAULTS)
+def _cmd_lemma_verify(cfg):
     rep = _parse_rep(_require(cfg, "rep"))
     sizes = tuple(_ints(_require(cfg, "config_sizes")))
     k = len(sizes)
@@ -587,8 +629,7 @@ CONSTRUCTIONS_DEFAULTS = dict(
 )
 
 
-def _cmd_constructions(ns):
-    cfg = _merged(ns, CONSTRUCTIONS_DEFAULTS)
+def _cmd_constructions(cfg):
     if cfg["gamma"] is None and cfg["scan_tail"] is None:
         raise ValueError("need --gamma or --scan-tail")
 
@@ -647,8 +688,7 @@ def _cmd_constructions(ns):
 LAYERED_DEFAULTS = dict(sequence=None, check_at="5,10", err_tol=1e-9, **_OUT_FLAGS)
 
 
-def _cmd_layered(ns):
-    cfg = _merged(ns, LAYERED_DEFAULTS)
+def _cmd_layered(cfg):
     schedule = _parse_schedule(cfg)
     pres = layered_presentation(schedule)
     checks = _ints(cfg["check_at"])
@@ -677,32 +717,23 @@ def _cmd_layered(ns):
 
 # -- parser ----------------------------------------------------------------
 
-
-def _add_common(p, *, grid=True):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory for csv/json/manifest")
-    if grid:
-        p.add_argument("--grid", choices=["equispaced", "random"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--budget", type=int, help="enumeration node budget")
-
-
-def _add_curve_flags(p):
-    p.add_argument("--curve", help="comma-separated polynomials in s")
-    p.add_argument("--domain", help="parameter interval a,b (default 0,1)")
-
-
-def _add_schedule_flags(p):
-    p.add_argument("--sequence", help="comma-separated closed forms in i")
-    p.add_argument("--indices", help="explicit index list, e.g. 4,6,8")
-    p.add_argument("--imax", type=int, help="use indices ordered_from..imax")
-
-
-def _add_tent_flags(p):
-    p.add_argument("--tent-center", dest="tent_center")
-    p.add_argument("--tent-radius", dest="tent_radius", type=float)
-    p.add_argument("--tent-height", dest="tent_height", type=float)
+# name -> (help, defaults, handler); a subcommand's flags are the keys of
+# its defaults, so --config and the command line accept the same names
+_COMMANDS = {
+    "improvability": ("window hit fractions along weight rows",
+                      IMPROVABILITY_DEFAULTS, _cmd_improvability),
+    "equidist": ("Siegel averages vs the integral reference",
+                 EQUIDIST_DEFAULTS, _cmd_equidist),
+    "nondiv": ("fractions of samples with a short lattice vector",
+               NONDIV_DEFAULTS, _cmd_nondiv),
+    "twist": ("aligned averages under an extra shear", TWIST_DEFAULTS, _cmd_twist),
+    "lemma-verify": ("randomized checks of the projection lemmas",
+                     LEMMA_DEFAULTS, _cmd_lemma_verify),
+    "constructions": ("staircase certificates and window scans",
+                      CONSTRUCTIONS_DEFAULTS, _cmd_constructions),
+    "layered": ("layered normal form of a rate schedule",
+                LAYERED_DEFAULTS, _cmd_layered),
+}
 
 
 def _build_parser():
@@ -713,82 +744,10 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version="latflow " + __version__)
     sub = parser.add_subparsers(dest="cmd")
-
-    p = sub.add_parser("improvability", help="window hit fractions along weight rows")
-    _add_curve_flags(p)
-    p.add_argument("--weights", help="rows 'a,b;c,d;...'")
-    p.add_argument("--mu", help="window radii, comma separated rationals")
-    p.add_argument("--samples", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_improvability)
-
-    p = sub.add_parser("equidist", help="Siegel averages vs the integral reference")
-    _add_curve_flags(p)
-    _add_schedule_flags(p)
-    p.add_argument("--samples", type=int)
-    _add_tent_flags(p)
-    p.add_argument("--doubled", action="store_true", default=None)
-    p.add_argument("--gap-tol", dest="gap_tol", type=float,
-                   help="gate: final-index relative gap at most this")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_equidist)
-
-    p = sub.add_parser("nondiv", help="fractions of samples with a short lattice vector")
-    _add_curve_flags(p)
-    _add_schedule_flags(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--eps", help="thresholds, comma separated")
-    p.add_argument("--frac-tol", dest="frac_tol",
-                   help="gate: every escape fraction at most this")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_nondiv)
-
-    p = sub.add_parser("twist", help="aligned averages under an extra shear")
-    _add_curve_flags(p)
-    _add_schedule_flags(p)
-    p.add_argument("--t", help="shear amounts, comma separated")
-    p.add_argument("--samples", type=int)
-    _add_tent_flags(p)
-    p.add_argument("--defect-tol", dest="defect_tol", type=float,
-                   help="gate: final-index defect at most tol * sup f")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_twist)
-
-    p = sub.add_parser("lemma-verify", help="randomized checks of the projection lemmas")
-    p.add_argument("--rep", help="wedge:n:d or adjoint:n")
-    p.add_argument("--config-sizes", dest="config_sizes",
-                   help="block sizes m1,m2,... (decreasing)")
-    p.add_argument("--growth", help="per-layer forms 'c:p,c:p' ('+' joins monomials)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    _add_curve_flags(p)
-    _add_common(p, grid=False)
-    p.set_defaults(handler=_cmd_lemma_verify)
-
-    p = sub.add_parser("constructions", help="staircase certificates and window scans")
-    p.add_argument("--gamma", help="integer weights a,b,... for the staircase")
-    p.add_argument("--lead", type=int, help="leading ones in the transport witness")
-    p.add_argument("--scan-tail", dest="scan_tail",
-                   help="fixed tail weights for the first-weight scan")
-    p.add_argument("--scan-weights", dest="scan_weights",
-                   help="first weights to sweep")
-    p.add_argument("--scan-mu", dest="scan_mu", help="window radius")
-    p.add_argument("--threshold", action="store_true", default=None,
-                   help="bisect the all-soluble radius threshold")
-    p.add_argument("--expect-soluble", dest="expect_soluble",
-                   action="store_true", default=None,
-                   help="gate: fail when any grid point is insoluble")
-    _add_common(p, grid=False)
-    p.set_defaults(handler=_cmd_constructions)
-
-    p = sub.add_parser("layered", help="layered normal form of a rate schedule")
-    p.add_argument("--sequence", help="comma-separated closed forms in i")
-    p.add_argument("--check-at", dest="check_at",
-                   help="indices for the exp identity check")
-    p.add_argument("--err-tol", dest="err_tol", type=float)
-    _add_common(p, grid=False)
-    p.set_defaults(handler=_cmd_layered)
-
+    for cmd, (help_text, defaults, _) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        for name in ("config", *defaults):
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     return parser
 
 
@@ -798,11 +757,12 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    if getattr(ns, "handler", None) is None:
+    if ns.cmd is None:
         parser.print_usage(sys.stderr)
         return 2
+    _, defaults, handler = _COMMANDS[ns.cmd]
     try:
-        return ns.handler(ns)
+        return handler(_merged(ns, defaults))
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from . import linalg
 from .backend import (
     EXACT,
     Rat,
-    as_fraction,
+    _poly_terms,
     format_scalar,
     parse_scalar,
     rat,
@@ -125,28 +125,8 @@ class Curve:
         per_coord = []
         top = 0
         for comp in coords:
-            comp = comp.replace(" ", "").replace("-", "+-")
-            terms = [t for t in comp.split("+") if t]
             powers = {}
-            for term in terms:
-                if "s" in term:
-                    coef_s, _, pow_s = term.partition("s")
-                    coef_s = coef_s.rstrip("*")
-                    if coef_s in ("", "+"):
-                        coef = Rat(1)
-                    elif coef_s == "-":
-                        coef = Rat(-1)
-                    else:
-                        coef = rat(coef_s)
-                    if pow_s.startswith("^"):
-                        power = int(pow_s[1:])
-                    elif pow_s == "":
-                        power = 1
-                    else:
-                        raise ValueError("cannot parse term %r" % term)
-                else:
-                    coef = rat(term)
-                    power = 0
+            for coef, power in _poly_terms(comp, "s"):
                 powers[power] = powers.get(power, Rat(0)) + coef
             per_coord.append(powers)
             top = max(top, max(powers) if powers else 0)

@@ -44,14 +44,12 @@ from .sequences import RateSchedule, layered_presentation
 
 __all__ = [
     "BasePoint",
-    "EmpiricalMeasure",
     "SiegelRow",
     "NondivergenceRow",
     "ImprovabilityRow",
     "ShearRow",
     "sample_grid",
     "translate_lattice",
-    "empirical_measure",
     "equidistribution_siegel",
     "nondivergence_scan",
     "improvability_scan",
@@ -128,7 +126,7 @@ def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
 
 
 # ---------------------------------------------------------------------------
-# translates and empirical measures
+# translates
 
 
 def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled=False):
@@ -147,53 +145,6 @@ def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled
     if doubled:
         return Lattice(m), Lattice(dual_involution(m))
     return Lattice(m)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniformly weighted sample lattices (with partners when doubled)."""
-
-    params: tuple
-    lattices: tuple
-    partners: object  # tuple when doubled, else None
-
-    def __len__(self):
-        return len(self.lattices)
-
-    def average(self, fn) -> float:
-        """Mean of fn over the lattices; for a doubled measure, fn gets
-        the (lattice, partner) pair."""
-        if self.partners is None:
-            vals = [fn(lat) for lat in self.lattices]
-        else:
-            vals = [fn(lat, par) for lat, par in zip(self.lattices, self.partners)]
-        return sum(vals) / len(vals)
-
-
-def empirical_measure(
-    curve: Curve,
-    rates: ExpansionRates,
-    count,
-    base=None,
-    doubled=False,
-    grid="equispaced",
-    seed=0,
-) -> EmpiricalMeasure:
-    params = sample_grid(curve, count, grid, seed)
-    lattices = []
-    partners = [] if doubled else None
-    for s in params:
-        got = translate_lattice(curve, rates, s, base=base, doubled=doubled)
-        if doubled:
-            lattices.append(got[0])
-            partners.append(got[1])
-        else:
-            lattices.append(got)
-    return EmpiricalMeasure(
-        params=tuple(params),
-        lattices=tuple(lattices),
-        partners=tuple(partners) if doubled else None,
-    )
 
 
 # ---------------------------------------------------------------------------

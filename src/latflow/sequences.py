@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ExpansionRates
-from .backend import Rat, rat
+from .backend import Rat, _poly_terms, rat
 from .weights import GrowthSpec, block_generator, validate_block_sizes
 
 __all__ = [
@@ -66,37 +66,11 @@ class ClosedForm:
         return cls(((rat(c), 0),))
 
     @classmethod
-    def monomial(cls, c, p) -> "ClosedForm":
-        return cls(((rat(c), int(p)),))
-
-    @classmethod
     def parse(cls, text) -> "ClosedForm":
         """Parse '2*i^2 + i - 3' style text (variable letter i)."""
-        comp = text.replace(" ", "").replace("-", "+-")
-        parts = [t for t in comp.split("+") if t]
-        if not parts:
+        terms = _poly_terms(text, "i")
+        if not terms:
             raise ValueError("empty closed form in %r" % text)
-        terms = []
-        for term in parts:
-            if "i" in term:
-                coef_s, _, pow_s = term.partition("i")
-                coef_s = coef_s.rstrip("*")
-                if coef_s in ("", "+"):
-                    coef = Rat(1)
-                elif coef_s == "-":
-                    coef = Rat(-1)
-                else:
-                    coef = rat(coef_s)
-                if pow_s.startswith("^"):
-                    power = int(pow_s[1:])
-                elif pow_s == "":
-                    power = 1
-                else:
-                    raise ValueError("cannot parse term %r" % term)
-            else:
-                coef = rat(term)
-                power = 0
-            terms.append((coef, power))
         return cls(tuple(terms))
 
     # -- arithmetic ------------------------------------------------------
@@ -158,10 +132,6 @@ class ClosedForm:
     def diverges(self) -> bool:
         c, p = self.leading
         return p > 0 and c > 0
-
-    def eventually_nonnegative(self) -> bool:
-        c, _ = self.leading
-        return c >= 0
 
     def root_bound(self) -> int:
         """Integer B with no real roots in [B, inf): Cauchy's

@@ -87,6 +87,14 @@ def test_rat_accepts(x, want):
     assert type(got) is type(Rat(0))
 
 
+def test_rat_returns_an_exact_scalar_unchanged():
+    # on either backend, a value that is already exact is not copied
+    q = Rat(5, 7)
+    assert rat(q) is q
+    r = q * 3 - 1
+    assert rat(r) is r
+
+
 @pytest.mark.parametrize(
     "x, error",
     [

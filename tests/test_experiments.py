@@ -11,7 +11,6 @@ from latflow.sequences import RateSchedule
 from latflow.experiments import (
     BasePoint,
     _aligning_element,
-    empirical_measure,
     equidistribution_siegel,
     improvability_scan,
     nondivergence_scan,
@@ -66,15 +65,6 @@ def test_base_point_validation_and_resolution():
     assert bp.at(4).rows == gi.rows
     assert bp.at(5).rows == g0.rows
     assert BasePoint.identity(3).n == 3
-
-
-def test_empirical_measure_average():
-    c = Curve.parse("s")
-    m = empirical_measure(c, ExpansionRates((2,), EXACT), 7)
-    assert len(m) == 7
-    assert m.average(lambda lat: 1.0) == 1.0
-    md = empirical_measure(c, ExpansionRates((2,), EXACT), 4, doubled=True)
-    assert md.average(lambda lat, par: 1.0) == 1.0
 
 
 def test_aligning_element_contract():

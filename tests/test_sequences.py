@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latflow.backend import Rat
+from latflow.diophantine import Curve
 from latflow.sequences import (
     ClosedForm,
     RateSchedule,
@@ -18,6 +19,51 @@ def test_closed_form_parse_and_print():
     assert str(ClosedForm.parse(str(f))) == str(f)
     assert ClosedForm.parse("i - i").terms == ()  # cancels to the zero form
     assert ClosedForm.parse("-i^2 + 2*i^2") == ClosedForm.parse("i^2")
+
+
+# the same polynomial text in s and in i, and the {power: coefficient}
+# map both parsers must read from it
+POLY_TEXTS = [
+    ("s", {1: 1}),
+    ("-s", {1: -1}),
+    ("+s", {1: 1}),
+    ("s^3", {3: 1}),
+    ("2*s^2 - s + 1/3", {2: 2, 1: -1, 0: Rat(1, 3)}),
+    ("-1/2*s^2", {2: Rat(-1, 2)}),
+    ("2s + 3 s^2", {1: 2, 2: 3}),
+    ("s + s - 4 + 4", {1: 2}),
+    ("s^0 + 7", {0: 8}),
+    ("0*s", {}),
+]
+
+
+@pytest.mark.parametrize("text, want", POLY_TEXTS)
+def test_curve_and_closed_form_read_one_grammar(text, want):
+    want = {p: Rat(c) for p, c in want.items()}
+    (coord,) = zip(*Curve.parse(text).coeffs)
+    assert {p: c for p, c in enumerate(coord) if c != 0} == want
+    form = ClosedForm.parse(text.replace("s", "i"))
+    assert {p: c for c, p in form.terms} == want
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s2", "cannot parse term 's2'"),
+        ("3*s*s", "cannot parse term '3*s*s'"),
+        ("2*s^x", "invalid literal for int() with base 10: 'x'"),
+        ("q*s", None),  # the rational type's own message
+    ],
+)
+def test_curve_and_closed_form_refuse_alike(text, message):
+    other = text.replace("s", "i")
+    with pytest.raises(ValueError) as by_curve:
+        Curve.parse(text)
+    with pytest.raises(ValueError) as by_form:
+        ClosedForm.parse(other)
+    if message is not None:
+        assert str(by_curve.value) == message
+    assert str(by_form.value) == str(by_curve.value).replace(text, other)
 
 
 def test_closed_form_eval():
