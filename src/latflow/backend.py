@@ -47,9 +47,10 @@ class FaceProximity(UserWarning):
 def rat(x):
     """Coerce x to the exact rational type.
 
-    Accepts ints, Fractions, mpq, and strings like "3/4" or "-2". Floats are
-    rejected: silently rationalizing a float is exactly the bug the backend
-    tagging exists to prevent.
+    Accepts ints, Fractions, mpq, and strings like "3/4" or "-2"; a string
+    with a zero denominator is a ValueError, like any other malformed
+    string.  Floats are rejected: silently rationalizing a float is exactly
+    the bug the backend tagging exists to prevent.
     """
     if type(x) is _RAT_TYPE:
         return x
@@ -58,10 +59,13 @@ def rat(x):
             "refusing to coerce float %r into the exact backend; "
             "use Fraction/int/str or the float backend" % (x,)
         )
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Rat(x)
-    if isinstance(x, (Fraction, str)):
-        return Rat(x)
+    if isinstance(x, str):
+        try:
+            return Rat(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
     # last resort: things exposing integer numerator/denominator
     num = getattr(x, "numerator", None)
     den = getattr(x, "denominator", None)

@@ -49,9 +49,8 @@ from .sequences import RateSchedule, layered_presentation
 from .weights import (
     GrowthSpec,
     RepSpace,
+    _lemma_reports,
     curve_hypothesis_fixed_check,
-    layered_lemma_check,
-    spanning_zero_check,
     weight_alignment_check,
 )
 
@@ -573,12 +572,7 @@ def _cmd_lemma_verify(cfg):
     trial_rows = []
     for t in range(trials):
         pts = _random_support_points(rng, rep.n, sizes[0])
-        if k == 1:
-            # with one block the projection lemma is the spanning check itself
-            main_rep = span_rep = spanning_zero_check(rep, sizes, growth, pts)
-        else:
-            main_rep = layered_lemma_check(rep, sizes, growth, pts)
-            span_rep = spanning_zero_check(rep, sizes, growth, pts)
+        main_rep, span_rep = _lemma_reports(rep, sizes, growth, pts)
         trial_rows.append(
             [t, main_rep.ok, main_rep.hypothesis_dim, span_rep.ok, span_rep.hypothesis_dim]
         )

@@ -4,8 +4,10 @@ Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines take ints, Fraction or mpq entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
-magnitude.  gram_schmidt takes float or rational entries (not plain ints,
-which `/` turns into floats); its only caller here is the float LLL.
+magnitude.  `rref` skips zero entries: a row update touches only the
+columns where the pivot row is nonzero, so sparse input is cheap.
+gram_schmidt takes float or rational entries (not plain ints, which `/`
+turns into floats); its only caller here is the float LLL.
 
 LLL on the exact backend is integral: the basis is scaled by its common
 denominator and the reduction keeps integer Gram determinants and scaled
@@ -137,12 +139,19 @@ def rref(a):
         if piv < 0:
             continue
         rows[piv], rows[r] = rows[r], rows[piv]
-        p = rows[r][j]
-        rows[r] = [x / p for x in rows[r]]
+        prow = rows[r]
+        p = prow[j]
+        # the pivot row is zero left of j; only its nonzero columns change
+        # anything, as x - f * 0 is x exactly
+        nz = [c for c in range(j, ncols) if prow[c] != 0]
+        for c in nz:
+            prow[c] = prow[c] / p
         for i in range(nrows):
-            if i != r and rows[i][j] != 0:
-                f = rows[i][j]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[j]
+            if i != r and f != 0:
+                for c in nz:
+                    row[c] = row[c] - f * prow[c]
         pivots.append(j)
         r += 1
         if r == nrows:

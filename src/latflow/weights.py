@@ -10,6 +10,13 @@ as expanding (+), bounded (0), or contracting (-), and the lemma verifiers
 below check, by exact linear algebra, that vectors whose shear translates
 avoid the expanding part must keep a nonzero bounded-or-better shadow.
 
+The group and algebra actions follow the structure of the matrices rather
+than multiplying dense ones.  On the adjoint, g E_pq g^-1 is the rank-one
+product (column p of g)(row q of g^-1) and [x, E_pq] is
+(column p of x) e_q^T - e_p (row q of x); on a wedge power every minor of
+g comes from one shared Laplace expansion.  Zero factors are skipped
+throughout; shears u(e) are mostly zeros.
+
 Everything in this module runs on the exact backend.
 """
 
@@ -79,41 +86,71 @@ class RepSpace:
         return self.degree if self.kind == "wedge" else 2
 
     # -- adjoint coordinate helpers -----------------------------------------
-    def _adjoint_decompose(self, mat_rows):
-        coords = []
+    def _adjoint_coords(self, terms):
+        """Coordinates of the traceless matrix sum of +-u v^T over the
+        (negate, u, v) terms; zero entries of u and v are skipped.
+
+        E_pq takes entry (p, q) and H_i the sum of the first i diagonal
+        entries, the coordinates of sum_i c_i H_i in which the diagonal of a
+        traceless matrix is written.
+        """
         n = self.n
+        col = [Rat(0)] * self.dim
+        diag = [Rat(0)] * n
+        for negate, u, v in terms:
+            vs = [(b, y) for b, y in enumerate(v) if y != 0]
+            for a, x in enumerate(u):
+                if x == 0:
+                    continue
+                if negate:
+                    x = -x
+                base = a * (n - 1)
+                for b, y in vs:
+                    if a == b:
+                        diag[a] = diag[a] + x * y
+                    else:
+                        k = base + b - (b > a)
+                        col[k] = col[k] + x * y
+        total = Rat(0)
+        for i in range(n - 1):
+            total = total + diag[i]
+            col[n * (n - 1) + i] = total
+        return col
+
+    def _adjoint_columns(self, image):
+        """Columns of a linear map on sl(n) given on each E_pq (0-based p, q)
+        as a sum of rank-one terms image(p, q); H_i = E_ii - E_{i+1,i+1}
+        maps to image(i, i) minus image(i + 1, i + 1)."""
+        cols = []
         for lab in self.labels():
             if lab[0] == "E":
-                _, p, q = lab
-                coords.append(mat_rows[p - 1][q - 1])
+                terms = image(lab[1] - 1, lab[2] - 1)
             else:
-                i = lab[1]
-                coords.append(sum(mat_rows[j][j] for j in range(i)))
-        return coords
+                i = lab[1] - 1
+                terms = image(i, i) + [(not neg, u, v) for neg, u, v in image(i + 1, i + 1)]
+            cols.append(self._adjoint_coords(terms))
+        return cols
 
     # -- actions --------------------------------------------------------------
     def group_matrix(self, g: ExactMatrix) -> ExactMatrix:
-        """The representation matrix of a group element (exact backend)."""
+        """The representation matrix of a group element (exact backend).
+
+        Wedge: entry (I, J) is the minor of g on rows I and columns J, all
+        taken from one shared Laplace expansion (`_wedge_minors`).  Adjoint:
+        g E_pq g^-1 is the rank-one matrix (column p of g)(row q of g^-1).
+        """
         if g.backend != EXACT:
             raise ValueError("weight machinery runs on the exact backend")
         if g.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
-        labs = self.labels()
         if self.kind == "wedge":
-            cols = []
-            for J in labs:
-                col = []
-                for I in labs:
-                    sub = [[g.rows[i - 1][j - 1] for j in J] for i in I]
-                    col.append(linalg.det(sub))
-                cols.append(col)
+            minors = _wedge_minors(g.rows, self.degree)
+            labs = [tuple(i - 1 for i in lab) for lab in self.labels()]
+            cols = [[minors[I, J] for I in labs] for J in labs]
             return ExactMatrix.from_columns(cols, EXACT)
-        ginv = g.inverse()
-        cols = []
-        for lab in labs:
-            x = self._basis_matrix(lab)
-            y = linalg.mat_mul(linalg.mat_mul(g._lists(), x), ginv._lists())
-            cols.append(self._adjoint_decompose(y))
+        # g E_pq g^-1 = (column p of g)(row q of g^-1)
+        gcols, ginv = g.columns(), g.inverse().rows
+        cols = self._adjoint_columns(lambda p, q: [(False, gcols[p], ginv[q])])
         return ExactMatrix.from_columns(cols, EXACT)
 
     def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
@@ -138,15 +175,11 @@ class RepSpace:
                         col[index[J2]] = col[index[J2]] + sign * c
                 cols.append(col)
             return ExactMatrix.from_columns(cols, EXACT)
-        cols = []
-        xl = x._lists()
-        for lab in labs:
-            y = self._basis_matrix(lab)
-            comm = [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(linalg.mat_mul(xl, y), linalg.mat_mul(y, xl))
-            ]
-            cols.append(self._adjoint_decompose(comm))
+        # [x, E_pq] = (column p of x) e_q^T - e_p (row q of x)
+        xcols, unit = x.columns(), linalg.identity(self.n, Rat(1), Rat(0))
+        cols = self._adjoint_columns(
+            lambda p, q: [(False, xcols[p], unit[q]), (True, unit[p], x.rows[q])]
+        )
         return ExactMatrix.from_columns(cols, EXACT)
 
     def _basis_matrix(self, lab):
@@ -174,6 +207,35 @@ class RepSpace:
             else:
                 out.append(Rat(0))
         return tuple(out)
+
+
+def _wedge_minors(rows, d):
+    """Every d x d minor of the square matrix rows, keyed by (row indices,
+    column indices), 0-based sorted tuples.
+
+    Each minor is expanded along its first column into minors one size
+    smaller on the remaining columns, so every smaller minor is computed
+    once and shared; zero entries and zero sub-minors are skipped.
+    """
+    n = len(rows)
+    # a size-s minor is needed only on the last s columns of a degree-d set,
+    # which start at column d - s or later
+    minors = {((i,), (j,)): rows[i][j] for i in range(n) for j in range(d - 1, n)}
+    for s in range(2, d + 1):
+        bigger = {}
+        for J in itertools.combinations(range(d - s, n), s):
+            j, rest = J[0], J[1:]
+            for I in itertools.combinations(range(n), s):
+                total = Rat(0)
+                for t, i in enumerate(I):
+                    x = rows[i][j]
+                    if x != 0:
+                        m = minors[I[:t] + I[t + 1 :], rest]
+                        if m != 0:
+                            total = total - x * m if t % 2 else total + x * m
+                bigger[I, J] = total
+        minors = bigger
+    return minors
 
 
 def _wedge_replace(J, t, p):
@@ -430,11 +492,14 @@ def _kernel_on_selected_rows(cols, row_indices, dim_h):
 
 
 def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning):
-    """The common core of the lemma checks: (split, points, space, images).
+    """The common core of the lemma checks: (split, points, space, images,
+    shadow_kernels).
 
     space is the hypothesis space of the points and images[t] holds the
-    columns u(e_t) b over its basis b; images is empty when the space is
-    trivial, so the checks find nothing to violate.
+    columns u(e_t) b over its basis b; shadow_kernels[t] holds the
+    coefficient vectors y whose translate u(e_t) (sum y b) has no fully
+    invariant component.  Both lists are empty when the space is trivial,
+    so the checks find nothing to violate.
     """
     sizes = validate_block_sizes(rep.n, block_sizes)
     if growth.k != len(sizes):
@@ -445,8 +510,43 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     split = split_spaces(rep, sizes, growth)
     actions = _shear_actions(rep, pts)
     space = _space_from_actions(split, actions)
-    images = [[act.apply(b) for b in space.basis] for act in actions] if space.dim else []
-    return split, pts, space, images
+    if not space.dim:
+        return split, pts, space, [], []
+    images = []
+    for act in actions:
+        cols = act.columns()
+        images.append([_combine(b, cols, rep.dim) for b in space.basis])
+    zero_full = split.zero_weight_indices()
+    kernels = [_kernel_on_selected_rows(cols, zero_full, space.dim) for cols in images]
+    return split, pts, space, images, kernels
+
+
+def _layered_violations(split, pts, space, images, kernels):
+    """Clauses (i) and (ii) of `layered_lemma_check`, point by point."""
+    rep, growth = split.rep, split.growth
+    plus_trunc = split_spaces(rep, split.block_sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
+    zero_head = split.zero_weight_indices(first=growth.k - 1)
+    violations = []
+    for e, cols, kernel in zip(pts, images, kernels):
+        for i in plus_trunc:
+            if any(col[i] != 0 for col in cols):
+                violations.append(("expanding-after-truncation", e, i))
+        hmat = [[col[i] for col in cols] for i in zero_head]
+        for y in kernel:
+            if any(linalg.dot(row, y) != 0 for row in hmat):
+                vec = _combine(y, space.basis, rep.dim)
+                violations.append(("invariant-shadow-lost", e, tuple(vec)))
+    return violations
+
+
+def _spanning_violations(split, pts, space, kernels):
+    """(point, vector) for each hypothesis vector whose translate loses its
+    fully invariant component."""
+    return [
+        (e, tuple(_combine(y, space.basis, split.rep.dim)))
+        for e, kernel in zip(pts, kernels)
+        for y in kernel
+    ]
 
 
 def layered_lemma_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
@@ -460,21 +560,8 @@ def layered_lemma_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, 
     sizes = validate_block_sizes(rep.n, block_sizes)
     if growth.k != len(sizes) or growth.k < 2:
         raise ValueError("need k >= 2 matching block sizes")
-    split, pts, space, images = _lemma_images(rep, sizes, growth, points, require_spanning)
-    plus_trunc = split_spaces(rep, sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
-    zero_full = split.zero_weight_indices()
-    zero_head = split.zero_weight_indices(first=growth.k - 1)
-    violations = []
-    for e, cols in zip(pts, images):
-        for i in plus_trunc:
-            if any(col[i] != 0 for col in cols):
-                violations.append(("expanding-after-truncation", e, i))
-        hmat = [[col[i] for col in cols] for i in zero_head]
-        for y in _kernel_on_selected_rows(cols, zero_full, space.dim):
-            if any(linalg.dot(row, y) != 0 for row in hmat):
-                vec = _combine(y, space.basis, rep.dim)
-                violations.append(("invariant-shadow-lost", e, tuple(vec)))
-    return _report(space, violations)
+    split, pts, space, images, kernels = _lemma_images(rep, sizes, growth, points, require_spanning)
+    return _report(space, _layered_violations(split, pts, space, images, kernels))
 
 
 def spanning_zero_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
@@ -485,14 +572,21 @@ def spanning_zero_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, 
     growth layer classifies each weight by its sign alone, so there the
     report does not depend on the growth spec.
     """
-    split, pts, space, images = _lemma_images(rep, block_sizes, growth, points, require_spanning)
-    zero_rows = split.zero_weight_indices()
-    violations = [
-        (e, tuple(_combine(y, space.basis, rep.dim)))
-        for e, cols in zip(pts, images)
-        for y in _kernel_on_selected_rows(cols, zero_rows, space.dim)
-    ]
-    return _report(space, violations)
+    split, pts, space, _, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
+    return _report(space, _spanning_violations(split, pts, space, kernels))
+
+
+def _lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points):
+    """(projection report, spanning report) from one pass over the points.
+
+    The projection report is `layered_lemma_check` at k >= 2 and, with one
+    block, the spanning report itself, which is the zero-projection lemma.
+    """
+    split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, True)
+    spanning = _report(space, _spanning_violations(split, pts, space, kernels))
+    if growth.k == 1:
+        return spanning, spanning
+    return _report(space, _layered_violations(split, pts, space, images, kernels)), spanning
 
 
 def straightening_shear(n, block, points):

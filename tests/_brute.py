@@ -3,7 +3,7 @@ fractions.Fraction arithmetic, textbook Gaussian elimination, full
 integer-box scans.  Slow on purpose; tests keep the boxes small."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def frac(x):
@@ -214,3 +214,140 @@ def lll_reference(cols):
             u[k], u[k - 1] = u[k - 1], u[k]
             k = max(k - 1, 1)
     return b, u
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def det_reference(rows):
+    """Determinant by Gaussian elimination with row swaps."""
+    a = [[frac(x) for x in row] for row in rows]
+    n = len(a)
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            d = -d
+        d *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return d
+
+
+def random_rational_invertible(rng, n, den=6, mag=9, zero_share=0.4):
+    """Invertible n x n Fraction matrix, about zero_share of it zeros."""
+    while True:
+        rows = [
+            [
+                Fraction(0) if rng.random() < zero_share
+                else Fraction(rng.randint(-mag, mag), rng.randint(1, den))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        if det_reference(rows) != 0:
+            return rows
+
+
+def rep_labels(n, kind, degree):
+    """Basis labels of a wedge power (sorted index tuples) or of sl(n)
+    (E_pq for p != q in row-major order, then H_1 .. H_{n-1})."""
+    if kind == "wedge":
+        return list(combinations(range(1, n + 1), degree))
+    labs = [("E", p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
+    return labs + [("H", i) for i in range(1, n)]
+
+
+def _sl_basis(n, lab):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if lab[0] == "E":
+        m[lab[1] - 1][lab[2] - 1] = Fraction(1)
+    else:
+        m[lab[1] - 1][lab[1] - 1] = Fraction(1)
+        m[lab[1]][lab[1]] = Fraction(-1)
+    return m
+
+
+def _sl_coords(n, y):
+    """Coordinates of a traceless matrix: entry (p, q) on E_pq, and on H_i
+    the sum of the first i diagonal entries."""
+    coords = [y[p][q] for p in range(n) for q in range(n) if p != q]
+    return coords + [sum((y[j][j] for j in range(i)), Fraction(0)) for i in range(1, n)]
+
+
+def group_matrix_reference(n, kind, degree, g):
+    """Rows of the representation matrix of g: every wedge entry is a minor
+    of g by elimination; every adjoint column is g X g^-1 by two dense
+    products, written in the E/H basis."""
+    g = [[frac(x) for x in row] for row in g]
+    labs = rep_labels(n, kind, degree)
+    if kind == "wedge":
+        return [
+            [det_reference([[g[i - 1][j - 1] for j in J] for i in I]) for J in labs]
+            for I in labs
+        ]
+    ginv = invert(g)
+    cols = [_sl_coords(n, _mat_mul(_mat_mul(g, _sl_basis(n, lab)), ginv)) for lab in labs]
+    return [list(r) for r in zip(*cols)]
+
+
+def _parity(seq):
+    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]) % 2
+
+
+def algebra_matrix_reference(n, kind, degree, x):
+    """Rows of the derived action of x.  Wedge: x acts on e_J as a
+    derivation, sum over slots t and rows p of x[p][j_t] times the wedge
+    with e_p in slot t, re-sorted with the sign of its permutation.
+    Adjoint: the commutator xX - Xx by dense products."""
+    x = [[frac(v) for v in row] for row in x]
+    labs = rep_labels(n, kind, degree)
+    if kind == "wedge":
+        index = {J: t for t, J in enumerate(labs)}
+        cols = []
+        for J in labs:
+            col = [Fraction(0)] * len(labs)
+            for t, j in enumerate(J):
+                for p in range(1, n + 1):
+                    seq = J[:t] + (p,) + J[t + 1 :]
+                    if len(set(seq)) < len(seq):
+                        continue
+                    c = x[p - 1][j - 1]
+                    col[index[tuple(sorted(seq))]] += -c if _parity(seq) else c
+            cols.append(col)
+    else:
+        cols = []
+        for lab in labs:
+            b = _sl_basis(n, lab)
+            xb, bx = _mat_mul(x, b), _mat_mul(b, x)
+            cols.append(_sl_coords(n, [[u - v for u, v in zip(r, s)] for r, s in zip(xb, bx)]))
+    return [list(r) for r in zip(*cols)]
+
+
+def rref_reference(rows):
+    """Textbook Gauss-Jordan on whole rows; (rref rows, pivot columns)."""
+    a = [[frac(x) for x in row] for row in rows]
+    if not a:
+        return [], []
+    pivots = []
+    r = 0
+    for col in range(len(a[0])):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [v / a[r][col] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots

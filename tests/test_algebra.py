@@ -102,8 +102,9 @@ def test_rat_returns_an_exact_scalar_unchanged():
         (None, BackendMismatch),
         (_TextRatio(), BackendMismatch),
         ("1/2/3", ValueError),
+        ("3/0", ValueError),
     ],
-    ids=["float", "no-ratio", "non-integer-ratio", "malformed-str"],
+    ids=["float", "no-ratio", "non-integer-ratio", "malformed-str", "zero-denominator"],
 )
 def test_rat_refuses(x, error):
     with pytest.raises(error):

@@ -22,6 +22,22 @@ def test_bad_sequence_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layered", "--sequence", "1/0*i, 1"],
+        ["improvability", "--weights", "10,10", "--mu", "1/2,1/0"],
+        ["constructions", "--scan-tail", "1/0", "--scan-weights", "10"],
+        ["lemma-verify", "--rep", "adjoint:3", "--config-sizes", "1", "--curve", "s, 1/0*s^2"],
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: zero denominator in '1/0'" in err
+    assert "Traceback" not in err
+
+
 def test_layered_prints_csv(capsys):
     assert main(["layered", "--sequence", "i^2, i^2, i, 5"]) == 0
     out = capsys.readouterr().out

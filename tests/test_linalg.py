@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latflow.backend import EXACT
-from latflow.linalg import clear_denominators, det, gram_schmidt, lll_reduce
+from latflow.linalg import clear_denominators, det, gram_schmidt, kernel_basis, lll_reduce, rref
 
 import _brute
 
@@ -88,3 +88,37 @@ def test_exact_det_of_integer_matrices_stays_exact():
     assert all(type(x) is int for col in u for x in col)
     d = det([[u[j][i] for j in range(4)] for i in range(4)])
     assert d in (1, -1) and not isinstance(d, float)
+
+
+def _sparse_matrix(rng, nrows, ncols):
+    """Rational entries, about half zero, with some all-zero rows and columns."""
+    a = [
+        [0 if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+        a[i] = [0] * ncols
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+        for row in a:
+            row[j] = 0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rref_and_kernel_match_dense_reference_on_sparse_input(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        a = _sparse_matrix(rng, nrows, ncols)
+        rows, pivots = rref(a)
+        want_rows, want_pivots = _brute.rref_reference(a)
+        assert pivots == want_pivots
+        assert [[_brute.frac(x) for x in r] for r in rows] == want_rows
+        free = [j for j in range(ncols) if j not in pivots]
+        kernel = kernel_basis(a)
+        assert len(kernel) == len(free)
+        for f, v in zip(free, kernel):
+            assert [v[j] for j in free] == [int(j == f) for j in free]
+            assert all(sum(_brute.frac(x) * _brute.frac(y) for x, y in zip(r, v)) == 0 for r in a)
+            if all(r[f] == 0 for r in a):  # a zero column is its own kernel vector
+                assert v == [int(j == f) for j in range(ncols)]

@@ -23,7 +23,13 @@ from latflow.weights import (
     weight_table,
 )
 
-from _brute import random_unimodular
+from _brute import (
+    algebra_matrix_reference,
+    frac,
+    group_matrix_reference,
+    random_rational_invertible,
+    random_unimodular,
+)
 
 
 def test_block_generator_diagonal():
@@ -51,16 +57,55 @@ def test_adjoint_dimension():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from(["wedge", "adjoint"]))
-def test_group_matrix_is_a_homomorphism(seed, kind):
+@given(st.integers(0, 10**9), st.integers(3, 6), st.sampled_from(["wedge", "adjoint"]))
+def test_group_matrix_is_a_homomorphism(seed, n, kind):
     rng = random.Random(seed)
-    n = 3
-    rep = RepSpace(n, kind, 2 if kind == "wedge" else 1)
+    rep = RepSpace(n, kind, rng.randint(1, n - 1) if kind == "wedge" else 1)
     g = ExactMatrix(random_unimodular(rng, n), EXACT)
     h = ExactMatrix(random_unimodular(rng, n), EXACT)
     lhs = rep.group_matrix(g @ h)
     rhs = rep.group_matrix(g) @ rep.group_matrix(h)
     assert lhs.rows == rhs.rows
+
+
+def _all_reps(n):
+    return [RepSpace(n, "adjoint")] + [RepSpace(n, "wedge", d) for d in range(1, n)]
+
+
+def _sparse_rat(rng):
+    return Rat(0) if rng.random() < 0.4 else Rat(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _frac_rows(m):
+    return [[frac(x) for x in row] for row in m.rows]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_group_matrix_matches_dense_reference(n):
+    # rational, integer unimodular and shear elements; every wedge degree
+    # and the adjoint, against minors by elimination and g X g^-1
+    rng = random.Random(7000 + n)
+    for rep in _all_reps(n):
+        for _ in range(3):
+            elements = [
+                random_rational_invertible(rng, n),
+                random_unimodular(rng, n),
+                row_unipotent([_sparse_rat(rng) for _ in range(n - 1)], EXACT).rows,
+            ]
+            for g in elements:
+                got = rep.group_matrix(ExactMatrix(g, EXACT))
+                assert _frac_rows(got) == group_matrix_reference(n, rep.kind, rep.degree, g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_algebra_matrix_matches_dense_reference(n):
+    rng = random.Random(8000 + n)
+    for rep in _all_reps(n):
+        for _ in range(3):
+            x = [[_sparse_rat(rng) for _ in range(n)] for _ in range(n)]
+            x[n - 1][n - 1] = -sum(x[i][i] for i in range(n - 1))
+            got = rep.algebra_matrix(ExactMatrix(x, EXACT))
+            assert _frac_rows(got) == algebra_matrix_reference(n, rep.kind, rep.degree, x)
 
 
 def test_growth_spec_classify():
