@@ -50,7 +50,6 @@ from .diophantine import (
     WindowSpec,
     correspondence_check,
     dual_translate_matrix,
-    improvability_fraction,
     minkowski_soluble,
     primal_translate_matrix,
     translate_vector,

@@ -3,8 +3,8 @@ outer involution that swaps a system of linear forms with its dual.
 
 Matrices are immutable, dense, and tagged with a scalar backend ("exact"
 rationals or "float").  Group elements here are always square; the
-determinant-one checks are exact on the exact backend and 1e-9-tolerant on
-the float backend.
+determinant-one checks (one predicate, ``_det_is_one``) are exact on the
+exact backend and 1e-9-tolerant on the float backend.
 
 Conventions (fixed once, used everywhere):
 
@@ -23,16 +23,19 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import (
-    EXACT,
-    FLOAT,
-    check_same_backend,
-    format_scalar,
-    parse_scalar,
-    scalar,
-)
+from .backend import EXACT, FLOAT, check_same_backend, scalar
 
 _DET_TOL = 1e-9
+
+
+def _det_is_one(d, backend, up_to_sign=False):
+    """Whether the determinant d is 1 (or -1 too, with up_to_sign): exactly
+    on the exact backend, within _DET_TOL on the float backend."""
+    if up_to_sign:
+        d = abs(d)
+    if backend == EXACT:
+        return d == 1
+    return abs(float(d) - 1.0) <= _DET_TOL
 
 
 class ExactMatrix:
@@ -79,9 +82,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -134,34 +134,8 @@ class ExactMatrix:
             return self
         return ExactMatrix([[float(x) for x in row] for row in self.rows], FLOAT)
 
-    def is_unimodular(self):
-        d = self.det()
-        if self.backend == EXACT:
-            return d == 1 or d == -1
-        return abs(abs(float(d)) - 1.0) <= _DET_TOL
-
     def has_det_one(self):
-        d = self.det()
-        if self.backend == EXACT:
-            return d == 1
-        return abs(float(d) - 1.0) <= _DET_TOL
-
-    # -- serialization -------------------------------------------------------
-    def to_json(self):
-        return {
-            "kind": "matrix",
-            "backend": self.backend,
-            "rows": [[format_scalar(x, self.backend) for x in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "matrix":
-            raise ValueError("not a serialized matrix")
-        backend = obj["backend"]
-        return cls(
-            [[parse_scalar(x, backend) for x in row] for row in obj["rows"]], backend
-        )
+        return _det_is_one(self.det(), self.backend)
 
     def __repr__(self):
         return "ExactMatrix(%r, backend=%r)" % (
@@ -203,28 +177,11 @@ class ExpansionRates:
     def n(self):
         return len(self.weights) + 1
 
-    def rates(self):
-        return tuple(math.log(float(w)) for w in self.weights)
-
     def total_weight(self):
         p = self.weights[0]
         for w in self.weights[1:]:
             p = p * w
         return p
-
-    def to_json(self):
-        return {
-            "kind": "expansion-rates",
-            "backend": self.backend,
-            "weights": [format_scalar(w, self.backend) for w in self.weights],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "expansion-rates":
-            raise ValueError("not serialized expansion rates")
-        backend = obj["backend"]
-        return cls(tuple(parse_scalar(w, backend) for w in obj["weights"]), backend)
 
 
 def expanding_diagonal(rates: ExpansionRates) -> ExactMatrix:
@@ -298,10 +255,7 @@ def is_block_stabilizer(g: ExactMatrix, m: int) -> bool:
             if not _entries_equal(g.rows[i][j], want, g.backend):
                 return False
     top = [list(g.rows[i][:m]) for i in range(m)]
-    d = linalg.det(top, approx=g.backend == FLOAT)
-    if g.backend == EXACT:
-        return d == 1
-    return abs(float(d) - 1.0) <= _DET_TOL
+    return _det_is_one(linalg.det(top, approx=g.backend == FLOAT), g.backend)
 
 
 def is_dual_block_stabilizer(g: ExactMatrix, m: int) -> bool:
@@ -316,7 +270,4 @@ def is_dual_block_stabilizer(g: ExactMatrix, m: int) -> bool:
             if not _entries_equal(g.rows[i][j], want, g.backend):
                 return False
     bot = [list(g.rows[i][n - m :]) for i in range(n - m, n)]
-    d = linalg.det(bot, approx=g.backend == FLOAT)
-    if g.backend == EXACT:
-        return d == 1
-    return abs(float(d) - 1.0) <= _DET_TOL
+    return _det_is_one(linalg.det(bot, approx=g.backend == FLOAT), g.backend)

@@ -47,6 +47,7 @@ from . import linalg
 from .lattice import Tent
 from .sequences import RateSchedule, layered_presentation
 from .weights import (
+    ClosedForm,
     GrowthSpec,
     RepSpace,
     _lemma_reports,
@@ -187,6 +188,8 @@ def _merged(ns, defaults):
     if ns.config:
         with open(ns.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object, not %r" % (cfg,))
         unknown = sorted(set(cfg) - set(defaults))
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
@@ -195,6 +198,14 @@ def _merged(ns, defaults):
         v = getattr(ns, key)
         if v is None:
             v = cfg.get(key, dv)
+            kind = _FLAGS[key].get("type")
+            if kind is not None and v is not None:
+                try:
+                    kind(v)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        "config key %s wants %s, got %r" % (key, kind.__name__, v)
+                    ) from None
         out[key] = v
     return out
 
@@ -208,7 +219,9 @@ def _require(cfg, key):
 def _split_list(v):
     if isinstance(v, str):
         return [t.strip() for t in v.split(",") if t.strip()]
-    return list(v)
+    if not isinstance(v, list):
+        raise ValueError("want a comma-separated string or a list, got %r" % (v,))
+    return v
 
 
 def _floats(v):
@@ -219,16 +232,26 @@ def _ints(v):
     return [int(x) for x in _split_list(v)]
 
 
+def _rat(x):
+    """One exact rational from a flag or config value; a JSON float, which
+    the exact backend refuses with a TypeError, is a usage error."""
+    try:
+        return rat(x)
+    except TypeError:
+        raise ValueError(
+            "%r is not an exact rational; write it as a string such as '1/2'" % (x,)
+        ) from None
+
+
 def _rats(v):
-    return [rat(x) for x in _split_list(v)]
+    return [_rat(x) for x in _split_list(v)]
 
 
 def _weight_rows(v):
     """'10,10;100,100' or a config list of rows."""
     if isinstance(v, str):
-        rows = [r for r in (part.strip() for part in v.split(";")) if r]
-        return [tuple(rat(x) for x in _split_list(r)) for r in rows]
-    return [tuple(rat(x) for x in row) for row in v]
+        v = [r for r in (part.strip() for part in v.split(";")) if r]
+    return [tuple(_rats(r)) for r in _split_list(v)]
 
 
 def _parse_curve(cfg):
@@ -254,8 +277,8 @@ def _parse_growth(text):
             c, sep, p = m.partition(":")
             if not sep:
                 raise ValueError("growth monomial %r wants c:p" % m)
-            monos.append((rat(c), rat(p)))
-        layers.append(tuple(monos))
+            monos.append((c, p))
+        layers.append(ClosedForm(tuple(monos)))
     return GrowthSpec(tuple(layers))
 
 
@@ -430,7 +453,7 @@ def _cmd_nondiv(cfg):
     table = [[r.index, r.eps, r.count, r.below, r.fraction] for r in rows]
     ok = True
     if cfg["frac_tol"] is not None:
-        tol = rat(cfg["frac_tol"])
+        tol = _rat(cfg["frac_tol"])
         ok = all(r.fraction <= tol for r in rows)
     report = {"rows": rows, "frac_tol": cfg["frac_tol"], "ok": ok}
     _emit("nondiv", cfg, header, table, report)
@@ -591,7 +614,7 @@ def _cmd_lemma_verify(cfg):
     report = {
         "rep": str(cfg["rep"]),
         "config": list(sizes),
-        "growth": [[str(c) + ":" + str(p) for c, p in layer] for layer in growth.layers],
+        "growth": [[str(c) + ":" + str(p) for c, p in layer.terms] for layer in growth.layers],
         "trials": trials,
         "alignment_ok": alignment.ok,
         "containment_ok": containment.ok,
@@ -660,7 +683,7 @@ def _cmd_constructions(cfg):
 
     tail = tuple(_rats(cfg["scan_tail"]))
     first_weights = _rats(cfg["scan_weights"])
-    mu = rat(cfg["scan_mu"])
+    mu = _rat(cfg["scan_mu"])
     scan = varying_first_weight_scan(tail, first_weights, mu)
     header = ["first_weight", "point", "soluble"]
     table = [[w, " ".join(str(c) for c in p), sol] for w, p, sol in scan.rows]

@@ -13,13 +13,18 @@ nonzero point in the window box.  Every decision here runs on the exact
 backend; two independent routes (direct loops over the inequality system
 and lattice-point enumeration) are compared whenever the direct loop is
 affordable.
+
+The two systems are exchanged by the outer involution of SL(k+1), and one
+decider serves both: each system brings only what is its own, namely its
+direct loop, its translate matrix, the map from lattice coefficients to
+its witness, and its witness check.  The improvability driver built on
+these deciders is ``experiments.improvability_scan``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .backend import (
@@ -297,38 +302,6 @@ def _dual_direct_cost(window: WindowSpec):
     return 2 * _strict_abs_max(window.radius * window.total_weight()) + 1
 
 
-def _primal_lattice(xi, window: WindowSpec, budget):
-    lat = Lattice(primal_translate_matrix(window, xi))
-    pts = enumerate_in_box(
-        lat,
-        window_box(window.k + 1, window.radius, EXACT),
-        budget,
-        return_coeffs=True,
-        first_only=True,
-    )
-    if not pts:
-        return False, None
-    _, coeffs = pts[0]
-    return True, (-coeffs[0], tuple(coeffs[1:]))
-
-
-def _dual_lattice(xi, window: WindowSpec, budget):
-    lat = Lattice(dual_translate_matrix(window, xi))
-    pts = enumerate_in_box(
-        lat,
-        window_box(window.k + 1, window.radius, EXACT),
-        budget,
-        return_coeffs=True,
-        first_only=True,
-    )
-    if not pts:
-        return False, None
-    _, coeffs = pts[0]
-    k = window.k
-    ps = tuple(coeffs[k - 1 - m] for m in range(k))  # p_1, ..., p_k
-    return True, (coeffs[k], ps)
-
-
 def _check_primal_witness(xi, window, witness):
     p, q = witness
     err = -rat(p)
@@ -358,62 +331,69 @@ def _check_dual_witness(xi, window, witness):
     return q != 0 or any(ps)
 
 
+def _decide(system, xi, window, route, direct_limit, budget,
+            direct, direct_cost, translate, witness_of, check):
+    """The decision both systems share, given the system's own pieces: its
+    direct loop and that loop's iteration count, its translate matrix, the
+    map from lattice coefficients to its witness, and its witness check."""
+    xi = tuple(rat(x) for x in xi)
+    if len(xi) != window.k:
+        raise ValueError("point/window dimension mismatch")
+    answers = {}
+    if route in ("auto", "direct"):
+        if route == "direct" or direct_cost(window) <= direct_limit:
+            answers["direct"] = direct(xi, window)
+    if route in ("auto", "lattice"):
+        pts = enumerate_in_box(
+            Lattice(translate(window, xi)),
+            window_box(window.k + 1, window.radius, EXACT),
+            budget,
+            return_coeffs=True,
+            first_only=True,
+        )
+        answers["lattice"] = (True, witness_of(pts[0][1])) if pts else (False, None)
+    if not answers:
+        raise ValueError("no route ran")
+    kinds = {s for s, _ in answers.values()}
+    if len(kinds) > 1:
+        raise RouteDisagreement(
+            "%s routes disagree at xi=%r window=%r: %r" % (system, xi, window, answers)
+        )
+    soluble, witness = answers.get("direct", answers.get("lattice"))
+    if soluble and not check(xi, window, witness):
+        raise RouteDisagreement("%s witness failed substitution: %r" % (system, witness))
+    return soluble, witness
+
+
 def window_primal_soluble(
     xi, window: WindowSpec, route="auto", direct_limit=20_000, budget=DEFAULT_NODE_BUDGET
 ):
     """Decide the primal system at the point xi; returns (soluble, witness).
 
     The witness is (p, (q_1..q_k)) checked by substitution before returning.
-    route: 'auto' runs the direct loop when its iteration count is below
-    direct_limit AND the lattice route, asserting agreement; 'direct' or
-    'lattice' force one route.
+    route: 'auto' runs the direct loop when its iteration count is at most
+    direct_limit AND the lattice route, and raises RouteDisagreement unless
+    they agree; 'direct' or 'lattice' force one route.
     """
-    xi = tuple(rat(x) for x in xi)
-    if len(xi) != window.k:
-        raise ValueError("point/window dimension mismatch")
-    answers = {}
-    if route in ("auto", "direct"):
-        if route == "direct" or _primal_direct_cost(window) <= direct_limit:
-            answers["direct"] = _primal_direct(xi, window)
-    if route in ("auto", "lattice"):
-        answers["lattice"] = _primal_lattice(xi, window, budget)
-    if not answers:
-        raise ValueError("no route ran")
-    kinds = {s for s, _ in answers.values()}
-    if len(kinds) > 1:
-        raise RouteDisagreement(
-            "primal routes disagree at xi=%r window=%r: %r" % (xi, window, answers)
-        )
-    soluble, witness = answers.get("direct", answers.get("lattice"))
-    if soluble and not _check_primal_witness(xi, window, witness):
-        raise RouteDisagreement("primal witness failed substitution: %r" % (witness,))
-    return soluble, witness
+    return _decide(
+        "primal", xi, window, route, direct_limit, budget,
+        _primal_direct, _primal_direct_cost, primal_translate_matrix,
+        lambda c: (-c[0], tuple(c[1:])),  # x = (-p, q_1..q_k)
+        _check_primal_witness,
+    )
 
 
 def window_dual_soluble(
     xi, window: WindowSpec, route="auto", direct_limit=20_000, budget=DEFAULT_NODE_BUDGET
 ):
-    """Decide the dual system at xi; returns (soluble, (q, (p_1..p_k)))."""
-    xi = tuple(rat(x) for x in xi)
-    if len(xi) != window.k:
-        raise ValueError("point/window dimension mismatch")
-    answers = {}
-    if route in ("auto", "direct"):
-        if route == "direct" or _dual_direct_cost(window) <= direct_limit:
-            answers["direct"] = _dual_direct(xi, window)
-    if route in ("auto", "lattice"):
-        answers["lattice"] = _dual_lattice(xi, window, budget)
-    if not answers:
-        raise ValueError("no route ran")
-    kinds = {s for s, _ in answers.values()}
-    if len(kinds) > 1:
-        raise RouteDisagreement(
-            "dual routes disagree at xi=%r window=%r: %r" % (xi, window, answers)
-        )
-    soluble, witness = answers.get("direct", answers.get("lattice"))
-    if soluble and not _check_dual_witness(xi, window, witness):
-        raise RouteDisagreement("dual witness failed substitution: %r" % (witness,))
-    return soluble, witness
+    """Decide the dual system at xi; returns (soluble, (q, (p_1..p_k))),
+    with routes and checks as in window_primal_soluble."""
+    return _decide(
+        "dual", xi, window, route, direct_limit, budget,
+        _dual_direct, _dual_direct_cost, dual_translate_matrix,
+        lambda c: (c[-1], tuple(reversed(c[:-1]))),  # x = (p_k..p_1, q)
+        _check_dual_witness,
+    )
 
 
 def minkowski_soluble(forms: ExactMatrix, alphas, mu=1, budget=DEFAULT_NODE_BUDGET):
@@ -461,31 +441,3 @@ def correspondence_check(xi, window: WindowSpec, budget=DEFAULT_NODE_BUDGET):
     ps, pw = window_primal_soluble(xi, window, route="auto", budget=budget)
     ds, dw = window_dual_soluble(xi, window, route="auto", budget=budget)
     return CorrespondenceReport(True, ps, ds, pw, dw)
-
-
-def improvability_fraction(curve: Curve, weight_rows, mu, samples, detail=False):
-    """Fraction of equispaced curve samples where, for EVERY weight row,
-    both the primal and dual systems are soluble at radius mu.
-
-    Exact: returns a Fraction (and, with detail=True, the per-sample flags).
-    Monotone nonincreasing in the prefix of weight_rows.
-    """
-    windows = [WindowSpec(tuple(row), mu) for row in weight_rows]
-    flags = []
-    for s in curve.sample_points(samples):
-        xi = curve.eval_exact(s)
-        good = True
-        for w in windows:
-            ps, _ = window_primal_soluble(xi, w, route="lattice")
-            if not ps:
-                good = False
-                break
-            ds, _ = window_dual_soluble(xi, w, route="lattice")
-            if not ds:
-                good = False
-                break
-        flags.append(good)
-    frac = Fraction(sum(flags), samples)
-    if detail:
-        return frac, flags
-    return frac

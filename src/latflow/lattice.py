@@ -29,11 +29,9 @@ from .backend import (
     scalar,
     warn_if_near_face,
 )
-from .algebra import ExactMatrix
+from .algebra import ExactMatrix, _det_is_one
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-_UNIMODULAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,7 @@ class Lattice:
         if b.nrows != b.ncols:
             raise ValueError("basis must be square")
         d = b.det()
-        if b.backend == EXACT:
-            ok = d == 1 or d == -1
-        else:
-            ok = abs(abs(float(d)) - 1.0) <= _UNIMODULAR_TOL
-        if not ok:
+        if not _det_is_one(d, b.backend, up_to_sign=True):
             raise ValueError("basis is not unimodular (det = %r)" % (d,))
 
     @classmethod
@@ -136,20 +130,8 @@ class Lattice:
     def backend(self):
         return self.basis.backend
 
-    def transformed(self, g: ExactMatrix) -> "Lattice":
-        return Lattice(g @ self.basis)
-
     def to_float(self) -> "Lattice":
         return Lattice(self.basis.to_float())
-
-    def to_json(self):
-        return {"kind": "lattice", "basis": self.basis.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "lattice":
-            raise ValueError("not a serialized lattice")
-        return cls(ExactMatrix.from_json(obj["basis"]))
 
 
 def _int_interval_exact(center, q):

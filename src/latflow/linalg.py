@@ -180,12 +180,6 @@ def kernel_basis(a):
     return basis
 
 
-def solve(a, b, approx=False):
-    """Solve square a x = b."""
-    inv = inverse(a, approx=approx)
-    return mat_vec(inv, b)
-
-
 def gram_schmidt(cols):
     """Gram-Schmidt on a list of column vectors; returns (bstar, mu, norms2)."""
     n = len(cols)

@@ -2,16 +2,19 @@
 
 A *rate schedule* assigns to every index i = 1, 2, ... a vector of
 expansion exponents (tau_1(i), ..., tau_{n-1}(i)), each coordinate a
-polynomial-style closed form in i with rational coefficients.  The
-schedules we care about are eventually nonnegative and eventually
-nonincreasing in the coordinate, with at least one coordinate divergent.
+``ClosedForm`` in i with rational coefficients and integer exponents (the
+schedule is evaluated exactly).  The schedules we care about are
+eventually nonnegative and eventually nonincreasing in the coordinate,
+with at least one coordinate divergent.  ``ClosedForm`` is the one
+"sum of c * i^p" type of the package; it lives in ``weights``, whose
+growth layers are closed forms too, and is re-exported here.
 
 The *layered normal form* regroups such a schedule: coordinates sharing
 the same divergent part form a block, each block is anchored at its last
 coordinate, and the anchor forms telescope into per-layer growth forms
-t_1(i), ..., t_k(i).  Writing A_m for the traceless diagonal generator
-with first entry m and entries -1 in coordinates 1..m (zeros after),
-the anchored schedule satisfies exactly
+t_1(i), ..., t_k(i), the layers of a ``GrowthSpec``.  Writing A_m for the
+traceless diagonal generator with first entry m and entries -1 in
+coordinates 1..m (zeros after), the anchored schedule satisfies exactly
 
     diag-exp( sum_l t_l(i) * A_{m_l} ) = a_{taubar(i)}
 
@@ -27,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ExpansionRates
-from .backend import Rat, _poly_terms, rat
-from .weights import GrowthSpec, block_generator, validate_block_sizes
+from .weights import ClosedForm, GrowthSpec, block_generator, validate_block_sizes
 
 __all__ = [
     "ClosedForm",
@@ -36,113 +38,6 @@ __all__ = [
     "LayeredSchedule",
     "layered_presentation",
 ]
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A finite sum  c_1 * i^{p_1} + ... + c_r * i^{p_r}  with rational c,
-    nonnegative integer p, stored canonically (exponents strictly
-    decreasing, zero coefficients dropped)."""
-
-    terms: tuple  # ((c, p), ...) canonical
-
-    def __post_init__(self):
-        agg = {}
-        for c, p in self.terms:
-            c = rat(c)
-            p = int(p)
-            if p < 0:
-                raise ValueError("negative exponent in closed form")
-            agg[p] = agg.get(p, Rat(0)) + c
-        canon = tuple(
-            (c, p) for p, c in sorted(agg.items(), reverse=True) if c != 0
-        )
-        object.__setattr__(self, "terms", canon)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "ClosedForm":
-        return cls(((rat(c), 0),))
-
-    @classmethod
-    def parse(cls, text) -> "ClosedForm":
-        """Parse '2*i^2 + i - 3' style text (variable letter i)."""
-        terms = _poly_terms(text, "i")
-        if not terms:
-            raise ValueError("empty closed form in %r" % text)
-        return cls(tuple(terms))
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        return ClosedForm(self.terms + other.terms)
-
-    def __sub__(self, other: "ClosedForm") -> "ClosedForm":
-        return ClosedForm(self.terms + tuple((-c, p) for c, p in other.terms))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for c, p in self.terms:
-            if p == 0:
-                bits.append(str(c))
-                continue
-            head = "i" if p == 1 else "i^%d" % p
-            if c == 1:
-                bits.append(head)
-            elif c == -1:
-                bits.append("-" + head)
-            else:
-                bits.append("%s*%s" % (c, head))
-        return " + ".join(bits).replace("+ -", "- ")
-
-    # -- structure -------------------------------------------------------
-
-    def eval_exact(self, i):
-        i = rat(i)
-        total = Rat(0)
-        for c, p in self.terms:
-            total += c * i**p
-        return total
-
-    def eval_float(self, i) -> float:
-        return float(self.eval_exact(i))
-
-    @property
-    def leading(self):
-        """(coefficient, exponent) of the dominant term; (0, 0) for the
-        zero form."""
-        return self.terms[0] if self.terms else (Rat(0), 0)
-
-    def growth_part(self) -> "ClosedForm":
-        """The exponent > 0 terms."""
-        return ClosedForm(tuple((c, p) for c, p in self.terms if p > 0))
-
-    def constant_part(self):
-        for c, p in self.terms:
-            if p == 0:
-                return c
-        return Rat(0)
-
-    def is_bounded(self) -> bool:
-        return all(p == 0 for _, p in self.terms)
-
-    def diverges(self) -> bool:
-        c, p = self.leading
-        return p > 0 and c > 0
-
-    def root_bound(self) -> int:
-        """Integer B with no real roots in [B, inf): Cauchy's
-        1 + max |a_q| / |a_lead| over the lower-order terms."""
-        if not self.terms or len(self.terms) == 1:
-            return 1
-        lead = abs(self.terms[0][0])
-        worst = max(abs(c) for c, _ in self.terms[1:])
-        b = 1 + worst / lead
-        out = int(b)
-        return out + 1 if out < b else max(out, 1)
 
 
 @dataclass(frozen=True)
@@ -169,6 +64,8 @@ class RateSchedule:
         for f in forms:
             if not isinstance(f, ClosedForm):
                 raise TypeError("RateSchedule wants ClosedForm coordinates")
+            if any(not isinstance(p, int) for _, p in f.terms):
+                raise ValueError("coordinate %s has a non-integer exponent" % f)
             if f.is_bounded():
                 if f.constant_part() < 0:
                     raise ValueError("negative constant coordinate %s" % f)
@@ -278,8 +175,8 @@ class LayeredSchedule:
     """Layered normal form of a rate schedule.
 
     block_sizes  -- anchors m_1 > m_2 > ... > m_k (one per growth class)
-    growth       -- per-layer divergent forms t_l, as a GrowthSpec
-    layer_forms  -- the same t_l as ClosedForm objects
+    growth       -- per-layer divergent forms t_l, as a GrowthSpec whose
+                    layers (also read as layer_forms) are ClosedForms
     anchored     -- taubar: coordinate r replaced by its block anchor form
                     (zero form beyond m_1)
     residual     -- lim_i (tau_r(i) - taubar_r(i)), one rational per
@@ -289,9 +186,12 @@ class LayeredSchedule:
     n: int
     block_sizes: tuple
     growth: GrowthSpec
-    layer_forms: tuple
     anchored: tuple
     residual: tuple
+
+    @property
+    def layer_forms(self):
+        return self.growth.layers
 
     def layer_of(self, coordinate: int) -> int:
         """1-based layer index of a coordinate 1 <= r <= m_1."""
@@ -355,7 +255,6 @@ def layered_presentation(schedule: RateSchedule) -> LayeredSchedule:
     layer_forms = [forms[anchors[0] - 1]]
     for l in range(1, len(anchors)):
         layer_forms.append(forms[anchors[l] - 1] - forms[anchors[l - 1] - 1])
-    growth = GrowthSpec(tuple(tuple(f.terms) for f in layer_forms))
 
     anchored = []
     residual = []
@@ -376,8 +275,7 @@ def layered_presentation(schedule: RateSchedule) -> LayeredSchedule:
     return LayeredSchedule(
         n=schedule.n,
         block_sizes=tuple(anchors),
-        growth=growth,
-        layer_forms=tuple(layer_forms),
+        growth=GrowthSpec(tuple(layer_forms)),
         anchored=tuple(anchored),
         residual=tuple(residual),
     )

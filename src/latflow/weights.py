@@ -5,8 +5,9 @@ contributes the diagonal generator diag(m, -1, ..., -1, 0, ..., 0) (m minus
 ones).  The standard basis of a wedge power or of the traceless matrices
 consists of simultaneous eigenvectors of all these generators; the
 per-generator eigenvalues make up the weight of a basis vector.  A growth
-specification (one divergent closed form per block) classifies every weight
-as expanding (+), bounded (0), or contracting (-), and the lemma verifiers
+specification (one divergent ``ClosedForm`` per block, a sum of c * i^p
+whose exponents may be rational) classifies every weight as expanding (+),
+bounded (0), or contracting (-), and the lemma verifiers
 below check, by exact linear algebra, that vectors whose shear translates
 avoid the expanding part must keep a nonzero bounded-or-better shadow.
 
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import EXACT, Rat, rat
+from .backend import EXACT, Rat, _poly_terms, rat
 from .algebra import ExactMatrix, row_unipotent
 
 
@@ -257,40 +258,135 @@ def weight_table(rep: RepSpace, block_sizes):
 
 
 @dataclass(frozen=True)
-class GrowthSpec:
-    """One divergent closed form c * i^p (a sum of such monomials) per block.
+class ClosedForm:
+    """A finite sum  c_1 * i^{p_1} + ... + c_r * i^{p_r}  with rational c
+    and rational p >= 0, stored canonically (exponents strictly decreasing,
+    zero coefficients dropped, an integral exponent as an int).  Exact
+    evaluation needs integer exponents."""
 
-    layers[l] is a tuple of (coefficient, exponent) pairs; each layer must
-    diverge to +infinity (its largest-exponent aggregate coefficient is
-    positive with exponent > 0).  Exponents are rationals >= 0; evaluation
-    is exact when all exponents are integers.
-    """
+    terms: tuple  # ((c, p), ...) canonical
+
+    def __post_init__(self):
+        agg = {}
+        for c, p in self.terms:
+            c, p = rat(c), rat(p)
+            if p < 0:
+                raise ValueError("negative exponent in closed form")
+            if p.denominator == 1:
+                p = int(p)
+            agg[p] = agg.get(p, Rat(0)) + c
+        canon = tuple(
+            (c, p) for p, c in sorted(agg.items(), reverse=True) if c != 0
+        )
+        object.__setattr__(self, "terms", canon)
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def constant(cls, c) -> "ClosedForm":
+        return cls(((rat(c), 0),))
+
+    @classmethod
+    def parse(cls, text) -> "ClosedForm":
+        """Parse '2*i^2 + i - 3' style text (variable letter i)."""
+        terms = _poly_terms(text, "i")
+        if not terms:
+            raise ValueError("empty closed form in %r" % text)
+        return cls(tuple(terms))
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other: "ClosedForm") -> "ClosedForm":
+        return ClosedForm(self.terms + other.terms)
+
+    def __sub__(self, other: "ClosedForm") -> "ClosedForm":
+        return ClosedForm(self.terms + tuple((-c, p) for c, p in other.terms))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for c, p in self.terms:
+            if p == 0:
+                bits.append(str(c))
+                continue
+            head = "i" if p == 1 else ("i^%s" if isinstance(p, int) else "i^(%s)") % p
+            if c == 1:
+                bits.append(head)
+            elif c == -1:
+                bits.append("-" + head)
+            else:
+                bits.append("%s*%s" % (c, head))
+        return " + ".join(bits).replace("+ -", "- ")
+
+    # -- structure -------------------------------------------------------
+
+    def eval_exact(self, i):
+        i = rat(i)
+        total = Rat(0)
+        for c, p in self.terms:
+            if not isinstance(p, int):
+                raise ValueError("exact evaluation needs integer exponents: %s" % self)
+            total += c * i**p
+        return total
+
+    def eval_float(self, i) -> float:
+        return float(self.eval_exact(i))
+
+    @property
+    def leading(self):
+        """(coefficient, exponent) of the dominant term; (0, 0) for the
+        zero form."""
+        return self.terms[0] if self.terms else (Rat(0), 0)
+
+    def growth_part(self) -> "ClosedForm":
+        """The exponent > 0 terms."""
+        return ClosedForm(tuple((c, p) for c, p in self.terms if p > 0))
+
+    def constant_part(self):
+        for c, p in self.terms:
+            if p == 0:
+                return c
+        return Rat(0)
+
+    def is_bounded(self) -> bool:
+        return all(p == 0 for _, p in self.terms)
+
+    def diverges(self) -> bool:
+        c, p = self.leading
+        return p > 0 and c > 0
+
+    def root_bound(self) -> int:
+        """Integer B with no real roots in [B, inf): Cauchy's
+        1 + max |a_q| / |a_lead| over the lower-order terms."""
+        if not self.terms or len(self.terms) == 1:
+            return 1
+        lead = abs(self.terms[0][0])
+        worst = max(abs(c) for c, _ in self.terms[1:])
+        b = 1 + worst / lead
+        out = int(b)
+        return out + 1 if out < b else max(out, 1)
+
+
+@dataclass(frozen=True)
+class GrowthSpec:
+    """One divergent closed form t_l(i) per block: layers[l] is a
+    ClosedForm whose leading term has a positive coefficient and a positive
+    (possibly rational) exponent."""
 
     layers: tuple
 
     def __post_init__(self):
-        cleaned = []
-        for layer in self.layers:
-            agg = {}
-            for c, p in layer:
-                c, p = rat(c), rat(p)
-                if p < 0:
-                    raise ValueError("negative exponents not supported")
-                agg[p] = agg.get(p, Rat(0)) + c
-            mono = tuple(sorted(((p, c) for p, c in agg.items() if c != 0), reverse=True))
-            if not mono or mono[0][0] <= 0 or mono[0][1] <= 0:
-                raise ValueError(
-                    "each layer must diverge to +infinity; got %r" % (layer,)
-                )
-            cleaned.append(tuple((c, p) for p, c in mono))
-        if not cleaned:
+        if not self.layers:
             raise ValueError("need at least one layer")
-        object.__setattr__(self, "layers", tuple(cleaned))
+        for layer in self.layers:
+            if not layer.diverges():
+                raise ValueError("each layer must diverge to +infinity; got %s" % layer)
 
     @classmethod
     def simple(cls, monomials):
         """One (coefficient, exponent) monomial per layer."""
-        return cls(tuple((pair,) for pair in monomials))
+        return cls(tuple(ClosedForm((pair,)) for pair in monomials))
 
     @property
     def k(self):
@@ -310,7 +406,7 @@ class GrowthSpec:
             mu = rat(mu)
             if mu == 0:
                 continue
-            for c, p in layer:
+            for c, p in layer.terms:
                 if p > 0:
                     agg[p] = agg.get(p, Rat(0)) + mu * c
         for p in sorted(agg, reverse=True):
@@ -319,23 +415,6 @@ class GrowthSpec:
             if agg[p] < 0:
                 return "-"
         return "0"
-
-    def eval_float(self, i):
-        i = float(i)
-        return tuple(
-            sum(float(c) * i ** float(p) for c, p in layer) for layer in self.layers
-        )
-
-    def eval_exact(self, i):
-        out = []
-        for layer in self.layers:
-            total = Rat(0)
-            for c, p in layer:
-                if int(p.denominator) != 1:
-                    raise ValueError("exact evaluation needs integer exponents")
-                total = total + c * (Rat(i) ** int(p.numerator))
-            out.append(total)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -359,10 +438,6 @@ class WeightSplit:
         return tuple(
             i for i, w in enumerate(self.weights) if all(x == 0 for x in w[:take])
         )
-
-    def project(self, vec, cls):
-        keep = set(self.indices(cls))
-        return tuple(x if i in keep else Rat(0) for i, x in enumerate(vec))
 
 
 def split_spaces(rep: RepSpace, block_sizes, growth: GrowthSpec) -> WeightSplit:
@@ -413,17 +488,6 @@ class Subspace:
 
     def is_contained_in(self, other: "Subspace"):
         return all(other.contains(b) for b in self.basis)
-
-    def intersect(self, other: "Subspace"):
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient_dim, ())
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        a = linalg.transpose(cols)  # ambient_dim rows, r1+r2 cols
-        gens = [
-            _combine(kv[: self.dim], self.basis, self.ambient_dim)
-            for kv in linalg.kernel_basis(a)
-        ]
-        return Subspace.from_generators(gens, self.ambient_dim)
 
 
 def _points_ok(points, n, m1):

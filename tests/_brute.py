@@ -159,6 +159,20 @@ def dual_soluble(xi, weights, mu):
     return False
 
 
+def improvability_flags(points, weight_rows, mu):
+    """Per point: both systems are soluble at every weight row."""
+    return [
+        all(primal_soluble(xi, w, mu) and dual_soluble(xi, w, mu) for w in weight_rows)
+        for xi in points
+    ]
+
+
+def improvability_fraction(points, weight_rows, mu):
+    """Share of the points where both systems are soluble at every row."""
+    flags = improvability_flags(points, weight_rows, mu)
+    return Fraction(sum(flags), len(flags))
+
+
 def random_unimodular(rng, n, ops=6, max_mult=2):
     """Integer matrix of determinant +-1 built from elementary row ops;
     small multipliers keep the inverse (hence brute scans) small."""

@@ -38,6 +38,25 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cmd, config, message",
+    [
+        ("improvability", {"mu": [0.5], "weights": "10,10", "samples": 5},
+         "0.5 is not an exact rational"),
+        ("improvability", {"samples": [5]}, "config key samples wants int, got [5]"),
+        ("layered", [1, 2], "config file must hold a JSON object"),
+        ("improvability", {"mu": 0.5}, "want a comma-separated string or a list, got 0.5"),
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([cmd, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_layered_prints_csv(capsys):
     assert main(["layered", "--sequence", "i^2, i^2, i, 5"]) == 0
     out = capsys.readouterr().out

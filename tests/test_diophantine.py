@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latflow import diophantine
 from latflow.backend import EXACT, Rat, rat
 from latflow.algebra import ExactMatrix
 from latflow.diophantine import (
     CorrespondenceReport,
     Curve,
+    RouteDisagreement,
     WindowSpec,
     correspondence_check,
     dual_translate_matrix,
-    improvability_fraction,
     minkowski_soluble,
     primal_translate_matrix,
     translate_vector,
@@ -157,16 +158,64 @@ def test_known_insoluble_instance():
 
 
 def test_improvability_fraction_frozen():
+    # the AND event: both systems soluble at every weight row
     curve = Curve.parse("s, s^2")
-    frac = improvability_fraction(curve, [(10, 10), (100, 100)], Rat(1, 2), 50)
-    assert frac == Fraction(4, 25)
+    rows = [(10, 10), (100, 100)]
+    points = [curve.eval_exact(s) for s in curve.sample_points(50)]
+    assert _brute.improvability_fraction(points, rows, Rat(1, 2)) == Fraction(4, 25)
+    # the library's deciders give the same AND flags, point by point
+    windows = [WindowSpec(r, Rat(1, 2)) for r in rows]
+    assert [
+        all(
+            window_primal_soluble(xi, w, route="lattice")[0]
+            and window_dual_soluble(xi, w, route="lattice")[0]
+            for w in windows
+        )
+        for xi in points
+    ] == _brute.improvability_flags(points, rows, Rat(1, 2))
 
 
 def test_improvability_fraction_monotone_in_rows():
     curve = Curve.parse("s, s^2")
     rows = [(10, 10), (100, 100), (1000, 1000)]
+    points = [curve.eval_exact(s) for s in curve.sample_points(30)]
     fracs = [
-        improvability_fraction(curve, rows[:j], Rat(1, 2), 30)
+        _brute.improvability_fraction(points, rows[:j], Rat(1, 2))
         for j in range(1, len(rows) + 1)
     ]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+
+# the cross-check gate: a route that lies, or a witness that fails
+# substitution, must raise instead of returning an answer
+_DECIDERS = {
+    "primal": (window_primal_soluble, "_primal_direct"),
+    "dual": (window_dual_soluble, "_dual_direct"),
+}
+_GATE_CASE = ((Rat(1, 3), Rat(1, 4)), WindowSpec((3, 2), 1))
+
+
+@pytest.mark.parametrize("liar", ["direct", "lattice"])
+@pytest.mark.parametrize("system", sorted(_DECIDERS))
+def test_lying_route_raises_route_disagreement(monkeypatch, system, liar):
+    decide, direct = _DECIDERS[system]
+    xi, w = _GATE_CASE  # radius 1: soluble by Dirichlet, on both routes
+    assert decide(xi, w, route="direct")[0] and decide(xi, w, route="lattice")[0]
+    if liar == "direct":
+        monkeypatch.setattr(diophantine, direct, lambda xi, w: (False, None))
+    else:
+        monkeypatch.setattr(diophantine, "enumerate_in_box", lambda *a, **kw: [])
+    with pytest.raises(RouteDisagreement, match="%s routes disagree" % system):
+        decide(xi, w)
+
+
+@pytest.mark.parametrize("route", ["auto", "direct"])
+@pytest.mark.parametrize("system", sorted(_DECIDERS))
+def test_witness_failing_substitution_raises(monkeypatch, system, route):
+    decide, direct = _DECIDERS[system]
+    xi, w = _GATE_CASE
+    assert decide(xi, w)[0]
+    zero = (0, (0,) * w.k)  # both witness shapes; never a solution
+    monkeypatch.setattr(diophantine, direct, lambda xi, w: (True, zero))
+    with pytest.raises(RouteDisagreement, match="%s witness failed substitution" % system):
+        decide(xi, w, route=route)

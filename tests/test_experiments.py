@@ -5,7 +5,7 @@ import pytest
 
 from latflow.backend import EXACT, FLOAT, Rat, rat
 from latflow.algebra import ExactMatrix, ExpansionRates, dual_involution
-from latflow.diophantine import Curve, improvability_fraction
+from latflow.diophantine import Curve
 from latflow.lattice import Tent
 from latflow.sequences import RateSchedule
 from latflow.experiments import (
@@ -18,6 +18,8 @@ from latflow.experiments import (
     shear_invariance_scan,
     translate_lattice,
 )
+
+import _brute
 
 
 def test_sample_grid_equispaced_exact():
@@ -142,15 +144,16 @@ def test_nondivergence_small_run():
 
 def test_improvability_scan_frozen_fractions():
     # scan event: the translate PAIR misses the joint avoidance set, i.e.
-    # primal OR dual soluble; improvability_fraction is the stricter AND
-    # event, so the scan fraction dominates it on the same grid
+    # primal OR dual soluble; the oracle's improvability_fraction is the
+    # stricter AND event, so the scan fraction dominates it on the same grid
     curve = Curve.parse("s, s^2")
     rows_spec = [(10, 10), (100, 100)]
     rows = improvability_scan(curve, rows_spec, [Rat(1, 2)], 50)
     assert rows[0].prefix == 0 and rows[0].fraction == 1
     full = [r for r in rows if r.prefix == len(rows_spec)][0]
     assert full.fraction == Fraction(13, 25)
-    both = improvability_fraction(curve, rows_spec, Rat(1, 2), 50)
+    points = [curve.eval_exact(s) for s in curve.sample_points(50)]
+    both = _brute.improvability_fraction(points, rows_spec, Rat(1, 2))
     assert both == Fraction(4, 25)
     assert full.fraction >= both
     # nonincreasing along prefixes

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,23 @@ def test_closed_form_parse_and_print():
     assert str(ClosedForm.parse(str(f))) == str(f)
     assert ClosedForm.parse("i - i").terms == ()  # cancels to the zero form
     assert ClosedForm.parse("-i^2 + 2*i^2") == ClosedForm.parse("i^2")
+
+
+def test_closed_form_keeps_rational_exponents():
+    f = ClosedForm(((1, Fraction(1, 2)), (2, Fraction(3, 2))))
+    assert f.terms == ((Rat(2), Fraction(3, 2)), (Rat(1), Fraction(1, 2)))
+    assert str(f) == "2*i^(3/2) + i^(1/2)"
+    assert f.diverges() and not f.is_bounded()
+    with pytest.raises(ValueError, match="integer exponents"):
+        f.eval_exact(4)
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        RateSchedule((f,))
+    # an integral exponent is stored as an int, so integer forms print as before
+    g = ClosedForm(((3, Fraction(2)), (-1, 1), (Fraction(1, 2), 0)))
+    assert [type(p) for _, p in g.terms] == [int, int, int]
+    assert str(g) == "3*i^2 - i + 1/2"
+    texts = ["2*i^2 + i - 3", "-i^3 + 1/2*i", "i^2 - i", "-2*i", "7", "0"]
+    assert [str(ClosedForm.parse(t)) for t in texts] == texts
 
 
 # the same polynomial text in s and in i, and the {power: coefficient}

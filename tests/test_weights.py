@@ -8,6 +8,7 @@ from latflow.backend import EXACT, Rat, rat
 from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.diophantine import Curve
 from latflow.weights import (
+    ClosedForm,
     GrowthSpec,
     RepSpace,
     block_generator,
@@ -117,11 +118,14 @@ def test_growth_spec_classify():
         GrowthSpec.simple([(1, 0)])  # a constant layer does not diverge
     with pytest.raises(ValueError):
         GrowthSpec.simple([(-1, 2)])
+    # rational exponents: t_1 = i^(1/2), t_2 = i^2 + 2 i^(1/3)
+    g = GrowthSpec((ClosedForm(((1, Rat(1, 2)),)), ClosedForm(((1, 2), (2, Rat(1, 3))))))
+    assert [g.classify(w) for w in ((1, 0), (2, -1), (0, 0))] == ["+", "-", "0"]
 
 
 def test_growth_spec_merges_monomials():
-    g = GrowthSpec((((1, 1), (2, 1)),))  # i + 2i collapses to 3i
-    assert g.layers == (((Rat(3), Rat(1)),),)
+    g = GrowthSpec((ClosedForm(((1, 1), (2, 1))),))  # i + 2i collapses to 3i
+    assert g.layers[0].terms == ((Rat(3), Rat(1)),)
 
 
 def test_split_spaces_partitions_basis():
