@@ -12,7 +12,7 @@ Conventions (fixed once, used everywhere):
   weights w_j = exp(rate_j) are the per-form expansion factors.
 - ``row_unipotent(shift)``: identity plus ``shift`` laid along the first row.
 - ``column_unipotent(shift)``: identity plus ``shift`` reversed down the last
-  column; equals ``dual_involution(row_unipotent(shift))``.
+  column; equals ``dual_involution(row_unipotent(-shift))``.
 - ``dual_involution(g)``: W (g^-1)^T W with W the coordinate reversal.  It is
   an involutive automorphism of SL(n) and exchanges the two shear families.
 """

@@ -38,6 +38,10 @@ from .constructions import (
 )
 from .diophantine import Curve, RouteDisagreement
 from .experiments import (
+    ImprovabilityRow,
+    NondivergenceRow,
+    ShearRow,
+    SiegelRow,
     equidistribution_siegel,
     improvability_scan,
     nondivergence_scan,
@@ -89,6 +93,12 @@ def _write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([str(x) for x in row])
+
+
+def _row_table(row_type, rows):
+    """CSV header and rows of a list of row_type dataclasses, in field order."""
+    names = [f.name for f in fields(row_type)]
+    return names, [[getattr(r, name) for name in names] for r in rows]
 
 
 def _print_table(header, rows):
@@ -247,6 +257,13 @@ def _rats(v):
     return [_rat(x) for x in _split_list(v)]
 
 
+def _text(v, key, kind="a string"):
+    """v itself when it is a string; a config file may hold any JSON value."""
+    if not isinstance(v, str):
+        raise ValueError("config key %s wants %s, got %r" % (key, kind, v))
+    return v
+
+
 def _weight_rows(v):
     """'10,10;100,100' or a config list of rows."""
     if isinstance(v, str):
@@ -258,14 +275,14 @@ def _parse_curve(cfg):
     dom = _rats(cfg["domain"]) if cfg["domain"] is not None else [0, 1]
     if len(dom) != 2:
         raise ValueError("--domain wants two endpoints")
-    return Curve.parse(_require(cfg, "curve"), tuple(dom))
+    return Curve.parse(_text(_require(cfg, "curve"), "curve"), tuple(dom))
 
 
 def _parse_schedule(cfg):
     v = _require(cfg, "sequence")
     if isinstance(v, dict):
         return RateSchedule.from_json(v)
-    return RateSchedule.parse(v)
+    return RateSchedule.parse(_text(v, "sequence", "a string or an object"))
 
 
 def _parse_growth(text):
@@ -273,7 +290,7 @@ def _parse_growth(text):
     layers = []
     for part in _split_list(text):
         monos = []
-        for m in part.split("+"):
+        for m in _text(part, "growth", "a string per layer").split("+"):
             c, sep, p = m.partition(":")
             if not sep:
                 raise ValueError("growth monomial %r wants c:p" % m)
@@ -365,8 +382,7 @@ def _cmd_improvability(cfg):
         for a, b in zip(seq, seq[1:]):
             if b.fraction > a.fraction:
                 monotone = False
-    header = ["mu", "prefix", "hits", "count", "fraction"]
-    table = [[r.mu, r.prefix, r.hits, r.count, r.fraction] for r in rows]
+    header, table = _row_table(ImprovabilityRow, rows)
     report = {"rows": rows, "monotone": monotone}
     _emit("improvability", cfg, header, table, report)
     print("monotone in prefix length: %s" % ("yes" if monotone else "NO"))
@@ -404,11 +420,7 @@ def _cmd_equidist(cfg):
         doubled=bool(cfg["doubled"]),
         **_experiment_kwargs(cfg),
     )
-    header = ["index", "count", "average", "reference", "abs_gap", "rel_gap"]
-    table = [
-        [r.index, r.count, r.average, r.reference, r.abs_gap, r.rel_gap]
-        for r in rows
-    ]
+    header, table = _row_table(SiegelRow, rows)
     ok = True
     if cfg["gap_tol"] is not None:
         # asymptotic statement: gate the final index only
@@ -449,8 +461,7 @@ def _cmd_nondiv(cfg):
         int(cfg["samples"]),
         **_experiment_kwargs(cfg),
     )
-    header = ["index", "eps", "count", "below", "fraction"]
-    table = [[r.index, r.eps, r.count, r.below, r.fraction] for r in rows]
+    header, table = _row_table(NondivergenceRow, rows)
     ok = True
     if cfg["frac_tol"] is not None:
         tol = _rat(cfg["frac_tol"])
@@ -497,29 +508,7 @@ def _cmd_twist(cfg):
         tent,
         **_experiment_kwargs(cfg),
     )
-    header = [
-        "index",
-        "t",
-        "used",
-        "skipped",
-        "base_average",
-        "sheared_average",
-        "defect",
-        "sup_f",
-    ]
-    table = [
-        [
-            r.index,
-            r.t,
-            r.used,
-            r.skipped,
-            r.base_average,
-            r.sheared_average,
-            r.defect,
-            r.sup_f,
-        ]
-        for r in rows
-    ]
+    header, table = _row_table(ShearRow, rows)
     # t = 0 is the untwisted average itself; its defect must be exact zero
     exact_zero = all(r.defect == 0.0 for r in rows if r.t == 0.0)
     ok = exact_zero

@@ -75,10 +75,7 @@ class BasePoint:
         for m in mats:
             if m.nrows != m.ncols:
                 raise ValueError("base point must be square")
-            if m.backend == EXACT:
-                if not m.has_det_one():
-                    raise ValueError("base point must have determinant 1")
-            elif abs(m.det() - 1.0) > 1e-9:
+            if not m.has_det_one():
                 raise ValueError("base point must have determinant 1")
         if len({m.nrows for m in mats}) != 1:
             raise ValueError("approach matrices must match the base size")
@@ -98,14 +95,19 @@ class BasePoint:
         return self.matrix
 
 
-def _resolve_base(base, n):
+def _resolve_base(base, i, backend):
+    """The base matrix at index i (i=None: g_0 itself) on the backend, or
+    None when there is no base or it is the identity there: no product."""
     if base is None:
-        return BasePoint.identity(n)
+        return None
     if isinstance(base, ExactMatrix):
-        return BasePoint(base)
-    if isinstance(base, BasePoint):
-        return base
-    raise TypeError("base must be a BasePoint, an ExactMatrix, or None")
+        base = BasePoint(base)
+    elif not isinstance(base, BasePoint):
+        raise TypeError("base must be a BasePoint, an ExactMatrix, or None")
+    g = base.at(i)
+    if g == ExactMatrix.identity(g.nrows, g.backend):
+        return None
+    return g.to_float() if backend == FLOAT else g
 
 
 def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
@@ -131,120 +133,96 @@ def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
 
 def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled=False):
     """The lattice a u(phi(s)) g_0 Z^n (with its reversal partner when
-    doubled=True), on the backend of the given rates."""
+    doubled=True), on the backend of the given rates; g_0 is the matrix of
+    base, and without a base the product is not formed."""
     backend = rates.backend
     if backend == EXACT:
         phi = curve.eval_exact(s)
     else:
         phi = curve.eval_float(s)
     m = expanding_diagonal(rates) @ row_unipotent(phi, backend)
-    g0 = _resolve_base(base, curve.k + 1).matrix
-    if backend == FLOAT:
-        g0 = g0.to_float()
-    m = m @ g0
+    g0 = _resolve_base(base, None, backend)
+    if g0 is not None:
+        m = m @ g0
     if doubled:
         return Lattice(m), Lattice(dual_involution(m))
     return Lattice(m)
 
 
 # ---------------------------------------------------------------------------
-# worker plumbing (module-level functions so arguments pickle)
+# the sweep and its per-sample functions (module-level, so that they pickle)
 
 
-def _chunks(items, pieces):
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    out, start = [], 0
-    for j in range(pieces):
-        stop = start + size + (1 if j < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out
+def _sweep(at, jobs, samples, threads):
+    """[[at(job, s) for s in samples] for job in jobs].
+
+    With threads > 1 the samples are cut once into at most `threads` chunks
+    of one size (the last may be shorter), and every chunk of every job runs
+    in one process pool with one worker per chunk.  Results come back in
+    sample order, so the answer does not depend on the thread count.
+    """
+    size = -(-len(samples) // max(1, threads))
+    workers = -(-len(samples) // size)
+    if workers < 2:
+        return [[at(job, s) for s in samples] for job in jobs]
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = [
+            pool.map(at, [job] * len(samples), samples, chunksize=size) for job in jobs
+        ]
+        return [list(values) for values in pending]
+    finally:
+        # a failed job drops the queued chunks of the jobs after it
+        pool.shutdown(cancel_futures=True)
 
 
-def _pool_map(fn, args_list, threads):
-    if threads > 1 and len(args_list) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args_list))
-    return [fn(a) for a in args_list]
+def _siegel_at(job, s):
+    curve, rates, tent, base, doubled, budget = job
+    got = translate_lattice(curve, rates, s, base=base, doubled=doubled)
+    if doubled:
+        return siegel_transform(got[0], tent, budget) * siegel_transform(got[1], tent, budget)
+    return siegel_transform(got, tent, budget)
 
 
-def _siegel_worker(args):
-    curve, weights, base_rows, svals, tent_args, doubled, budget = args
-    rates = ExpansionRates(weights, FLOAT)
-    tent = Tent(*tent_args, FLOAT)
-    base = ExactMatrix(base_rows, FLOAT) if base_rows is not None else None
-    vals = []
-    for s in svals:
-        got = translate_lattice(curve, rates, float(s), base=base, doubled=doubled)
-        if doubled:
-            v = siegel_transform(got[0], tent, budget) * siegel_transform(
-                got[1], tent, budget
-            )
-        else:
-            v = siegel_transform(got, tent, budget)
-        vals.append(v)
-    return vals
+def _shortest_at(job, s):
+    curve, rates, base, budget = job
+    return float(shortest_sup_norm(translate_lattice(curve, rates, s, base=base), budget))
 
 
-def _shortest_worker(args):
-    curve, weights, base_rows, svals, budget = args
-    rates = ExpansionRates(weights, FLOAT)
-    base = ExactMatrix(base_rows, FLOAT) if base_rows is not None else None
-    return [
-        float(shortest_sup_norm(translate_lattice(curve, rates, float(s), base=base), budget))
-        for s in svals
-    ]
-
-
-def _window_flags_worker(args):
-    curve, windows, svals, budget = args
-    out = []
-    for s in svals:
-        xi = curve.eval_exact(s)
-        flags = []
-        for w in windows:
-            ps, _ = window_primal_soluble(xi, w, route="lattice", budget=budget)
-            if ps:
-                flags.append(True)
-                continue
-            ds, _ = window_dual_soluble(xi, w, route="lattice", budget=budget)
-            flags.append(ds)
-        out.append(tuple(flags))
-    return out
-
-
-def _shear_worker(args):
-    curve, weights, base_rows, svals, tent_args, t_list, block, budget = args
-    rates = ExpansionRates(weights, FLOAT)
-    tent = Tent(*tent_args, FLOAT)
-    base = ExactMatrix(base_rows, FLOAT) if base_rows is not None else None
-    n = curve.k + 1
-    deriv = curve.derivative()
-    out = []
-    for s in svals:
-        head = deriv.eval_float(float(s))[:block]
-        z = _aligning_element(head, n)
-        if z is None:
-            out.append(None)
+def _window_flags_at(job, s):
+    curve, windows, budget = job
+    xi = curve.eval_exact(s)
+    flags = []
+    for w in windows:
+        ps, _ = window_primal_soluble(xi, w, route="lattice", budget=budget)
+        if ps:
+            flags.append(True)
             continue
-        m = z @ expanding_diagonal(rates) @ row_unipotent(
-            curve.eval_float(float(s)), FLOAT
+        ds, _ = window_dual_soluble(xi, w, route="lattice", budget=budget)
+        flags.append(ds)
+    return tuple(flags)
+
+
+def _shear_at(job, s):
+    curve, deriv, rates, tent, base, t_list, block, budget = job
+    n = curve.k + 1
+    z = _aligning_element(deriv.eval_float(s)[:block], n)
+    if z is None:
+        return None
+    m = z @ expanding_diagonal(rates) @ row_unipotent(curve.eval_float(s), FLOAT)
+    if base is not None:
+        m = m @ base
+    base_val = siegel_transform(Lattice(m), tent, budget)
+    sheared = []
+    for t in t_list:
+        if t == 0:
+            sheared.append(base_val)  # u(0) = identity, exactly
+            continue
+        shift = (t,) + (0.0,) * (n - 2)
+        sheared.append(
+            siegel_transform(Lattice(row_unipotent(shift, FLOAT) @ m), tent, budget)
         )
-        if base is not None:
-            m = m @ base
-        base_val = siegel_transform(Lattice(m), tent, budget)
-        sheared = []
-        for t in t_list:
-            if t == 0:
-                sheared.append(base_val)  # u(0) = identity, exactly
-                continue
-            shift = (float(t),) + (0.0,) * (n - 2)
-            sheared.append(
-                siegel_transform(Lattice(row_unipotent(shift, FLOAT) @ m), tent, budget)
-            )
-        out.append((base_val, tuple(sheared)))
-    return out
+    return base_val, tuple(sheared)
 
 
 def _aligning_element(head, n):
@@ -316,25 +294,6 @@ class SiegelRow:
     rel_gap: float
 
 
-def _float_tent_args(tent: Tent):
-    return (
-        tuple(float(c) for c in tent.center),
-        float(tent.radius),
-        float(tent.height),
-    )
-
-
-def _float_base_rows(base, n):
-    bp = _resolve_base(base, n)
-    m = bp.matrix
-
-    def rows_at(i):
-        g = bp.at(i)
-        return tuple(tuple(float(x) for x in r) for r in g.rows)
-
-    return rows_at if (bp.approach or m != ExactMatrix.identity(n)) else lambda i: None
-
-
 def equidistribution_siegel(
     curve: Curve,
     schedule: RateSchedule,
@@ -358,16 +317,13 @@ def equidistribution_siegel(
     ref = float(tent.integral())
     if doubled:
         ref = ref * ref
-    rows_at = _float_base_rows(base, curve.k + 1)
-    tent_args = _float_tent_args(tent)
+    ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
+    jobs = [
+        (curve, schedule.expansion_at(i), ftent, _resolve_base(base, i, FLOAT), doubled, budget)
+        for i in indices
+    ]
     out = []
-    for i in indices:
-        weights = schedule.expansion_at(i).weights
-        args = [
-            (curve, weights, rows_at(i), chunk, tent_args, doubled, budget)
-            for chunk in _chunks(svals, threads)
-        ]
-        vals = [v for part in _pool_map(_siegel_worker, args, threads) for v in part]
+    for i, vals in zip(indices, _sweep(_siegel_at, jobs, svals, threads)):
         avg = sum(vals) / len(vals)
         gap = abs(avg - ref)
         out.append(
@@ -409,15 +365,12 @@ def nondivergence_scan(
     once per sample and compared against every eps."""
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     eps_list = [float(e) for e in eps_list]
-    rows_at = _float_base_rows(base, curve.k + 1)
+    jobs = [
+        (curve, schedule.expansion_at(i), _resolve_base(base, i, FLOAT), budget)
+        for i in indices
+    ]
     out = []
-    for i in indices:
-        weights = schedule.expansion_at(i).weights
-        args = [
-            (curve, weights, rows_at(i), chunk, budget)
-            for chunk in _chunks(svals, threads)
-        ]
-        shorts = [v for part in _pool_map(_shortest_worker, args, threads) for v in part]
+    for i, shorts in zip(indices, _sweep(_shortest_at, jobs, svals, threads)):
         for eps in eps_list:
             below = sum(1 for v in shorts if v < eps)
             out.append(
@@ -462,14 +415,10 @@ def improvability_scan(
     """
     samples = sample_grid(curve, count, grid, seed)
     rows = [tuple(r) for r in weight_rows]
+    mu_list = [rat(mu) for mu in mu_list]
+    jobs = [(curve, tuple(WindowSpec(r, mu) for r in rows), budget) for mu in mu_list]
     out = []
-    for mu in mu_list:
-        mu = rat(mu)
-        windows = tuple(WindowSpec(r, mu) for r in rows)
-        args = [
-            (curve, windows, chunk, budget) for chunk in _chunks(samples, threads)
-        ]
-        flags = [f for part in _pool_map(_window_flags_worker, args, threads) for f in part]
+    for mu, flags in zip(mu_list, _sweep(_window_flags_at, jobs, samples, threads)):
         out.append(ImprovabilityRow(mu=mu, prefix=0, hits=count, count=count, fraction=Fraction(1)))
         for L in range(1, len(rows) + 1):
             hits = sum(1 for f in flags if all(f[:L]))
@@ -520,18 +469,24 @@ def shear_invariance_scan(
     block = pres.block_sizes[-1]  # innermost layer block, the shear's home
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     t_list = [float(t) for t in t_list]
-    rows_at = _float_base_rows(base, curve.k + 1)
-    tent_args = _float_tent_args(tent)
+    ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
     sup_f = float(tent.height)
+    deriv = curve.derivative()
+    jobs = [
+        (
+            curve,
+            deriv,
+            ExpansionRates.from_rates([f.eval_float(i) for f in pres.anchored]),
+            ftent,
+            _resolve_base(base, i, FLOAT),
+            t_list,
+            block,
+            budget,
+        )
+        for i in indices
+    ]
     out = []
-    for i in indices:
-        anchored = [f.eval_float(i) for f in pres.anchored]
-        weights = ExpansionRates.from_rates(anchored).weights
-        args = [
-            (curve, weights, rows_at(i), chunk, tent_args, t_list, block, budget)
-            for chunk in _chunks(svals, threads)
-        ]
-        vals = [v for part in _pool_map(_shear_worker, args, threads) for v in part]
+    for i, vals in zip(indices, _sweep(_shear_at, jobs, svals, threads)):
         used = [v for v in vals if v is not None]
         skipped = len(vals) - len(used)
         if not used:

@@ -46,6 +46,11 @@ def test_zero_denominator_is_usage_error(capsys, argv):
         ("improvability", {"samples": [5]}, "config key samples wants int, got [5]"),
         ("layered", [1, 2], "config file must hold a JSON object"),
         ("improvability", {"mu": 0.5}, "want a comma-separated string or a list, got 0.5"),
+        ("improvability", {"curve": ["s", "s^2"]},
+         "config key curve wants a string, got ['s', 's^2']"),
+        ("layered", {"sequence": 5}, "config key sequence wants a string or an object, got 5"),
+        ("lemma-verify", {"rep": "adjoint:3", "config_sizes": "1", "growth": ["1:1", 5]},
+         "config key growth wants a string per layer, got 5"),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message):
@@ -55,6 +60,21 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["improvability", "--mu", "", "--samples", "5"], "mu,prefix,hits,count,fraction"),
+        (["nondiv", "--eps", "", "--imax", "3", "--samples", "5"],
+         "index,eps,count,below,fraction"),
+        (["twist", "--t", "", "--imax", "3", "--samples", "5"],
+         "index,t,used,skipped,base_average,sheared_average,defect,sup_f"),
+    ],
+)
+def test_empty_table_keeps_its_header(capsys, argv, header):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [CSV_TAG, header]
 
 
 def test_layered_prints_csv(capsys):

@@ -205,18 +205,85 @@ def test_shear_scan_refuses_overflowing_heads():
 
 
 def test_thread_determinism():
+    # two indices (two mu values) per call, so one pool serves several jobs
     schedule = RateSchedule.parse("i")
     tent = Tent((0.0, 0.0), 2.0, 1.0, FLOAT)
     curve = Curve.parse("s")
-    eq1 = equidistribution_siegel(curve, schedule, (3,), 40, tent, threads=1)
-    eq2 = equidistribution_siegel(curve, schedule, (3,), 40, tent, threads=2)
+    eq1 = equidistribution_siegel(curve, schedule, (3, 4), 40, tent, threads=1)
+    eq2 = equidistribution_siegel(curve, schedule, (3, 4), 40, tent, threads=2)
     assert eq1 == eq2
-    nd1 = nondivergence_scan(curve, schedule, (3,), (0.1,), 40, threads=1)
-    nd2 = nondivergence_scan(curve, schedule, (3,), (0.1,), 40, threads=2)
+    nd1 = nondivergence_scan(curve, schedule, (3, 4), (0.1,), 40, threads=1)
+    nd2 = nondivergence_scan(curve, schedule, (3, 4), (0.1,), 40, threads=2)
     assert nd1 == nd2
-    im1 = improvability_scan(curve, [(10,)], [Rat(1, 2)], 30, threads=1)
-    im2 = improvability_scan(curve, [(10,)], [Rat(1, 2)], 30, threads=2)
+    mus = [Rat(1, 2), Rat(3, 4)]
+    im1 = improvability_scan(curve, [(10,)], mus, 30, threads=1)
+    im2 = improvability_scan(curve, [(10,)], mus, 30, threads=2)
     assert im1 == im2
-    sh1 = shear_invariance_scan(curve, schedule, (3,), (0.5,), 30, tent, threads=1)
-    sh2 = shear_invariance_scan(curve, schedule, (3,), (0.5,), 30, tent, threads=2)
+    sh1 = shear_invariance_scan(curve, schedule, (3, 4), (0.5,), 30, tent, threads=1)
+    sh2 = shear_invariance_scan(curve, schedule, (3, 4), (0.5,), 30, tent, threads=2)
     assert sh1 == sh2
+
+
+def _float_drivers(curve, schedule, tent):
+    return [
+        lambda idx, count, **kw: equidistribution_siegel(
+            curve, schedule, idx, count, tent, **kw),
+        lambda idx, count, **kw: nondivergence_scan(
+            curve, schedule, idx, (0.1, 0.5), count, **kw),
+        lambda idx, count, **kw: shear_invariance_scan(
+            curve, schedule, idx, (0.0, 0.5), count, tent, **kw),
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_base_point_reaches_every_float_driver(threads):
+    # at each index a driver uses the matrix BasePoint.at gives there: the
+    # approach matrix at 3, g0 elsewhere
+    curve = Curve.parse("s")
+    tent = Tent((0.0, 0.0), 2.0, 1.0, FLOAT)
+    g0 = ExactMatrix([[1, Rat(1, 2)], [0, 1]], EXACT)
+    gi = ExactMatrix([[1, 0], [Rat(1, 3), 1]], EXACT)
+    bp = BasePoint(g0, ((3, gi),))
+    for run in _float_drivers(curve, RateSchedule.parse("i"), tent):
+        got = run((3, 4), 24, base=bp, threads=threads)
+        assert got == (run((3,), 24, base=bp.at(3), threads=threads)
+                       + run((4,), 24, base=bp.at(4), threads=threads))
+        assert run((4,), 24, base=g0, threads=threads) == run((4,), 24, base=bp, threads=threads)
+        assert got != run((3, 4), 24, threads=threads)
+
+
+def test_drivers_take_a_tent_on_either_backend():
+    curve = Curve.parse("s")
+    schedule = RateSchedule.parse("i")
+    exact = Tent((0, Rat(1, 4)), Rat(2), Rat(1, 2), EXACT)
+    flt = Tent((0.0, 0.25), 2.0, 0.5, FLOAT)
+    got, want = (_float_drivers(curve, schedule, t) for t in (exact, flt))
+    for a, b in zip(got, want):
+        assert a((3, 4), 20) == b((3, 4), 20)
+
+
+def test_one_process_pool_per_call(monkeypatch):
+    from latflow import experiments
+
+    made = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    curve = Curve.parse("s")
+    tent = Tent((0.0, 0.0), 2.0, 1.0, FLOAT)
+    runs = _float_drivers(curve, RateSchedule.parse("i"), tent) + [
+        lambda idx, count, **kw: improvability_scan(
+            curve, [(10,)], [Rat(1, 2), Rat(2, 3), Rat(3, 4)], count, **kw),
+    ]
+    for run in runs:
+        made.clear()
+        run((3, 4, 5), 6, threads=2)
+        assert made == [2]
+        # never more workers than samples
+        made.clear()
+        run((3, 4, 5), 2, threads=3)
+        assert len(made) == 1 and made[0] <= 2
