@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import ExactMatrix
-from .backend import FLOAT, BudgetExceeded, Rat, rat
+from .backend import EXACT, FLOAT, BudgetExceeded, Rat, format_scalar, rat
 from .constructions import (
     block_transport_witness,
     scan_radius_threshold,
@@ -684,7 +684,12 @@ def _cmd_constructions(cfg):
     _emit("constructions", cfg, header, table, report)
     print(
         "radius %s, tail %s: %d insoluble of %d"
-        % (mu, list(tail), len(scan.insoluble), len(scan.rows))
+        % (
+            format_scalar(mu, EXACT),
+            ",".join(format_scalar(t, EXACT) for t in tail),
+            len(scan.insoluble),
+            len(scan.rows),
+        )
     )
     if cfg["expect_soluble"] and not scan.all_soluble:
         return 1

@@ -37,7 +37,7 @@ from .backend import (
     rat_ceil,
     rat_floor,
 )
-from .algebra import ExactMatrix, column_unipotent, row_unipotent
+from .algebra import ExactMatrix
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     Box,
@@ -188,21 +188,43 @@ class WindowSpec:
 
 
 def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi."""
-    one = Rat(1)
-    diag = ExactMatrix.diagonal(
-        [window.total_weight()] + [one / w for w in window.weights], EXACT
-    )
-    return diag @ row_unipotent([rat(x) for x in phi], EXACT)
+    """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi,
+    written entry by entry: first row (prod N)(1, phi_1, ..., phi_k), then
+    1/N_j on the diagonal (the formula of translate_vector)."""
+    k = window.k
+    if len(phi) != k:
+        raise ValueError("dimension mismatch")
+    total = window.total_weight()
+    zero = Rat(0)
+    rows = [[total] + [total * rat(x) for x in phi]]
+    for j, w in enumerate(window.weights):
+        row = [zero] * (k + 1)
+        row[1 + j] = 1 / w
+        rows.append(row)
+    return ExactMatrix(rows, EXACT)
 
 
 def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi."""
-    one = Rat(1)
-    diag = ExactMatrix.diagonal(
-        list(reversed(list(window.weights))) + [one / window.total_weight()], EXACT
-    )
-    return diag @ column_unipotent([rat(x) for x in phi], EXACT)
+    """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi,
+    written entry by entry: row j < k is N_m (e_j + phi_m e_k) with
+    m = k - j, and the last row is e_k / prod N (the formula of
+    translate_vector)."""
+    k = window.k
+    if len(phi) != k:
+        raise ValueError("dimension mismatch")
+    zero = Rat(0)
+    rows = []
+    for j in range(k):  # row j carries form index k - j
+        m = k - 1 - j
+        w = window.weights[m]
+        row = [zero] * (k + 1)
+        row[j] = w
+        row[k] = w * rat(phi[m])
+        rows.append(row)
+    last = [zero] * (k + 1)
+    last[k] = 1 / window.total_weight()
+    rows.append(last)
+    return ExactMatrix(rows, EXACT)
 
 
 def translate_vector(window: WindowSpec, phi, x, dual=False):

@@ -1,11 +1,13 @@
 """Unimodular lattices, symmetric boxes, and exact point enumeration.
 
 The enumeration engine LLL-reduces the basis, circumscribes the box with a
-sphere, and walks a depth-first tree with per-level integer intervals.  On
-the exact backend the box-normalised basis is first scaled by its common
-denominator D, so LLL runs integrally and each leaf is tested against the
-box [-D, D]^n with integer arithmetic; interval bounds are rational
-comparisons, so membership on a box face is decided exactly.  The float
+sphere, and walks a depth-first Fincke-Pohst tree with per-level integer
+intervals.  On the exact backend the box-normalised basis is first scaled
+by its common denominator D, and everything from there to the leaf runs on
+Python integers: LLL is integral, the walk takes its centers and radii from
+the integer Gram determinants and scaled coefficients that LLL returns
+(interval ends come from math.isqrt), and each leaf is tested against the
+box [-D, D]^n, so membership on a box face is decided exactly.  The float
 path inflates radii by 1e-9 and warns when a point lands within 1e-9 of a
 face.
 """
@@ -25,7 +27,6 @@ from .backend import (
     check_same_backend,
     format_scalar,
     parse_scalar,
-    rat_floor,
     scalar,
     warn_if_near_face,
 )
@@ -134,55 +135,22 @@ class Lattice:
         return Lattice(self.basis.to_float())
 
 
-def _int_interval_exact(center, q):
-    """All integers x with (x + center)^2 <= q, exactly (q, center rational)."""
-    if q < 0:
-        return 1, 0
-    fc = float(center)
-    try:
-        fs = math.sqrt(max(float(q), 0.0))
-    except OverflowError:  # pragma: no cover - gigantic radii don't occur here
-        fs = float(math.isqrt(int(q) + 1))
-    lo = math.ceil(-fc - fs)
-    hi = math.floor(-fc + fs)
-    # exact fix-up of the float seed, one step at a time
-    while (lo - 1 + center) * (lo - 1 + center) <= q:
-        lo -= 1
-    while lo <= hi and (lo + center) * (lo + center) > q:
-        lo += 1
-    while (hi + 1 + center) * (hi + 1 + center) <= q:
-        hi += 1
-    while hi >= lo and (hi + center) * (hi + center) > q:
-        hi -= 1
-    if lo > hi:
-        return 1, 0
-    return lo, hi
-
-
-def _int_interval_float(center, q):
-    if q < 0.0:
-        return 1, 0
-    s = math.sqrt(q) * (1.0 + 1e-12) + 1e-12
-    return math.ceil(-center - s), math.floor(-center + s)
-
-
 class _FirstHit(Exception):
     """Internal: unwinds the search once a first point is wanted and found."""
 
 
-def _zigzag(lo, hi, center):
-    """Integers of [lo, hi], nearest to -center first, fanning outward.
+def _zigzag(lo, hi, mid):
+    """Integers of [lo, hi], from mid (clamped into the range) fanning
+    outward: mid, mid - 1, mid + 1, mid - 2, ...
 
-    Center-first order makes the depth-first search reach an interior leaf
-    (one that passes the box test, not just the sphere bound) almost
-    immediately, which is what makes first_only decisions cheap even when
-    the window holds millions of points.
+    The walk passes mid = floor(1/2 - center), an integer nearest the
+    level's center.  Center-first order makes the depth-first search reach an
+    interior leaf (one that passes the box test, not just the sphere bound)
+    almost immediately, which is what makes first_only decisions cheap even
+    when the window holds millions of points.
     """
     if lo > hi:
         return
-    mid = rat_floor(-center + scalar(1, EXACT) / 2) if not isinstance(
-        center, float
-    ) else int(math.floor(-center + 0.5))
     mid = min(max(mid, lo), hi)
     yield mid
     d = 1
@@ -226,22 +194,63 @@ def enumerate_basis_in_box(
         [scalar(c[i], backend) / box.bounds[i] for i in range(n)]
         for c in basis_cols
     ]
-    scale = 1
-    if backend == EXACT:
-        # Scale by the common denominator D: LLL and the leaf test then run
-        # on integers, the unit box becomes [-D, D]^n and the sphere n D^2.
-        # mu and rem / c, hence the tree and its order, do not see D.
-        scale, cols = linalg.clear_denominators(cols)
-    unit = Box((scalar(scale, backend),) * n, box.closed, backend)
-    reduced, u_cols, mu, c = linalg.lll_reduce(cols, backend)
-
-    r2 = scalar(n * scale * scale, backend)
-    if backend == FLOAT:
-        r2 = r2 * (1.0 + FLOAT_SLACK)
-    interval = _int_interval_exact if backend == EXACT else _int_interval_float
-    zero = 0.0 if backend == FLOAT else 0
-
     xs = [0] * n
+
+    # Level j of the walk is described by (lo, hi, mid, a, b, cost): x_j
+    # runs over [lo, hi] from mid outward, and choosing x_j spends
+    # cost * y^2 of the remaining radius, y = a * x_j + b.
+    if backend == EXACT:
+        # Scale by the common denominator D: LLL and the walk then run on
+        # integers, the unit box becomes [-D, D]^n and the sphere n D^2.
+        # With lam, d from the integral LLL, the level-j center is
+        # N_j / d_{j+1}, N_j = sum_{l>j} lam_lj x_l, and the step
+        # c_j (x_j + center)^2 is y^2 / (d_j d_{j+1}), y = d_{j+1} x_j + N_j.
+        # Radii are kept as integers over the one denominator
+        # M = lcm_j(d_j d_{j+1}), so the step is w_j y^2 with
+        # w_j = M / (d_j d_{j+1}), and |y| <= isqrt(rem // w_j) is exact.
+        scale, cols = linalg.clear_denominators(cols)
+        reduced, u_cols, lam, d = linalg.lll_integral(cols)
+        den = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
+        w = [den // (d[j] * d[j + 1]) for j in range(n)]
+        r2 = n * scale * scale * den
+        zero = 0
+
+        def level(j, rem):
+            dj = d[j + 1]
+            s = 0
+            for l in range(j + 1, n):
+                if xs[l]:
+                    s += lam[l][j] * xs[l]
+            r = math.isqrt(rem // w[j])
+            mid = (dj - 2 * s) // (2 * dj)  # floor(-center + 1/2)
+            return -((r + s) // dj), (r - s) // dj, mid, dj, s, w[j]
+
+        def inside(v):
+            for x, cl in zip(v, box.closed):
+                a = -x if x < 0 else x
+                if a > scale or (a == scale and not cl):
+                    return False
+            return True
+    else:
+        scale = 1
+        reduced, u_cols, mu, c = linalg.lll_reduce(cols, backend)
+        r2 = n * (1.0 + FLOAT_SLACK)
+        zero = 0.0
+
+        def level(j, rem):
+            center = 0.0
+            for l in range(j + 1, n):
+                if xs[l]:
+                    center = center + mu[l][j] * xs[l]
+            q = rem / c[j]
+            if q < 0.0:
+                return 1, 0, 0, 1, center, c[j]
+            r = math.sqrt(q) * (1.0 + 1e-12) + 1e-12
+            mid = math.floor(-center + 0.5)
+            return math.ceil(-center - r), math.floor(-center + r), mid, 1, center, c[j]
+
+        inside = Box((1.0,) * n, box.closed, backend).contains
+
     found = []
     nodes = 0
 
@@ -257,18 +266,14 @@ def enumerate_basis_in_box(
                     x = xs[l]
                     for i in range(n):
                         v[i] = v[i] + x * col[i]
-            if unit.contains(v):
+            if inside(v):
                 point = tuple(v[i] * box.bounds[i] / scale for i in range(n))
                 found.append((point, tuple(xs)))
                 if first_only:
                     raise _FirstHit
             return
-        center = scalar(0, backend)
-        for l in range(j + 1, n):
-            if xs[l]:
-                center = center + mu[l][j] * xs[l]
-        lo, hi = interval(center, rem / c[j])
-        for x in _zigzag(lo, hi, center):
+        lo, hi, mid, a, b, cost = level(j, rem)
+        for x in _zigzag(lo, hi, mid):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
@@ -276,8 +281,8 @@ def enumerate_basis_in_box(
                     % budget
                 )
             xs[j] = x
-            step = c[j] * (x + center) * (x + center)
-            rec(j - 1, rem - step)
+            y = a * x + b
+            rec(j - 1, rem - cost * y * y)
         xs[j] = 0
 
     try:

@@ -4,8 +4,9 @@ Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines take ints, Fraction or mpq entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
-magnitude.  `rref` skips zero entries: a row update touches only the
-columns where the pivot row is nonzero, so sparse input is cheap.
+magnitude.  `rref` and `det` skip zero entries: `rref` updates only the
+columns where the pivot row is nonzero, and `det` updates no row whose
+entry below the pivot is zero, so sparse and triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
@@ -97,8 +98,8 @@ def det(a, approx=False):
         p = m[j][j] if approx else rat(m[j][j])
         prod = prod * p
         for i in range(j + 1, n):
-            f = m[i][j] / p
-            if f != 0:
+            if m[i][j] != 0:  # a zero below the pivot needs no row update
+                f = m[i][j] / p
                 m[i] = [x - f * y for x, y in zip(m[i], m[j])]
     return prod * sign
 
@@ -228,7 +229,17 @@ def lll_reduce(cols, backend=EXACT, max_iters=100_000):
     """
     if backend == FLOAT:
         return _lll_float(cols, max_iters)
-    return _lll_integral(cols, max_iters)
+    # lll_integral on D * cols, D the common denominator, put back over the
+    # rationals; mu and the Lovasz test do not see D, so the steps taken
+    # are those of LLL on cols itself
+    n = len(cols)
+    scale, b = clear_denominators(cols)
+    b, u, lam, d = lll_integral(b, max_iters)
+    mu = [[Rat(lam[i][j], d[j + 1]) if j < i else 0 for j in range(n)] for i in range(n)]
+    c = [Rat(d[i + 1], d[i] * scale * scale) for i in range(n)]
+    if scale != 1:
+        b = [[Rat(x, scale) for x in col] for col in b]
+    return b, u, mu, c
 
 
 def _lll_float(cols, max_iters):
@@ -259,18 +270,18 @@ def _lll_float(cols, max_iters):
     return b, u, mu, c
 
 
-def _lll_integral(cols, max_iters):
+def lll_integral(b, max_iters=100_000):
     """Integral LLL (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) on D * cols, D the common denominator.
+    Theory, Alg. 2.6.7) of integer columns b; returns (reduced, u, lam, d).
 
-    With d[i] the Gram determinant of the first i columns (d[0] = 1) and
-    lam[i][j] = d[j+1] * mu[i][j], both integral, every size reduction and
-    swap updates only the entries it changes; Gram-Schmidt is never
-    recomputed.  The steps taken are those of LLL on cols itself, since
-    mu and the Lovasz test do not see the scale D.
+    reduced and u are as in lll_reduce, with reduced integral.  d[i] is
+    the Gram determinant of the first i reduced columns (d[0] = 1), and
+    lam[i][j] = d[j+1] * mu[i][j] for j < i, both integral, so
+    c[i] = d[i+1] / d[i].  Every size reduction and swap updates only the
+    entries it changes; Gram-Schmidt is never recomputed.
     """
-    n = len(cols)
-    scale, b = clear_denominators(cols)
+    n = len(b)
+    b = [list(col) for col in b]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
@@ -320,8 +331,4 @@ def _lll_integral(cols, max_iters):
                 li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
             d[k] = dk
             k = max(k - 1, 1)
-    mu = [[Rat(lam[i][j], d[j + 1]) if j < i else 0 for j in range(n)] for i in range(n)]
-    c = [Rat(d[i + 1], d[i] * scale * scale) for i in range(n)]
-    if scale != 1:
-        b = [[Rat(x, scale) for x in col] for col in b]
-    return b, u, mu, c
+    return b, u, lam, d

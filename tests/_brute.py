@@ -65,6 +65,15 @@ def scan_cost(basis_cols, bounds):
 def enumerate_box(basis_cols, bounds, closed):
     """All nonzero integer combinations of the columns with |v_i| <= bound_i
     (closed[i]) or |v_i| < bound_i (open), by full coefficient-box scan."""
+    return [v for v, _ in enumerate_box_coeffs(basis_cols, bounds, closed)]
+
+
+def _inside(v, bounds, closed):
+    return all(abs(x) < b or (cl and abs(x) == b) for x, b, cl in zip(v, bounds, closed))
+
+
+def enumerate_box_coeffs(basis_cols, bounds, closed):
+    """enumerate_box as sorted (point, coefficients) pairs."""
     cols = [[frac(x) for x in c] for c in basis_cols]
     n = len(cols)
     tops = coefficient_tops(basis_cols, bounds)
@@ -73,16 +82,64 @@ def enumerate_box(basis_cols, bounds, closed):
     for coeff in product(*[range(-t, t + 1) for t in tops]):
         if not any(coeff):
             continue
-        v = [sum(c * cols[j][i] for j, c in enumerate(coeff)) for i in range(n)]
-        ok = True
-        for x, b, cl in zip(v, bs, closed):
-            if abs(x) > b or (not cl and abs(x) == b):
-                ok = False
-                break
-        if ok:
-            hits.append(tuple(v))
+        v = tuple(sum(c * cols[j][i] for j, c in enumerate(coeff)) for i in range(n))
+        if _inside(v, bs, closed):
+            hits.append((v, coeff))
     hits.sort()
     return hits
+
+
+def fincke_pohst_reference(basis_cols, bounds, closed, first_only=False):
+    """Textbook Fincke-Pohst walk over Fractions, for the visiting order.
+
+    Each coordinate is divided by its bound, the basis is reduced by
+    lll_reference, and the tree is walked inside the sphere of radius^2 n:
+    at level j, with center = sum_{l>j} mu_lj x_l, x_j runs over the
+    integers with c_j (x_j + center)^2 <= the remaining radius, from
+    floor(1/2 - center) outward (mid, mid - 1, mid + 1, ...).  Returns
+    (hits, nodes): the (point, coefficients) pairs in the box in the order
+    the walk reaches them, and the number of x_j values tried (up to the
+    first hit with first_only)."""
+    bs = [frac(b) for b in bounds]
+    n = len(bs)
+    unit = [[frac(c[i]) / bs[i] for i in range(n)] for c in basis_cols]
+    red, u = lll_reference(unit)
+    mu, c = _gram_schmidt(red)
+    xs = [0] * n
+    hits = []
+    nodes = 0
+
+    def walk(j, rem):
+        """Walks level j; True once first_only has its hit."""
+        nonlocal nodes
+        if j < 0:
+            if any(xs):
+                v = [sum(xs[l] * red[l][i] for l in range(n)) for i in range(n)]
+                if _inside(v, [Fraction(1)] * n, closed):
+                    coeffs = tuple(sum(u[l][i] * xs[l] for l in range(n)) for i in range(n))
+                    hits.append((tuple(x * b for x, b in zip(v, bs)), coeffs))
+            return first_only and bool(hits)
+        center = sum((mu[l][j] * xs[l] for l in range(j + 1, n)), Fraction(0))
+        mid = _floor(Fraction(1, 2) - center)
+        d = 0
+        while True:
+            live = False
+            for x in (mid,) if d == 0 else (mid - d, mid + d):
+                step = c[j] * (x + center) ** 2
+                if step <= rem:
+                    live = True
+                    nodes += 1
+                    xs[j] = x
+                    if walk(j - 1, rem - step):
+                        return True
+            if not live:  # the admissible x_j form an interval around mid
+                break
+            d += 1
+        xs[j] = 0
+        return False
+
+    walk(n - 1, Fraction(n))
+    return hits, nodes
 
 
 def shortest_sup(basis_cols):

@@ -113,7 +113,11 @@ def test_constructions_scan_gate(capsys):
     assert main(args) == 0  # report only
     assert main(args + ["--expect-soluble"]) == 1
     args = ["constructions", "--scan-tail", "5/2", "--scan-weights", "10"]
+    capsys.readouterr()
     assert main(args + ["--expect-soluble"]) == 0
+    # the tail is printed as --scan-tail takes it, on either rational backend
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "radius 19/20, tail 5/2: 0 insoluble of 100"
 
 
 def test_equidist_gate(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latflow import diophantine
 from latflow.backend import EXACT, Rat, rat
-from latflow.algebra import ExactMatrix
+from latflow.algebra import ExactMatrix, column_unipotent, row_unipotent
 from latflow.diophantine import (
     CorrespondenceReport,
     Curve,
@@ -77,6 +77,23 @@ def test_translate_matrices_unimodular():
     phi = (Rat(1, 3), Rat(2), Rat(-1, 2))
     assert primal_translate_matrix(w, phi).det() == 1
     assert dual_translate_matrix(w, phi).det() == 1
+
+
+def test_closed_form_translates_equal_dense_products():
+    # the entries written by formula equal diag @ shear, and are unimodular
+    rng = random.Random(17)
+    for _ in range(320):
+        k = rng.randint(1, 4)
+        weights = [Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1 for _ in range(k)]
+        w = WindowSpec(weights, Rat(rng.randint(1, 100), 100))
+        phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
+        total = w.total_weight()
+        primal = ExactMatrix.diagonal([total] + [1 / nj for nj in weights], EXACT)
+        assert primal_translate_matrix(w, phi) == primal @ row_unipotent(phi, EXACT)
+        dual = ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
+        assert dual_translate_matrix(w, phi) == dual @ column_unipotent(phi, EXACT)
+        assert primal_translate_matrix(w, phi).det() == 1
+        assert dual_translate_matrix(w, phi).det() == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import signal
 import warnings
 from fractions import Fraction
 
@@ -148,6 +149,82 @@ def test_budget_blows_up():
     big = Box((60, 60), (True, True), EXACT)
     with pytest.raises(BudgetExceeded):
         enumerate_in_box(Lattice.standard(2), big, budget=50)
+
+
+def _hang(signum, frame):
+    raise TimeoutError("enumeration did not stop at its node budget")
+
+
+@pytest.mark.parametrize("e", [20, 25, 30, 40])
+def test_exact_walk_counts_nodes_on_skewed_bases(e):
+    # a box-normalised basis with squared Gram-Schmidt norms 10^-2e and
+    # 10^2e: the interval at the bottom level holds about 10^e integers,
+    # and every one of them must count against the budget
+    cols = [[Rat(1, 10**e), 0], [0, Rat(10**e)]]
+    box = Box((1, 1), (True, True), EXACT)
+    old = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(BudgetExceeded):
+            enumerate_basis_in_box(cols, box, EXACT, budget=1000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _rational_case(rng):
+    """A seeded rational basis and box in dimension 2-4: a small unimodular
+    integer matrix with entries shifted by fractions of denominator up to
+    10^6, rows scaled by factors between 10^-6 and 10^6 that the bounds
+    share (so the box is anisotropic but the oracle's scan stays small),
+    bounds jittered by fractions of denominator up to 10^6, and each face
+    closed or open at random."""
+    n = rng.choice((2, 3, 4))
+    rows = _brute.random_unimodular(rng, n)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.5:
+                den = rng.randint(2, 10**6)
+                rows[i][j] += Fraction(rng.randint(-den // 2, den // 2), den)
+    stretch = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+    cols = [[stretch[i] * rows[i][j] for i in range(n)] for j in range(n)]
+    bounds = [
+        s * Fraction(rng.randint(1, 3)) * Fraction(rng.randint(10**5, 10**6), rng.randint(10**5, 10**6))
+        for s in stretch
+    ]
+    closed = [rng.random() < 0.5 for _ in range(n)]
+    return cols, bounds, closed
+
+
+def _as_fractions(pairs):
+    return [(tuple(_brute.frac(x) for x in p), tuple(c)) for p, c in pairs]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_walk_matches_fraction_oracles(seed):
+    # Full point sets and coefficients equal the coefficient-box scan; the
+    # first hit, and the node count at which the budget trips, equal those
+    # of the textbook Fincke-Pohst walk over Fractions.
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 15:
+        cols, bounds, closed = _rational_case(rng)
+        if _brute.det_reference(cols) == 0 or _brute.scan_cost(cols, bounds) > 2500:
+            continue
+        box = Box(tuple(bounds), tuple(closed), EXACT)
+        oracle = _brute.enumerate_box_coeffs(cols, bounds, closed)
+        for first_only in (False, True):
+            hits, nodes = _brute.fincke_pohst_reference(cols, bounds, closed, first_only)
+            mine = enumerate_basis_in_box(cols, box, EXACT, budget=nodes, first_only=first_only)
+            with pytest.raises(BudgetExceeded):
+                enumerate_basis_in_box(cols, box, EXACT, budget=nodes - 1, first_only=first_only)
+            if first_only:
+                assert _as_fractions(mine) == hits
+                assert all(hit in oracle for hit in hits)
+                assert bool(hits) == bool(oracle)
+            else:
+                assert _as_fractions(mine) == oracle == sorted(hits)
+        checked += 1
 
 
 def test_coefficients_reproduce_points():
