@@ -22,7 +22,6 @@ from .algebra import (
     ExactMatrix,
     ExpansionRates,
     column_unipotent,
-    doubled,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,
@@ -52,7 +51,6 @@ from .diophantine import (
     dual_translate_matrix,
     minkowski_soluble,
     primal_translate_matrix,
-    translate_vector,
     window_dual_soluble,
     window_primal_soluble,
 )
@@ -78,8 +76,7 @@ from .weights import (
     curve_hypothesis_fixed_check,
     hypothesis_space,
     is_block_fixed,
-    layered_lemma_check,
-    spanning_zero_check,
+    lemma_reports,
     split_spaces,
     straightening_shear,
     weight_alignment_check,

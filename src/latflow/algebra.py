@@ -232,11 +232,6 @@ def dual_involution(g: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(flipped, g.backend)
 
 
-def doubled(g: ExactMatrix):
-    """The pair (g, dual_involution(g)) acting on doubled lattices."""
-    return (g, dual_involution(g))
-
-
 def _entries_equal(x, y, backend):
     if backend == EXACT:
         return x == y

@@ -99,11 +99,6 @@ def rat_ceil(q) -> int:
     return -((-int(q.numerator)) // int(q.denominator))
 
 
-def as_fraction(q) -> Fraction:
-    """Exact value as a stdlib Fraction (for JSON/printing interop)."""
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def format_scalar(x, backend) -> str:
     """Serialize one scalar: 'num/den' on the exact backend, repr on float."""
     if backend == EXACT:
@@ -111,12 +106,6 @@ def format_scalar(x, backend) -> str:
         n, d = int(q.numerator), int(q.denominator)
         return "%d" % n if d == 1 else "%d/%d" % (n, d)
     return repr(float(x))
-
-
-def parse_scalar(s: str, backend):
-    if backend == EXACT:
-        return rat(str(s))
-    return float(s)
 
 
 def _poly_terms(text, var):

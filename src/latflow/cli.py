@@ -29,6 +29,7 @@ from . import __version__
 from .algebra import ExactMatrix
 from .backend import EXACT, FLOAT, BudgetExceeded, Rat, format_scalar, rat
 from .constructions import (
+    THRESHOLD_STEP,
     block_transport_witness,
     scan_radius_threshold,
     staircase_unimodular,
@@ -54,8 +55,8 @@ from .weights import (
     ClosedForm,
     GrowthSpec,
     RepSpace,
-    _lemma_reports,
     curve_hypothesis_fixed_check,
+    lemma_reports,
     weight_alignment_check,
 )
 
@@ -584,7 +585,7 @@ def _cmd_lemma_verify(cfg):
     trial_rows = []
     for t in range(trials):
         pts = _random_support_points(rng, rep.n, sizes[0])
-        main_rep, span_rep = _lemma_reports(rep, sizes, growth, pts)
+        main_rep, span_rep = lemma_reports(rep, sizes, growth, pts)
         trial_rows.append(
             [t, main_rep.ok, main_rep.hypothesis_dim, span_rep.ok, span_rep.hypothesis_dim]
         )
@@ -680,7 +681,8 @@ def _cmd_constructions(cfg):
     if cfg["threshold"]:
         thr, at_thr = scan_radius_threshold(tail, first_weights)
         report["threshold"] = thr
-        print("all-soluble radius threshold (to 1/128): %s" % thr)
+        print("all-soluble radius threshold (to %s): %s"
+              % (format_scalar(THRESHOLD_STEP, EXACT), thr))
     _emit("constructions", cfg, header, table, report)
     print(
         "radius %s, tail %s: %d insoluble of %d"

@@ -182,6 +182,10 @@ def block_transport_witness(weights, leading_ones, budget=DEFAULT_NODE_BUDGET):
     )
 
 
+#: the resolution of the bisection in scan_radius_threshold
+THRESHOLD_STEP = Rat(1, 128)
+
+
 def default_scan_grid():
     """100 rational points (odd/20, b/10): chosen so the integer-weight
     control provably contains insoluble points at radius 19/20 while the
@@ -204,13 +208,14 @@ class ScanReport:
         return not self.insoluble
 
 
-def varying_first_weight_scan(fixed_tail, first_weights, mu, grid=None):
-    """Primal solubility of every grid point for every first weight, with
-    the remaining weights fixed; the heart of the half-integral experiment."""
+def varying_first_weight_scan(fixed_tail, first_weights, mu):
+    """Primal solubility of every point of default_scan_grid for every
+    first weight, with the remaining weights fixed; the heart of the
+    half-integral experiment."""
     tail = tuple(rat(x) for x in fixed_tail)
-    grid = [tuple(rat(c) for c in p) for p in (grid or default_scan_grid())]
+    grid = default_scan_grid()
     kdim = 1 + len(tail)
-    if any(len(p) != kdim for p in grid):
+    if len(grid[0]) != kdim:
         raise ValueError("grid points must have %d coordinates" % kdim)
     rows = []
     bad = []
@@ -224,18 +229,19 @@ def varying_first_weight_scan(fixed_tail, first_weights, mu, grid=None):
     return ScanReport(rat(mu), tail, tuple(first_weights), tuple(rows), tuple(bad))
 
 
-def scan_radius_threshold(fixed_tail, first_weights, grid=None, lo=Rat(1, 2), hi=Rat(1), tol=Rat(1, 128)):
-    """Smallest radius (up to tol, by bisection) at which the scan is
-    all-soluble; solubility is monotone in the radius, so bisection is sound.
-    Returns (threshold, report_at_threshold); raises if even hi fails."""
-    lo, hi, tol = rat(lo), rat(hi), rat(tol)
-    top = varying_first_weight_scan(fixed_tail, first_weights, hi, grid)
+def scan_radius_threshold(fixed_tail, first_weights):
+    """Smallest radius in [1/2, 1], to THRESHOLD_STEP by bisection, at
+    which the scan is all-soluble; solubility is monotone in the radius, so
+    bisection is sound.  Returns (threshold, report_at_threshold); raises
+    if even radius 1 fails."""
+    lo, hi = Rat(1, 2), Rat(1)
+    top = varying_first_weight_scan(fixed_tail, first_weights, hi)
     if not top.all_soluble:
         raise ValueError("scan not soluble even at radius %s" % hi)
     best = top
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_STEP:
         mid = (lo + hi) / 2
-        rep = varying_first_weight_scan(fixed_tail, first_weights, mid, grid)
+        rep = varying_first_weight_scan(fixed_tail, first_weights, mid)
         if rep.all_soluble:
             hi, best = mid, rep
         else:

@@ -31,8 +31,6 @@ from .backend import (
     EXACT,
     Rat,
     _poly_terms,
-    format_scalar,
-    parse_scalar,
     rat,
     rat_ceil,
     rat_floor,
@@ -43,9 +41,13 @@ from .lattice import (
     Box,
     Lattice,
     enumerate_basis_in_box,
-    enumerate_in_box,
     window_box,
 )
+
+
+#: the largest direct-loop iteration count that route "auto" runs beside
+#: the lattice route
+DIRECT_LIMIT = 20_000
 
 
 class RouteDisagreement(RuntimeError):
@@ -170,27 +172,14 @@ class WindowSpec:
             p = p * w
         return p
 
-    def to_json(self):
-        return {
-            "kind": "window",
-            "weights": [format_scalar(w, EXACT) for w in self.weights],
-            "radius": format_scalar(self.radius, EXACT),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "window":
-            raise ValueError("not a serialized window")
-        return cls(
-            tuple(parse_scalar(w, EXACT) for w in obj["weights"]),
-            parse_scalar(obj["radius"], EXACT),
-        )
-
 
 def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi,
     written entry by entry: first row (prod N)(1, phi_1, ..., phi_k), then
-    1/N_j on the diagonal (the formula of translate_vector)."""
+    1/N_j on the diagonal.  It sends x = (p, q_1, ..., q_k) to
+
+        ((prod N)(p + q . phi), q_1/N_1, ..., q_k/N_k).
+    """
     k = window.k
     if len(phi) != k:
         raise ValueError("dimension mismatch")
@@ -207,8 +196,11 @@ def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
 def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi,
     written entry by entry: row j < k is N_m (e_j + phi_m e_k) with
-    m = k - j, and the last row is e_k / prod N (the formula of
-    translate_vector)."""
+    m = k - j, and the last row is e_k / prod N.  It sends
+    x = (p_k, ..., p_1, q) to
+
+        (N_k (q phi_k + p_k), ..., N_1 (q phi_1 + p_1), q / prod N).
+    """
     k = window.k
     if len(phi) != k:
         raise ValueError("dimension mismatch")
@@ -225,34 +217,6 @@ def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     last[k] = 1 / window.total_weight()
     rows.append(last)
     return ExactMatrix(rows, EXACT)
-
-
-def translate_vector(window: WindowSpec, phi, x, dual=False):
-    """Closed-form image of the integer vector x under the translate.
-
-    primal, x = (p, q_1..q_k):
-        ((prod N)(p + q.phi), q_1/N_1, ..., q_k/N_k)
-    dual, x = (p_k, ..., p_1, q):
-        (N_k (q phi_k + p_k), ..., N_1 (q phi_1 + p_1), q / prod N)
-    """
-    k = window.k
-    if len(x) != k + 1 or len(phi) != k:
-        raise ValueError("dimension mismatch")
-    phi = [rat(v) for v in phi]
-    xs = [rat(v) for v in x]
-    total = window.total_weight()
-    if not dual:
-        head = xs[0]
-        for qj, pj in zip(xs[1:], phi):
-            head = head + qj * pj
-        return tuple([total * head] + [xs[1 + j] / window.weights[j] for j in range(k)])
-    q = xs[k]
-    out = []
-    for j in range(k):  # row j carries form index k - j
-        m = k - 1 - j
-        out.append(window.weights[m] * (q * phi[m] + xs[j]))
-    out.append(q / total)
-    return tuple(out)
 
 
 def _closed_int_range(lo_val, hi_val):
@@ -353,7 +317,7 @@ def _check_dual_witness(xi, window, witness):
     return q != 0 or any(ps)
 
 
-def _decide(system, xi, window, route, direct_limit, budget,
+def _decide(system, xi, window, route, budget,
             direct, direct_cost, translate, witness_of, check):
     """The decision both systems share, given the system's own pieces: its
     direct loop and that loop's iteration count, its translate matrix, the
@@ -363,14 +327,14 @@ def _decide(system, xi, window, route, direct_limit, budget,
         raise ValueError("point/window dimension mismatch")
     answers = {}
     if route in ("auto", "direct"):
-        if route == "direct" or direct_cost(window) <= direct_limit:
+        if route == "direct" or direct_cost(window) <= DIRECT_LIMIT:
             answers["direct"] = direct(xi, window)
     if route in ("auto", "lattice"):
-        pts = enumerate_in_box(
-            Lattice(translate(window, xi)),
+        pts = enumerate_basis_in_box(
+            Lattice(translate(window, xi)).basis.columns(),
             window_box(window.k + 1, window.radius, EXACT),
+            EXACT,
             budget,
-            return_coeffs=True,
             first_only=True,
         )
         answers["lattice"] = (True, witness_of(pts[0][1])) if pts else (False, None)
@@ -387,31 +351,27 @@ def _decide(system, xi, window, route, direct_limit, budget,
     return soluble, witness
 
 
-def window_primal_soluble(
-    xi, window: WindowSpec, route="auto", direct_limit=20_000, budget=DEFAULT_NODE_BUDGET
-):
+def window_primal_soluble(xi, window: WindowSpec, route="auto", budget=DEFAULT_NODE_BUDGET):
     """Decide the primal system at the point xi; returns (soluble, witness).
 
     The witness is (p, (q_1..q_k)) checked by substitution before returning.
     route: 'auto' runs the direct loop when its iteration count is at most
-    direct_limit AND the lattice route, and raises RouteDisagreement unless
+    DIRECT_LIMIT AND the lattice route, and raises RouteDisagreement unless
     they agree; 'direct' or 'lattice' force one route.
     """
     return _decide(
-        "primal", xi, window, route, direct_limit, budget,
+        "primal", xi, window, route, budget,
         _primal_direct, _primal_direct_cost, primal_translate_matrix,
         lambda c: (-c[0], tuple(c[1:])),  # x = (-p, q_1..q_k)
         _check_primal_witness,
     )
 
 
-def window_dual_soluble(
-    xi, window: WindowSpec, route="auto", direct_limit=20_000, budget=DEFAULT_NODE_BUDGET
-):
+def window_dual_soluble(xi, window: WindowSpec, route="auto", budget=DEFAULT_NODE_BUDGET):
     """Decide the dual system at xi; returns (soluble, (q, (p_1..p_k))),
     with routes and checks as in window_primal_soluble."""
     return _decide(
-        "dual", xi, window, route, direct_limit, budget,
+        "dual", xi, window, route, budget,
         _dual_direct, _dual_direct_cost, dual_translate_matrix,
         lambda c: (c[-1], tuple(reversed(c[:-1]))),  # x = (p_k..p_1, q)
         _check_dual_witness,

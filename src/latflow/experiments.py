@@ -40,7 +40,7 @@ from .lattice import (
     shortest_sup_norm,
     siegel_transform,
 )
-from .sequences import RateSchedule, layered_presentation
+from .sequences import RateSchedule, float_expansion, layered_presentation
 
 __all__ = [
     "BasePoint",
@@ -95,9 +95,9 @@ class BasePoint:
         return self.matrix
 
 
-def _resolve_base(base, i, backend):
-    """The base matrix at index i (i=None: g_0 itself) on the backend, or
-    None when there is no base or it is the identity there: no product."""
+def _resolve_base(base, i):
+    """The base matrix at index i on the float backend, or None when there
+    is no base or it is the identity there: no product."""
     if base is None:
         return None
     if isinstance(base, ExactMatrix):
@@ -107,7 +107,7 @@ def _resolve_base(base, i, backend):
     g = base.at(i)
     if g == ExactMatrix.identity(g.nrows, g.backend):
         return None
-    return g.to_float() if backend == FLOAT else g
+    return g.to_float()
 
 
 def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
@@ -133,17 +133,17 @@ def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
 
 def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled=False):
     """The lattice a u(phi(s)) g_0 Z^n (with its reversal partner when
-    doubled=True), on the backend of the given rates; g_0 is the matrix of
-    base, and without a base the product is not formed."""
+    doubled=True), on the backend of the given rates.  base is the matrix
+    g_0 on that backend (the drivers resolve it once per index) or None,
+    and without it the product is not formed."""
     backend = rates.backend
     if backend == EXACT:
         phi = curve.eval_exact(s)
     else:
         phi = curve.eval_float(s)
     m = expanding_diagonal(rates) @ row_unipotent(phi, backend)
-    g0 = _resolve_base(base, None, backend)
-    if g0 is not None:
-        m = m @ g0
+    if base is not None:
+        m = m @ base
     if doubled:
         return Lattice(m), Lattice(dual_involution(m))
     return Lattice(m)
@@ -319,7 +319,7 @@ def equidistribution_siegel(
         ref = ref * ref
     ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
     jobs = [
-        (curve, schedule.expansion_at(i), ftent, _resolve_base(base, i, FLOAT), doubled, budget)
+        (curve, schedule.expansion_at(i), ftent, _resolve_base(base, i), doubled, budget)
         for i in indices
     ]
     out = []
@@ -366,7 +366,7 @@ def nondivergence_scan(
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     eps_list = [float(e) for e in eps_list]
     jobs = [
-        (curve, schedule.expansion_at(i), _resolve_base(base, i, FLOAT), budget)
+        (curve, schedule.expansion_at(i), _resolve_base(base, i), budget)
         for i in indices
     ]
     out = []
@@ -476,9 +476,9 @@ def shear_invariance_scan(
         (
             curve,
             deriv,
-            ExpansionRates.from_rates([f.eval_float(i) for f in pres.anchored]),
+            float_expansion(pres.anchored, i),
             ftent,
-            _resolve_base(base, i, FLOAT),
+            _resolve_base(base, i),
             t_list,
             block,
             budget,

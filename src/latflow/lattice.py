@@ -25,8 +25,6 @@ from .backend import (
     BudgetExceeded,
     FLOAT_SLACK,
     check_same_backend,
-    format_scalar,
-    parse_scalar,
     scalar,
     warn_if_near_face,
 )
@@ -72,29 +70,6 @@ class Box:
                 if not a < b:
                     return False
         return True
-
-    def margin(self, v) -> float:
-        """Smallest signed face distance (float view); negative = outside."""
-        return min(float(b) - abs(float(x)) for x, b in zip(v, self.bounds))
-
-    def to_json(self):
-        return {
-            "kind": "box",
-            "backend": self.backend,
-            "bounds": [format_scalar(b, self.backend) for b in self.bounds],
-            "closed": list(self.closed),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "box":
-            raise ValueError("not a serialized box")
-        backend = obj["backend"]
-        return cls(
-            tuple(parse_scalar(b, backend) for b in obj["bounds"]),
-            tuple(obj["closed"]),
-            backend,
-        )
 
 
 def window_box(n, mu, backend=EXACT) -> Box:
@@ -180,8 +155,10 @@ def enumerate_basis_in_box(
     first_only=True stops at the first point found (DFS order, so which one
     is unspecified but deterministic).  Solubility decisions need this: at
     rational inputs a window can legitimately hold millions of points, and
-    emptiness is the only question.
+    emptiness is the only question.  A box on another backend than
+    `backend` raises BackendMismatch.
     """
+    check_same_backend(backend, box.backend)
     n = len(basis_cols)
     if box.dim != n:
         raise ValueError("box/basis dimension mismatch")
@@ -233,7 +210,7 @@ def enumerate_basis_in_box(
             return True
     else:
         scale = 1
-        reduced, u_cols, mu, c = linalg.lll_reduce(cols, backend)
+        reduced, u_cols, mu, c = linalg.lll_reduce(cols)
         r2 = n * (1.0 + FLOAT_SLACK)
         zero = 0.0
 
@@ -300,26 +277,15 @@ def enumerate_basis_in_box(
     return results
 
 
-def enumerate_in_box(
-    lat: Lattice,
-    box: Box,
-    budget=DEFAULT_NODE_BUDGET,
-    return_coeffs=False,
-    first_only=False,
-):
+def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_only=False):
     """All nonzero lattice points inside the box, sorted lexicographically.
 
-    With return_coeffs=True each element is (point, coeffs) where
-    basis @ coeffs == point, coeffs integral w.r.t. the original basis.
     first_only=True returns at most one point (see enumerate_basis_in_box).
     Raises BudgetExceeded when the search tree outgrows the node budget.
     """
-    backend = check_same_backend(lat.backend, box.backend)
     results = enumerate_basis_in_box(
-        lat.basis.columns(), box, backend, budget=budget, first_only=first_only
+        lat.basis.columns(), box, lat.backend, budget=budget, first_only=first_only
     )
-    if return_coeffs:
-        return results
     return [v for v, _ in results]
 
 
@@ -399,16 +365,14 @@ def siegel_transform(lat: Lattice, tent: Tent, budget=DEFAULT_NODE_BUDGET):
 
 
 def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
-    """Sup-norm of a shortest nonzero lattice vector, by growing boxes."""
-    r = scalar(1, lat.backend)
-    for _ in range(64):
-        pts = enumerate_in_box(lat, Box((r,) * lat.n, (True,) * lat.n, lat.backend), budget=budget)
-        if pts:
-            best = None
-            for v in pts:
-                s = max(x if x >= 0 else -x for x in v)
-                if best is None or s < best:
-                    best = s
-            return best
-        r = r * 2
-    raise RuntimeError("no lattice point found; basis badly scaled")  # pragma: no cover
+    """Sup-norm of a shortest nonzero lattice vector.
+
+    By Minkowski's convex body theorem the closed unit cube, of volume 2^n,
+    holds a nonzero point of every covolume-1 lattice, so one enumeration
+    of that cube finds a shortest vector.
+    """
+    cube = Box((1,) * lat.n, (True,) * lat.n, lat.backend)
+    pts = enumerate_in_box(lat, cube, budget=budget)
+    if not pts:
+        raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
+    return min(max(abs(x) for x in v) for v in pts)

@@ -10,17 +10,19 @@ entry below the pivot is zero, so sparse and triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
-LLL on the exact backend is integral: the basis is scaled by its common
-denominator and the reduction keeps integer Gram determinants and scaled
-Gram-Schmidt coefficients, updated in place on each size reduction and
-swap, so no rational Gram-Schmidt is ever recomputed.
+There is one LLL per backend.  `lll_reduce` reduces float bases.  On the
+exact backend `lll_integral` reduces integer columns (a rational basis is
+first scaled by its common denominator) and keeps integer Gram
+determinants and scaled Gram-Schmidt coefficients, updated in place on
+each size reduction and swap, so no rational Gram-Schmidt is ever
+recomputed.
 """
 
 from __future__ import annotations
 
 import math
 
-from .backend import EXACT, FLOAT, Rat, rat
+from .backend import Rat, rat
 
 
 def identity(n, one=1, zero=0):
@@ -211,38 +213,21 @@ def clear_denominators(cols):
     ]
 
 
-def lll_reduce(cols, backend=EXACT, max_iters=100_000):
-    """LLL reduction (delta = 3/4) of a list of column vectors.
+def lll_reduce(cols, max_iters=100_000):
+    """Float LLL reduction (delta = 3/4) of a list of column vectors.
 
     Returns (reduced_cols, u_cols, mu, c).  u_cols are the columns of the
     unimodular integer transform U with  B_reduced = B_original U,  so a
     coefficient vector x w.r.t. the reduced basis pulls back to U x.  mu
     and c are the Gram-Schmidt coefficients and squared norms of
-    reduced_cols, equal to what gram_schmidt(reduced_cols) returns.  On
-    the exact backend integer input gives integer reduced_cols.
+    reduced_cols, equal to what gram_schmidt(reduced_cols) returns.
 
-    Each pass size-reduces column k against j = k-1, ..., 0 with
-    q = floor(mu_kj + 1/2) (so mu = 1/2 reduces and mu = -1/2 does not),
-    then applies the Lovasz test; raises RuntimeError after max_iters
-    passes on the exact backend.  The float loop just stops there (float
-    LLL may cycle on degenerate input; the basis is still valid).
+    Each pass size-reduces column k against j = k-1, ..., 0 with q the
+    integer nearest mu_kj (halves away from 0), then applies the Lovasz
+    test.  The loop stops after max_iters passes (float LLL may cycle on
+    degenerate input; the basis is still valid).  Exact bases go through
+    lll_integral.
     """
-    if backend == FLOAT:
-        return _lll_float(cols, max_iters)
-    # lll_integral on D * cols, D the common denominator, put back over the
-    # rationals; mu and the Lovasz test do not see D, so the steps taken
-    # are those of LLL on cols itself
-    n = len(cols)
-    scale, b = clear_denominators(cols)
-    b, u, lam, d = lll_integral(b, max_iters)
-    mu = [[Rat(lam[i][j], d[j + 1]) if j < i else 0 for j in range(n)] for i in range(n)]
-    c = [Rat(d[i + 1], d[i] * scale * scale) for i in range(n)]
-    if scale != 1:
-        b = [[Rat(x, scale) for x in col] for col in b]
-    return b, u, mu, c
-
-
-def _lll_float(cols, max_iters):
     n = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
@@ -277,8 +262,14 @@ def lll_integral(b, max_iters=100_000):
     reduced and u are as in lll_reduce, with reduced integral.  d[i] is
     the Gram determinant of the first i reduced columns (d[0] = 1), and
     lam[i][j] = d[j+1] * mu[i][j] for j < i, both integral, so
-    c[i] = d[i+1] / d[i].  Every size reduction and swap updates only the
-    entries it changes; Gram-Schmidt is never recomputed.
+    c[i] = d[i+1] / d[i].  Column k is size-reduced against
+    j = k-1, ..., 0 with q = floor(mu_kj + 1/2) (so mu = 1/2 reduces and
+    mu = -1/2 does not).  Every size reduction and swap updates only the
+    entries it changes; Gram-Schmidt is never recomputed.  Raises
+    RuntimeError after max_iters passes and ValueError on dependent
+    columns.  A rational basis is reduced as D * cols, D its common
+    denominator (clear_denominators): mu and the Lovasz test do not see D,
+    so the steps taken are those of LLL on cols itself.
     """
     n = len(b)
     b = [list(col) for col in b]

@@ -40,6 +40,19 @@ __all__ = [
 ]
 
 
+def float_expansion(forms, i) -> ExpansionRates:
+    """Float expansion weights e^{f(i)}, one per closed form f; a rate,
+    weight or total weight beyond the float range is a ValueError naming
+    the index."""
+    try:
+        rates = ExpansionRates.from_rates([f.eval_float(i) for f in forms])
+    except OverflowError:
+        rates = None
+    if rates is None or math.isinf(rates.total_weight()):
+        raise ValueError("expansion rates at index %d overflow a float" % i)
+    return rates
+
+
 @dataclass(frozen=True)
 class RateSchedule:
     """One closed form per coordinate 1..n-1.
@@ -109,9 +122,6 @@ class RateSchedule:
     def eval_exact(self, i):
         return tuple(f.eval_exact(i) for f in self.forms)
 
-    def eval_float(self, i):
-        return tuple(f.eval_float(i) for f in self.forms)
-
     def ordered_from(self) -> int:
         """Smallest index from which the coordinates are provably
         nonnegative and nonincreasing (they are only *eventually* so).
@@ -144,7 +154,7 @@ class RateSchedule:
             raise ValueError(
                 "schedule is ordered only from index %d; got %d" % (lo, i)
             )
-        return ExpansionRates.from_rates(self.eval_float(i))
+        return float_expansion(self.forms, i)
 
     def indices(self):
         """The declared index window as a range (requires index_range)."""

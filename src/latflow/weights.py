@@ -586,7 +586,8 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
 
 
 def _layered_violations(split, pts, space, images, kernels):
-    """Clauses (i) and (ii) of `layered_lemma_check`, point by point."""
+    """Clauses (i) and (ii) of the projection report (`lemma_reports`),
+    point by point."""
     rep, growth = split.rep, split.growth
     plus_trunc = split_spaces(rep, split.block_sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
     zero_head = split.zero_weight_indices(first=growth.k - 1)
@@ -613,40 +614,24 @@ def _spanning_violations(split, pts, space, kernels):
     ]
 
 
-def layered_lemma_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
-    """Multi-block check (k >= 2), two clauses per point:
+def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
+    """(projection report, spanning report) from one pass over the points.
+
+    The spanning report is the full-strength conclusion: on the hypothesis
+    space, every shear translate keeps a nonzero fully-invariant
+    (all-blocks-zero) component.  With one block this is the
+    zero-projection lemma, and it is the projection report too; a single
+    divergent growth layer classifies each weight by its sign alone, so
+    there the reports do not depend on the growth spec.
+
+    With k >= 2 blocks the projection report checks two clauses per point:
 
     (i) dropping the last block, shear translates of the hypothesis space
         still avoid the truncated expanding directions;
     (ii) a translate whose fully-invariant component vanishes also loses
         its first-(k-1)-blocks-invariant component.
     """
-    sizes = validate_block_sizes(rep.n, block_sizes)
-    if growth.k != len(sizes) or growth.k < 2:
-        raise ValueError("need k >= 2 matching block sizes")
-    split, pts, space, images, kernels = _lemma_images(rep, sizes, growth, points, require_spanning)
-    return _report(space, _layered_violations(split, pts, space, images, kernels))
-
-
-def spanning_zero_check(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
-    """Full-strength conclusion: on the hypothesis space, every shear
-    translate keeps a nonzero fully-invariant (all-blocks-zero) component.
-
-    With one block this is the zero-projection lemma.  A single divergent
-    growth layer classifies each weight by its sign alone, so there the
-    report does not depend on the growth spec.
-    """
-    split, pts, space, _, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
-    return _report(space, _spanning_violations(split, pts, space, kernels))
-
-
-def _lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points):
-    """(projection report, spanning report) from one pass over the points.
-
-    The projection report is `layered_lemma_check` at k >= 2 and, with one
-    block, the spanning report itself, which is the zero-projection lemma.
-    """
-    split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, True)
+    split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
     spanning = _report(space, _spanning_violations(split, pts, space, kernels))
     if growth.k == 1:
         return spanning, spanning

@@ -31,13 +31,12 @@ from latflow import (
     enumerate_in_box,
     equidistribution_siegel,
     improvability_scan,
-    layered_lemma_check,
+    lemma_reports,
     minkowski_soluble,
     nondivergence_scan,
     rat,
     scan_radius_threshold,
     shear_invariance_scan,
-    spanning_zero_check,
     staircase_unimodular,
     unit_lower_elimination,
     varying_first_weight_scan,
@@ -229,19 +228,18 @@ def test_criterion_07_lemma_sweep_no_counterexamples():
                     for _ in range(20):
                         pts = _affine_spanning_points(rng, n, sizes[0])
                         if len(sizes) == 1:
-                            r = spanning_zero_check(rep, sizes, one_block, pts)
+                            r = lemma_reports(rep, sizes, one_block, pts)[1]
                             assert r.ok, (rep, sizes, pts, r.violations[:2])
                         else:
-                            r1 = layered_lemma_check(rep, sizes, growth, pts)
-                            r2 = spanning_zero_check(rep, sizes, growth, pts)
+                            r1, r2 = lemma_reports(rep, sizes, growth, pts)
                             assert r1.ok, (rep, sizes, pts, r1.violations[:2])
                             assert r2.ok, (rep, sizes, pts, r2.violations[:2])
         # negative control: collinear points really do admit violations,
         # so the sweep above is not vacuous
-        bad = spanning_zero_check(
+        bad = lemma_reports(
             RepSpace(3, "adjoint"), (2,), one_block, [(0, 0), (1, 0), (2, 0)],
             require_spanning=False,
-        )
+        )[1]
         assert not bad.ok and len(bad.violations) >= 1
         assert time.monotonic() - start < 300.0
 

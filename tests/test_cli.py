@@ -23,6 +23,25 @@ def test_bad_sequence_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, index",
+    [
+        (["nondiv", "--sequence", "i^3", "--imax", "10", "--samples", "5"], 9),
+        (["twist", "--sequence", "i^3", "--indices", "10", "--samples", "5"], 10),
+        (["equidist", "--indices", "710", "--samples", "2"], 710),
+        (["nondiv", "--sequence", "i^400", "--indices", "10", "--samples", "5"], 10),
+        (["nondiv", "--curve", "s, s^2", "--sequence", "i^2, i^2", "--indices", "20",
+          "--samples", "2"], 20),
+    ],
+)
+def test_rate_overflow_is_usage_error(capsys, argv, index):
+    # the rate, its exp or the product of the weights leaves the float range
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: expansion rates at index %d overflow a float" % index in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["layered", "--sequence", "1/0*i, 1"],

@@ -142,5 +142,6 @@ def test_half_integral_threshold_below_dirichlet():
 
 
 def test_scan_rejects_misshapen_grid():
-    with pytest.raises(ValueError):
-        varying_first_weight_scan((2,), (10,), 1, grid=[(Rat(1, 2),)])
+    # a tail of two weights wants 3-d points; the scan grid is 2-d
+    with pytest.raises(ValueError, match="grid points must have 3 coordinates"):
+        varying_first_weight_scan((2, 3), (10,), 1)

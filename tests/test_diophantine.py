@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine
-from latflow.backend import EXACT, Rat, rat
+from latflow.backend import EXACT, Rat
 from latflow.algebra import ExactMatrix, column_unipotent, row_unipotent
 from latflow.diophantine import (
     CorrespondenceReport,
@@ -17,14 +17,11 @@ from latflow.diophantine import (
     dual_translate_matrix,
     minkowski_soluble,
     primal_translate_matrix,
-    translate_vector,
     window_dual_soluble,
     window_primal_soluble,
 )
 
 import _brute
-
-small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 
 def test_curve_parse_eval_derivative():
@@ -53,23 +50,6 @@ def test_window_validation():
         WindowSpec((2,), 2)  # radius capped at 1
     w = WindowSpec((3, 2), Rat(1, 2))
     assert w.total_weight() == 6
-    assert WindowSpec.from_json(w.to_json()) == w
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(small_rat, min_size=2, max_size=2),
-    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-)
-def test_translate_vector_matches_matrix(phi, x):
-    w = WindowSpec((3, 2), Rat(1, 2))
-    phi = [rat(p) for p in phi]
-    closed = translate_vector(w, phi, x)
-    via_matrix = (primal_translate_matrix(w, phi)).apply(x)
-    assert tuple(closed) == tuple(via_matrix)
-    closed_d = translate_vector(w, phi, x, dual=True)
-    via_matrix_d = (dual_translate_matrix(w, phi)).apply(x)
-    assert tuple(closed_d) == tuple(via_matrix_d)
 
 
 def test_translate_matrices_unimodular():
@@ -221,7 +201,7 @@ def test_lying_route_raises_route_disagreement(monkeypatch, system, liar):
     if liar == "direct":
         monkeypatch.setattr(diophantine, direct, lambda xi, w: (False, None))
     else:
-        monkeypatch.setattr(diophantine, "enumerate_in_box", lambda *a, **kw: [])
+        monkeypatch.setattr(diophantine, "enumerate_basis_in_box", lambda *a, **kw: [])
     with pytest.raises(RouteDisagreement, match="%s routes disagree" % system):
         decide(xi, w)
 

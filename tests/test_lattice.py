@@ -1,3 +1,4 @@
+import contextlib
 import random
 import signal
 import warnings
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latflow import lattice
 from latflow.backend import (
     EXACT,
     FLOAT,
     FLOAT_SLACK,
+    BackendMismatch,
     BudgetExceeded,
     FaceProximity,
     Rat,
     rat,
+    scalar,
 )
 from latflow.algebra import ExactMatrix
 from latflow.lattice import (
@@ -38,7 +42,6 @@ def test_box_face_flags():
     assert b.contains((1, 0))  # closed face
     assert not b.contains((0, 1))  # open face
     assert b.contains((rat("-1"), rat("99/100")))
-    assert b.margin((1, 0)) == 0.0
 
 
 def test_box_rejects_bad_bounds():
@@ -230,7 +233,7 @@ def test_integer_walk_matches_fraction_oracles(seed):
 def test_coefficients_reproduce_points():
     g = ExactMatrix([[2, 1], [1, 1]], EXACT)
     box = Box((3, 3), (True, True), EXACT)
-    for point, coeff in enumerate_in_box(Lattice(g), box, return_coeffs=True):
+    for point, coeff in enumerate_basis_in_box(g.columns(), box, EXACT):
         v = g.apply(coeff)
         assert tuple(v) == tuple(point)
 
@@ -281,6 +284,36 @@ def test_shortest_matches_brute(seed):
     assert str(shortest_sup_norm(Lattice(g))) == str(_brute.shortest_sup(g.columns()))
 
 
-def test_box_json_roundtrip():
-    b = Box((rat("5/2"), 1), (True, False), EXACT)
-    assert Box.from_json(b.to_json()) == b
+def test_enumeration_refuses_mixed_backends():
+    cols = ((1, 0), (0, 1))
+    exact_box = Box((Rat(3, 2),) * 2, (True, True), EXACT)
+    float_box = Box((1.5, 1.5), (True, True), FLOAT)
+    with pytest.raises(BackendMismatch):
+        enumerate_basis_in_box(cols, float_box, EXACT)  # exact columns, float box
+    with pytest.raises(BackendMismatch):
+        enumerate_basis_in_box(cols, exact_box, FLOAT)  # float columns, exact box
+    with pytest.raises(BackendMismatch):
+        enumerate_in_box(Lattice.standard(2), float_box)
+    assert len(enumerate_basis_in_box(cols, exact_box, EXACT)) == 8
+    assert len(enumerate_basis_in_box(cols, float_box, FLOAT)) == 8
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [2, 3])
+def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, backend):
+    # every shortest vector of Z^n lies on a face of the closed unit cube,
+    # which Minkowski's theorem says holds a point of any covolume-1 lattice
+    calls = []
+    real = lattice.enumerate_basis_in_box
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "enumerate_basis_in_box", counted)
+    on_faces = pytest.warns(FaceProximity) if backend == FLOAT else contextlib.nullcontext()
+    with on_faces:
+        got = shortest_sup_norm(Lattice.standard(n, backend))
+    assert got == 1 and type(got) is type(scalar(1, backend))
+    assert len(calls) == 1
+    assert calls[0].bounds == (scalar(1, backend),) * n and all(calls[0].closed)

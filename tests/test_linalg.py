@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latflow.backend import EXACT
-from latflow.linalg import clear_denominators, det, gram_schmidt, kernel_basis, lll_reduce, rref
+from latflow.linalg import clear_denominators, det, gram_schmidt, kernel_basis, lll_integral, rref
 
 import _brute
 
@@ -32,46 +31,57 @@ def _mul(cols, u_cols):
     return [[sum(cols[k][i] * uc[k] for k in range(n)) for i in range(n)] for uc in u_cols]
 
 
+def _check_integers(reduced, lam, d):
+    """lam = d mu and c_i = d_{i+1} / d_i, against gram_schmidt."""
+    n = len(reduced)
+    _, mu, c = gram_schmidt([[Fraction(x) for x in col] for col in reduced])
+    assert d[0] == 1
+    assert all(lam[i][j] == d[j + 1] * mu[i][j] for i in range(n) for j in range(i))
+    assert [Fraction(d[i + 1], d[i]) for i in range(n)] == c
+    return mu, c
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_exact_lll_matches_reference_loop(seed):
     rng = random.Random(seed)
     for n in (2, 3, 4, 5):
-        cols = _random_basis(rng, n)
-        reduced, u, mu, c = lll_reduce(cols, EXACT)
+        _, cols = clear_denominators(_random_basis(rng, n))
+        reduced, u, lam, d = lll_integral(cols)
         assert (reduced, u) == _brute.lll_reference(cols)
         assert _mul(cols, u) == reduced
         assert det([[Fraction(u[j][i]) for j in range(n)] for i in range(n)]) in (1, -1)
+        mu, c = _check_integers(reduced, lam, d)
         for k in range(1, n):
             assert all(-Fraction(1, 2) <= mu[k][j] < Fraction(1, 2) for j in range(k))
             assert c[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * c[k - 1]
-        _, gs_mu, gs_c = gram_schmidt([[Fraction(x) for x in col] for col in reduced])
-        assert (mu, c) == (gs_mu, gs_c)
 
 
 def test_exact_lll_half_ties():
     # mu = +1/2 is reduced (q = 1), mu = -1/2 is left alone (q = 0)
-    plus, u, mu, _ = lll_reduce([[2, 0], [1, 5]], EXACT)
-    assert plus == [[2, 0], [-1, 5]] and mu[1][0] == Fraction(-1, 2)
-    minus, u, mu, _ = lll_reduce([[2, 0], [-1, 5]], EXACT)
+    plus, u, lam, d = lll_integral([[2, 0], [1, 5]])
+    assert plus == [[2, 0], [-1, 5]] and Fraction(lam[1][0], d[1]) == Fraction(-1, 2)
+    minus, u, lam, d = lll_integral([[2, 0], [-1, 5]])
     assert minus == [[2, 0], [-1, 5]] and u == [[1, 0], [0, 1]]
+    _check_integers(minus, lam, d)
 
 
 def test_exact_lll_integer_input_stays_integral():
-    reduced, _, _, c = lll_reduce([[1, 0, 0], [7, 1, 0], [3, 9, 1]], EXACT)
-    assert all(type(x) is int for col in reduced for x in col)
-    assert c == gram_schmidt([[Fraction(x) for x in col] for col in reduced])[2]
+    reduced, u, lam, d = lll_integral([[1, 0, 0], [7, 1, 0], [3, 9, 1]])
+    assert all(type(x) is int for m in (reduced, u, lam) for col in m for x in col)
+    assert all(type(x) is int for x in d)
+    _check_integers(reduced, lam, d)
 
 
 def test_exact_lll_iteration_cap_raises():
-    long_first = [[Fraction(5, 3), 0], [0, 1]]  # one swap, so two passes
-    assert lll_reduce(long_first, EXACT, max_iters=2)[0] == [[0, 1], [Fraction(5, 3), 0]]
+    long_first = [[5, 0], [0, 3]]  # one swap, so two passes
+    assert lll_integral(long_first, max_iters=2)[0] == [[0, 3], [5, 0]]
     with pytest.raises(RuntimeError):
-        lll_reduce(long_first, EXACT, max_iters=1)
+        lll_integral(long_first, max_iters=1)
 
 
 def test_exact_lll_refuses_dependent_columns():
     with pytest.raises(ValueError):
-        lll_reduce([[1, 2], [Fraction(1, 2), 1]], EXACT)
+        lll_integral([[2, 4], [1, 2]])
 
 
 def test_clear_denominators():
@@ -84,7 +94,7 @@ def test_exact_det_of_integer_matrices_stays_exact():
     # int / int is a float division; the exact det must not take it
     d = det([[2, 1], [1, 1]])
     assert d == 1 and not isinstance(d, float)
-    _, u, _, _ = lll_reduce(_random_basis(random.Random(0), 4), EXACT)
+    _, u, _, _ = lll_integral(clear_denominators(_random_basis(random.Random(0), 4))[1])
     assert all(type(x) is int for col in u for x in col)
     d = det([[u[j][i] for j in range(4)] for i in range(4)])
     assert d in (1, -1) and not isinstance(d, float)

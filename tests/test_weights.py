@@ -16,8 +16,7 @@ from latflow.weights import (
     curve_hypothesis_fixed_check,
     hypothesis_space,
     is_block_fixed,
-    layered_lemma_check,
-    spanning_zero_check,
+    lemma_reports,
     split_spaces,
     straightening_shear,
     weight_alignment_check,
@@ -140,13 +139,14 @@ def test_split_spaces_partitions_basis():
     assert 0 in split.indices("+")
 
 
-# the single-block (zero-projection) lemma is spanning_zero_check with one block
+# the single-block (zero-projection) lemma is the spanning report with one block
 ONE_BLOCK = GrowthSpec.simple([(1, 1)])
 
 
 def test_zero_projection_lemma_on_spanning_points():
     rep = RepSpace(3, "adjoint")
-    report = spanning_zero_check(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (0, 1)])
+    projection, report = lemma_reports(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (0, 1)])
+    assert projection is report  # one block: the projection report is the spanning one
     assert report.ok
     assert report.hypothesis_dim > 0  # non-vacuous for the adjoint
     assert report.violations == ()
@@ -155,23 +155,23 @@ def test_zero_projection_lemma_on_spanning_points():
 def test_zero_projection_lemma_rejects_non_spanning():
     rep = RepSpace(3, "adjoint")
     with pytest.raises(ValueError):
-        spanning_zero_check(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (2, 0)])
+        lemma_reports(rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (2, 0)])[1]
 
 
 def test_degenerate_points_produce_violations():
     # the affine-spanning hypothesis is sharp: collinear points leave room
     # for translates that lose their entire zero-weight component
     rep = RepSpace(3, "adjoint")
-    report = spanning_zero_check(
+    report = lemma_reports(
         rep, (2,), ONE_BLOCK, [(0, 0), (1, 0), (2, 0)], require_spanning=False
-    )
+    )[1]
     assert not report.ok
     assert len(report.violations) >= 1
     # and for the wedge square with all points equal
     wedge = RepSpace(3, "wedge", 2)
-    report = spanning_zero_check(
+    report = lemma_reports(
         wedge, (2,), ONE_BLOCK, [(0, 0), (0, 0), (0, 0)], require_spanning=False
-    )
+    )[1]
     assert not report.ok
 
 
@@ -179,8 +179,7 @@ def test_layered_lemma_and_spanning_zero():
     rep = RepSpace(4, "adjoint")
     growth = GrowthSpec.simple([(1, 1), (1, 2)])
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    rep1 = layered_lemma_check(rep, (2, 1), growth, pts)
-    rep2 = spanning_zero_check(rep, (2, 1), growth, pts)
+    rep1, rep2 = lemma_reports(rep, (2, 1), growth, pts)
     assert rep1.ok and rep2.ok
 
 
@@ -190,8 +189,7 @@ def test_layered_clause_ii_violations_are_spanning_violations():
     rep = RepSpace(3, "adjoint")
     growth = GrowthSpec.simple([(1, 1), (1, 2)])
     pts = [(1, 0)]
-    layered = layered_lemma_check(rep, (2, 1), growth, pts, require_spanning=False)
-    spanning = spanning_zero_check(rep, (2, 1), growth, pts, require_spanning=False)
+    layered, spanning = lemma_reports(rep, (2, 1), growth, pts, require_spanning=False)
     lost = [v[1:] for v in layered.violations if v[0] == "invariant-shadow-lost"]
     assert lost
     assert set(lost) <= set(spanning.violations)
@@ -211,8 +209,8 @@ def test_random_spanning_points_never_violate():
             if d[0][0] * d[1][1] - d[0][1] * d[1][0] != 0:
                 break
         for rep in (RepSpace(4, "adjoint"), RepSpace(4, "wedge", 2)):
-            assert layered_lemma_check(rep, (2, 1), growth, pts).ok
-            assert spanning_zero_check(rep, (2, 1), growth, pts).ok
+            projection, spanning = lemma_reports(rep, (2, 1), growth, pts)
+            assert projection.ok and spanning.ok
 
 
 def test_weight_alignment_across_reps():
