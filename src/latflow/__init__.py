@@ -22,6 +22,7 @@ from .algebra import (
     ExactMatrix,
     ExpansionRates,
     column_unipotent,
+    diagonal_shear,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,

@@ -11,6 +11,8 @@ Conventions (fixed once, used everywhere):
 - ``expanding_diagonal``: diag(prod(w), 1/w_1, ..., 1/w_{n-1}) where the
   weights w_j = exp(rate_j) are the per-form expansion factors.
 - ``row_unipotent(shift)``: identity plus ``shift`` laid along the first row.
+- ``diagonal_shear(weights, shift)``: the product of the two above, written
+  in closed form.
 - ``column_unipotent(shift)``: identity plus ``shift`` reversed down the last
   column; equals ``dual_involution(row_unipotent(-shift))``.
 - ``dual_involution(g)``: W (g^-1)^T W with W the coordinate reversal.  It is
@@ -190,6 +192,28 @@ def expanding_diagonal(rates: ExpansionRates) -> ExactMatrix:
     one = scalar(1, rates.backend)
     entries = [rates.total_weight()] + [one / w for w in rates.weights]
     return ExactMatrix.diagonal(entries, rates.backend)
+
+
+def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
+    """diag(prod w, 1/w_1, ..., 1/w_{n-1}) @ row_unipotent(shift), written
+    entry by entry: first row (prod w)(1, 0 + shift_1, ..., 0 + shift_{n-1}),
+    then 1/w_j on the diagonal.  The weights are scalars of the backend,
+    as ExpansionRates and WindowSpec hold them, and need not be ordered.
+    Every entry equals that of the dense product, floats bit for bit: the
+    `0 +` turns a shift of -0.0 into +0.0, as the product's sums do."""
+    if len(shift) != len(weights):
+        raise ValueError("dimension mismatch")
+    one, zero = scalar(1, backend), scalar(0, backend)
+    total = weights[0]
+    for x in weights[1:]:
+        total = total * x
+    n = len(weights) + 1
+    rows = [[total] + [total * (zero + scalar(x, backend)) for x in shift]]
+    for j, x in enumerate(weights):
+        row = [zero] * n
+        row[1 + j] = one / x
+        rows.append(row)
+    return ExactMatrix(rows, backend)
 
 
 def row_unipotent(shift, backend=EXACT) -> ExactMatrix:

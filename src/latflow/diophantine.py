@@ -35,7 +35,7 @@ from .backend import (
     rat_ceil,
     rat_floor,
 )
-from .algebra import ExactMatrix
+from .algebra import ExactMatrix, diagonal_shear
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     Box,
@@ -175,22 +175,13 @@ class WindowSpec:
 
 def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi,
-    written entry by entry: first row (prod N)(1, phi_1, ..., phi_k), then
-    1/N_j on the diagonal.  It sends x = (p, q_1, ..., q_k) to
+    written entry by entry (algebra.diagonal_shear): first row
+    (prod N)(1, phi_1, ..., phi_k), then 1/N_j on the diagonal.  It sends
+    x = (p, q_1, ..., q_k) to
 
         ((prod N)(p + q . phi), q_1/N_1, ..., q_k/N_k).
     """
-    k = window.k
-    if len(phi) != k:
-        raise ValueError("dimension mismatch")
-    total = window.total_weight()
-    zero = Rat(0)
-    rows = [[total] + [total * rat(x) for x in phi]]
-    for j, w in enumerate(window.weights):
-        row = [zero] * (k + 1)
-        row[1 + j] = 1 / w
-        rows.append(row)
-    return ExactMatrix(rows, EXACT)
+    return diagonal_shear(window.weights, phi, EXACT)
 
 
 def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:

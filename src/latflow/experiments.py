@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import (
     ExactMatrix,
     ExpansionRates,
+    diagonal_shear,
     dual_involution,
     expanding_diagonal,
     row_unipotent,
@@ -141,7 +142,7 @@ def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled
         phi = curve.eval_exact(s)
     else:
         phi = curve.eval_float(s)
-    m = expanding_diagonal(rates) @ row_unipotent(phi, backend)
+    m = diagonal_shear(rates.weights, phi, backend)
     if base is not None:
         m = m @ base
     if doubled:

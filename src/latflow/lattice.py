@@ -8,8 +8,13 @@ Python integers: LLL is integral, the walk takes its centers and radii from
 the integer Gram determinants and scaled coefficients that LLL returns
 (interval ends come from math.isqrt), and each leaf is tested against the
 box [-D, D]^n, so membership on a box face is decided exactly.  The float
-path inflates radii by 1e-9 and warns when a point lands within 1e-9 of a
-face.
+path inflates radii by 1e-9, tests each leaf against the unit box inline,
+and warns when a point lands within 1e-9 of a face.
+
+One walk (`_walk`) serves both backends and hands each point in the box to
+a leaf callback.  `enumerate_basis_in_box` pulls the coefficients back to
+the given basis, `enumerate_in_box` keeps the points only, and
+`shortest_sup_norm` keeps a running minimum of the sup-norm.
 """
 
 from __future__ import annotations
@@ -110,10 +115,6 @@ class Lattice:
         return Lattice(self.basis.to_float())
 
 
-class _FirstHit(Exception):
-    """Internal: unwinds the search once a first point is wanted and found."""
-
-
 def _zigzag(lo, hi, mid):
     """Integers of [lo, hi], from mid (clamped into the range) fanning
     outward: mid, mid - 1, mid + 1, mid - 2, ...
@@ -143,39 +144,38 @@ def _zigzag(lo, hi, mid):
         d += 1
 
 
-def enumerate_basis_in_box(
-    basis_cols, box: Box, backend, budget=DEFAULT_NODE_BUDGET, first_only=False
-):
-    """Nonzero integer combinations of the basis columns inside the box.
+def _walk(basis_cols, box: Box, backend, budget, leaf):
+    """The depth-first Fincke-Pohst walk over the nonzero integer
+    combinations of the basis columns, on either backend.
 
-    Works for any nonsingular basis (no unimodularity assumed); this is the
-    engine under both lattice enumeration and general linear-forms systems.
-    Returns [(point, coeffs)] sorted by point, coeffs w.r.t. the GIVEN basis.
-
-    first_only=True stops at the first point found (DFS order, so which one
-    is unspecified but deterministic).  Solubility decisions need this: at
-    rational inputs a window can legitimately hold millions of points, and
-    emptiness is the only question.  A box on another backend than
-    `backend` raises BackendMismatch.
+    Calls leaf(point, xs) on each combination inside the box, in walk
+    order: point is its tuple of coordinates, xs the live list of its
+    coefficients w.r.t. the LLL-reduced basis (copy it to keep it).  A
+    true return from leaf stops the walk.  Returns u_cols, the columns of
+    the unimodular U that pulls xs back to coefficients w.r.t. the given
+    basis.  Raises BudgetExceeded after budget nodes, and BackendMismatch
+    for a box on another backend than `backend`.
     """
     check_same_backend(backend, box.backend)
     n = len(basis_cols)
     if box.dim != n:
         raise ValueError("box/basis dimension mismatch")
+    bounds, closed = box.bounds, box.closed
     # Normalize each coordinate by its box bound: enumerate D^{-1}B Z^n in
     # the unit box instead of B Z^n in the original one.  Integer
     # coefficients are unchanged, and the search sphere R^2 = n stays tame
     # even for very anisotropic boxes (bounds spanning many decades would
     # otherwise blow up the Fincke-Pohst tree).
     cols = [
-        [scalar(c[i], backend) / box.bounds[i] for i in range(n)]
+        [scalar(c[i], backend) / bounds[i] for i in range(n)]
         for c in basis_cols
     ]
     xs = [0] * n
 
     # Level j of the walk is described by (lo, hi, mid, a, b, cost): x_j
     # runs over [lo, hi] from mid outward, and choosing x_j spends
-    # cost * y^2 of the remaining radius, y = a * x_j + b.
+    # cost * y^2 of the remaining radius, y = a * x_j + b.  hit(v) is the
+    # point of the box-normalised combination v, or None outside the box.
     if backend == EXACT:
         # Scale by the common denominator D: LLL and the walk then run on
         # integers, the unit box becomes [-D, D]^n and the sphere n D^2.
@@ -202,14 +202,13 @@ def enumerate_basis_in_box(
             mid = (dj - 2 * s) // (2 * dj)  # floor(-center + 1/2)
             return -((r + s) // dj), (r - s) // dj, mid, dj, s, w[j]
 
-        def inside(v):
-            for x, cl in zip(v, box.closed):
+        def hit(v):
+            for x, cl in zip(v, closed):
                 a = -x if x < 0 else x
                 if a > scale or (a == scale and not cl):
-                    return False
-            return True
+                    return None
+            return tuple(v[i] * bounds[i] / scale for i in range(n))
     else:
-        scale = 1
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
         r2 = n * (1.0 + FLOAT_SLACK)
         zero = 0.0
@@ -226,16 +225,27 @@ def enumerate_basis_in_box(
             mid = math.floor(-center + 0.5)
             return math.ceil(-center - r), math.floor(-center + r), mid, 1, center, c[j]
 
-        inside = Box((1.0,) * n, box.closed, backend).contains
+        def hit(v):
+            # the unit box, decided coordinate by coordinate as Box.contains
+            # decides it, with the same face-proximity warning
+            for x, cl in zip(v, closed):
+                a = -x if x < 0 else x
+                if abs(1.0 - a) <= FLOAT_SLACK:
+                    warn_if_near_face(1.0 - a)
+                if cl:
+                    if not a <= 1.0:
+                        return None
+                elif not a < 1.0:
+                    return None
+            return tuple(v[i] * bounds[i] for i in range(n))
 
-    found = []
     nodes = 0
 
     def rec(j, rem):
         nonlocal nodes
         if j < 0:
             if not any(xs):
-                return
+                return False
             v = [zero] * n
             for l in range(n):
                 if xs[l]:
@@ -243,12 +253,8 @@ def enumerate_basis_in_box(
                     x = xs[l]
                     for i in range(n):
                         v[i] = v[i] + x * col[i]
-            if inside(v):
-                point = tuple(v[i] * box.bounds[i] / scale for i in range(n))
-                found.append((point, tuple(xs)))
-                if first_only:
-                    raise _FirstHit
-            return
+            point = hit(v)
+            return point is not None and leaf(point, xs)
         lo, hi, mid, a, b, cost = level(j, rem)
         for x in _zigzag(lo, hi, mid):
             nodes += 1
@@ -259,14 +265,38 @@ def enumerate_basis_in_box(
                 )
             xs[j] = x
             y = a * x + b
-            rec(j - 1, rem - cost * y * y)
+            if rec(j - 1, rem - cost * y * y):
+                return True
         xs[j] = 0
+        return False
 
-    try:
-        rec(n - 1, r2)
-    except _FirstHit:
-        pass
+    rec(n - 1, r2)
+    return u_cols
 
+
+def enumerate_basis_in_box(
+    basis_cols, box: Box, backend, budget=DEFAULT_NODE_BUDGET, first_only=False
+):
+    """Nonzero integer combinations of the basis columns inside the box.
+
+    Works for any nonsingular basis (no unimodularity assumed); this is the
+    engine under both lattice enumeration and general linear-forms systems.
+    Returns [(point, coeffs)] sorted by point, coeffs w.r.t. the GIVEN basis.
+
+    first_only=True stops at the first point found (DFS order, so which one
+    is unspecified but deterministic).  Solubility decisions need this: at
+    rational inputs a window can legitimately hold millions of points, and
+    emptiness is the only question.  A box on another backend than
+    `backend` raises BackendMismatch.
+    """
+    found = []
+
+    def keep(point, xs):
+        found.append((point, tuple(xs)))
+        return first_only
+
+    u_cols = _walk(basis_cols, box, backend, budget, keep)
+    n = len(basis_cols)
     results = []
     for v, x_red in found:
         coeffs = tuple(
@@ -278,15 +308,21 @@ def enumerate_basis_in_box(
 
 
 def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_only=False):
-    """All nonzero lattice points inside the box, sorted lexicographically.
+    """All nonzero lattice points inside the box, sorted lexicographically;
+    the walk of enumerate_basis_in_box without the coefficient pull-back.
 
     first_only=True returns at most one point (see enumerate_basis_in_box).
     Raises BudgetExceeded when the search tree outgrows the node budget.
     """
-    results = enumerate_basis_in_box(
-        lat.basis.columns(), box, lat.backend, budget=budget, first_only=first_only
-    )
-    return [v for v, _ in results]
+    found = []
+
+    def keep(point, xs):
+        found.append(point)
+        return first_only
+
+    _walk(lat.basis.columns(), box, lat.backend, budget, keep)
+    found.sort()
+    return found
 
 
 def avoids_window(lat: Lattice, mu) -> bool:
@@ -368,11 +404,21 @@ def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
     """Sup-norm of a shortest nonzero lattice vector.
 
     By Minkowski's convex body theorem the closed unit cube, of volume 2^n,
-    holds a nonzero point of every covolume-1 lattice, so one enumeration
-    of that cube finds a shortest vector.
+    holds a nonzero point of every covolume-1 lattice, so one walk of that
+    cube finds a shortest vector.  The walk keeps a running minimum; it
+    lists no points.
     """
     cube = Box((1,) * lat.n, (True,) * lat.n, lat.backend)
-    pts = enumerate_in_box(lat, cube, budget=budget)
-    if not pts:
+    best = None
+
+    def keep(point, xs):
+        nonlocal best
+        m = max(abs(x) for x in point)
+        if best is None or m < best:
+            best = m
+        return False
+
+    _walk(lat.basis.columns(), cube, lat.backend, budget, keep)
+    if best is None:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
-    return min(max(abs(x) for x in v) for v in pts)
+    return best

@@ -10,7 +10,11 @@ entry below the pivot is zero, so sparse and triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
-There is one LLL per backend.  `lll_reduce` reduces float bases.  On the
+There is one LLL per backend.  `lll_reduce` reduces float bases.  It runs
+Gram-Schmidt in full once and then incrementally: row j of Gram-Schmidt
+depends only on columns 0..j, so a size reduction of column k recomputes
+rows k onwards and a swap of columns k - 1, k rows k - 1 onwards.  The
+rows kept are those a full pass would compute, bit for bit.  On the
 exact backend `lll_integral` reduces integer columns (a rational basis is
 first scaled by its common denominator) and keeps integer Gram
 determinants and scaled Gram-Schmidt coefficients, updated in place on
@@ -186,21 +190,29 @@ def kernel_basis(a):
 def gram_schmidt(cols):
     """Gram-Schmidt on a list of column vectors; returns (bstar, mu, norms2)."""
     n = len(cols)
-    bstar, norms2 = [], []
-    mu = [[0] * n for _ in range(n)]
-    for i, b in enumerate(cols):
+    bstar, mu, norms2 = [None] * n, [[0] * n for _ in range(n)], [None] * n
+    _gram_schmidt_from(cols, 0, bstar, mu, norms2)
+    return bstar, mu, norms2
+
+
+def _gram_schmidt_from(cols, start, bstar, mu, norms2):
+    """Recompute rows start, start + 1, ... of the Gram-Schmidt data in
+    place.  Row i depends only on cols[0..i], so after a change to
+    cols[start:] the rows before start are still those of a full pass."""
+    for i in range(start, len(cols)):
+        b = cols[i]
         v = list(b)
+        row = mu[i]
         for j in range(i):
             m = dot(b, bstar[j]) / norms2[j]
-            mu[i][j] = m
+            row[j] = m
             if m != 0:
                 v = [x - m * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
+        bstar[i] = v
         c = dot(v, v)
         if c == 0:
             raise ValueError("linearly dependent columns")
-        norms2.append(c)
-    return bstar, mu, norms2
+        norms2[i] = c
 
 
 def clear_denominators(cols):
@@ -224,14 +236,17 @@ def lll_reduce(cols, max_iters=100_000):
 
     Each pass size-reduces column k against j = k-1, ..., 0 with q the
     integer nearest mu_kj (halves away from 0), then applies the Lovasz
-    test.  The loop stops after max_iters passes (float LLL may cycle on
-    degenerate input; the basis is still valid).  Exact bases go through
-    lll_integral.
+    test.  Gram-Schmidt runs in full once; after that only the rows from
+    the first changed column on are recomputed (k after a size reduction
+    of column k, k - 1 after a swap), which is the same floating-point
+    arithmetic as a full pass.  The loop stops after max_iters passes
+    (float LLL may cycle on degenerate input; the basis is still valid).
+    Exact bases go through lll_integral.
     """
     n = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-    _, mu, c = gram_schmidt(b)
+    bstar, mu, c = gram_schmidt(b)
     k = 1
     iters = 0
     while k < n:
@@ -244,13 +259,13 @@ def lll_reduce(cols, max_iters=100_000):
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                _, mu, c = gram_schmidt(b)
+                _gram_schmidt_from(b, k, bstar, mu, c)
         if c[k] >= (0.75 - mu[k][k - 1] * mu[k][k - 1]) * c[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            _, mu, c = gram_schmidt(b)
+            _gram_schmidt_from(b, k - 1, bstar, mu, c)
             k = max(k - 1, 1)
     return b, u, mu, c
 

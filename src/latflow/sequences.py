@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_OVERFLOW = "expansion rates at index %d overflow a float"
+
+
 def float_expansion(forms, i) -> ExpansionRates:
     """Float expansion weights e^{f(i)}, one per closed form f; a rate,
     weight or total weight beyond the float range is a ValueError naming
@@ -49,7 +52,7 @@ def float_expansion(forms, i) -> ExpansionRates:
     except OverflowError:
         rates = None
     if rates is None or math.isinf(rates.total_weight()):
-        raise ValueError("expansion rates at index %d overflow a float" % i)
+        raise ValueError(_OVERFLOW % i)
     return rates
 
 
@@ -163,12 +166,6 @@ class RateSchedule:
         lo, hi = self.index_range
         return range(lo, hi + 1)
 
-    def to_json(self):
-        out = {"kind": "rate-schedule", "forms": [str(f) for f in self.forms]}
-        if self.index_range is not None:
-            out["index_range"] = list(self.index_range)
-        return out
-
     @classmethod
     def from_json(cls, obj) -> "RateSchedule":
         if obj.get("kind") != "rate-schedule":
@@ -218,14 +215,17 @@ class LayeredSchedule:
         and exp(sum_l t_l(i) A_{m_l})."""
         n = self.n
         taubar = [f.eval_float(i) for f in self.anchored]
-        lhs = [math.exp(sum(taubar))] + [math.exp(-v) for v in taubar]
         gen_diag = [0.0] * n
         for t_form, m in zip(self.layer_forms, self.block_sizes):
             t = t_form.eval_float(i)
             diag = block_generator(n, m)
             for j in range(n):
                 gen_diag[j] += t * float(diag.rows[j][j])
-        rhs = [math.exp(v) for v in gen_diag]
+        try:
+            lhs = [math.exp(sum(taubar))] + [math.exp(-v) for v in taubar]
+            rhs = [math.exp(v) for v in gen_diag]
+        except OverflowError:
+            raise ValueError(_OVERFLOW % i) from None
         err = 0.0
         for a, b in zip(lhs, rhs):
             err = max(err, abs(a - b) / max(1.0, abs(a)))

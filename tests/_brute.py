@@ -1,6 +1,8 @@
 """Brute-force oracles, deliberately independent of the package: plain
 fractions.Fraction arithmetic, textbook Gaussian elimination, full
-integer-box scans.  Slow on purpose; tests keep the boxes small."""
+integer-box scans.  Slow on purpose; tests keep the boxes small.  The one
+float routine, lll_float_reference, is the float LLL loop written out
+with a full Gram-Schmidt pass after every change."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -285,6 +287,56 @@ def lll_reference(cols):
             u[k], u[k - 1] = u[k - 1], u[k]
             k = max(k - 1, 1)
     return b, u
+
+
+def _float_gram_schmidt(cols):
+    n = len(cols)
+    bstar, norms2 = [], []
+    mu = [[0] * n for _ in range(n)]
+    for i, b in enumerate(cols):
+        v = list(b)
+        for j in range(i):
+            m = sum(x * y for x, y in zip(b, bstar[j])) / norms2[j]
+            mu[i][j] = m
+            if m != 0:
+                v = [x - m * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        c = sum(x * x for x in v)
+        if c == 0:
+            raise ValueError("linearly dependent columns")
+        norms2.append(c)
+    return mu, norms2
+
+
+def lll_float_reference(cols, max_iters=100_000):
+    """Float LLL (delta = 3/4) recomputing Gram-Schmidt in full after every
+    size reduction and swap.  q is the integer nearest mu_kj, halves away
+    from 0.  Returns (reduced_cols, u_cols, mu, c) of the reduced basis."""
+    n = len(cols)
+    b = [list(c) for c in cols]
+    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    mu, c = _float_gram_schmidt(b)
+    k = 1
+    iters = 0
+    while k < n:
+        iters += 1
+        if iters > max_iters:
+            break
+        for j in range(k - 1, -1, -1):
+            m = mu[k][j]
+            q = int(m + 0.5) if m >= 0 else -int(-m + 0.5)
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                mu, c = _float_gram_schmidt(b)
+        if c[k] >= (0.75 - mu[k][k - 1] * mu[k][k - 1]) * c[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            mu, c = _float_gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b, u, mu, c
 
 
 def _mat_mul(a, b):

@@ -31,6 +31,7 @@ def test_bad_sequence_is_usage_error(capsys):
         (["nondiv", "--sequence", "i^400", "--indices", "10", "--samples", "5"], 10),
         (["nondiv", "--curve", "s, s^2", "--sequence", "i^2, i^2", "--indices", "20",
           "--samples", "2"], 20),
+        (["layered", "--sequence", "i^3", "--check-at", "10"], 10),
     ],
 )
 def test_rate_overflow_is_usage_error(capsys, argv, index):

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latflow import diophantine
-from latflow.backend import EXACT, Rat
-from latflow.algebra import ExactMatrix, column_unipotent, row_unipotent
+from latflow.backend import EXACT, FLOAT, Rat
+from latflow.algebra import (
+    ExactMatrix,
+    ExpansionRates,
+    column_unipotent,
+    diagonal_shear,
+    expanding_diagonal,
+    row_unipotent,
+)
 from latflow.diophantine import (
     CorrespondenceReport,
     Curve,
@@ -60,8 +67,20 @@ def test_translate_matrices_unimodular():
 
 
 def test_closed_form_translates_equal_dense_products():
-    # the entries written by formula equal diag @ shear, and are unimodular
+    # the entries written by formula equal diag @ shear, and are unimodular;
+    # on floats bit for bit, the sign of every zero included
     rng = random.Random(17)
+    for _ in range(320):
+        k = rng.randint(1, 4)
+        rates = ExpansionRates.from_rates(sorted((rng.uniform(0.0, 30.0) for _ in range(k)), reverse=True))
+        phi = [rng.choice((0.0, -0.0, -1.5, rng.uniform(-1e3, 1e3), -rng.random() * 1e-300))
+               for _ in range(k)]
+        dense = expanding_diagonal(rates) @ row_unipotent(phi, FLOAT)
+        assert repr(diagonal_shear(rates.weights, phi, FLOAT)) == repr(dense)
+        weights = sorted((Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1 for _ in range(k)), reverse=True)
+        phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
+        dense = expanding_diagonal(ExpansionRates(tuple(weights), EXACT)) @ row_unipotent(phi, EXACT)
+        assert repr(diagonal_shear(weights, phi, EXACT)) == repr(dense)
     for _ in range(320):
         k = rng.randint(1, 4)
         weights = [Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1 for _ in range(k)]

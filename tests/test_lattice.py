@@ -20,7 +20,7 @@ from latflow.backend import (
     rat,
     scalar,
 )
-from latflow.algebra import ExactMatrix
+from latflow.algebra import ExactMatrix, ExpansionRates, expanding_diagonal, row_unipotent
 from latflow.lattice import (
     Box,
     Lattice,
@@ -80,6 +80,22 @@ def test_enumerate_standard_lattice():
 def test_enumerate_open_box_drops_faces():
     pts = enumerate_in_box(Lattice.standard(2), Box((1, 1), (False, False), EXACT))
     assert pts == []  # only the origin lies strictly inside
+
+
+def test_float_leaf_keeps_face_flags():
+    # the float walk decides each face as Box.contains does: a point on a
+    # closed face is in, on an open face out, and both warn
+    z2 = Lattice.standard(2, FLOAT)
+    for closed, want in [((False, False), []), ((True, False), [(-1.0, 0.0), (1.0, 0.0)]),
+                         ((True, True), [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, -1.0),
+                                         (0.0, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)])]:
+        box = Box((1.0, 1.0), closed, FLOAT)
+        with pytest.warns(FaceProximity):
+            pts = enumerate_in_box(z2, box)
+        assert pts == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            assert all(box.contains(p) for p in pts)
 
 
 def test_enumerate_skew_matches_brute():
@@ -304,16 +320,89 @@ def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, ba
     # every shortest vector of Z^n lies on a face of the closed unit cube,
     # which Minkowski's theorem says holds a point of any covolume-1 lattice
     calls = []
-    real = lattice.enumerate_basis_in_box
+    real = lattice._walk
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lattice, "enumerate_basis_in_box", counted)
+    monkeypatch.setattr(lattice, "_walk", counted)
     on_faces = pytest.warns(FaceProximity) if backend == FLOAT else contextlib.nullcontext()
     with on_faces:
         got = shortest_sup_norm(Lattice.standard(n, backend))
     assert got == 1 and type(got) is type(scalar(1, backend))
     assert len(calls) == 1
     assert calls[0].bounds == (scalar(1, backend),) * n and all(calls[0].closed)
+
+
+def _thin_case(rng, backend):
+    """A seeded lattice a u(phi) g Z^n, n = 2-4, with rational weights and
+    shifts and g an integer unimodular matrix, and a box with bounds among
+    1/2, 1, 5/4, 3/2 and random open or closed faces: points on faces are
+    common.  On the float backend both are rounded to floats."""
+    n = rng.choice((2, 3, 4))
+    weights = sorted((Rat(rng.randint(1, 4), rng.randint(1, 2)) + 1 for _ in range(n - 1)), reverse=True)
+    phi = [Rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n - 1)]
+    g = (expanding_diagonal(ExpansionRates(tuple(weights), EXACT))
+         @ row_unipotent(phi, EXACT)
+         @ ExactMatrix(_brute.random_unimodular(rng, n), EXACT))
+    bounds = tuple(rng.choice((Rat(1), Rat(1, 2), Rat(5, 4), Rat(3, 2))) for _ in range(n))
+    closed = tuple(rng.random() < 0.5 for _ in range(n))
+    lat = Lattice(g) if backend == EXACT else Lattice(g).to_float()
+    return lat, Box(bounds if backend == EXACT else tuple(map(float, bounds)), closed, backend)
+
+
+def _nodes(run):
+    """The smallest budget at which run(budget) raises no BudgetExceeded."""
+    def fits(budget):
+        try:
+            run(budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2  # fits(lo) is False, or lo == 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+# total nodes of the 30 walks per backend, in the box and in the closed unit
+# cube, frozen: a walk that prunes or branches differently changes them
+_THIN_NODES = {EXACT: (4945, 6475), FLOAT: (4945, 6475)}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_thin_callers_agree_with_the_full_walk(backend):
+    # enumerate_in_box keeps the points of enumerate_basis_in_box, in its
+    # order; shortest_sup_norm is the minimum over the points of the closed
+    # unit cube; both walk the same tree, so their budgets trip alike
+    rng = random.Random(23)
+    totals = [0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FaceProximity)
+        for _ in range(30):
+            lat, box = _thin_case(rng, backend)
+            cols = lat.basis.columns()
+            cube = Box((1,) * lat.n, (True,) * lat.n, backend)
+            full = enumerate_basis_in_box(cols, box, backend)
+            assert enumerate_in_box(lat, box) == [p for p, _ in full]
+            first = enumerate_basis_in_box(cols, box, backend, first_only=True)
+            assert enumerate_in_box(lat, box, first_only=True) == [p for p, _ in first]
+            in_cube = enumerate_basis_in_box(cols, cube, backend)
+            want = min(max(abs(x) for x in p) for p, _ in in_cube)
+            assert repr(shortest_sup_norm(lat)) == repr(want)
+            for i, (target, thin) in enumerate((
+                (box, lambda b: enumerate_in_box(lat, box, budget=b)),
+                (cube, lambda b: shortest_sup_norm(lat, budget=b)),
+            )):
+                nodes = _nodes(lambda b: enumerate_basis_in_box(cols, target, backend, budget=b))
+                thin(nodes)
+                with pytest.raises(BudgetExceeded):
+                    thin(nodes - 1)
+                totals[i] += nodes
+    assert tuple(totals) == _THIN_NODES[backend]

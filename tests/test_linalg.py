@@ -1,9 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from latflow.linalg import clear_denominators, det, gram_schmidt, kernel_basis, lll_integral, rref
+from latflow.algebra import diagonal_shear
+from latflow.backend import FLOAT
+from latflow.linalg import (
+    clear_denominators,
+    det,
+    gram_schmidt,
+    kernel_basis,
+    lll_integral,
+    lll_reduce,
+    rref,
+)
 
 import _brute
 
@@ -54,6 +65,33 @@ def test_exact_lll_matches_reference_loop(seed):
         for k in range(1, n):
             assert all(-Fraction(1, 2) <= mu[k][j] < Fraction(1, 2) for j in range(k))
             assert c[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * c[k - 1]
+
+
+def _float_basis(rng, n):
+    """A float basis as the sweeps feed LLL: half of them the translate
+    diag(prod w, 1/w_1, ...) u(phi) with log-weights up to 12, the rest a
+    random unimodular matrix with float jitter."""
+    if rng.random() < 0.5:
+        weights = sorted((math.exp(rng.uniform(0.0, 12.0)) for _ in range(n - 1)), reverse=True)
+        phi = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)]
+        return [list(col) for col in diagonal_shear(weights, phi, FLOAT).columns()]
+    rows = _brute.random_unimodular(rng, n, ops=8, max_mult=3)
+    return [[rows[i][j] + rng.uniform(-0.5, 0.5) for i in range(n)] for j in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_lll_matches_full_recompute_loop(seed):
+    # incremental Gram-Schmidt is the same arithmetic as a full pass after
+    # every change: reduced basis, U, mu and c agree to the last bit, also
+    # when the iteration cap stops the loop early
+    rng = random.Random(1000 + seed)
+    for case in range(600):
+        n = 2 + case % 4
+        cols = _float_basis(rng, n)
+        cap = rng.randint(1, 6) if case % 10 == 0 else 100_000
+        assert repr(lll_reduce(cols, max_iters=cap)) == repr(
+            _brute.lll_float_reference(cols, max_iters=cap)
+        )
 
 
 def test_exact_lll_half_ties():

@@ -168,9 +168,11 @@ def test_index_range_validation_and_iteration():
 
 def test_schedule_json_roundtrip():
     s = RateSchedule.parse("i^2, i^2, i, 5")
-    assert RateSchedule.from_json(s.to_json()) == s
-    r = RateSchedule(s.forms, (5, 9))
-    back = RateSchedule.from_json(r.to_json())
+    assert RateSchedule.from_json({"kind": "rate-schedule", "forms": ["i^2", "i^2", "i", "5"]}) == s
+    back = RateSchedule.from_json(
+        {"kind": "rate-schedule", "forms": ["i^2", "i^2", "i", "5"], "index_range": [5, 9]}
+    )
+    assert back == RateSchedule(s.forms, (5, 9))
     assert back.index_range == (5, 9)
     with pytest.raises(ValueError):
         RateSchedule.from_json({"kind": "nope"})
