@@ -22,7 +22,6 @@ from .algebra import (
     ExactMatrix,
     ExpansionRates,
     column_unipotent,
-    diagonal_shear,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,

@@ -8,19 +8,21 @@ Python integers: LLL is integral, the walk takes its centers and radii from
 the integer Gram determinants and scaled coefficients that LLL returns
 (interval ends come from math.isqrt), and each leaf is tested against the
 box [-D, D]^n, so membership on a box face is decided exactly.  The float
-path inflates radii by 1e-9, tests each leaf against the unit box inline,
-and warns when a point lands within 1e-9 of a face.
+path inflates radii by 1e-9, tests each leaf against the unit box with no
+Box built per call, and warns when a point lands within 1e-9 of a face.
+Both leaf tests and `Box.contains` share one membership rule (`_inside`).
 
 One walk (`_walk`) serves both backends and hands each point in the box to
-a leaf callback.  `enumerate_basis_in_box` pulls the coefficients back to
-the given basis, `enumerate_in_box` keeps the points only, and
-`shortest_sup_norm` keeps a running minimum of the sup-norm.
+a leaf callback.  `enumerate_basis_in_box` collects the points and pulls
+their coefficients back to the given basis; `enumerate_in_box` and
+`shortest_sup_norm` are built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from . import linalg
 from .backend import (
@@ -64,17 +66,23 @@ class Box:
     def contains(self, v):
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        for x, b, cl in zip(v, self.bounds, self.closed):
-            a = -x if x < 0 else x
-            if self.backend == FLOAT:
-                warn_if_near_face(float(b) - float(a))
-            if cl:
-                if not a <= b:
-                    return False
-            else:
-                if not a < b:
-                    return False
-        return True
+        return _inside(v, self.bounds, self.closed, self.backend)
+
+
+def _inside(v, bounds, closed, backend):
+    """Whether |v_i| <= bounds_i on closed faces and < on open ones, for
+    every i.  On the float backend, warns for a coordinate within
+    FLOAT_SLACK of its face, where the decision is not trustworthy."""
+    for x, b, cl in zip(v, bounds, closed):
+        a = -x if x < 0 else x
+        if backend == FLOAT and abs(b - a) <= FLOAT_SLACK:
+            warn_if_near_face(b - a)
+        if cl:
+            if not a <= b:
+                return False
+        elif not a < b:
+            return False
+    return True
 
 
 def window_box(n, mu, backend=EXACT) -> Box:
@@ -202,11 +210,11 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
             mid = (dj - 2 * s) // (2 * dj)  # floor(-center + 1/2)
             return -((r + s) // dj), (r - s) // dj, mid, dj, s, w[j]
 
+        unit = (scale,) * n
+
         def hit(v):
-            for x, cl in zip(v, closed):
-                a = -x if x < 0 else x
-                if a > scale or (a == scale and not cl):
-                    return None
+            if not _inside(v, unit, closed, EXACT):
+                return None
             return tuple(v[i] * bounds[i] / scale for i in range(n))
     else:
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
@@ -225,19 +233,12 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
             mid = math.floor(-center + 0.5)
             return math.ceil(-center - r), math.floor(-center + r), mid, 1, center, c[j]
 
+        unit = (1.0,) * n
+
         def hit(v):
-            # the unit box, decided coordinate by coordinate as Box.contains
-            # decides it, with the same face-proximity warning
-            for x, cl in zip(v, closed):
-                a = -x if x < 0 else x
-                if abs(1.0 - a) <= FLOAT_SLACK:
-                    warn_if_near_face(1.0 - a)
-                if cl:
-                    if not a <= 1.0:
-                        return None
-                elif not a < 1.0:
-                    return None
-            return tuple(v[i] * bounds[i] for i in range(n))
+            if not _inside(v, unit, closed, FLOAT):
+                return None
+            return tuple(map(mul, v, bounds))
 
     nodes = 0
 
@@ -295,34 +296,22 @@ def enumerate_basis_in_box(
         found.append((point, tuple(xs)))
         return first_only
 
-    u_cols = _walk(basis_cols, box, backend, budget, keep)
-    n = len(basis_cols)
-    results = []
-    for v, x_red in found:
-        coeffs = tuple(
-            sum(u_cols[k][i] * x_red[k] for k in range(n)) for i in range(n)
-        )
-        results.append((v, coeffs))
-    results.sort(key=lambda pc: tuple(pc[0]))
+    u_rows = list(zip(*_walk(basis_cols, box, backend, budget, keep)))
+    results = [(v, tuple(sum(map(mul, row, x_red)) for row in u_rows)) for v, x_red in found]
+    results.sort(key=itemgetter(0))
     return results
 
 
 def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_only=False):
-    """All nonzero lattice points inside the box, sorted lexicographically;
-    the walk of enumerate_basis_in_box without the coefficient pull-back.
+    """All nonzero lattice points inside the box, sorted lexicographically.
 
     first_only=True returns at most one point (see enumerate_basis_in_box).
     Raises BudgetExceeded when the search tree outgrows the node budget.
     """
-    found = []
-
-    def keep(point, xs):
-        found.append(point)
-        return first_only
-
-    _walk(lat.basis.columns(), box, lat.backend, budget, keep)
-    found.sort()
-    return found
+    results = enumerate_basis_in_box(
+        lat.basis.columns(), box, lat.backend, budget=budget, first_only=first_only
+    )
+    return [v for v, _ in results]
 
 
 def avoids_window(lat: Lattice, mu) -> bool:
@@ -404,21 +393,11 @@ def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
     """Sup-norm of a shortest nonzero lattice vector.
 
     By Minkowski's convex body theorem the closed unit cube, of volume 2^n,
-    holds a nonzero point of every covolume-1 lattice, so one walk of that
-    cube finds a shortest vector.  The walk keeps a running minimum; it
-    lists no points.
+    holds a nonzero point of every covolume-1 lattice, so one enumeration
+    of that cube finds a shortest vector.
     """
     cube = Box((1,) * lat.n, (True,) * lat.n, lat.backend)
-    best = None
-
-    def keep(point, xs):
-        nonlocal best
-        m = max(abs(x) for x in point)
-        if best is None or m < best:
-            best = m
-        return False
-
-    _walk(lat.basis.columns(), cube, lat.backend, budget, keep)
-    if best is None:
+    pts = enumerate_in_box(lat, cube, budget=budget)
+    if not pts:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
-    return best
+    return min(max(map(abs, v)) for v in pts)

@@ -214,14 +214,14 @@ class LayeredSchedule:
         """Max relative gap, over diagonal entries, between a_{taubar(i)}
         and exp(sum_l t_l(i) A_{m_l})."""
         n = self.n
-        taubar = [f.eval_float(i) for f in self.anchored]
-        gen_diag = [0.0] * n
-        for t_form, m in zip(self.layer_forms, self.block_sizes):
-            t = t_form.eval_float(i)
-            diag = block_generator(n, m)
-            for j in range(n):
-                gen_diag[j] += t * float(diag.rows[j][j])
         try:
+            taubar = [f.eval_float(i) for f in self.anchored]
+            gen_diag = [0.0] * n
+            for t_form, m in zip(self.layer_forms, self.block_sizes):
+                t = t_form.eval_float(i)
+                diag = block_generator(n, m)
+                for j in range(n):
+                    gen_diag[j] += t * float(diag.rows[j][j])
             lhs = [math.exp(sum(taubar))] + [math.exp(-v) for v in taubar]
             rhs = [math.exp(v) for v in gen_diag]
         except OverflowError:

@@ -32,6 +32,7 @@ def test_bad_sequence_is_usage_error(capsys):
         (["nondiv", "--curve", "s, s^2", "--sequence", "i^2, i^2", "--indices", "20",
           "--samples", "2"], 20),
         (["layered", "--sequence", "i^3", "--check-at", "10"], 10),
+        (["layered", "--sequence", "i^400", "--check-at", "10"], 10),
     ],
 )
 def test_rate_overflow_is_usage_error(capsys, argv, index):
