@@ -15,6 +15,7 @@ from .backend import (
     BackendMismatch,
     BudgetExceeded,
     FaceProximity,
+    LLLIterationCap,
     Rat,
     rat,
 )
@@ -26,7 +27,6 @@ from .algebra import (
     expanding_diagonal,
     is_block_stabilizer,
     is_dual_block_stabilizer,
-    reversal_permutation,
     row_unipotent,
 )
 from .lattice import (
@@ -35,7 +35,6 @@ from .lattice import (
     Lattice,
     Tent,
     avoids_open_unit_box,
-    avoids_window,
     enumerate_basis_in_box,
     enumerate_in_box,
     shortest_sup_norm,

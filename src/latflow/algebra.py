@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import EXACT, FLOAT, check_same_backend, scalar
+from .backend import EXACT, FLOAT, Rat, check_same_backend, rat, scalar
 
 _DET_TOL = 1e-9
 
@@ -52,9 +52,12 @@ class ExactMatrix:
         width = len(coerced[0])
         if any(len(r) != width for r in coerced):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "nrows", len(coerced))
-        object.__setattr__(self, "ncols", width)
+        self._set(coerced, backend)
+
+    def _set(self, rows, backend):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", len(rows[0]))
         object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, *a):  # immutability
@@ -64,6 +67,15 @@ class ExactMatrix:
         return (ExactMatrix, (self.rows, self.backend))
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _trusted(cls, rows, backend=EXACT):
+        """Internal: the matrix of nonempty rectangular rows whose entries
+        already have the backend's scalar type (a matrix's own entries, or
+        the results of Rat arithmetic on them), with no per-entry coercion."""
+        self = object.__new__(cls)
+        self._set(tuple(map(tuple, rows)), backend)
+        return self
+
     @classmethod
     def identity(cls, n, backend=EXACT):
         return cls(linalg.identity(n), backend)
@@ -99,7 +111,10 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         check_same_backend(self.backend, other.backend)
-        return ExactMatrix(linalg.mat_mul(self._lists(), other._lists()), self.backend)
+        rows = linalg.mat_mul(self._lists(), other._lists())
+        if self.backend == EXACT:
+            return ExactMatrix._trusted(rows)
+        return ExactMatrix(rows, self.backend)
 
     def apply(self, vec):
         """Matrix-vector product; returns a tuple."""
@@ -107,18 +122,15 @@ class ExactMatrix:
         return tuple(linalg.mat_vec(self._lists(), v))
 
     def transpose(self):
-        return ExactMatrix(linalg.transpose(self._lists()), self.backend)
+        return ExactMatrix._trusted(zip(*self.rows), self.backend)
 
     def inverse(self):
-        return ExactMatrix(
-            linalg.inverse(self._lists(), approx=self.backend == FLOAT), self.backend
-        )
+        if self.backend == EXACT:
+            return ExactMatrix._trusted(linalg.inverse(self._lists()))
+        return ExactMatrix(linalg.inverse(self._lists(), approx=True), self.backend)
 
     def det(self):
         return linalg.det(self._lists(), approx=self.backend == FLOAT)
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
     # -- comparisons / conversions ------------------------------------------
     def __eq__(self, other):
@@ -199,21 +211,27 @@ def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
     entry by entry: first row (prod w)(1, 0 + shift_1, ..., 0 + shift_{n-1}),
     then 1/w_j on the diagonal.  The weights are scalars of the backend,
     as ExpansionRates and WindowSpec hold them, and need not be ordered.
-    Every entry equals that of the dense product, floats bit for bit: the
-    `0 +` turns a shift of -0.0 into +0.0, as the product's sums do."""
+    Every entry equals that of the dense product, floats bit for bit: on
+    floats the `0 +` turns a shift of -0.0 into +0.0, as the product's sums
+    do.  Exact entries are Rat by construction and skip the coercion."""
     if len(shift) != len(weights):
         raise ValueError("dimension mismatch")
-    one, zero = scalar(1, backend), scalar(0, backend)
-    total = weights[0]
+    exact = backend == EXACT
+    if exact:
+        one, zero, total = Rat(1), Rat(0), rat(weights[0])
+        shift = [rat(x) for x in shift]
+    else:
+        one, zero, total = scalar(1, backend), scalar(0, backend), weights[0]
+        shift = [zero + scalar(x, backend) for x in shift]
     for x in weights[1:]:
         total = total * x
     n = len(weights) + 1
-    rows = [[total] + [total * (zero + scalar(x, backend)) for x in shift]]
+    rows = [[total] + [total * x for x in shift]]
     for j, x in enumerate(weights):
         row = [zero] * n
         row[1 + j] = one / x
         rows.append(row)
-    return ExactMatrix(rows, backend)
+    return ExactMatrix._trusted(rows) if exact else ExactMatrix(rows, backend)
 
 
 def row_unipotent(shift, backend=EXACT) -> ExactMatrix:
@@ -235,13 +253,6 @@ def column_unipotent(shift, backend=EXACT) -> ExactMatrix:
     for i in range(n - 1):
         rows[i][n - 1] = rows[i][n - 1] + s[n - 2 - i]
     return ExactMatrix(rows, backend)
-
-
-def reversal_permutation(n, backend=EXACT) -> ExactMatrix:
-    """The permutation matrix sending e_i to e_{n+1-i} (an involution)."""
-    return ExactMatrix(
-        [[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n)], backend
-    )
 
 
 def dual_involution(g: ExactMatrix) -> ExactMatrix:

@@ -44,6 +44,11 @@ class FaceProximity(UserWarning):
     """A float-backend point sits within 1e-9 of a box face."""
 
 
+class LLLIterationCap(UserWarning):
+    """A float LLL reduction stopped at its iteration cap; the basis it
+    returns is valid but may not be reduced."""
+
+
 def rat(x):
     """Coerce x to the exact rational type.
 

@@ -24,6 +24,7 @@ these deciders is ``experiments.improvability_scan``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -159,18 +160,20 @@ class WindowSpec:
         mu = rat(self.radius)
         if not (0 < mu <= 1):
             raise ValueError("window radius must lie in (0, 1]")
+        total = Rat(1)
+        for x in w:
+            total = total * x
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "radius", mu)
+        object.__setattr__(self, "_total", total)  # not a field: no eq, repr
 
     @property
     def k(self):
         return len(self.weights)
 
     def total_weight(self):
-        p = Rat(1)
-        for w in self.weights:
-            p = p * w
-        return p
+        """N_1 ... N_k, computed once per window."""
+        return self._total
 
 
 def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
@@ -207,7 +210,7 @@ def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     last = [zero] * (k + 1)
     last[k] = 1 / window.total_weight()
     rows.append(last)
-    return ExactMatrix(rows, EXACT)
+    return ExactMatrix._trusted(rows)
 
 
 def _closed_int_range(lo_val, hi_val):
@@ -279,32 +282,49 @@ def _dual_direct_cost(window: WindowSpec):
     return 2 * _strict_abs_max(window.radius * window.total_weight()) + 1
 
 
+# The witness checks compare integers: each rational inequality is
+# cross-multiplied by the positive denominators of its two sides.
+
+
+def _nd(x):
+    return int(x.numerator), int(x.denominator)
+
+
 def _check_primal_witness(xi, window, witness):
     p, q = witness
-    err = -rat(p)
-    for qj, xj in zip(q, xi):
-        err = err + qj * xj
-    if abs(err) > window.radius / window.total_weight():
+    (mn, md), (tn, td) = _nd(window.radius), _nd(window.total_weight())
+    # |q . xi - p| <= mu / prod N, with E = L (q . xi - p) for L the lcm of
+    # the denominators of xi
+    fracs = [_nd(x) for x in xi]
+    lcm = math.lcm(*(d for _, d in fracs))
+    err = -p * lcm
+    for qj, (n, d) in zip(q, fracs):
+        err += qj * n * (lcm // d)
+    if abs(err) * md * tn > mn * td * lcm:
         return False
-    if any(not abs(Rat(qj)) < window.radius * w for qj, w in zip(q, window.weights)):
-        return False
+    for qj, w in zip(q, window.weights):  # |q_j| < mu N_j
+        wn, wd = _nd(w)
+        if not abs(qj) * md * wd < mn * wn:
+            return False
     return p != 0 or any(q)
 
 
 def _check_dual_witness(xi, window, witness):
     q, ps = witness
     k = window.k
-    if not abs(Rat(q)) < window.radius * window.total_weight():
+    (mn, md), (tn, td) = _nd(window.radius), _nd(window.total_weight())
+    if not abs(q) * md * td < mn * tn:  # |q| < mu prod N
         return False
     for j in range(k):
-        val = abs(q * xi[j] + ps[j])
-        beta = window.radius / window.weights[j]
+        # |q xi_j + p_j| = |q n + p_j d| / d against mu / N_j
+        (n, d), (wn, wd) = _nd(xi[j]), _nd(window.weights[j])
+        lhs = abs(q * n + ps[j] * d) * md * wn
+        rhs = mn * wd * d
         if j == k - 1:
-            if val > beta:
+            if lhs > rhs:
                 return False
-        else:
-            if not val < beta:
-                return False
+        elif not lhs < rhs:
+            return False
     return q != 0 or any(ps)
 
 

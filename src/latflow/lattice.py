@@ -2,15 +2,23 @@
 
 The enumeration engine LLL-reduces the basis, circumscribes the box with a
 sphere, and walks a depth-first Fincke-Pohst tree with per-level integer
-intervals.  On the exact backend the box-normalised basis is first scaled
-by its common denominator D, and everything from there to the leaf runs on
+intervals.  On the exact backend the box normalisation itself runs on
+integers: each entry c/b of the normalised basis is reduced with gcd from
+the numerators and denominators of c and of its bound b, and D is the lcm
+of the reduced denominators.  Everything from there to the leaf runs on
 Python integers: LLL is integral, the walk takes its centers and radii from
 the integer Gram determinants and scaled coefficients that LLL returns
-(interval ends come from math.isqrt), and each leaf is tested against the
-box [-D, D]^n, so membership on a box face is decided exactly.  The float
-path inflates radii by 1e-9, tests each leaf against the unit box with no
-Box built per call, and warns when a point lands within 1e-9 of a face.
-Both leaf tests and `Box.contains` share one membership rule (`_inside`).
+(interval ends come from math.isqrt), each leaf is tested against the box
+[-D, D]^n, so membership on a box face is decided exactly, and a point in
+the box becomes one Rat per coordinate.  The float path inflates radii by
+1e-9, tests each leaf against the unit box with no Box built per call, and
+warns when a point lands within 1e-9 of a face.  Both leaf tests and
+`Box.contains` share one membership rule (`_inside`).
+
+An exact `Lattice` checks its determinant on integers too: with D the
+common denominator of the basis B, D B is integral, and B is unimodular
+iff |det(D B)| = D^n, which `linalg.det` computes by fraction-free
+(Bareiss) elimination.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback.  `enumerate_basis_in_box` collects the points and pulls
@@ -31,7 +39,9 @@ from .backend import (
     BackendMismatch,
     BudgetExceeded,
     FLOAT_SLACK,
+    Rat,
     check_same_backend,
+    rat,
     scalar,
     warn_if_near_face,
 )
@@ -103,9 +113,17 @@ class Lattice:
         b = self.basis
         if b.nrows != b.ncols:
             raise ValueError("basis must be square")
-        d = b.det()
-        if not _det_is_one(d, b.backend, up_to_sign=True):
-            raise ValueError("basis is not unimodular (det = %r)" % (d,))
+        if b.backend == EXACT:
+            # on integers: D B is integral for D the common denominator, and
+            # |det B| = 1 iff |det(D B)| = D^n
+            scale, rows = linalg.clear_denominators(b.rows)
+            d, unit = linalg.det(rows), scale ** b.nrows
+            if abs(d) != unit:
+                raise ValueError("basis is not unimodular (det = %r)" % (Rat(d, unit),))
+        else:
+            d = b.det()
+            if not _det_is_one(d, b.backend, up_to_sign=True):
+                raise ValueError("basis is not unimodular (det = %r)" % (d,))
 
     @classmethod
     def standard(cls, n, backend=EXACT):
@@ -152,6 +170,29 @@ def _zigzag(lo, hi, mid):
         d += 1
 
 
+def _integral_box_basis(basis_cols, bounds):
+    """(D, columns of D y) for the box-normalised basis y_ji = c_ji / b_i of
+    exact columns c and box bounds b.  Each quotient is formed from integer
+    numerators and denominators and reduced with gcd, and D is the lcm of
+    the reduced denominators: the same D and columns as a Fraction division
+    followed by linalg.clear_denominators."""
+    n = len(basis_cols)
+    b_num = [int(b.numerator) for b in bounds]
+    b_den = [int(b.denominator) for b in bounds]
+    quotients = []
+    for c in basis_cols:
+        col = []
+        for i in range(n):
+            x = rat(c[i])
+            num = int(x.numerator) * b_den[i]
+            den = int(x.denominator) * b_num[i]
+            g = math.gcd(num, den)
+            col.append((num // g, den // g))
+        quotients.append(col)
+    scale = math.lcm(*(den for col in quotients for _, den in col))
+    return scale, [[num * (scale // den) for num, den in col] for col in quotients]
+
+
 def _walk(basis_cols, box: Box, backend, budget, leaf):
     """The depth-first Fincke-Pohst walk over the nonzero integer
     combinations of the basis columns, on either backend.
@@ -169,16 +210,12 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
     if box.dim != n:
         raise ValueError("box/basis dimension mismatch")
     bounds, closed = box.bounds, box.closed
-    # Normalize each coordinate by its box bound: enumerate D^{-1}B Z^n in
-    # the unit box instead of B Z^n in the original one.  Integer
+    xs = [0] * n
+    # Normalize each coordinate by its box bound: enumerate diag(bounds)^-1
+    # B Z^n in the unit box instead of B Z^n in the original one.  Integer
     # coefficients are unchanged, and the search sphere R^2 = n stays tame
     # even for very anisotropic boxes (bounds spanning many decades would
     # otherwise blow up the Fincke-Pohst tree).
-    cols = [
-        [scalar(c[i], backend) / bounds[i] for i in range(n)]
-        for c in basis_cols
-    ]
-    xs = [0] * n
 
     # Level j of the walk is described by (lo, hi, mid, a, b, cost): x_j
     # runs over [lo, hi] from mid outward, and choosing x_j spends
@@ -193,7 +230,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
         # Radii are kept as integers over the one denominator
         # M = lcm_j(d_j d_{j+1}), so the step is w_j y^2 with
         # w_j = M / (d_j d_{j+1}), and |y| <= isqrt(rem // w_j) is exact.
-        scale, cols = linalg.clear_denominators(cols)
+        scale, cols = _integral_box_basis(basis_cols, bounds)
         reduced, u_cols, lam, d = linalg.lll_integral(cols)
         den = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
         w = [den // (d[j] * d[j + 1]) for j in range(n)]
@@ -211,12 +248,19 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
             return -((r + s) // dj), (r - s) // dj, mid, dj, s, w[j]
 
         unit = (scale,) * n
+        # the point's coordinate i is v_i b_i / D, one Rat from integers
+        nums = [int(b.numerator) for b in bounds]
+        dens = [scale * int(b.denominator) for b in bounds]
 
         def hit(v):
             if not _inside(v, unit, closed, EXACT):
                 return None
-            return tuple(v[i] * bounds[i] / scale for i in range(n))
+            return tuple(Rat(v[i] * nums[i], dens[i]) for i in range(n))
     else:
+        cols = [
+            [scalar(c[i], backend) / bounds[i] for i in range(n)]
+            for c in basis_cols
+        ]
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
         r2 = n * (1.0 + FLOAT_SLACK)
         zero = 0.0
@@ -312,13 +356,6 @@ def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_o
         lat.basis.columns(), box, lat.backend, budget=budget, first_only=first_only
     )
     return [v for v, _ in results]
-
-
-def avoids_window(lat: Lattice, mu) -> bool:
-    """True iff the only lattice point in the solubility window is 0."""
-    return not enumerate_in_box(
-        lat, window_box(lat.n, mu, lat.backend), first_only=True
-    )
 
 
 def avoids_open_unit_box(lat: Lattice) -> bool:

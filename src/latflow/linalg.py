@@ -4,9 +4,11 @@ Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines take ints, Fraction or mpq entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
-magnitude.  `rref` and `det` skip zero entries: `rref` updates only the
-columns where the pivot row is nonzero, and `det` updates no row whose
-entry below the pivot is zero, so sparse and triangular input is cheap.
+magnitude.  `det` of a matrix of ints runs fraction-free (Bareiss) and
+stays on integers.  `rref` and the rational `det` skip zero entries:
+`rref` updates only the columns where the pivot row is nonzero, and `det`
+updates no row whose entry below the pivot is zero, so sparse and
+triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
@@ -25,8 +27,9 @@ recomputed.
 from __future__ import annotations
 
 import math
+import warnings
 
-from .backend import Rat, rat
+from .backend import LLLIterationCap, Rat, rat
 
 
 def identity(n, one=1, zero=0):
@@ -87,8 +90,33 @@ def _pivot_index(col, start, approx):
 
 
 def det(a, approx=False):
+    """Determinant of a square matrix.  Integer input (every entry an int,
+    approx off) runs fraction-free Bareiss elimination and returns an int;
+    other exact input takes one rational pivot per column; approx picks
+    pivots by magnitude."""
     n = len(a)
     m = [list(row) for row in a]
+    if not approx and all(type(x) is int for row in m for x in row):
+        # Bareiss (1968): after step j the rows below j hold (j+1) x (j+1)
+        # minors, so each division by the previous pivot is exact and the
+        # last pivot is the determinant
+        sign, prev = 1, 1
+        for j in range(n):
+            piv = _pivot_index([m[i][j] for i in range(n)], j, False)
+            if piv < 0:
+                return 0
+            if piv != j:
+                m[piv], m[j] = m[j], m[piv]
+                sign = -sign
+            pj = m[j]
+            p = pj[j]
+            for i in range(j + 1, n):
+                row = m[i]
+                f = row[j]
+                for c in range(j + 1, n):
+                    row[c] = (row[c] * p - f * pj[c]) // prev
+            prev = p
+        return sign * prev
     sign = 1
     result_one = m[0][0] - m[0][0] + 1 if not approx else 1.0  # typed one
     prod = result_one
@@ -99,8 +127,8 @@ def det(a, approx=False):
         if piv != j:
             m[piv], m[j] = m[j], m[piv]
             sign = -sign
-        # one exact pivot per column keeps integer input exact (int / int is
-        # a float) without coercing every entry
+        # one exact pivot per column keeps mixed int and rational input
+        # exact (int / int is a float) without coercing every entry
         p = m[j][j] if approx else rat(m[j][j])
         prod = prod * p
         for i in range(j + 1, n):
@@ -252,6 +280,12 @@ def lll_reduce(cols, max_iters=100_000):
     while k < n:
         iters += 1
         if iters > max_iters:
+            warnings.warn(
+                "float LLL stopped at its cap of %d passes; the basis is "
+                "valid but may not be reduced" % max_iters,
+                LLLIterationCap,
+                stacklevel=2,
+            )
             break
         for j in range(k - 1, -1, -1):
             m = mu[k][j]

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import EXACT, Rat, _poly_terms, rat
+from .backend import EXACT, BackendMismatch, Rat, _poly_terms, rat
 from .algebra import ExactMatrix, row_unipotent
 
 
@@ -147,15 +147,17 @@ class RepSpace:
         if self.kind == "wedge":
             minors = _wedge_minors(g.rows, self.degree)
             labs = [tuple(i - 1 for i in lab) for lab in self.labels()]
-            cols = [[minors[I, J] for I in labs] for J in labs]
-            return ExactMatrix.from_columns(cols, EXACT)
+            return ExactMatrix._trusted([[minors[I, J] for J in labs] for I in labs])
         # g E_pq g^-1 = (column p of g)(row q of g^-1)
         gcols, ginv = g.columns(), g.inverse().rows
         cols = self._adjoint_columns(lambda p, q: [(False, gcols[p], ginv[q])])
-        return ExactMatrix.from_columns(cols, EXACT)
+        return ExactMatrix._trusted(zip(*cols))
 
     def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """The derived (Lie algebra) action of a traceless matrix."""
+        """The derived (Lie algebra) action of a traceless matrix (exact
+        backend)."""
+        if x.backend != EXACT:  # its entries would enter the result uncoerced
+            raise BackendMismatch("weight machinery runs on the exact backend")
         if x.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         labs = self.labels()
@@ -175,13 +177,13 @@ class RepSpace:
                         J2, sign = res
                         col[index[J2]] = col[index[J2]] + sign * c
                 cols.append(col)
-            return ExactMatrix.from_columns(cols, EXACT)
+            return ExactMatrix._trusted(zip(*cols))
         # [x, E_pq] = (column p of x) e_q^T - e_p (row q of x)
         xcols, unit = x.columns(), linalg.identity(self.n, Rat(1), Rat(0))
         cols = self._adjoint_columns(
             lambda p, q: [(False, xcols[p], unit[q]), (True, unit[p], x.rows[q])]
         )
-        return ExactMatrix.from_columns(cols, EXACT)
+        return ExactMatrix._trusted(zip(*cols))
 
     def _basis_matrix(self, lab):
         n = self.n

@@ -24,7 +24,6 @@ from latflow.algebra import (
     expanding_diagonal,
     is_block_stabilizer,
     is_dual_block_stabilizer,
-    reversal_permutation,
     row_unipotent,
 )
 
@@ -189,13 +188,6 @@ def test_dual_involution_swaps_block_stabilizers():
     assert is_block_stabilizer(g, 2)
     assert not is_dual_block_stabilizer(g, 2)
     assert is_dual_block_stabilizer(dual_involution(g), 2)
-
-
-def test_reversal_permutation():
-    r = reversal_permutation(3)
-    v = ExactMatrix([[1], [2], [3]], EXACT)
-    assert (r @ v).rows == ((3,), (2,), (1,))
-    assert abs(r.det()) == 1
 
 
 def test_expansion_rates_validation():

@@ -235,3 +235,108 @@ def test_witness_failing_substitution_raises(monkeypatch, system, route):
     monkeypatch.setattr(diophantine, direct, lambda xi, w: (True, zero))
     with pytest.raises(RouteDisagreement, match="%s witness failed substitution" % system):
         decide(xi, w, route=route)
+
+
+def _primal_oracle(xi, weights, mu, witness):
+    p, q = witness
+    total = Fraction(1)
+    for w in weights:
+        total *= w
+    err = abs(sum((Fraction(qj) * x for qj, x in zip(q, xi)), Fraction(0)) - p)
+    return (err <= mu / total and all(abs(qj) < mu * w for qj, w in zip(q, weights))
+            and (p != 0 or any(q)))
+
+
+def _dual_oracle(xi, weights, mu, witness):
+    q, ps = witness
+    total = Fraction(1)
+    for w in weights:
+        total *= w
+    if not abs(q) < mu * total:
+        return False
+    k = len(weights)
+    for j in range(k):
+        val, beta = abs(q * xi[j] + ps[j]), mu / weights[j]
+        if (val > beta) if j == k - 1 else (val >= beta):
+            return False
+    return q != 0 or any(ps)
+
+
+def _witness_case(rng):
+    """A seeded window with a primal and a dual witness, each with its own
+    point.  Half the windows have integral mu N_j and mu prod N, so that
+    witnesses on those faces exist.  One coordinate of each point is solved
+    for, so that the primal error is +-mu / prod N exactly or a random
+    multiple of it, and one dual form sits exactly on its face +-mu / N_j,
+    the others at random multiples.  A quarter of the witnesses put one
+    |q_j|, or |q|, on or past its open face."""
+    k = rng.randint(1, 3)
+    mu = Rat(rng.randint(1, 12), 12)
+    if rng.random() < 0.5:
+        weights = [Rat(rng.randint(1, 6)) / mu for _ in range(k)]
+    else:
+        weights = [1 + Rat(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(k)]
+    window = WindowSpec(weights, mu)
+    total = window.total_weight()
+
+    def inside(bound):  # an integer of absolute value < bound, or one on or past it
+        top = -((-bound.numerator) // bound.denominator)  # ceil
+        if rng.random() < 0.25:
+            return rng.choice((top, -top))
+        return rng.randint(-(top - 1), top - 1)
+
+    def offset(beta):
+        return rng.choice((1, -1, Rat(rng.randint(-6, 6), 5))) * beta
+
+    xi = [Rat(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(k)]
+    q = [rng.randint(-(int(mu * w) - 1), int(mu * w) - 1) if int(mu * w) > 1 else 0
+         for w in weights]
+    j = rng.randrange(k)
+    q[j] = inside(mu * weights[j]) or 1
+    p = rng.randint(-3, 3)
+    xi[j] = (p + offset(mu / total) - sum(q[i] * xi[i] for i in range(k) if i != j)) / q[j]
+    primal_xi, primal = tuple(xi), (p, tuple(q))
+    dq = inside(mu * total) or 1
+    ps = [rng.randint(-3, 3) for _ in range(k)]
+    face = rng.randrange(k)
+    xi = [(offset(mu / w) if i == face else Rat(rng.randint(-4, 4), 5) * mu / w) - pi
+          for i, (w, pi) in enumerate(zip(weights, ps))]
+    return window, primal_xi, primal, tuple(x / dq for x in xi), (dq, tuple(ps))
+
+
+def test_witness_checks_match_fraction_oracles():
+    # the integer cross-multiplied checks decide as the Fraction comparisons,
+    # on random witnesses and on witnesses exactly on each face
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        w, pxi, primal, dxi, dual = _witness_case(rng)
+        fw = [_brute.frac(x) for x in w.weights]
+        fmu = _brute.frac(w.radius)
+        got = diophantine._check_primal_witness(pxi, w, primal)
+        assert got == _primal_oracle([_brute.frac(x) for x in pxi], fw, fmu, primal)
+        verdicts[got] += 1
+        got = diophantine._check_dual_witness(dxi, w, dual)
+        assert got == _dual_oracle([_brute.frac(x) for x in dxi], fw, fmu, dual)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 1000
+
+
+def test_witness_checks_on_faces():
+    # primal: the error face mu / prod N is closed, every |q_j| < mu N_j open
+    w = WindowSpec((4, Rat(5, 2)), Rat(1, 2))  # mu N = (2, 5/4), mu / prod N = 1/20
+    check = diophantine._check_primal_witness
+    assert check((Rat(1, 20), Rat(0)), w, (0, (1, 0)))
+    assert check((Rat(-1, 20), Rat(0)), w, (0, (1, 0)))
+    assert not check((Rat(1, 19), Rat(0)), w, (0, (1, 0)))
+    assert check((Rat(0), Rat(1, 20)), w, (0, (1, 1)))
+    assert not check((Rat(0), Rat(0)), w, (0, (2, 0)))  # |q_1| = mu N_1
+    assert not check((Rat(0), Rat(0)), w, (0, (0, 0)))  # zero
+    # dual: |q| < mu prod N open, the last form's face closed, the rest open
+    dual = diophantine._check_dual_witness
+    assert dual((Rat(0), Rat(1, 5)), w, (1, (0, 0)))  # |xi_2| = mu / N_2
+    assert not dual((Rat(1, 8), Rat(0)), w, (1, (0, 0)))  # |xi_1| = mu / N_1
+    assert dual((Rat(1, 9), Rat(0)), w, (1, (0, 0)))
+    assert not dual((Rat(0), Rat(0)), w, (5, (0, 0)))  # |q| = mu prod N = 5
+    assert dual((Rat(0), Rat(0)), w, (4, (0, 0)))
+    assert not dual((Rat(0), Rat(0)), w, (0, (0, 0)))

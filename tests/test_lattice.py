@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 import signal
 import warnings
 from fractions import Fraction
@@ -21,12 +22,12 @@ from latflow.backend import (
     scalar,
 )
 from latflow.algebra import ExactMatrix, ExpansionRates, expanding_diagonal, row_unipotent
+from latflow.linalg import clear_denominators
 from latflow.lattice import (
     Box,
     Lattice,
     Tent,
     avoids_open_unit_box,
-    avoids_window,
     enumerate_basis_in_box,
     enumerate_in_box,
     shortest_sup_norm,
@@ -64,9 +65,16 @@ def test_float_box_warns_near_face():
 
 
 def test_lattice_requires_unimodular():
-    with pytest.raises(ValueError):
-        Lattice(ExactMatrix([[2, 0], [0, 1]], EXACT))
+    # the exact check runs on D B; the message names the rational det
+    for rows, d in [([[2, 0], [0, 1]], Rat(2)),
+                    ([[Rat(1, 2), 7], [0, Rat(3, 2)]], Rat(3, 4)),
+                    ([[Rat(1, 3), Rat(2, 3)], [1, 2]], Rat(0))]:
+        with pytest.raises(ValueError, match=re.escape("not unimodular (det = %r)" % (d,))):
+            Lattice(ExactMatrix(rows, EXACT))
+    with pytest.raises(ValueError, match=re.escape("(det = 2.0)")):
+        Lattice(ExactMatrix([[2, 0], [0, 1]], FLOAT))
     assert Lattice.standard(3).n == 3
+    assert Lattice(ExactMatrix([[Rat(2, 3), Rat(5, 7)], [0, Rat(-3, 2)]], EXACT)).n == 2
 
 
 def test_enumerate_standard_lattice():
@@ -219,6 +227,25 @@ def _as_fractions(pairs):
     return [(tuple(_brute.frac(x) for x in p), tuple(c)) for p, c in pairs]
 
 
+def test_integral_box_basis_matches_fraction_division():
+    # the integer normalisation gives the D and integer columns of dividing
+    # by the bounds in Fractions and then clearing denominators
+    rng = random.Random(71)
+    for case in range(600):
+        n = 2 + case % 4
+        rows = _brute.random_unimodular(rng, n, ops=8, max_mult=3)
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.4:
+                    den = rng.choice((2, 3, 7, 12, 10**9, 2**61 - 1, 10**30 + 57))
+                    rows[i][j] += Fraction(rng.randint(-den, den), den)
+        cols = [[Rat(rows[i][j]) for i in range(n)] for j in range(n)]
+        bounds = [Rat(rng.randint(1, 10**rng.randint(0, 8)), rng.randint(1, 10**rng.randint(0, 8)))
+                  * Rat(10) ** rng.randint(-6, 6) for _ in range(n)]
+        want = clear_denominators([[x / b for x, b in zip(col, bounds)] for col in cols])
+        assert lattice._integral_box_basis(cols, bounds) == want
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_walk_matches_fraction_oracles(seed):
     # Full point sets and coefficients equal the coefficient-box scan; the
@@ -256,7 +283,8 @@ def test_coefficients_reproduce_points():
 
 def test_avoidance_helpers():
     assert avoids_open_unit_box(Lattice.standard(2))  # faces don't count
-    assert not avoids_window(Lattice.standard(2), 1)  # closed head face does
+    # the closed head face does count in the solubility window
+    assert enumerate_in_box(Lattice.standard(2), window_box(2, 1), first_only=True)
     # unit triangular bases always avoid (coordinates vanish bottom-up)
     assert avoids_open_unit_box(
         Lattice(ExactMatrix([[1, rat("1/2")], [0, 1]], EXACT))

@@ -1,11 +1,12 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from latflow.algebra import diagonal_shear
-from latflow.backend import FLOAT
+from latflow.backend import FLOAT, LLLIterationCap
 from latflow.linalg import (
     clear_denominators,
     det,
@@ -89,9 +90,23 @@ def test_float_lll_matches_full_recompute_loop(seed):
         n = 2 + case % 4
         cols = _float_basis(rng, n)
         cap = rng.randint(1, 6) if case % 10 == 0 else 100_000
-        assert repr(lll_reduce(cols, max_iters=cap)) == repr(
-            _brute.lll_float_reference(cols, max_iters=cap)
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LLLIterationCap)
+            got = lll_reduce(cols, max_iters=cap)
+        assert repr(got) == repr(_brute.lll_float_reference(cols, max_iters=cap))
+
+
+def test_float_lll_warns_at_its_iteration_cap():
+    long_first = [[5.0, 0.0], [0.0, 3.0]]  # one swap, so two passes
+    with pytest.warns(LLLIterationCap):
+        capped = lll_reduce(long_first, max_iters=1)
+    assert repr(capped) == repr(_brute.lll_float_reference(long_first, max_iters=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LLLIterationCap)
+        assert lll_reduce(long_first, max_iters=2)[0] == [[0.0, 3.0], [5.0, 0.0]]
+        rng = random.Random(99)
+        for case in range(200):  # the default cap is never reached here
+            lll_reduce(_float_basis(rng, 2 + case % 4))
 
 
 def test_exact_lll_half_ties():
@@ -126,6 +141,43 @@ def test_clear_denominators():
     scale, cols = clear_denominators([[Fraction(1, 6), 2], [Fraction(-3, 4), 0]])
     assert scale == 12
     assert cols == [[2, 24], [-9, 0]]
+
+
+def _integer_det_cases(rng):
+    """Seeded integer matrices, n = 1-6: unimodular ones (det +-1), random
+    ones, singular ones (a row a combination of two others), and ones whose
+    elimination meets zero pivots that need a row swap."""
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        yield _brute.random_unimodular(rng, n, ops=8, max_mult=3)
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n >= 3:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[rng.randrange(2, n)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            rng.shuffle(rows)
+            yield rows
+        if n >= 2:
+            # a zero corner: the first pivot needs a row swap
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            yield rows
+
+
+def test_integer_det_matches_fraction_elimination():
+    rng = random.Random(41)
+    seen = set()
+    for rows in _integer_det_cases(rng):
+        d = det(rows)
+        assert type(d) is int and d == _brute.det_reference(rows)
+        seen.add(min(abs(d), 2))
+    assert seen == {0, 1, 2}
+    # zero pivots at every step: a permutation matrix, and one row swap away
+    # from the identity
+    assert det([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == 1
+    assert det([[1, 0, 0], [0, 0, 1], [0, 1, 0]]) == -1
+    assert det([[1, 2, 3], [2, 4, 5], [1, 1, 1]]) == _brute.det_reference([[1, 2, 3], [2, 4, 5], [1, 1, 1]])
+    assert det([[0, 0], [0, 5]]) == 0
 
 
 def test_exact_det_of_integer_matrices_stays_exact():

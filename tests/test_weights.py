@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow.backend import EXACT, Rat, rat
+from latflow.backend import EXACT, FLOAT, BackendMismatch, Rat, rat
 from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.diophantine import Curve
 from latflow.weights import (
@@ -38,7 +38,7 @@ def test_block_generator_diagonal():
     assert [int(g.rows[i][i]) for i in range(3)] == [2, -1, -1]
     g = block_generator(4, 1)
     assert [int(g.rows[i][i]) for i in range(4)] == [1, -1, 0, 0]
-    assert g.trace() == 0
+    assert sum(g.rows[i][i] for i in range(4)) == 0
 
 
 def test_wedge_weight_table():
@@ -106,6 +106,9 @@ def test_algebra_matrix_matches_dense_reference(n):
             x[n - 1][n - 1] = -sum(x[i][i] for i in range(n - 1))
             got = rep.algebra_matrix(ExactMatrix(x, EXACT))
             assert _frac_rows(got) == algebra_matrix_reference(n, rep.kind, rep.degree, x)
+            # a float matrix is refused, never carried into the exact result
+            with pytest.raises(BackendMismatch):
+                rep.algebra_matrix(ExactMatrix(x, EXACT).to_float())
 
 
 def test_growth_spec_classify():
