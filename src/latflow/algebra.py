@@ -88,10 +88,6 @@ class ExactMatrix:
             backend,
         )
 
-    @classmethod
-    def from_columns(cls, cols, backend=EXACT):
-        return cls(list(zip(*cols)), backend)
-
     # -- access ------------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij

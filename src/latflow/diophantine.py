@@ -282,11 +282,10 @@ def _dual_direct_cost(window: WindowSpec):
     return 2 * _strict_abs_max(window.radius * window.total_weight()) + 1
 
 
-# The witness checks compare integers: each rational inequality is
-# cross-multiplied by the positive denominators of its two sides.
-
-
 def _nd(x):
+    """(numerator, denominator) of a rational as ints.  The witness checks
+    cross-multiply each inequality by the positive denominators of its two
+    sides, so that they compare integers."""
     return int(x.numerator), int(x.denominator)
 
 
