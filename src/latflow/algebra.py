@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import EXACT, FLOAT, Rat, check_same_backend, rat, scalar
+from .backend import EXACT, FLOAT, check_same_backend, scalar
 
 _DET_TOL = 1e-9
 
@@ -71,7 +71,7 @@ class ExactMatrix:
     def _trusted(cls, rows, backend=EXACT):
         """Internal: the matrix of nonempty rectangular rows whose entries
         already have the backend's scalar type (a matrix's own entries, or
-        the results of Rat arithmetic on them), with no per-entry coercion."""
+        the results of arithmetic on them), with no per-entry coercion."""
         self = object.__new__(cls)
         self._set(tuple(map(tuple, rows)), backend)
         return self
@@ -108,9 +108,7 @@ class ExactMatrix:
             return NotImplemented
         check_same_backend(self.backend, other.backend)
         rows = linalg.mat_mul(self._lists(), other._lists())
-        if self.backend == EXACT:
-            return ExactMatrix._trusted(rows)
-        return ExactMatrix(rows, self.backend)
+        return ExactMatrix._trusted(rows, self.backend)
 
     def apply(self, vec):
         """Matrix-vector product; returns a tuple."""
@@ -121,9 +119,9 @@ class ExactMatrix:
         return ExactMatrix._trusted(zip(*self.rows), self.backend)
 
     def inverse(self):
-        if self.backend == EXACT:
-            return ExactMatrix._trusted(linalg.inverse(self._lists()))
-        return ExactMatrix(linalg.inverse(self._lists(), approx=True), self.backend)
+        return ExactMatrix._trusted(
+            linalg.inverse(self._lists(), approx=self.backend == FLOAT), self.backend
+        )
 
     def det(self):
         return linalg.det(self._lists(), approx=self.backend == FLOAT)
@@ -209,16 +207,15 @@ def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
     as ExpansionRates and WindowSpec hold them, and need not be ordered.
     Every entry equals that of the dense product, floats bit for bit: on
     floats the `0 +` turns a shift of -0.0 into +0.0, as the product's sums
-    do.  Exact entries are Rat by construction and skip the coercion."""
+    do.  The entries are backend scalars by construction and skip the
+    per-entry coercion."""
     if len(shift) != len(weights):
         raise ValueError("dimension mismatch")
-    exact = backend == EXACT
-    if exact:
-        one, zero, total = Rat(1), Rat(0), rat(weights[0])
-        shift = [rat(x) for x in shift]
-    else:
-        one, zero, total = scalar(1, backend), scalar(0, backend), weights[0]
-        shift = [zero + scalar(x, backend) for x in shift]
+    one, zero = scalar(1, backend), scalar(0, backend)
+    total = scalar(weights[0], backend)
+    shift = [scalar(x, backend) for x in shift]
+    if backend == FLOAT:
+        shift = [zero + x for x in shift]
     for x in weights[1:]:
         total = total * x
     n = len(weights) + 1
@@ -227,7 +224,7 @@ def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
         row = [zero] * n
         row[1 + j] = one / x
         rows.append(row)
-    return ExactMatrix._trusted(rows) if exact else ExactMatrix(rows, backend)
+    return ExactMatrix._trusted(rows, backend)
 
 
 def row_unipotent(shift, backend=EXACT) -> ExactMatrix:

@@ -15,10 +15,9 @@ the box becomes one Rat per coordinate.  The float path inflates radii by
 warns when a point lands within 1e-9 of a face.  Both leaf tests and
 `Box.contains` share one membership rule (`_inside`).
 
-An exact `Lattice` checks its determinant on integers too: with D the
-common denominator of the basis B, D B is integral, and B is unimodular
-iff |det(D B)| = D^n, which `linalg.det` computes by fraction-free
-(Bareiss) elimination.
+An exact `Lattice` checks its determinant on integers too: `linalg.det`
+scales the basis B by its common denominator D, so D B is integral, and
+computes det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback.  `enumerate_basis_in_box` collects the points and pulls
@@ -113,17 +112,9 @@ class Lattice:
         b = self.basis
         if b.nrows != b.ncols:
             raise ValueError("basis must be square")
-        if b.backend == EXACT:
-            # on integers: D B is integral for D the common denominator, and
-            # |det B| = 1 iff |det(D B)| = D^n
-            scale, rows = linalg.clear_denominators(b.rows)
-            d, unit = linalg.det(rows), scale ** b.nrows
-            if abs(d) != unit:
-                raise ValueError("basis is not unimodular (det = %r)" % (Rat(d, unit),))
-        else:
-            d = b.det()
-            if not _det_is_one(d, b.backend, up_to_sign=True):
-                raise ValueError("basis is not unimodular (det = %r)" % (d,))
+        d = b.det()
+        if not _det_is_one(d, b.backend, up_to_sign=True):
+            raise ValueError("basis is not unimodular (det = %r)" % (d,))
 
     @classmethod
     def standard(cls, n, backend=EXACT):

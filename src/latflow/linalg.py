@@ -4,11 +4,11 @@ Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines take ints, Fraction or mpq entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
-magnitude.  `det` of a matrix of ints runs fraction-free (Bareiss) and
-stays on integers.  `rref` and the rational `det` skip zero entries:
-`rref` updates only the columns where the pivot row is nonzero, and `det`
-updates no row whose entry below the pivot is zero, so sparse and
-triangular input is cheap.
+magnitude.  The exact `det` scales its input by the common denominator
+and runs fraction-free (Bareiss) elimination on integers.  `rref` and the
+float `det` skip zero entries: `rref` updates only the columns where the
+pivot row is nonzero, and `det` updates no row whose entry below the pivot
+is zero, so sparse and triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
@@ -90,13 +90,13 @@ def _pivot_index(col, start, approx):
 
 
 def det(a, approx=False):
-    """Determinant of a square matrix.  Integer input (every entry an int,
-    approx off) runs fraction-free Bareiss elimination and returns an int;
-    other exact input takes one rational pivot per column; approx picks
-    pivots by magnitude."""
+    """Determinant of a square matrix.  Exact input is scaled by its common
+    denominator D (`clear_denominators`) and D A goes through fraction-free
+    Bareiss elimination, so det A = det(D A) / D^n comes back as one Rat;
+    approx picks float pivots by magnitude."""
     n = len(a)
-    m = [list(row) for row in a]
-    if not approx and all(type(x) is int for row in m for x in row):
+    if not approx:
+        scale, m = clear_denominators(a)
         # Bareiss (1968): after step j the rows below j hold (j+1) x (j+1)
         # minors, so each division by the previous pivot is exact and the
         # last pivot is the determinant
@@ -104,7 +104,7 @@ def det(a, approx=False):
         for j in range(n):
             piv = _pivot_index([m[i][j] for i in range(n)], j, False)
             if piv < 0:
-                return 0
+                return Rat(0)
             if piv != j:
                 m[piv], m[j] = m[j], m[piv]
                 sign = -sign
@@ -116,20 +116,18 @@ def det(a, approx=False):
                 for c in range(j + 1, n):
                     row[c] = (row[c] * p - f * pj[c]) // prev
             prev = p
-        return sign * prev
+        return Rat(sign * prev, scale**n)
+    m = [list(row) for row in a]
     sign = 1
-    result_one = m[0][0] - m[0][0] + 1 if not approx else 1.0  # typed one
-    prod = result_one
+    prod = 1.0
     for j in range(n):
-        piv = _pivot_index([m[i][j] for i in range(n)], j, approx)
+        piv = _pivot_index([m[i][j] for i in range(n)], j, True)
         if piv < 0:
             return prod * 0
         if piv != j:
             m[piv], m[j] = m[j], m[piv]
             sign = -sign
-        # one exact pivot per column keeps mixed int and rational input
-        # exact (int / int is a float) without coercing every entry
-        p = m[j][j] if approx else rat(m[j][j])
+        p = m[j][j]
         prod = prod * p
         for i in range(j + 1, n):
             if m[i][j] != 0:  # a zero below the pivot needs no row update

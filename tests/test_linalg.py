@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latflow.algebra import diagonal_shear
-from latflow.backend import FLOAT, LLLIterationCap
+from latflow.backend import FLOAT, LLLIterationCap, Rat
 from latflow.linalg import (
     clear_denominators,
     det,
@@ -164,13 +164,17 @@ def _integer_det_cases(rng):
             yield rows
 
 
-def test_integer_det_matches_fraction_elimination():
+def test_exact_det_matches_fraction_elimination():
+    # one exact path: integer input, and the same matrices with rational
+    # entries, which det scales to integers before the Bareiss elimination
     rng = random.Random(41)
     seen = set()
     for rows in _integer_det_cases(rng):
         d = det(rows)
-        assert type(d) is int and d == _brute.det_reference(rows)
+        assert type(d) is type(Rat(0)) and d == _brute.det_reference(rows)
         seen.add(min(abs(d), 2))
+        frac_rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+        assert det(frac_rows) == _brute.det_reference(frac_rows)
     assert seen == {0, 1, 2}
     # zero pivots at every step: a permutation matrix, and one row swap away
     # from the identity
@@ -178,6 +182,7 @@ def test_integer_det_matches_fraction_elimination():
     assert det([[1, 0, 0], [0, 0, 1], [0, 1, 0]]) == -1
     assert det([[1, 2, 3], [2, 4, 5], [1, 1, 1]]) == _brute.det_reference([[1, 2, 3], [2, 4, 5], [1, 1, 1]])
     assert det([[0, 0], [0, 5]]) == 0
+    assert det([[0, Fraction(1, 2)], [Fraction(2, 3), 5]]) == Fraction(-1, 3)
 
 
 def test_exact_det_of_integer_matrices_stays_exact():
