@@ -11,7 +11,7 @@ All of this is exact integer/rational arithmetic, certified two ways
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .backend import EXACT, Rat, rat
 from .algebra import (
@@ -20,7 +20,7 @@ from .algebra import (
     is_block_stabilizer,
     is_dual_block_stabilizer,
 )
-from .diophantine import WindowSpec, window_primal_soluble
+from .diophantine import WindowSpec, _check_primal_witness, window_primal_soluble
 from .lattice import DEFAULT_NODE_BUDGET, Lattice, avoids_open_unit_box
 
 
@@ -233,17 +233,42 @@ def scan_radius_threshold(fixed_tail, first_weights):
     """Smallest radius in [1/2, 1], to THRESHOLD_STEP by bisection, at
     which the scan is all-soluble; solubility is monotone in the radius, so
     bisection is sound.  Returns (threshold, report_at_threshold); raises
-    if even radius 1 fails."""
+    if even radius 1 fails.
+
+    Only radius 1 runs a full scan.  Radius 1/2, the bottom of the range,
+    is decided next and is the threshold when it is all-soluble; then each
+    bisection radius is decided case by case, (first weight, grid point),
+    and stops at its first insoluble case.  Every case keeps its last
+    witness: one that passes the substitution check at the new radius
+    makes the case soluble with no walk.  The report at the threshold is
+    the radius-1 report at the threshold radius, all soluble."""
     lo, hi = Rat(1, 2), Rat(1)
     top = varying_first_weight_scan(fixed_tail, first_weights, hi)
     if not top.all_soluble:
         raise ValueError("scan not soluble even at radius %s" % hi)
-    best = top
+    weights = [(rat(n1),) + top.fixed_tail for n1 in top.first_weights]
+    grid = default_scan_grid()
+    witnesses = {}
+
+    def all_soluble(mu):
+        for w in weights:
+            window = WindowSpec(w, mu)
+            for xi in grid:
+                cached = witnesses.get((w, xi))
+                if cached is not None and _check_primal_witness(xi, window, cached):
+                    continue
+                soluble, witness = window_primal_soluble(xi, window, route="lattice")
+                if not soluble:
+                    return False
+                witnesses[(w, xi)] = witness
+        return True
+
+    if all_soluble(lo):
+        return lo, replace(top, radius=lo)
     while hi - lo > THRESHOLD_STEP:
         mid = (lo + hi) / 2
-        rep = varying_first_weight_scan(fixed_tail, first_weights, mid)
-        if rep.all_soluble:
-            hi, best = mid, rep
+        if all_soluble(mid):
+            hi = mid
         else:
             lo = mid
-    return hi, best
+    return hi, replace(top, radius=hi)

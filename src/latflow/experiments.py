@@ -201,6 +201,8 @@ def _window_flags_at(job, s):
             continue
         ds, _ = window_dual_soluble(xi, w, route="lattice", budget=budget)
         flags.append(ds)
+        if not ds:  # every longer prefix fails here already
+            break
     return tuple(flags)
 
 
@@ -412,7 +414,9 @@ def improvability_scan(
     the dual system is soluble (equivalently the doubled translate misses
     the product of avoidance sets).  Everything is exact: fractions are
     true rationals, and rows are monotone nonincreasing in L by nesting.
-    The L = 0 row is the vacuous conjunction, fraction 1.
+    The L = 0 row is the vacuous conjunction, fraction 1.  A sample's
+    windows are decided in row order up to its first window where both
+    systems are insoluble; the later rows cannot change its prefixes.
     """
     samples = sample_grid(curve, count, grid, seed)
     rows = [tuple(r) for r in weight_rows]

@@ -12,8 +12,8 @@ the integer Gram determinants and scaled coefficients that LLL returns
 [-D, D]^n, so membership on a box face is decided exactly, and a point in
 the box becomes one Rat per coordinate.  The float path inflates radii by
 1e-9, tests each leaf against the unit box with no Box built per call, and
-warns when a point lands within 1e-9 of a face.  Both leaf tests and
-`Box.contains` share one membership rule (`_inside`).
+warns when a point lands within 1e-9 of a face.  Both leaf tests share
+one membership rule (`_inside`).
 
 An exact `Lattice` checks its determinant on integers too: `linalg.det`
 scales the basis B by its common denominator D, so D B is integral, and
@@ -71,11 +71,6 @@ class Box:
     @property
     def dim(self):
         return len(self.bounds)
-
-    def contains(self, v):
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return _inside(v, self.bounds, self.closed, self.backend)
 
 
 def _inside(v, bounds, closed, backend):

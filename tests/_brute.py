@@ -232,6 +232,29 @@ def improvability_fraction(points, weight_rows, mu):
     return Fraction(sum(flags), len(flags))
 
 
+def threshold_by_full_scans(scan, fixed_tail, first_weights, lo, hi, step):
+    """The all-soluble radius threshold on [lo, hi] with one full
+    scan(fixed_tail, first_weights, radius) per radius: hi first (a
+    ValueError unless it is all-soluble), then lo, which is the threshold
+    when it is all-soluble, then bisection down to step.  Returns
+    (threshold, the scan at it).  The scan is passed in, so this module
+    stays independent of the package."""
+    best = scan(fixed_tail, first_weights, hi)
+    if not best.all_soluble:
+        raise ValueError("scan not soluble even at radius %s" % hi)
+    bottom = scan(fixed_tail, first_weights, lo)
+    if bottom.all_soluble:
+        return lo, bottom
+    while hi - lo > step:
+        mid = (lo + hi) / 2
+        rep = scan(fixed_tail, first_weights, mid)
+        if rep.all_soluble:
+            hi, best = mid, rep
+        else:
+            lo = mid
+    return hi, best
+
+
 def random_unimodular(rng, n, ops=6, max_mult=2):
     """Integer matrix of determinant +-1 built from elementary row ops;
     small multipliers keep the inverse (hence brute scans) small."""

@@ -5,8 +5,10 @@ import pytest
 
 from latflow.backend import EXACT, Rat, rat
 from latflow.algebra import ExactMatrix, dual_involution
+from latflow import constructions
 from latflow.lattice import Lattice, avoids_open_unit_box
 from latflow.constructions import (
+    THRESHOLD_STEP,
     block_transport_witness,
     default_scan_grid,
     scan_radius_threshold,
@@ -15,6 +17,8 @@ from latflow.constructions import (
     unit_triangular_avoidance_check,
     varying_first_weight_scan,
 )
+
+import _brute
 
 
 def test_staircase_shape_and_det():
@@ -139,6 +143,42 @@ def test_half_integral_threshold_below_dirichlet():
     assert at.all_soluble
     below = varying_first_weight_scan((Rat(5, 2),), (10,), thr - Rat(1, 128))
     assert not below.all_soluble
+
+
+@pytest.mark.parametrize("tail, first_weights", [
+    ((Rat(5, 2),), (10,)),
+    ((Rat(5, 2),), (10, 100)),
+    ((2,), (10,)),
+    ((3,), (10,)),
+    ((Rat(7, 2),), (1,)),
+    ((7,), (10,)),
+    ((Rat(100, 3),), (10,)),
+])
+def test_threshold_matches_full_scan_bisection(tail, first_weights):
+    # the cached witnesses and the early exit leave every bisection answer,
+    # and the report at the threshold, as one full scan per radius gives them;
+    # tails 7 and 100/3 are all-soluble at 1/2, the bottom of the range
+    want = _brute.threshold_by_full_scans(
+        varying_first_weight_scan, tail, first_weights, Rat(1, 2), Rat(1), THRESHOLD_STEP
+    )
+    assert scan_radius_threshold(tail, first_weights) == want
+
+
+def test_threshold_walks_only_where_a_witness_fails(monkeypatch):
+    # one full scan at radius 1 (200 walks), then a walk only for the cases
+    # whose last witness fails at the new radius; seven full scans take 1,400
+    calls = []
+    decide = constructions.window_primal_soluble
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].radius)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "window_primal_soluble", counted)
+    thr, at = scan_radius_threshold((Rat(5, 2),), (10, 100))
+    assert thr == Rat(103, 128) and at.all_soluble
+    assert len(calls) == 404
+    assert calls.count(1) == 200
 
 
 def test_scan_rejects_misshapen_grid():

@@ -5,11 +5,13 @@ import pytest
 
 from latflow.backend import EXACT, FLOAT, Rat, rat
 from latflow.algebra import ExactMatrix, ExpansionRates, dual_involution
-from latflow.diophantine import Curve
+from latflow import experiments
+from latflow.diophantine import Curve, WindowSpec, window_dual_soluble, window_primal_soluble
 from latflow.lattice import Tent
 from latflow.sequences import RateSchedule
 from latflow.experiments import (
     BasePoint,
+    ImprovabilityRow,
     _aligning_element,
     equidistribution_siegel,
     improvability_scan,
@@ -159,6 +161,60 @@ def test_improvability_scan_frozen_fractions():
     # nonincreasing along prefixes
     fracs = [r.fraction for r in sorted(rows, key=lambda r: r.prefix)]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+
+def _improvability_every_window(curve, weight_rows, mu_list, count):
+    """improvability_scan's rows with every window of every sample decided."""
+    points = [curve.eval_exact(s) for s in sample_grid(curve, count)]
+    out = []
+    for mu in mu_list:
+        windows = [WindowSpec(r, mu) for r in weight_rows]
+        flags = [
+            [window_primal_soluble(xi, w, route="lattice")[0]
+             or window_dual_soluble(xi, w, route="lattice")[0] for w in windows]
+            for xi in points
+        ]
+        out.append(ImprovabilityRow(mu, 0, count, count, Fraction(1)))
+        for L in range(1, len(windows) + 1):
+            hits = sum(1 for f in flags if all(f[:L]))
+            out.append(ImprovabilityRow(mu, L, hits, count, Fraction(hits, count)))
+    return out
+
+
+_DEFAULT_ROWS = [(10**e, 10**e) for e in range(1, 7)]
+
+
+@pytest.mark.parametrize("weight_rows, mu_list, count, threads", [
+    (_DEFAULT_ROWS, [Rat(1, 2), Rat(3, 4)], 100, 1),
+    (_DEFAULT_ROWS, [Rat(1, 2), Rat(3, 4)], 100, 2),
+    ([(10, 10), (100, 100), (1000, 1000)], [Rat(1, 2)], 100, 1),
+])
+def test_improvability_matches_every_window_reference(weight_rows, mu_list, count, threads):
+    # a sample stops at its first window where both systems are insoluble;
+    # every prefix through that window already fails, so no row moves
+    curve = Curve.parse("s,s^2")
+    want = _improvability_every_window(curve, weight_rows, mu_list, count)
+    assert improvability_scan(curve, weight_rows, mu_list, count, threads=threads) == want
+
+
+def test_improvability_decides_up_to_the_first_failed_window(monkeypatch):
+    # the default command: 100 samples, six weight rows, radius 1/2.  Every
+    # window decided would be 600 primal and 124 dual decisions
+    calls = {"primal": 0, "dual": 0}
+
+    def counted(side, decide):
+        def run(*args, **kwargs):
+            calls[side] += 1
+            return decide(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(experiments, "window_primal_soluble",
+                        counted("primal", experiments.window_primal_soluble))
+    monkeypatch.setattr(experiments, "window_dual_soluble",
+                        counted("dual", experiments.window_dual_soluble))
+    rows = improvability_scan(Curve.parse("s,s^2"), _DEFAULT_ROWS, [Rat(1, 2)], 100)
+    assert [r.fraction for r in rows] == [1, Fraction(51, 100)] + [Fraction(33, 100)] * 5
+    assert calls == {"primal": 283, "dual": 92}
 
 
 def test_shear_scan_zero_twist_is_exact():
