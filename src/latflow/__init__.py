@@ -74,7 +74,6 @@ from .weights import (
     block_invariant_space,
     curve_hypothesis_fixed_check,
     hypothesis_space,
-    is_block_fixed,
     lemma_reports,
     split_spaces,
     straightening_shear,

@@ -20,9 +20,12 @@ scales the basis B by its common denominator D, so D B is integral, and
 computes det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
-a leaf callback.  `enumerate_basis_in_box` collects the points and pulls
-their coefficients back to the given basis; `enumerate_in_box` and
-`shortest_sup_norm` are built on it.
+a leaf callback.  It visits one point of each +-v pair, the one whose last
+nonzero coefficient is negative: the node budget counts that half tree, and
+a FaceProximity warning fires once per pair.  `enumerate_basis_in_box`
+collects the points, pulls their coefficients back to the given basis and
+adds each point's mirror; `enumerate_in_box` and `shortest_sup_norm` are
+built on it.
 """
 
 from __future__ import annotations
@@ -135,7 +138,11 @@ def _zigzag(lo, hi, mid):
     level's center.  Center-first order makes the depth-first search reach an
     interior leaf (one that passes the box test, not just the sphere bound)
     almost immediately, which is what makes first_only decisions cheap even
-    when the window holds millions of points.
+    when the window holds millions of points.  At a level whose higher
+    coefficients are all 0 the walk passes hi = 0 (center and mid are 0
+    there): 0, -1, -2, ... is the full order with the positive half left
+    out, so each +-v pair is reached through its negative member, which the
+    full order reached first.
     """
     if lo > hi:
         return
@@ -183,13 +190,15 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
     """The depth-first Fincke-Pohst walk over the nonzero integer
     combinations of the basis columns, on either backend.
 
-    Calls leaf(point, xs) on each combination inside the box, in walk
+    Calls leaf(point, xs) on one combination of each +-xs pair inside the
+    box, the one whose last nonzero coefficient is negative, in walk
     order: point is its tuple of coordinates, xs the live list of its
-    coefficients w.r.t. the LLL-reduced basis (copy it to keep it).  A
-    true return from leaf stops the walk.  Returns u_cols, the columns of
+    coefficients w.r.t. the LLL-reduced basis (copy it to keep it).  Its
+    mirror -point, -xs is in the box too, and the leaf is not called on it.
+    A true return from leaf stops the walk.  Returns u_cols, the columns of
     the unimodular U that pulls xs back to coefficients w.r.t. the given
-    basis.  Raises BudgetExceeded after budget nodes, and BackendMismatch
-    for a box on another backend than `backend`.
+    basis.  Raises BudgetExceeded after budget nodes of this half tree, and
+    BackendMismatch for a box on another backend than `backend`.
     """
     check_same_backend(backend, box.backend)
     n = len(basis_cols)
@@ -272,7 +281,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
 
     nodes = 0
 
-    def rec(j, rem):
+    def rec(j, rem, top):
         nonlocal nodes
         if j < 0:
             if not any(xs):
@@ -287,6 +296,8 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
             point = hit(v)
             return point is not None and leaf(point, xs)
         lo, hi, mid, a, b, cost = level(j, rem)
+        if top:  # center 0, symmetric interval: keep x_j <= 0, one of each +-v
+            hi = min(hi, 0)
         for x in _zigzag(lo, hi, mid):
             nodes += 1
             if nodes > budget:
@@ -296,12 +307,12 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
                 )
             xs[j] = x
             y = a * x + b
-            if rec(j - 1, rem - cost * y * y):
+            if rec(j - 1, rem - cost * y * y, top and not x):
                 return True
         xs[j] = 0
         return False
 
-    rec(n - 1, r2)
+    rec(n - 1, r2, True)
     return u_cols
 
 
@@ -327,7 +338,12 @@ def enumerate_basis_in_box(
         return first_only
 
     u_rows = list(zip(*_walk(basis_cols, box, backend, budget, keep)))
-    results = [(v, tuple(sum(map(mul, row, x_red)) for row in u_rows)) for v, x_red in found]
+    results = []
+    for v, x_red in found:
+        coeffs = tuple(sum(map(mul, row, x_red)) for row in u_rows)
+        results.append((v, coeffs))
+        if not first_only:  # the mirror -v; 0 - t keeps a zero coordinate +0.0
+            results.append((tuple(0 - t for t in v), tuple(-c for c in coeffs)))
     results.sort(key=itemgetter(0))
     return results
 

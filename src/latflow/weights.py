@@ -809,16 +809,6 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     return Subspace.from_generators(gens, rep.dim)
 
 
-def is_block_fixed(rep: RepSpace, vec, block) -> bool:
-    """True iff the vector is killed by every block-subgroup generator."""
-    v = [rat(x) for x in vec]
-    for lab in _block_algebra_generators(rep.n, block):
-        act = rep.algebra_matrix(ExactMatrix(rep._basis_matrix(lab), EXACT))
-        if any(x != 0 for x in act.apply(v)):
-            return False
-    return True
-
-
 def curve_hypothesis_fixed_check(rep: RepSpace, block_sizes, growth: GrowthSpec, curve):
     """The hypothesis space generated by sampling a full polynomial curve is
     fixed by the leading block subgroup.

@@ -98,10 +98,13 @@ def fincke_pohst_reference(basis_cols, bounds, closed, first_only=False):
     lll_reference, and the tree is walked inside the sphere of radius^2 n:
     at level j, with center = sum_{l>j} mu_lj x_l, x_j runs over the
     integers with c_j (x_j + center)^2 <= the remaining radius, from
-    floor(1/2 - center) outward (mid, mid - 1, mid + 1, ...).  Returns
-    (hits, nodes): the (point, coefficients) pairs in the box in the order
-    the walk reaches them, and the number of x_j values tried (up to the
-    first hit with first_only)."""
+    floor(1/2 - center) outward (mid, mid - 1, mid + 1, ...).  At a level
+    whose higher coefficients are all 0 it skips x_j > 0, so it reaches one
+    point of each +-v pair: the one whose last nonzero coefficient is
+    negative.  Returns (hits, nodes): the (point, coefficients) pairs in
+    the box in the order the walk reaches them, each followed by its mirror
+    (-point, -coefficients) unless first_only, and the number of x_j values
+    tried (up to the first hit with first_only)."""
     bs = [frac(b) for b in bounds]
     n = len(bs)
     unit = [[frac(c[i]) / bs[i] for i in range(n)] for c in basis_cols]
@@ -119,14 +122,20 @@ def fincke_pohst_reference(basis_cols, bounds, closed, first_only=False):
                 v = [sum(xs[l] * red[l][i] for l in range(n)) for i in range(n)]
                 if _inside(v, [Fraction(1)] * n, closed):
                     coeffs = tuple(sum(u[l][i] * xs[l] for l in range(n)) for i in range(n))
-                    hits.append((tuple(x * b for x, b in zip(v, bs)), coeffs))
+                    point = tuple(x * b for x, b in zip(v, bs))
+                    hits.append((point, coeffs))
+                    if not first_only:
+                        hits.append((tuple(-x for x in point), tuple(-x for x in coeffs)))
             return first_only and bool(hits)
+        top = not any(xs[j + 1 :])
         center = sum((mu[l][j] * xs[l] for l in range(j + 1, n)), Fraction(0))
         mid = _floor(Fraction(1, 2) - center)
         d = 0
         while True:
             live = False
             for x in (mid,) if d == 0 else (mid - d, mid + d):
+                if top and x > 0:
+                    continue
                 step = c[j] * (x + center) ** 2
                 if step <= rem:
                     live = True

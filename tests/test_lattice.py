@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import re
 import signal
@@ -273,6 +274,40 @@ def test_integer_walk_matches_fraction_oracles(seed):
         checked += 1
 
 
+def test_mirrors_equal_the_walk_bit_for_bit():
+    # The walk reaches one point of each +-v pair and the enumeration adds
+    # the other as a mirror.  On -B the walk computes, with its own
+    # arithmetic, the points the mirrors on B stand in for (same Gram
+    # matrix, same tree, negated columns), so both lists must agree to the
+    # last bit; and no float coordinate may be -0.0, which the walk never
+    # produces.
+    rng = random.Random(13)
+    for case in range(400):
+        n = 2 + case % 3
+        rows = _brute.random_unimodular(rng, n)
+        if case % 2:
+            backend = FLOAT
+            shifts = (0.0, 0.0, 0.1, -0.1, 0.5, 1 / 3)
+            cols = [[rows[i][j] + rng.choice(shifts) for i in range(n)] for j in range(n)]
+            bounds = tuple(rng.choice((1.0, 1.5, 2.0, rng.uniform(0.5, 2.5))) for _ in range(n))
+        else:
+            backend = EXACT
+            cols = [[Rat(rows[i][j]) + rng.choice((0, 0, Rat(1, 3), Rat(-1, 2))) for i in range(n)]
+                    for j in range(n)]
+            bounds = tuple(rng.choice((Rat(1), Rat(3, 2), Rat(2), Rat(7, 3))) for _ in range(n))
+        if _brute.det_reference(cols) == 0:
+            continue
+        box = Box(bounds, tuple(rng.random() < 0.5 for _ in range(n)), backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            mine = enumerate_basis_in_box(cols, box, backend)
+            walked = enumerate_basis_in_box([[-x for x in col] for col in cols], box, backend)
+        assert sorted((repr(p), c) for p, c in mine) == sorted(
+            (repr(p), tuple(-x for x in c)) for p, c in walked
+        )
+        assert not any(x == 0 and math.copysign(1, x) < 0 for p, _ in mine for x in p)
+
+
 def test_coefficients_reproduce_points():
     g = ExactMatrix([[2, 1], [1, 1]], EXACT)
     box = Box((3, 3), (True, True), EXACT)
@@ -400,8 +435,9 @@ def _nodes(run):
 
 
 # total nodes of the 30 walks per backend, in the box and in the closed unit
-# cube, frozen: a walk that prunes or branches differently changes them
-_THIN_NODES = {EXACT: (4945, 6475), FLOAT: (4945, 6475)}
+# cube, frozen: a walk that prunes or branches differently changes them.
+# They count the half tree, one point of each +-v pair.
+_THIN_NODES = {EXACT: (2518, 3283), FLOAT: (2518, 3283)}
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])

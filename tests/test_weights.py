@@ -15,7 +15,6 @@ from latflow.weights import (
     block_invariant_space,
     curve_hypothesis_fixed_check,
     hypothesis_space,
-    is_block_fixed,
     lemma_reports,
     split_spaces,
     straightening_shear,
@@ -257,11 +256,17 @@ def test_straightening_shear_rectifies():
 def test_block_invariant_space_fixed_vectors():
     rep = RepSpace(3, "wedge", 2)
     space = block_invariant_space(rep, 2)
-    for vec in space.basis:
-        assert is_block_fixed(rep, vec, 2)
-    # e1^e2 spans the invariants of the upper 2-block... verify membership
-    assert is_block_fixed(rep, (Rat(1), Rat(0), Rat(0)), 2)
-    assert not is_block_fixed(rep, (Rat(0), Rat(0), Rat(1)), 2)
+    assert space.dim == 1
+    # elements [[A, w], [0, 1]] of the block subgroup, det A = 1, fix the basis
+    for g in ([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+              [[1, 0, 0], [-2, 1, 0], [0, 0, 1]],
+              [[2, 0, 3], [0, Rat(1, 2), -1], [0, 0, 1]]):
+        act = rep.group_matrix(ExactMatrix(g, EXACT))
+        for vec in space.basis:
+            assert act.apply(vec) == tuple(vec)
+    # e1^e2 spans the invariants of the upper 2-block
+    assert space.contains((Rat(1), Rat(0), Rat(0)))
+    assert not space.contains((Rat(0), Rat(0), Rat(1)))
 
 
 def test_hypothesis_space_shrinks_with_points():
