@@ -76,7 +76,6 @@ from .weights import (
     hypothesis_space,
     lemma_reports,
     split_spaces,
-    straightening_shear,
     weight_alignment_check,
     weight_table,
 )

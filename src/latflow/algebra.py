@@ -115,9 +115,6 @@ class ExactMatrix:
         v = [scalar(x, self.backend) for x in vec]
         return tuple(linalg.mat_vec(self._lists(), v))
 
-    def transpose(self):
-        return ExactMatrix._trusted(zip(*self.rows), self.backend)
-
     def inverse(self):
         return ExactMatrix._trusted(
             linalg.inverse(self._lists(), approx=self.backend == FLOAT), self.backend

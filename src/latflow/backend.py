@@ -145,12 +145,12 @@ def check_same_backend(*backends):
     return first
 
 
-def warn_if_near_face(margin: float, where: str = "") -> None:
+def warn_if_near_face(margin: float) -> None:
     if abs(margin) <= FLOAT_SLACK:
         warnings.warn(
-            "float-backend point within %.1e of a box face%s; "
+            "float-backend point within %.1e of a box face; "
             "the in/out decision is not trustworthy at this precision"
-            % (FLOAT_SLACK, (" (%s)" % where) if where else ""),
+            % FLOAT_SLACK,
             FaceProximity,
             stacklevel=3,
         )

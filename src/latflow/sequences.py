@@ -64,14 +64,9 @@ class RateSchedule:
     nonincreasing; every coordinate either diverges to +infinity or is
     exactly constant.  (These are the schedules whose diagonal flows admit
     the layered normal form; a bounded oscillating coordinate does not.)
-
-    index_range, when set, is an inclusive (lo, hi) window of usable
-    indices; lo may not undercut ordered_from(), so every generated rate
-    vector is ordered.
     """
 
     forms: tuple
-    index_range: object = None
 
     def __post_init__(self):
         forms = tuple(self.forms)
@@ -98,16 +93,6 @@ class RateSchedule:
                     % (r + 1)
                 )
         object.__setattr__(self, "forms", forms)
-        if self.index_range is not None:
-            lo, hi = (int(v) for v in self.index_range)
-            if lo > hi:
-                raise ValueError("empty index range (%d, %d)" % (lo, hi))
-            if lo < self.ordered_from():
-                raise ValueError(
-                    "index range starts at %d but the coordinates are only "
-                    "ordered from %d" % (lo, self.ordered_from())
-                )
-            object.__setattr__(self, "index_range", (lo, hi))
 
     @classmethod
     def parse(cls, text) -> "RateSchedule":
@@ -159,23 +144,6 @@ class RateSchedule:
             )
         return float_expansion(self.forms, i)
 
-    def indices(self):
-        """The declared index window as a range (requires index_range)."""
-        if self.index_range is None:
-            raise ValueError("schedule has no index range")
-        lo, hi = self.index_range
-        return range(lo, hi + 1)
-
-    @classmethod
-    def from_json(cls, obj) -> "RateSchedule":
-        if obj.get("kind") != "rate-schedule":
-            raise ValueError("not a rate-schedule payload")
-        rng = obj.get("index_range")
-        return cls(
-            tuple(ClosedForm.parse(t) for t in obj["forms"]),
-            tuple(rng) if rng is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class LayeredSchedule:
@@ -199,16 +167,6 @@ class LayeredSchedule:
     @property
     def layer_forms(self):
         return self.growth.layers
-
-    def layer_of(self, coordinate: int) -> int:
-        """1-based layer index of a coordinate 1 <= r <= m_1."""
-        if not 1 <= coordinate <= self.block_sizes[0]:
-            raise ValueError("coordinate outside the divergent range")
-        for l, m in enumerate(self.block_sizes, start=1):
-            lo = self.block_sizes[l] if l < len(self.block_sizes) else 0
-            if lo < coordinate <= m:
-                return l
-        raise AssertionError("unreachable")
 
     def exp_identity_error(self, i) -> float:
         """Max relative gap, over diagonal entries, between a_{taubar(i)}

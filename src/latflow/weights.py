@@ -285,10 +285,6 @@ class ClosedForm:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "ClosedForm":
-        return cls(((rat(c), 0),))
-
-    @classmethod
     def parse(cls, text) -> "ClosedForm":
         """Parse '2*i^2 + i - 3' style text (variable letter i)."""
         terms = _poly_terms(text, "i")
@@ -640,39 +636,6 @@ def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     return _report(space, _layered_violations(split, pts, space, images, kernels)), spanning
 
 
-def straightening_shear(n, block, points):
-    """The unipotent change of coordinates that rectifies the given shear
-    points onto their leading block.
-
-    points: exactly `block` points in Q^{n-1} whose leading-block parts
-    q(e) = e[:block] form a basis; returns the matrix with the solved
-    mixing w in its (leading rows x trailing columns) corner, so that
-    conjugation maps each u(e) to u(q(e), 0).
-    """
-    pts = [tuple(rat(x) for x in p) for p in points]
-    if len(pts) != block or any(len(p) != n - 1 for p in pts):
-        raise ValueError("need exactly %d points in Q^%d" % (block, n - 1))
-    qmat = [list(p[:block]) for p in pts]
-    perp = [list(p[block:]) for p in pts]
-    if linalg.rank(qmat) != block:
-        raise ValueError("leading parts do not form a basis")
-    tail = n - 1 - block
-    rows = [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
-    if tail:
-        wsol = linalg.mat_mul(linalg.inverse(qmat), perp)  # block x tail
-        for r in range(block):
-            for c in range(tail):
-                rows[1 + r][1 + block + c] = wsol[r][c]
-    omega = ExactMatrix(rows, EXACT)
-    omega_inv = omega.inverse()
-    for p in pts:
-        lhs = omega @ row_unipotent(list(p), EXACT) @ omega_inv
-        rhs = row_unipotent(list(p[:block]) + [Rat(0)] * tail, EXACT)
-        if lhs != rhs:
-            raise AssertionError("straightening identity failed for %r" % (p,))
-    return omega
-
-
 @dataclass(frozen=True)
 class AlignmentReport:
     ok: bool
@@ -720,18 +683,13 @@ def _support_components(rep: RepSpace, block):
     return list(comps.values())
 
 
-def _default_alignment_grid(k):
-    vals = [Rat(1, 2), Rat(1), Rat(2)]
-    return list(itertools.product(vals, repeat=k))
-
-
-def weight_alignment_check(rep: RepSpace, block_sizes, grid=None):
+def weight_alignment_check(rep: RepSpace, block_sizes):
     """Within each irreducible piece under the last block's algebra, weight
     differences line up along the last coordinate.
 
     Checks (a) the centralizer-shift scalar identity on the leading columns,
     (b) the exact affine relation mu_l - nu_l = f_l (mu_k - nu_k) for every
-    weight pair in every piece, and (c) on a strictly positive grid of layer
+    weight pair in every piece, and (c) on the grid {1/2, 1, 2}^k of layer
     values t, the sign equivalences: mu.t >= nu.t iff mu_k >= nu_k iff (for
     k >= 2) the truncated forms satisfy the same inequality.
     """
@@ -754,9 +712,7 @@ def weight_alignment_check(rep: RepSpace, block_sizes, grid=None):
     table = weight_table(rep, sizes)
     labs = rep.labels()
     comps = _support_components(rep, mk + 1)
-    grid = [tuple(rat(t) for t in g) for g in (grid or _default_alignment_grid(k))]
-    if any(any(not t > 0 for t in g) for g in grid):
-        raise ValueError("grid layer values must be strictly positive")
+    grid = list(itertools.product((Rat(1, 2), Rat(1), Rat(2)), repeat=k))
 
     for comp in comps:
         ws = [table[labs[i]] for i in comp]

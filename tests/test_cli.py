@@ -69,9 +69,12 @@ def test_zero_denominator_is_usage_error(capsys, argv):
         ("improvability", {"mu": 0.5}, "want a comma-separated string or a list, got 0.5"),
         ("improvability", {"curve": ["s", "s^2"]},
          "config key curve wants a string, got ['s', 's^2']"),
-        ("layered", {"sequence": 5}, "config key sequence wants a string or an object, got 5"),
+        ("layered", {"sequence": 5}, "config key sequence wants a string, got 5"),
         ("lemma-verify", {"rep": "adjoint:3", "config_sizes": "1", "growth": ["1:1", 5]},
          "config key growth wants a string per layer, got 5"),
+        ("layered", {"sequence": {"kind": "rate-schedule"}},
+         "config key sequence wants a string, got {'kind': 'rate-schedule'}"),
+        ("equidist", {"doubled": "false"}, "config key doubled wants a boolean, got 'false'"),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message):
@@ -160,6 +163,16 @@ def test_equidist_gate(capsys, tmp_path):
     with open(os.path.join(out, "equidist.csv")) as fh:
         assert fh.readline().rstrip() == CSV_TAG
     assert main(base + ["--gap-tol", "1e-12"]) == 1
+
+
+def test_gap_tol_gates_the_largest_index_in_any_order(capsys):
+    # the gate reads the row of the largest index, not the last one listed
+    verdicts = []
+    for indices in ("4,8", "8,4"):
+        argv = ["equidist", "--indices", indices, "--samples", "50", "--gap-tol", "1"]
+        assert main(argv) == 1
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+    assert verdicts[0] == verdicts[1] == "final rel gap 86.005721 vs tol 1.0: FAIL"
 
 
 def test_manifest_hash_is_config_stable(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow.backend import EXACT, FLOAT, BackendMismatch, Rat, rat
+from latflow.backend import EXACT, FLOAT, BackendMismatch, Rat
 from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.diophantine import Curve
 from latflow.weights import (
@@ -17,7 +17,6 @@ from latflow.weights import (
     hypothesis_space,
     lemma_reports,
     split_spaces,
-    straightening_shear,
     weight_alignment_check,
     weight_table,
 )
@@ -236,21 +235,6 @@ def test_curve_containment_check():
     bad = curve_hypothesis_fixed_check(rep, (2,), growth, Curve.parse("s, 2*s"))
     assert not bad.ok
     assert bad.hypothesis_dim > 0
-
-
-def test_straightening_shear_rectifies():
-    pts = [(1, 2, 5), (3, 4, 7)]
-    omega = straightening_shear(4, 2, pts)
-    assert omega.det() == 1
-    inv = omega.inverse()
-    for p in pts:
-        lhs = omega @ row_unipotent([rat(x) for x in p], EXACT) @ inv
-        rhs = row_unipotent([rat(p[0]), rat(p[1]), Rat(0)], EXACT)
-        assert lhs.rows == rhs.rows
-    with pytest.raises(ValueError):
-        straightening_shear(4, 2, [(1, 2, 3)])  # wrong count
-    with pytest.raises(ValueError):
-        straightening_shear(4, 2, [(1, 2, 0), (2, 4, 0)])  # dependent heads
 
 
 def test_block_invariant_space_fixed_vectors():
