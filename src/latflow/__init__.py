@@ -2,9 +2,9 @@
 unimodular lattices: exact window solubility, weight-space lemmas, and
 desk-scale experiments.
 
-Everything number-theoretic runs over exact rationals (gmpy2.mpq, with a
-fractions.Fraction fallback); floats only enter through the empirical
-averages, where they are unavoidable and harmless.
+Everything number-theoretic runs over exact rationals (fractions.Fraction);
+floats only enter through the empirical averages, where they are
+unavoidable and harmless.
 """
 
 __version__ = "0.1.0"

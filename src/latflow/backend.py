@@ -1,4 +1,4 @@
-"""Scalar backends: exact rationals (gmpy2 if present) and plain floats.
+"""Scalar backends: exact rationals (fractions.Fraction) and plain floats.
 
 Every compound object in this package (matrices, lattices, boxes, window
 specs) is tagged with a backend, either "exact" or "float".  Exact objects
@@ -11,18 +11,7 @@ coercion.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
-
-try:  # gmpy2's mpq is drop-in for Fraction here and much faster
-    from gmpy2 import mpq as Rat
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
-    _HAVE_GMPY2 = False
-
-#: the concrete class of exact scalars (gmpy2's mpq, or Fraction)
-_RAT_TYPE = type(Rat(0))
+from fractions import Fraction as Rat
 
 EXACT = "exact"
 FLOAT = "float"
@@ -52,19 +41,19 @@ class LLLIterationCap(UserWarning):
 def rat(x):
     """Coerce x to the exact rational type.
 
-    Accepts ints, Fractions, mpq, and strings like "3/4" or "-2"; a string
+    Accepts ints, Fractions, and strings like "3/4" or "-2"; a string
     with a zero denominator is a ValueError, like any other malformed
     string.  Floats are rejected: silently rationalizing a float is exactly
     the bug the backend tagging exists to prevent.
     """
-    if type(x) is _RAT_TYPE:
+    if type(x) is Rat:
         return x
     if isinstance(x, float):
         raise BackendMismatch(
             "refusing to coerce float %r into the exact backend; "
             "use Fraction/int/str or the float backend" % (x,)
         )
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Rat)):
         return Rat(x)
     if isinstance(x, str):
         try:
@@ -77,7 +66,7 @@ def rat(x):
     if isinstance(num, int) and isinstance(den, int):
         return Rat(num, den)
     try:
-        n2, d2 = int(num), int(den)  # gmpy2 mpz numerator/denominator
+        n2, d2 = int(num), int(den)  # foreign integer types that convert to int
         return Rat(n2, d2)
     except (TypeError, ValueError):
         pass
@@ -93,23 +82,10 @@ def scalar(x, backend):
     raise ValueError("unknown backend %r" % (backend,))
 
 
-def rat_floor(q) -> int:
-    """Exact floor of a rational."""
-    q = rat(q)
-    return int(q.numerator) // int(q.denominator)
-
-
-def rat_ceil(q) -> int:
-    q = rat(q)
-    return -((-int(q.numerator)) // int(q.denominator))
-
-
 def format_scalar(x, backend) -> str:
     """Serialize one scalar: 'num/den' on the exact backend, repr on float."""
     if backend == EXACT:
-        q = rat(x)
-        n, d = int(q.numerator), int(q.denominator)
-        return "%d" % n if d == 1 else "%d/%d" % (n, d)
+        return str(rat(x))
     return repr(float(x))
 
 

@@ -10,7 +10,8 @@ git-blob-style sha1 content hash of it.
 Every flag is declared once, in the _FLAGS table.  A subcommand takes
 the flags named by the keys of its *_DEFAULTS dict (see _COMMANDS), and
 the keys of a JSON --config file are the same flag names, with dashes as
-underscores; explicit flags win over the file.
+underscores, and each value has the type its flag gives (see
+_CONFIG_TYPES); explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import os
 import random
 import sys
 from dataclasses import fields, is_dataclass
-from fractions import Fraction
 
 from . import __version__
 from .algebra import ExactMatrix
@@ -74,7 +74,7 @@ def _git_blob_sha1(data: bytes) -> str:
 def _jsonify(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, (Fraction, Rat)):
+    if isinstance(obj, Rat):
         return str(obj)
     if isinstance(obj, ExactMatrix):
         return [[str(x) for x in row] for row in obj.rows]
@@ -193,8 +193,20 @@ _FLAGS = {
 }
 
 
+# the JSON types a config value may take: the type its flag gives on the
+# command line, where a float flag also takes a JSON integer and a bool is
+# never a number; nothing is converted
+_CONFIG_TYPES = {
+    "store_true": ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+    int: ((int,), "int"),
+    float: ((int, float), "float"),
+}
+
+
 def _merged(ns, defaults):
-    """Resolve flags against the optional JSON config file; flags win."""
+    """Resolve flags against the optional JSON config file; flags win, and
+    a config value of null counts as absent."""
     cfg = {}
     if ns.config:
         with open(ns.config) as fh:
@@ -207,23 +219,13 @@ def _merged(ns, defaults):
     out = {}
     for key, dv in defaults.items():
         v = getattr(ns, key)
-        if v is None:
-            v = cfg.get(key, dv)
-            kind = _FLAGS[key].get("type")
-            # bool("false") is True: a switch takes JSON true, false or null
-            if _FLAGS[key].get("action") == "store_true":
-                if v is not None and not isinstance(v, bool):
-                    raise ValueError(
-                        "config key %s wants a boolean, got %r" % (key, v)
-                    )
-            elif kind is not None and v is not None:
-                try:
-                    kind(v)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        "config key %s wants %s, got %r" % (key, kind.__name__, v)
-                    ) from None
-        out[key] = v
+        if v is None and cfg.get(key) is not None:
+            v = cfg[key]
+            flag = _FLAGS[key]
+            types, name = _CONFIG_TYPES[flag.get("action", flag.get("type", str))]
+            if type(v) not in types:
+                raise ValueError("config key %s wants %s, got %r" % (key, name, v))
+        out[key] = dv if v is None else v
     return out
 
 
@@ -233,60 +235,36 @@ def _require(cfg, key):
     return cfg[key]
 
 
-def _split_list(v):
-    if isinstance(v, str):
-        return [t.strip() for t in v.split(",") if t.strip()]
-    if not isinstance(v, list):
-        raise ValueError("want a comma-separated string or a list, got %r" % (v,))
-    return v
+def _split_list(text):
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _floats(v):
-    return [float(x) for x in _split_list(v)]
+def _floats(text):
+    return [float(x) for x in _split_list(text)]
 
 
-def _ints(v):
-    return [int(x) for x in _split_list(v)]
+def _ints(text):
+    return [int(x) for x in _split_list(text)]
 
 
-def _rat(x):
-    """One exact rational from a flag or config value; a JSON float, which
-    the exact backend refuses with a TypeError, is a usage error."""
-    try:
-        return rat(x)
-    except TypeError:
-        raise ValueError(
-            "%r is not an exact rational; write it as a string such as '1/2'" % (x,)
-        ) from None
+def _rats(text):
+    return [rat(x) for x in _split_list(text)]
 
 
-def _rats(v):
-    return [_rat(x) for x in _split_list(v)]
-
-
-def _text(v, key, kind="a string"):
-    """v itself when it is a string; a config file may hold any JSON value."""
-    if not isinstance(v, str):
-        raise ValueError("config key %s wants %s, got %r" % (key, kind, v))
-    return v
-
-
-def _weight_rows(v):
-    """'10,10;100,100' or a config list of rows."""
-    if isinstance(v, str):
-        v = [r for r in (part.strip() for part in v.split(";")) if r]
-    return [tuple(_rats(r)) for r in _split_list(v)]
+def _weight_rows(text):
+    """Rows of rational weights, '10,10;100,100'."""
+    return [tuple(_rats(r)) for r in text.split(";") if r.strip()]
 
 
 def _parse_curve(cfg):
     dom = _rats(cfg["domain"]) if cfg["domain"] is not None else [0, 1]
     if len(dom) != 2:
         raise ValueError("--domain wants two endpoints")
-    return Curve.parse(_text(_require(cfg, "curve"), "curve"), tuple(dom))
+    return Curve.parse(_require(cfg, "curve"), tuple(dom))
 
 
 def _parse_schedule(cfg):
-    return RateSchedule.parse(_text(_require(cfg, "sequence"), "sequence"))
+    return RateSchedule.parse(_require(cfg, "sequence"))
 
 
 def _parse_growth(text):
@@ -294,7 +272,7 @@ def _parse_growth(text):
     layers = []
     for part in _split_list(text):
         monos = []
-        for m in _text(part, "growth", "a string per layer").split("+"):
+        for m in part.split("+"):
             c, sep, p = m.partition(":")
             if not sep:
                 raise ValueError("growth monomial %r wants c:p" % m)
@@ -304,7 +282,7 @@ def _parse_growth(text):
 
 
 def _parse_rep(text):
-    parts = str(text).split(":")
+    parts = text.split(":")
     if parts[0] == "wedge" and len(parts) == 3:
         return RepSpace(int(parts[1]), "wedge", int(parts[2]))
     if parts[0] == "adjoint" and len(parts) == 2:
@@ -316,7 +294,7 @@ def _resolve_indices(cfg, schedule):
     if cfg["indices"] is not None:
         idx = _ints(cfg["indices"])
     elif cfg["imax"] is not None:
-        idx = list(range(schedule.ordered_from(), int(cfg["imax"]) + 1))
+        idx = list(range(schedule.ordered_from(), cfg["imax"] + 1))
     else:
         raise ValueError("need --indices or --imax")
     if not idx:
@@ -332,19 +310,13 @@ def _build_tent(cfg, n):
     )
     if len(center) != n:
         raise ValueError("tent center wants %d coordinates" % n)
-    return Tent(
-        tuple(center), float(cfg["tent_radius"]), float(cfg["tent_height"]), FLOAT
-    )
+    return Tent(tuple(center), cfg["tent_radius"], cfg["tent_height"], FLOAT)
 
 
 def _experiment_kwargs(cfg):
-    kw = {
-        "threads": int(cfg["threads"]),
-        "grid": cfg["grid"],
-        "seed": int(cfg["seed"]),
-    }
+    kw = {"threads": cfg["threads"], "grid": cfg["grid"], "seed": cfg["seed"]}
     if cfg.get("budget") is not None:
-        kw["budget"] = int(cfg["budget"])
+        kw["budget"] = cfg["budget"]
     return kw
 
 
@@ -370,7 +342,7 @@ def _cmd_improvability(cfg):
         curve,
         _weight_rows(cfg["weights"]),
         _rats(cfg["mu"]),
-        int(cfg["samples"]),
+        cfg["samples"],
         **_experiment_kwargs(cfg),
     )
     # fractions cannot increase with the prefix length: each longer prefix
@@ -417,7 +389,7 @@ def _cmd_equidist(cfg):
         curve,
         schedule,
         indices,
-        int(cfg["samples"]),
+        cfg["samples"],
         tent,
         doubled=bool(cfg["doubled"]),
         **_experiment_kwargs(cfg),
@@ -427,7 +399,7 @@ def _cmd_equidist(cfg):
     # asymptotic statement: gate the largest index only, in any listed order
     last = max(rows, key=lambda r: r.index)
     if cfg["gap_tol"] is not None:
-        ok = last.rel_gap <= float(cfg["gap_tol"])
+        ok = last.rel_gap <= cfg["gap_tol"]
     report = {"rows": rows, "gap_tol": cfg["gap_tol"], "ok": ok}
     _emit("equidist", cfg, header, table, report)
     if cfg["gap_tol"] is not None:
@@ -461,13 +433,13 @@ def _cmd_nondiv(cfg):
         schedule,
         indices,
         _floats(cfg["eps"]),
-        int(cfg["samples"]),
+        cfg["samples"],
         **_experiment_kwargs(cfg),
     )
     header, table = _row_table(NondivergenceRow, rows)
     ok = True
     if cfg["frac_tol"] is not None:
-        tol = _rat(cfg["frac_tol"])
+        tol = rat(cfg["frac_tol"])
         ok = all(r.fraction <= tol for r in rows)
     report = {"rows": rows, "frac_tol": cfg["frac_tol"], "ok": ok}
     _emit("nondiv", cfg, header, table, report)
@@ -507,7 +479,7 @@ def _cmd_twist(cfg):
         schedule,
         indices,
         _floats(cfg["t"]),
-        int(cfg["samples"]),
+        cfg["samples"],
         tent,
         **_experiment_kwargs(cfg),
     )
@@ -517,7 +489,7 @@ def _cmd_twist(cfg):
     ok = exact_zero
     if cfg["defect_tol"] is not None:
         last = max(r.index for r in rows)
-        tol = float(cfg["defect_tol"])
+        tol = cfg["defect_tol"]
         ok = exact_zero and all(
             r.defect <= tol * r.sup_f
             for r in rows
@@ -580,8 +552,8 @@ def _cmd_lemma_verify(cfg):
         curve = Curve.parse(
             ", ".join("s^%d" % (j + 1) for j in range(rep.n - 1))
         )
-    trials = int(cfg["trials"])
-    rng = random.Random(int(cfg["seed"]))
+    trials = cfg["trials"]
+    rng = random.Random(cfg["seed"])
 
     failures = []
     trial_rows = []
@@ -604,7 +576,7 @@ def _cmd_lemma_verify(cfg):
 
     header = ["trial", "projection_ok", "hypothesis_dim", "spanning_ok", "spanning_dim"]
     report = {
-        "rep": str(cfg["rep"]),
+        "rep": cfg["rep"],
         "config": list(sizes),
         "growth": [[str(c) + ":" + str(p) for c, p in layer.terms] for layer in growth.layers],
         "trials": trials,
@@ -647,7 +619,7 @@ def _cmd_constructions(cfg):
         gamma = staircase_unimodular(weights)
         h, upper = unit_lower_elimination(gamma)
         structural, enumerated = unit_triangular_avoidance_check(h)
-        witness = block_transport_witness(weights, int(cfg["lead"]))
+        witness = block_transport_witness(weights, cfg["lead"])
         print("staircase for weights %s (det %s):" % (weights, gamma.det()))
         for row in gamma.rows:
             print("  " + "  ".join(str(x) for x in row))
@@ -675,7 +647,7 @@ def _cmd_constructions(cfg):
 
     tail = tuple(_rats(cfg["scan_tail"]))
     first_weights = _rats(cfg["scan_weights"])
-    mu = _rat(cfg["scan_mu"])
+    mu = rat(cfg["scan_mu"])
     scan = varying_first_weight_scan(tail, first_weights, mu)
     header = ["first_weight", "point", "soluble"]
     table = [[w, " ".join(str(c) for c in p), sol] for w, p, sol in scan.rows]
@@ -708,8 +680,7 @@ def _cmd_layered(cfg):
     pres = layered_presentation(schedule)
     checks = _ints(cfg["check_at"])
     errs = {i: pres.exp_identity_error(i) for i in checks}
-    tol = float(cfg["err_tol"])
-    ok = all(e <= tol for e in errs.values())
+    ok = all(e <= cfg["err_tol"] for e in errs.values())
     header = ["index", "exp_identity_error"]
     table = [[i, errs[i]] for i in checks]
     report = {

@@ -21,7 +21,7 @@ from .algebra import (
     is_dual_block_stabilizer,
 )
 from .diophantine import WindowSpec, _check_primal_witness, window_primal_soluble
-from .lattice import DEFAULT_NODE_BUDGET, Lattice, avoids_open_unit_box
+from .lattice import Lattice, avoids_open_unit_box
 
 
 def staircase_unimodular(weights) -> ExactMatrix:
@@ -90,7 +90,7 @@ def _is_unit_triangular(g: ExactMatrix, lower: bool) -> bool:
     return True
 
 
-def unit_triangular_avoidance_check(g: ExactMatrix, budget=DEFAULT_NODE_BUDGET):
+def unit_triangular_avoidance_check(g: ExactMatrix):
     """Certify that the lattice spanned by a unit (lower or upper) triangular
     matrix avoids the open unit box, both structurally and by enumeration.
 
@@ -134,7 +134,7 @@ class BlockTransportWitness:
         return all(self.checks.values())
 
 
-def block_transport_witness(weights, leading_ones, budget=DEFAULT_NODE_BUDGET):
+def block_transport_witness(weights, leading_ones):
     """Build and verify the full witness for integer weights and a given
     number of leading weights replaced by ones."""
     w = [int(x) for x in weights]

@@ -33,8 +33,6 @@ from .backend import (
     Rat,
     _poly_terms,
     rat,
-    rat_ceil,
-    rat_floor,
 )
 from .algebra import ExactMatrix, diagonal_shear
 from .lattice import (
@@ -214,18 +212,18 @@ def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
 
 
 def _closed_int_range(lo_val, hi_val):
-    return rat_ceil(lo_val), rat_floor(hi_val)
+    return math.ceil(lo_val), math.floor(hi_val)
 
 
 def _open_int_range(lo_val, hi_val):
-    lo = rat_floor(lo_val) + 1
-    hi = rat_ceil(hi_val) - 1
+    lo = math.floor(lo_val) + 1
+    hi = math.ceil(hi_val) - 1
     return lo, hi
 
 
 def _strict_abs_max(bound):
     """Largest integer m with m < bound (bound rational > 0)."""
-    return rat_ceil(bound) - 1
+    return math.ceil(bound) - 1
 
 
 def _primal_direct(xi, window: WindowSpec):
@@ -282,19 +280,15 @@ def _dual_direct_cost(window: WindowSpec):
     return 2 * _strict_abs_max(window.radius * window.total_weight()) + 1
 
 
-def _nd(x):
-    """(numerator, denominator) of a rational as ints.  The witness checks
-    cross-multiply each inequality by the positive denominators of its two
-    sides, so that they compare integers."""
-    return int(x.numerator), int(x.denominator)
-
-
+# The witness checks cross-multiply each inequality by the positive
+# denominators of its two sides, so that they compare integers.
 def _check_primal_witness(xi, window, witness):
     p, q = witness
-    (mn, md), (tn, td) = _nd(window.radius), _nd(window.total_weight())
+    mn, md = window.radius.as_integer_ratio()
+    tn, td = window.total_weight().as_integer_ratio()
     # |q . xi - p| <= mu / prod N, with E = L (q . xi - p) for L the lcm of
     # the denominators of xi
-    fracs = [_nd(x) for x in xi]
+    fracs = [x.as_integer_ratio() for x in xi]
     lcm = math.lcm(*(d for _, d in fracs))
     err = -p * lcm
     for qj, (n, d) in zip(q, fracs):
@@ -302,7 +296,7 @@ def _check_primal_witness(xi, window, witness):
     if abs(err) * md * tn > mn * td * lcm:
         return False
     for qj, w in zip(q, window.weights):  # |q_j| < mu N_j
-        wn, wd = _nd(w)
+        wn, wd = w.as_integer_ratio()
         if not abs(qj) * md * wd < mn * wn:
             return False
     return p != 0 or any(q)
@@ -311,12 +305,14 @@ def _check_primal_witness(xi, window, witness):
 def _check_dual_witness(xi, window, witness):
     q, ps = witness
     k = window.k
-    (mn, md), (tn, td) = _nd(window.radius), _nd(window.total_weight())
+    mn, md = window.radius.as_integer_ratio()
+    tn, td = window.total_weight().as_integer_ratio()
     if not abs(q) * md * td < mn * tn:  # |q| < mu prod N
         return False
     for j in range(k):
         # |q xi_j + p_j| = |q n + p_j d| / d against mu / N_j
-        (n, d), (wn, wd) = _nd(xi[j]), _nd(window.weights[j])
+        n, d = xi[j].as_integer_ratio()
+        wn, wd = window.weights[j].as_integer_ratio()
         lhs = abs(q * n + ps[j] * d) * md * wn
         rhs = mn * wd * d
         if j == k - 1:

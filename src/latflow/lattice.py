@@ -170,15 +170,15 @@ def _integral_box_basis(basis_cols, bounds):
     the reduced denominators: the same D and columns as a Fraction division
     followed by linalg.clear_denominators."""
     n = len(basis_cols)
-    b_num = [int(b.numerator) for b in bounds]
-    b_den = [int(b.denominator) for b in bounds]
+    b_num = [b.numerator for b in bounds]
+    b_den = [b.denominator for b in bounds]
     quotients = []
     for c in basis_cols:
         col = []
         for i in range(n):
             x = rat(c[i])
-            num = int(x.numerator) * b_den[i]
-            den = int(x.denominator) * b_num[i]
+            num = x.numerator * b_den[i]
+            den = x.denominator * b_num[i]
             g = math.gcd(num, den)
             col.append((num // g, den // g))
         quotients.append(col)
@@ -244,8 +244,8 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
 
         unit = (scale,) * n
         # the point's coordinate i is v_i b_i / D, one Rat from integers
-        nums = [int(b.numerator) for b in bounds]
-        dens = [scale * int(b.denominator) for b in bounds]
+        nums = [b.numerator for b in bounds]
+        dens = [scale * b.denominator for b in bounds]
 
         def hit(v):
             if not _inside(v, unit, closed, EXACT):

@@ -2,7 +2,7 @@
 
 Everything in this package works at n <= ~35 (adjoint of sl(6)), so plain
 list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
-lists of rows.  The exact routines take ints, Fraction or mpq entries and
+lists of rows.  The exact routines take int or Fraction entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
 magnitude.  The exact `det` scales its input by the common denominator
 and runs fraction-free (Bareiss) elimination on integers.  `rref` and the
@@ -244,9 +244,9 @@ def _gram_schmidt_from(cols, start, bstar, mu, norms2):
 def clear_denominators(cols):
     """(D, D * cols) for D the least common denominator of the rational
     entries, so that the second item holds integer columns."""
-    scale = math.lcm(*(int(x.denominator) for col in cols for x in col))
+    scale = math.lcm(*(x.denominator for col in cols for x in col))
     return scale, [
-        [int(x.numerator) * (scale // int(x.denominator)) for x in col]
+        [x.numerator * (scale // x.denominator) for x in col]
         for col in cols
     ]
 

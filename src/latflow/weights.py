@@ -185,18 +185,6 @@ class RepSpace:
         )
         return ExactMatrix._trusted(zip(*cols))
 
-    def _basis_matrix(self, lab):
-        n = self.n
-        rows = [[Rat(0)] * n for _ in range(n)]
-        if lab[0] == "E":
-            _, p, q = lab
-            rows[p - 1][q - 1] = Rat(1)
-        else:
-            i = lab[1]
-            rows[i - 1][i - 1] = Rat(1)
-            rows[i][i] = Rat(-1)
-        return rows
-
     def weight_of(self, lab, block_sizes):
         """Per-block eigenvalue tuple of a basis label."""
         sizes = validate_block_sizes(self.n, block_sizes)
@@ -643,6 +631,13 @@ class AlignmentReport:
     violations: tuple
 
 
+def _elementary(n, p, q) -> ExactMatrix:
+    """The n x n elementary matrix E_pq (1-based p, q)."""
+    rows = [[Rat(0)] * n for _ in range(n)]
+    rows[p - 1][q - 1] = Rat(1)
+    return ExactMatrix._trusted(rows)
+
+
 def _support_components(rep: RepSpace, block):
     """Connected components of the basis-support graph under the action of
     the leading-block algebra (off-diagonal elementary matrices)."""
@@ -665,14 +660,7 @@ def _support_components(rep: RepSpace, block):
         for q in range(1, block + 1):
             if p == q:
                 continue
-            x = ExactMatrix(
-                [
-                    [1 if (i, j) == (p - 1, q - 1) else 0 for j in range(rep.n)]
-                    for i in range(rep.n)
-                ],
-                EXACT,
-            )
-            act = rep.algebra_matrix(x)
+            act = rep.algebra_matrix(_elementary(rep.n, p, q))
             for j in range(dim):
                 for i in range(dim):
                     if act.rows[i][j] != 0:
@@ -737,32 +725,22 @@ def weight_alignment_check(rep: RepSpace, block_sizes):
     return AlignmentReport(not violations, len(comps), tuple(violations))
 
 
-def _block_algebra_generators(n, block):
-    """Lie algebra generators of the block subgroup [[A, w], [0, I]]."""
-    gens = []
-    for p in range(1, block + 1):
-        for q in range(1, block + 1):
-            if p != q:
-                gens.append(("E", p, q))
-    for i in range(1, block):
-        gens.append(("H", i))
-    for p in range(1, block + 1):
-        for q in range(block + 1, n + 1):
-            gens.append(("E", p, q))
-    return gens
-
-
 def block_invariant_space(rep: RepSpace, block) -> Subspace:
     """Common kernel of the block subgroup's algebra in the representation:
-    exactly the vectors fixed by the whole block subgroup."""
+    exactly the vectors fixed by the whole block subgroup [[A, w], [0, I]].
+
+    The algebra is generated by the E_pq with p in the block and q != p.
+    Those with q in the block generate sl(block), since [E_pq, E_qp] =
+    E_pp - E_qq, and a vector that X and Y send to 0 is sent to 0 by [X, Y].
+    """
     if not 1 <= block <= rep.n:
         raise ValueError("block out of range")
     rows = []
-    for lab in _block_algebra_generators(rep.n, block):
-        act = rep.algebra_matrix(ExactMatrix(rep._basis_matrix(lab), EXACT))
-        rows.extend([list(r) for r in act.rows])
-    gens = linalg.kernel_basis(rows)
-    return Subspace.from_generators(gens, rep.dim)
+    for p in range(1, block + 1):
+        for q in range(1, rep.n + 1):
+            if q != p:
+                rows.extend(rep.algebra_matrix(_elementary(rep.n, p, q)).rows)
+    return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
 
 
 def curve_hypothesis_fixed_check(rep: RepSpace, block_sizes, growth: GrowthSpec, curve):

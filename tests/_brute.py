@@ -11,7 +11,7 @@ from itertools import combinations, product
 def frac(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    return Fraction(str(x))  # mpq prints as 'p/q'
+    return Fraction(str(x))  # e.g. a string such as '3/4'
 
 
 def invert(rows):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latflow
 from latflow.backend import (
     EXACT,
     FLOAT,
@@ -13,8 +14,6 @@ from latflow.backend import (
     Rat,
     format_scalar,
     rat,
-    rat_ceil,
-    rat_floor,
 )
 from latflow.algebra import (
     ExactMatrix,
@@ -30,6 +29,12 @@ from latflow.algebra import (
 from _brute import random_unimodular
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+def test_rat_is_fraction():
+    # one exact scalar type, with plain int numerators and denominators
+    assert latflow.Rat is Fraction
+    assert type(rat("3/4").numerator) is int
 
 
 def test_rat_coercions():
@@ -56,7 +61,8 @@ class _IntLike:
 
 
 class _IntLikeRatio:
-    """numerator/denominator that only convert to int, like gmpy2's mpz."""
+    """numerator/denominator that only convert to int, like a foreign
+    integer type."""
 
     numerator, denominator = _IntLike(-5), _IntLike(6)
 
@@ -80,11 +86,11 @@ class _TextRatio:
 def test_rat_accepts(x, want):
     got = rat(x)
     assert got == want
-    assert type(got) is type(Rat(0))
+    assert type(got) is Rat
 
 
 def test_rat_returns_an_exact_scalar_unchanged():
-    # on either backend, a value that is already exact is not copied
+    # a value that is already exact is not copied
     q = Rat(5, 7)
     assert rat(q) is q
     r = q * 3 - 1
@@ -105,14 +111,6 @@ def test_rat_returns_an_exact_scalar_unchanged():
 def test_rat_refuses(x, error):
     with pytest.raises(error):
         rat(x)
-
-
-def test_rat_floor_ceil():
-    assert rat_floor(Rat(7, 2)) == 3
-    assert rat_floor(Rat(-7, 2)) == -4
-    assert rat_ceil(Rat(7, 2)) == 4
-    assert rat_ceil(Rat(-7, 2)) == -3
-    assert rat_floor(Rat(6)) == rat_ceil(Rat(6)) == 6
 
 
 @given(rationals)

@@ -63,18 +63,23 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     "cmd, config, message",
     [
         ("improvability", {"mu": [0.5], "weights": "10,10", "samples": 5},
-         "0.5 is not an exact rational"),
+         "config key mu wants a string, got [0.5]"),
         ("improvability", {"samples": [5]}, "config key samples wants int, got [5]"),
         ("layered", [1, 2], "config file must hold a JSON object"),
-        ("improvability", {"mu": 0.5}, "want a comma-separated string or a list, got 0.5"),
+        ("improvability", {"mu": 0.5}, "config key mu wants a string, got 0.5"),
         ("improvability", {"curve": ["s", "s^2"]},
          "config key curve wants a string, got ['s', 's^2']"),
         ("layered", {"sequence": 5}, "config key sequence wants a string, got 5"),
         ("lemma-verify", {"rep": "adjoint:3", "config_sizes": "1", "growth": ["1:1", 5]},
-         "config key growth wants a string per layer, got 5"),
+         "config key growth wants a string, got ['1:1', 5]"),
         ("layered", {"sequence": {"kind": "rate-schedule"}},
          "config key sequence wants a string, got {'kind': 'rate-schedule'}"),
         ("equidist", {"doubled": "false"}, "config key doubled wants a boolean, got 'false'"),
+        # nothing is converted: no truncation, and a bool is never a number
+        ("improvability", {"samples": 2.9, "weights": "10,10"},
+         "config key samples wants int, got 2.9"),
+        ("improvability", {"samples": True}, "config key samples wants int, got True"),
+        ("equidist", {"tent_radius": True}, "config key tent_radius wants float, got True"),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message):

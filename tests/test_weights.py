@@ -237,20 +237,47 @@ def test_curve_containment_check():
     assert bad.hypothesis_dim > 0
 
 
-def test_block_invariant_space_fixed_vectors():
-    rep = RepSpace(3, "wedge", 2)
-    space = block_invariant_space(rep, 2)
-    assert space.dim == 1
-    # elements [[A, w], [0, 1]] of the block subgroup, det A = 1, fix the basis
-    for g in ([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-              [[1, 0, 0], [-2, 1, 0], [0, 0, 1]],
-              [[2, 0, 3], [0, Rat(1, 2), -1], [0, 0, 1]]):
-        act = rep.group_matrix(ExactMatrix(g, EXACT))
+def _block_subgroup_elements(n, block):
+    """Three elements [[A, w], [0, I]], det A = 1, of the block subgroup."""
+
+    def shear(p, q, c):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[p - 1][q - 1] = c
+        return ExactMatrix(rows, EXACT)
+
+    if block == 1:
+        return [shear(1, n, 3), shear(1, 2, -2), shear(1, n, 3) @ shear(1, 2, -2)]
+    d = ExactMatrix.diagonal([2, Rat(1, 2)] + [1] * (n - 2), EXACT)
+    return [shear(1, block, 1), shear(block, 1, -2), d @ shear(1, n, 3) @ shear(2, n, -1)]
+
+
+@pytest.mark.parametrize(
+    "rep, block, dim, inside, outside",
+    [
+        # e1^e2 spans the invariants of the upper 2-block
+        (RepSpace(3, "wedge", 2), 2, 1, (1, 2), (2, 3)),
+        (RepSpace(3, "wedge", 2), 1, 2, (1, 3), (2, 3)),
+        (RepSpace(3, "adjoint"), 1, 2, ("E", 1, 3), ("E", 3, 1)),
+        (RepSpace(3, "adjoint"), 2, 0, None, ("E", 1, 2)),
+    ],
+    ids=["wedge-3-2-block-2", "wedge-3-2-block-1", "adjoint-3-block-1", "adjoint-3-block-2"],
+)
+def test_block_invariant_space_fixed_vectors(rep, block, dim, inside, outside):
+    space = block_invariant_space(rep, block)
+    assert space.dim == dim
+    # elements of the block subgroup fix the basis
+    for g in _block_subgroup_elements(rep.n, block):
+        act = rep.group_matrix(g)
         for vec in space.basis:
             assert act.apply(vec) == tuple(vec)
-    # e1^e2 spans the invariants of the upper 2-block
-    assert space.contains((Rat(1), Rat(0), Rat(0)))
-    assert not space.contains((Rat(0), Rat(0), Rat(1)))
+    labels = rep.labels()
+
+    def unit(lab):
+        return tuple(Rat(int(x == lab)) for x in labels)
+
+    if inside is not None:
+        assert space.contains(unit(inside))
+    assert not space.contains(unit(outside))
 
 
 def test_hypothesis_space_shrinks_with_points():
