@@ -201,7 +201,7 @@ def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
     """diag(prod w, 1/w_1, ..., 1/w_{n-1}) @ row_unipotent(shift), written
     entry by entry: first row (prod w)(1, 0 + shift_1, ..., 0 + shift_{n-1}),
     then 1/w_j on the diagonal.  The weights are scalars of the backend,
-    as ExpansionRates and WindowSpec hold them, and need not be ordered.
+    as ExpansionRates holds them, and need not be ordered.
     Every entry equals that of the dense product, floats bit for bit: on
     floats the `0 +` turns a shift of -0.0 into +0.0, as the product's sums
     do.  The entries are backend scalars by construction and skip the

@@ -260,7 +260,11 @@ def _parse_curve(cfg):
     dom = _rats(cfg["domain"]) if cfg["domain"] is not None else [0, 1]
     if len(dom) != 2:
         raise ValueError("--domain wants two endpoints")
-    return Curve.parse(_require(cfg, "curve"), tuple(dom))
+    curve = Curve.parse(_require(cfg, "curve"), tuple(dom))
+    if not curve.affine_span_full():
+        print("note: the curve lies in a proper affine subspace; the theorem's "
+              "hypothesis fails", file=sys.stderr)
+    return curve
 
 
 def _parse_schedule(cfg):

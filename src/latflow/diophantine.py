@@ -28,20 +28,9 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import (
-    EXACT,
-    Rat,
-    _poly_terms,
-    rat,
-)
-from .algebra import ExactMatrix, diagonal_shear
-from .lattice import (
-    DEFAULT_NODE_BUDGET,
-    Box,
-    Lattice,
-    enumerate_basis_in_box,
-    window_box,
-)
+from .backend import EXACT, Rat, _poly_terms, rat
+from .algebra import ExactMatrix
+from .lattice import DEFAULT_NODE_BUDGET, Box, enumerate_basis_in_box
 
 
 #: the largest direct-loop iteration count that route "auto" runs beside
@@ -174,41 +163,62 @@ class WindowSpec:
         return self._total
 
 
+def _integral_translate(system, xi, window: WindowSpec):
+    """(D, the integer columns of D B) for the system's translate B at xi:
+    each closed-form entry reduced with gcd from integer numerators and
+    denominators, and D the lcm of the reduced denominators.  Both translates
+    are upper triangular with det 1, checked on every call: the product of
+    the integer diagonal must equal D^(k+1)."""
+    k = window.k
+    if len(xi) != k:
+        raise ValueError("dimension mismatch")
+    total = window.total_weight().as_integer_ratio()
+    ws = [w.as_integer_ratio() for w in window.weights]
+
+    def times(a, x):  # the reduced (num, den) of a times the Fraction x
+        num, den = a[0] * x.numerator, a[1] * x.denominator
+        g = math.gcd(num, den)
+        return num // g, den // g
+
+    cols = [[(0, 1)] * (k + 1) for _ in range(k + 1)]
+    if system == "primal":  # row 0 (prod N)(1, xi), then 1/N_j on the diagonal
+        cols[0][0] = total
+        for j in range(k):
+            cols[1 + j][0], cols[1 + j][1 + j] = times(total, xi[j]), ws[j][::-1]
+    else:  # row j: N_m at j and N_m xi_m at k, m = k-1-j; 1/prod N at k
+        cols[k][k] = total[::-1]
+        for j, m in enumerate(range(k - 1, -1, -1)):
+            cols[j][j], cols[k][j] = ws[m], times(ws[m], xi[m])
+    d = math.lcm(*(den for col in cols for _, den in col))
+    cols = [[num * (d // den) for num, den in col] for col in cols]
+    if math.prod(cols[j][j] for j in range(k + 1)) != d ** (k + 1):
+        raise ValueError("%s translate is not unimodular at xi=%r" % (system, xi))
+    return d, cols
+
+
+def _translate_matrix(system, window, phi):
+    d, cols = _integral_translate(system, tuple(rat(x) for x in phi), window)
+    return ExactMatrix._trusted([[Rat(c[i], d) for c in cols] for i in range(len(cols))])
+
+
 def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi,
-    written entry by entry (algebra.diagonal_shear): first row
-    (prod N)(1, phi_1, ..., phi_k), then 1/N_j on the diagonal.  It sends
-    x = (p, q_1, ..., q_k) to
+    """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi:
+    first row (prod N)(1, phi_1, ..., phi_k), then 1/N_j on the diagonal.
+    It sends x = (p, q_1, ..., q_k) to
 
         ((prod N)(p + q . phi), q_1/N_1, ..., q_k/N_k).
     """
-    return diagonal_shear(window.weights, phi, EXACT)
+    return _translate_matrix("primal", window, phi)
 
 
 def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi,
-    written entry by entry: row j < k is N_m (e_j + phi_m e_k) with
-    m = k - j, and the last row is e_k / prod N.  It sends
-    x = (p_k, ..., p_1, q) to
+    """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi:
+    row j < k is N_m (e_j + phi_m e_k) with m = k - j, and the last row is
+    e_k / prod N.  It sends x = (p_k, ..., p_1, q) to
 
         (N_k (q phi_k + p_k), ..., N_1 (q phi_1 + p_1), q / prod N).
     """
-    k = window.k
-    if len(phi) != k:
-        raise ValueError("dimension mismatch")
-    zero = Rat(0)
-    rows = []
-    for j in range(k):  # row j carries form index k - j
-        m = k - 1 - j
-        w = window.weights[m]
-        row = [zero] * (k + 1)
-        row[j] = w
-        row[k] = w * rat(phi[m])
-        rows.append(row)
-    last = [zero] * (k + 1)
-    last[k] = 1 / window.total_weight()
-    rows.append(last)
-    return ExactMatrix._trusted(rows)
+    return _translate_matrix("dual", window, phi)
 
 
 def _closed_int_range(lo_val, hi_val):
@@ -323,11 +333,11 @@ def _check_dual_witness(xi, window, witness):
     return q != 0 or any(ps)
 
 
-def _decide(system, xi, window, route, budget,
-            direct, direct_cost, translate, witness_of, check):
+def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, check):
     """The decision both systems share, given the system's own pieces: its
-    direct loop and that loop's iteration count, its translate matrix, the
-    map from lattice coefficients to its witness, and its witness check."""
+    direct loop and that loop's iteration count, the map from lattice
+    coefficients to its witness, and its witness check.  The lattice route
+    walks the integral translate D B in the window box scaled by D."""
     xi = tuple(rat(x) for x in xi)
     if len(xi) != window.k:
         raise ValueError("point/window dimension mismatch")
@@ -336,9 +346,10 @@ def _decide(system, xi, window, route, budget,
         if route == "direct" or direct_cost(window) <= DIRECT_LIMIT:
             answers["direct"] = direct(xi, window)
     if route in ("auto", "lattice"):
+        d, cols = _integral_translate(system, xi, window)
         pts = enumerate_basis_in_box(
-            Lattice(translate(window, xi)).basis.columns(),
-            window_box(window.k + 1, window.radius, EXACT),
+            cols,
+            Box((window.radius * d,) * (window.k + 1), (True,) + (False,) * window.k, EXACT),
             EXACT,
             budget,
             first_only=True,
@@ -367,7 +378,7 @@ def window_primal_soluble(xi, window: WindowSpec, route="auto", budget=DEFAULT_N
     """
     return _decide(
         "primal", xi, window, route, budget,
-        _primal_direct, _primal_direct_cost, primal_translate_matrix,
+        _primal_direct, _primal_direct_cost,
         lambda c: (-c[0], tuple(c[1:])),  # x = (-p, q_1..q_k)
         _check_primal_witness,
     )
@@ -378,7 +389,7 @@ def window_dual_soluble(xi, window: WindowSpec, route="auto", budget=DEFAULT_NOD
     with routes and checks as in window_primal_soluble."""
     return _decide(
         "dual", xi, window, route, budget,
-        _dual_direct, _dual_direct_cost, dual_translate_matrix,
+        _dual_direct, _dual_direct_cost,
         lambda c: (c[-1], tuple(reversed(c[:-1]))),  # x = (p_k..p_1, q)
         _check_dual_witness,
     )

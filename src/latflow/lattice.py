@@ -15,9 +15,9 @@ the box becomes one Rat per coordinate.  The float path inflates radii by
 warns when a point lands within 1e-9 of a face.  Both leaf tests share
 one membership rule (`_inside`).
 
-An exact `Lattice` checks its determinant on integers too: `linalg.det`
-scales the basis B by its common denominator D, so D B is integral, and
-computes det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
+An exact `Lattice`, a basis given from outside, checks its determinant on
+integers: `linalg.det` scales B by its common denominator D and computes
+det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback.  It visits one point of each +-v pair, the one whose last
@@ -168,7 +168,7 @@ def _integral_box_basis(basis_cols, bounds):
     exact columns c and box bounds b.  Each quotient is formed from integer
     numerators and denominators and reduced with gcd, and D is the lcm of
     the reduced denominators: the same D and columns as a Fraction division
-    followed by linalg.clear_denominators."""
+    followed by linalg.clear_denominators.  Int entries build no Fraction."""
     n = len(basis_cols)
     b_num = [b.numerator for b in bounds]
     b_den = [b.denominator for b in bounds]
@@ -176,7 +176,7 @@ def _integral_box_basis(basis_cols, bounds):
     for c in basis_cols:
         col = []
         for i in range(n):
-            x = rat(c[i])
+            x = c[i] if type(c[i]) is int else rat(c[i])
             num = x.numerator * b_den[i]
             den = x.denominator * b_num[i]
             g = math.gcd(num, den)

@@ -290,7 +290,7 @@ def test_criterion_10_improvability_fractions_decrease():
         assert [r.prefix for r in rows] == list(range(7))
         fracs = [r.fraction for r in rows]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
-        # frozen exact values on the default 100-point equispaced grid
+        # frozen on the default 100-point equispaced grid: exact answers for these rational inputs
         assert fracs[0] == 1
         assert fracs[1] == Fraction(51, 100)
         assert fracs[6] == Fraction(33, 100)

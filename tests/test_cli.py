@@ -435,3 +435,20 @@ def test_cli_defaults_keep_their_types(tmp_path, capsys):
 )
 def test_cli_content_hash_is_frozen(tmp_path, capsys, argv, content_hash):
     assert _resolved(tmp_path, argv)[1] == content_hash
+
+
+@pytest.mark.parametrize(
+    "argv, noted",
+    [
+        (["improvability", "--curve", "s,2*s", "--weights", "10,10", "--samples", "4"], True),
+        (["improvability", "--curve", "s,s^2", "--weights", "10,10", "--samples", "4"], False),
+        (["nondiv", "--imax", "2", "--samples", "4"], False),  # the default curve s
+    ],
+)
+def test_curve_off_the_hypothesis_gets_a_stderr_note(capsys, argv, noted):
+    # the paper's theorem needs a curve not in a proper affine subspace; the
+    # note goes to stderr only, so rows and hashes do not see it
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert ("proper affine subspace" in err) is noted
+    assert "proper affine subspace" not in out

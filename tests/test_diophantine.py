@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow import diophantine
+from latflow import diophantine, lattice
 from latflow.backend import EXACT, FLOAT, Rat
 from latflow.algebra import (
     ExactMatrix,
@@ -27,6 +27,8 @@ from latflow.diophantine import (
     window_dual_soluble,
     window_primal_soluble,
 )
+
+from latflow.linalg import clear_denominators
 
 import _brute
 
@@ -93,6 +95,45 @@ def test_closed_form_translates_equal_dense_products():
         assert dual_translate_matrix(w, phi) == dual @ column_unipotent(phi, EXACT)
         assert primal_translate_matrix(w, phi).det() == 1
         assert dual_translate_matrix(w, phi).det() == 1
+
+
+def test_integral_translate_is_the_cleared_closed_form():
+    # (D, D B) equals the dense product diag @ shear cleared of its
+    # denominators, and the walk sees the box-normalised basis of B itself
+    rng = random.Random(29)
+    for case in range(240):
+        k = 1 + case % 4
+        weights = [rng.choice((Rat(1), Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1))
+                   for _ in range(k)]
+        mu = Rat(rng.randint(1, 100), 100)
+        w = WindowSpec(weights, mu)
+        xi = tuple(rng.choice((Rat(0), Rat(-rng.randint(1, 9), rng.randint(1, 9)),
+                               Rat(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)),
+                               Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))))
+                   for _ in range(k))
+        total = w.total_weight()
+        dense = {
+            "primal": ExactMatrix.diagonal([total] + [1 / x for x in weights], EXACT)
+            @ row_unipotent(xi, EXACT),
+            "dual": ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
+            @ column_unipotent(xi, EXACT),
+        }
+        for system, m in dense.items():
+            d, cols = diophantine._integral_translate(system, xi, w)
+            assert [[Rat(c, d) for c in col] for col in cols] == [list(c) for c in m.columns()]
+            assert (d, cols) == clear_denominators(m.columns())
+            assert (lattice._integral_box_basis(cols, (mu * d,) * (k + 1))
+                    == lattice._integral_box_basis(m.columns(), (mu,) * (k + 1)))
+
+
+@pytest.mark.parametrize("system", ["primal", "dual"])
+def test_integral_translate_refuses_a_doubled_diagonal_entry(system):
+    # a window whose cached prod N is doubled: the corner entry of the
+    # translate is off by 2 and the diagonal no longer multiplies to D^(k+1)
+    w = WindowSpec((5, 3), Rat(3, 4))
+    object.__setattr__(w, "_total", 2 * w.total_weight())
+    with pytest.raises(ValueError, match="not unimodular"):
+        diophantine._integral_translate(system, (Rat(1, 3), Rat(-2, 7)), w)
 
 
 @settings(max_examples=80, deadline=None)

@@ -247,6 +247,22 @@ def test_integral_box_basis_matches_fraction_division():
         assert lattice._integral_box_basis(cols, bounds) == want
 
 
+def test_integral_box_basis_takes_int_entries_as_they_are():
+    # int entries skip the Fraction and give exactly the Fraction answer;
+    # a float entry, even an integral one, is still refused
+    rng = random.Random(73)
+    for case in range(200):
+        n = 2 + case % 4
+        cols = [[rng.randint(-10**rng.randint(0, 30), 10**rng.randint(0, 30)) for _ in range(n)]
+                for _ in range(n)]
+        bounds = [Rat(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+        got = lattice._integral_box_basis(cols, bounds)
+        assert got == lattice._integral_box_basis([[Rat(x) for x in col] for col in cols], bounds)
+    box = Box((Rat(3, 2),) * 2, (True, False), EXACT)
+    with pytest.raises(BackendMismatch):
+        enumerate_basis_in_box([[2.0, 0], [0, 1]], box, EXACT)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_walk_matches_fraction_oracles(seed):
     # Full point sets and coefficients equal the coefficient-box scan; the
