@@ -39,7 +39,6 @@ from .lattice import (
     enumerate_in_box,
     shortest_sup_norm,
     siegel_transform,
-    window_box,
 )
 from .diophantine import (
     CorrespondenceReport,

@@ -365,9 +365,13 @@ def nondivergence_scan(
 ):
     """Fractions of samples whose translate has a lattice vector shorter
     (sup-norm) than eps, per (index, eps); the shortest vector is computed
-    once per sample and compared against every eps."""
-    svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
+    once per sample and compared against every eps, which must be finite
+    and > 0."""
     eps_list = [float(e) for e in eps_list]
+    bad = [e for e in eps_list if not 0 < e < math.inf]  # nan fails both
+    if bad:
+        raise ValueError("eps must be finite and > 0, got %r" % (bad[0],))
+    svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     jobs = [
         (curve, schedule.expansion_at(i), _resolve_base(base, i), budget)
         for i in indices

@@ -22,10 +22,14 @@ det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback.  It visits one point of each +-v pair, the one whose last
 nonzero coefficient is negative: the node budget counts that half tree, and
-a FaceProximity warning fires once per pair.  `enumerate_basis_in_box`
-collects the points, pulls their coefficients back to the given basis and
-adds each point's mirror; `enumerate_in_box` and `shortest_sup_norm` are
-built on it.
+a FaceProximity warning fires once per pair it visits.
+`enumerate_basis_in_box` collects the points, pulls their coefficients back
+to the given basis and adds each point's mirror; `enumerate_in_box` is
+built on it.  `shortest_sup_norm` walks the closed unit cube once itself,
+keeping a running minimum m: each point found shrinks the search sphere to
+n m^2 (with the first sphere's slack), and the intervals of the levels on
+the stack narrow with it.  The box stays the unit cube, so every point it
+visits has the bits of a full walk; it takes no mirrors, pull-back or sort.
 """
 
 from __future__ import annotations
@@ -92,14 +96,6 @@ def _inside(v, bounds, closed, backend):
     return True
 
 
-def window_box(n, mu, backend=EXACT) -> Box:
-    """The solubility window: radius mu, first coordinate closed, rest open."""
-    mu = scalar(mu, backend)
-    if not (0 < mu <= 1):
-        raise ValueError("window radius must lie in (0, 1]")
-    return Box((mu,) * n, (True,) + (False,) * (n - 1), backend)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice of covolume 1, generated by the basis columns."""
@@ -130,39 +126,6 @@ class Lattice:
         return Lattice(self.basis.to_float())
 
 
-def _zigzag(lo, hi, mid):
-    """Integers of [lo, hi], from mid (clamped into the range) fanning
-    outward: mid, mid - 1, mid + 1, mid - 2, ...
-
-    The walk passes mid = floor(1/2 - center), an integer nearest the
-    level's center.  Center-first order makes the depth-first search reach an
-    interior leaf (one that passes the box test, not just the sphere bound)
-    almost immediately, which is what makes first_only decisions cheap even
-    when the window holds millions of points.  At a level whose higher
-    coefficients are all 0 the walk passes hi = 0 (center and mid are 0
-    there): 0, -1, -2, ... is the full order with the positive half left
-    out, so each +-v pair is reached through its negative member, which the
-    full order reached first.
-    """
-    if lo > hi:
-        return
-    mid = min(max(mid, lo), hi)
-    yield mid
-    d = 1
-    while True:
-        a, b = mid - d, mid + d
-        live = False
-        if a >= lo:
-            yield a
-            live = True
-        if b <= hi:
-            yield b
-            live = True
-        if not live:
-            return
-        d += 1
-
-
 def _integral_box_basis(basis_cols, bounds):
     """(D, columns of D y) for the box-normalised basis y_ji = c_ji / b_i of
     exact columns c and box bounds b.  Each quotient is formed from integer
@@ -186,7 +149,7 @@ def _integral_box_basis(basis_cols, bounds):
     return scale, [[num * (scale // den) for num, den in col] for col in quotients]
 
 
-def _walk(basis_cols, box: Box, backend, budget, leaf):
+def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
     """The depth-first Fincke-Pohst walk over the nonzero integer
     combinations of the basis columns, on either backend.
 
@@ -199,6 +162,10 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
     the unimodular U that pulls xs back to coefficients w.r.t. the given
     basis.  Raises BudgetExceeded after budget nodes of this half tree, and
     BackendMismatch for a box on another backend than `backend`.
+
+    shrink=True lowers the search sphere to sphere(m), about n m^2, at each
+    point found, m its sup-norm in the normalised box: the walk reaches
+    every point no longer than the shortest so far and skips most others.
     """
     check_same_backend(backend, box.backend)
     n = len(basis_cols)
@@ -216,6 +183,8 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
     # runs over [lo, hi] from mid outward, and choosing x_j spends
     # cost * y^2 of the remaining radius, y = a * x_j + b.  hit(v) is the
     # point of the box-normalised combination v, or None outside the box.
+    # r2 is the squared radius of the sphere around the unit box, and
+    # sphere(m) that of a sphere around the points of sup-norm <= m.
     if backend == EXACT:
         # Scale by the common denominator D: LLL and the walk then run on
         # integers, the unit box becomes [-D, D]^n and the sphere n D^2.
@@ -229,7 +198,11 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
         reduced, u_cols, lam, d = linalg.lll_integral(cols)
         den = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
         w = [den // (d[j] * d[j + 1]) for j in range(n)]
-        r2 = n * scale * scale * den
+
+        def sphere(m):  # n m^2 over the denominator M, m in [0, D]
+            return n * m * m * den
+
+        r2 = sphere(scale)
         zero = 0
 
         def level(j, rem):
@@ -258,6 +231,13 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
         ]
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
         r2 = n * (1.0 + FLOAT_SLACK)
+
+        def sphere(m):
+            # the first sphere's slack, plus a margin over the rounding error
+            # of the radii left at each level: a few ulps of that first
+            # sphere, however far it has shrunk
+            return n * (m * m * (1.0 + FLOAT_SLACK) + 1e-13)
+
         zero = 0.0
 
         def level(j, rem):
@@ -282,7 +262,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
     nodes = 0
 
     def rec(j, rem, top):
-        nonlocal nodes
+        nonlocal nodes, r2
         if j < 0:
             if not any(xs):
                 return False
@@ -294,11 +274,26 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
                     for i in range(n):
                         v[i] = v[i] + x * col[i]
             point = hit(v)
-            return point is not None and leaf(point, xs)
+            if point is None:
+                return False
+            if shrink:
+                r2 = min(r2, sphere(max(map(abs, v))))
+            return leaf(point, xs)
         lo, hi, mid, a, b, cost = level(j, rem)
         if top:  # center 0, symmetric interval: keep x_j <= 0, one of each +-v
             hi = min(hi, 0)
-        for x in _zigzag(lo, hi, mid):
+        if lo > hi:
+            return False
+        # x_j runs over [lo, hi] from mid, an integer nearest the level's
+        # center (clamped into [lo, hi]), fanning outward:
+        # mid, mid - 1, mid + 1, mid - 2, ...  Center-first order reaches an
+        # interior leaf almost at once, which makes first_only decisions
+        # cheap even when the box holds millions of points.  At a level whose
+        # higher coefficients are all 0, mid = 0 = hi and the order is
+        # 0, -1, -2, ...: each +-v pair is reached through its negative member.
+        x = mid = min(max(mid, lo), hi)
+        seen = r2
+        while True:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
@@ -309,6 +304,19 @@ def _walk(basis_cols, box: Box, backend, budget, leaf):
             y = a * x + b
             if rec(j - 1, rem - cost * y * y, top and not x):
                 return True
+            if r2 != seen:  # a point found below shrank the sphere: narrow [lo, hi]
+                rem -= seen - r2
+                seen = r2
+                if rem < zero:
+                    break
+                lo, hi = level(j, rem)[:2]
+                if top:
+                    hi = min(hi, 0)
+            x = 2 * mid - x - (x >= mid)  # the other side of mid, or one further out
+            if not lo <= x <= hi:
+                x = 2 * mid - x - (x >= mid)
+                if not lo <= x <= hi:  # both sides have left [lo, hi]
+                    break
         xs[j] = 0
         return False
 
@@ -432,11 +440,24 @@ def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
     """Sup-norm of a shortest nonzero lattice vector.
 
     By Minkowski's convex body theorem the closed unit cube, of volume 2^n,
-    holds a nonzero point of every covolume-1 lattice, so one enumeration
-    of that cube finds a shortest vector.
+    holds a nonzero point of every covolume-1 lattice, so one walk of that
+    cube finds a shortest vector.  The walk keeps a running minimum m and
+    shrinks its search sphere to n m^2 as it goes, so it skips most points
+    longer than m (on a nearly divergent translate, the multiples of one
+    tiny vector that fill the cube); it needs no mirrors and no coefficients.
+    On floats, FaceProximity warns only for the points the walk visits.
     """
+    best = None
+
+    def keep(point, xs):
+        nonlocal best
+        m = max(map(abs, point))
+        if best is None or m < best:
+            best = m
+        return False
+
     cube = Box((1,) * lat.n, (True,) * lat.n, lat.backend)
-    pts = enumerate_in_box(lat, cube, budget=budget)
-    if not pts:
+    _walk(lat.basis.columns(), cube, lat.backend, budget, keep, shrink=True)
+    if best is None:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
-    return min(max(map(abs, v)) for v in pts)
+    return best

@@ -278,6 +278,18 @@ def test_nondiv_cli(tmp_path):
     assert len(lines) == 2 + 3 * 2  # indices 1..3 x two eps values
 
 
+@pytest.mark.parametrize("eps, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
+def test_nondiv_threshold_must_be_finite_and_positive(tmp_path, capsys, eps, shown):
+    # a NaN threshold would print rows and write a bare NaN into nondiv.json
+    out = tmp_path / "nd"
+    assert main(["nondiv", "--eps", "0.1," + eps, "--imax", "2", "--samples", "4",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: eps must be finite and > 0, got %s" % shown in err
+    assert "Traceback" not in err
+    assert not (out / "nondiv.json").exists()
+
+
 # -- the CLI surface, pinned flag by flag ----------------------------------
 
 _S, _I, _F, _T = (None, "store"), (int, "store"), (float, "store"), (None, "store_true")

@@ -22,7 +22,13 @@ from latflow.backend import (
     rat,
     scalar,
 )
-from latflow.algebra import ExactMatrix, ExpansionRates, expanding_diagonal, row_unipotent
+from latflow.algebra import (
+    ExactMatrix,
+    ExpansionRates,
+    diagonal_shear,
+    expanding_diagonal,
+    row_unipotent,
+)
 from latflow.linalg import clear_denominators
 from latflow.lattice import (
     Box,
@@ -33,7 +39,6 @@ from latflow.lattice import (
     enumerate_in_box,
     shortest_sup_norm,
     siegel_transform,
-    window_box,
 )
 
 import _brute
@@ -51,12 +56,6 @@ def test_box_rejects_bad_bounds():
         Box((0, 1), (True, True), EXACT)
     with pytest.raises(ValueError):
         Box((1,), (True, True), EXACT)
-
-
-def test_window_box_shape():
-    b = window_box(3, Rat(1, 2))
-    assert b.bounds == (Rat(1, 2),) * 3
-    assert b.closed == (True, False, False)
 
 
 def test_float_box_warns_near_face():
@@ -335,7 +334,7 @@ def test_coefficients_reproduce_points():
 def test_avoidance_helpers():
     assert avoids_open_unit_box(Lattice.standard(2))  # faces don't count
     # the closed head face does count in the solubility window
-    assert enumerate_in_box(Lattice.standard(2), window_box(2, 1), first_only=True)
+    assert enumerate_in_box(Lattice.standard(2), Box((1, 1), (True, False), EXACT), first_only=True)
     # unit triangular bases always avoid (coordinates vanish bottom-up)
     assert avoids_open_unit_box(
         Lattice(ExactMatrix([[1, rat("1/2")], [0, 1]], EXACT))
@@ -414,6 +413,67 @@ def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, ba
     assert calls[0].bounds == (scalar(1, backend),) * n and all(calls[0].closed)
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("weight", [2**12, 2**20])
+def test_shortest_of_a_nearly_divergent_translate_skips_the_multiples(weight, backend):
+    # diag(w, 1/w) u(1/3) Z^2 has the shortest vector (0, 3/w), and the
+    # closed unit cube holds its multiples up to w/3: 2,730 points at
+    # w = 2^12.  The walk whose sphere shrinks at each point found skips
+    # them; a walk of the whole cube visits each
+    lat = Lattice(diagonal_shear((Rat(weight),), (Rat(1, 3),)))
+    if backend == FLOAT:
+        lat = lat.to_float()
+    cube = Box((1, 1), (True, True), backend)
+    with pytest.raises(BudgetExceeded):
+        enumerate_in_box(lat, cube, budget=50)
+    got = shortest_sup_norm(lat, budget=50)
+    assert repr(got) == repr(scalar(Rat(3, weight), backend))
+    if weight == 2**12:  # small enough to list the whole cube
+        want = min(max(map(abs, p)) for p in enumerate_in_box(lat, cube))
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("m", [1e-6, 1e-7])
+@pytest.mark.parametrize("shorter_by", [1e-6, 1e-5, 1e-4, 1e-3])
+def test_shortest_float_search_keeps_a_near_tie_after_shrinking(m, shorter_by):
+    # p = (m, -m, 0) and q = (m', m', m'), m' just below m, span every point
+    # of the cube; q lies on the boundary of the sphere 3 m^2 that p leaves,
+    # and the radii of the shrunk search carry rounding errors of a few
+    # ulps of the first sphere 3 (1 + FLOAT_SLACK), far above 3 m^2 FLOAT_SLACK
+    q = m * (1 - shorter_by)
+    cols = [(m, -m, 0.0), (q, q, q), (0.0, 0.0, 1.0 / (2 * m * q))]
+    lat = Lattice(ExactMatrix([[c[i] for c in cols] for i in range(3)], FLOAT))
+    assert shortest_sup_norm(lat, budget=1000) == pytest.approx(q, rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_shortest_of_rational_shears_matches_the_cube(backend):
+    # diag(prod w, 1/w) u(phi) Z^n with small rational weights and shifts:
+    # the first point the walk finds is often not a shortest one, so the
+    # shrunk sphere must still hold every point no longer than it
+    rng = random.Random(29)
+    cube_mins = 0
+    for _ in range(60):
+        k = rng.choice((1, 2))
+        weights = tuple(Rat(rng.randint(2, 30), rng.randint(1, 7)) for _ in range(k))
+        shift = tuple(Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
+        g = diagonal_shear(weights, shift)
+        lat = Lattice(g) if backend == EXACT else Lattice(g).to_float()
+        cube = Box((1,) * lat.n, (True,) * lat.n, backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            pts = enumerate_in_box(lat, cube)
+            got = shortest_sup_norm(lat)
+        want = min(max(map(abs, p)) for p in pts)
+        assert repr(got) == repr(want)
+        cube_mins += want < 1
+        cols, ones = g.columns(), [1] * lat.n
+        if backend == EXACT and _brute.scan_cost(cols, ones) <= 5_000:
+            brute = _brute.enumerate_box(cols, ones, [True] * lat.n)
+            assert got == min(max(map(abs, p)) for p in brute)
+    assert cube_mins > 30  # most cases are not decided by a point on the cube's face
+
+
 def _thin_case(rng, backend):
     """A seeded lattice a u(phi) g Z^n, n = 2-4, with rational weights and
     shifts and g an integer unimodular matrix, and a box with bounds among
@@ -454,15 +514,20 @@ def _nodes(run):
 # cube, frozen: a walk that prunes or branches differently changes them.
 # They count the half tree, one point of each +-v pair.
 _THIN_NODES = {EXACT: (2518, 3283), FLOAT: (2518, 3283)}
+# total nodes of shortest_sup_norm's shrinking walks of the same 30 cubes
+_SHORTEST_NODES = {EXACT: 203, FLOAT: 203}
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_thin_callers_agree_with_the_full_walk(backend):
     # enumerate_in_box keeps the points of enumerate_basis_in_box, in its
-    # order; shortest_sup_norm is the minimum over the points of the closed
-    # unit cube; both walk the same tree, so their budgets trip alike
+    # order, and walks the same tree, so their budgets trip alike;
+    # shortest_sup_norm is the minimum over the points of the closed unit
+    # cube, found by a walk of that cube whose sphere shrinks, so it fits
+    # the full cube walk's budget
     rng = random.Random(23)
     totals = [0, 0]
+    shortest = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FaceProximity)
         for _ in range(30):
@@ -476,13 +541,15 @@ def test_thin_callers_agree_with_the_full_walk(backend):
             in_cube = enumerate_basis_in_box(cols, cube, backend)
             want = min(max(abs(x) for x in p) for p, _ in in_cube)
             assert repr(shortest_sup_norm(lat)) == repr(want)
-            for i, (target, thin) in enumerate((
-                (box, lambda b: enumerate_in_box(lat, box, budget=b)),
-                (cube, lambda b: shortest_sup_norm(lat, budget=b)),
-            )):
-                nodes = _nodes(lambda b: enumerate_basis_in_box(cols, target, backend, budget=b))
-                thin(nodes)
-                with pytest.raises(BudgetExceeded):
-                    thin(nodes - 1)
-                totals[i] += nodes
+            nodes = _nodes(lambda b: enumerate_basis_in_box(cols, box, backend, budget=b))
+            enumerate_in_box(lat, box, budget=nodes)
+            with pytest.raises(BudgetExceeded):
+                enumerate_in_box(lat, box, budget=nodes - 1)
+            cube_nodes = _nodes(lambda b: enumerate_basis_in_box(cols, cube, backend, budget=b))
+            own = _nodes(lambda b: shortest_sup_norm(lat, budget=b))
+            assert own <= cube_nodes
+            totals[0] += nodes
+            totals[1] += cube_nodes
+            shortest += own
     assert tuple(totals) == _THIN_NODES[backend]
+    assert shortest == _SHORTEST_NODES[backend]
