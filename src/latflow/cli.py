@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -726,6 +727,10 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves a parser as it was, so one parser serves every call in
+# a process; a parser built per call leaves hundreds of objects in
+# reference cycles for the garbage collector
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="latflow",

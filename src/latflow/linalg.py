@@ -5,10 +5,14 @@ list-of-lists Gaussian elimination is the right tool; no numpy.  Matrices are
 lists of rows.  The exact routines take int or Fraction entries and
 decide every comparison with 0 exactly; the float variants pick pivots by
 magnitude.  The exact `det` scales its input by the common denominator
-and runs fraction-free (Bareiss) elimination on integers.  `rref` and the
+and runs fraction-free (Bareiss) elimination on integers.  `rref` (and
+with it `rank` and `kernel_basis`) is fraction-free per row: each row is
+scaled to integers by its own denominators, Gauss-Jordan runs on those,
+and the Fractions x / pivot are built once at the end.  `rref` and the
 float `det` skip zero entries: `rref` updates only the columns where the
-pivot row is nonzero, and `det` updates no row whose entry below the pivot
-is zero, so sparse and triangular input is cheap.
+pivot row is nonzero beyond a row's rescaling, and `det` updates no row
+whose entry below the pivot is zero, so sparse and triangular input is
+cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
@@ -32,8 +36,8 @@ import warnings
 from .backend import LLLIterationCap, Rat, rat
 
 
-def identity(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -155,11 +159,32 @@ def inverse(a, approx=False):
     return [row[n:] for row in m]
 
 
+def _primitive_row(row):
+    """The row as coprime integers, a positive multiple of it: scaled by the
+    lcm of its denominators and divided by the gcd of the result.  Entries
+    are coerced as by `rat`, so a float is refused."""
+    pairs = [(x if type(x) is int or type(x) is Rat else rat(x)).as_integer_ratio() for x in row]
+    scale = math.lcm(*(d for _, d in pairs))
+    row = [n for n, _ in pairs] if scale == 1 else [n * (scale // d) for n, d in pairs]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(a):
-    """Exact reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Exact reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Fraction-free: each row is scaled to integers by its own denominators
+    and Gauss-Jordan runs on those.  Clearing column j of a row with entry f
+    against the pivot row with entry p sets it to (p row - f pivot_row) / g
+    for g = gcd(p, f), touching only the pivot row's nonzero columns beyond
+    the rescaling, and then divides the row by the gcd of its entries.  A
+    pivot row stays an integer multiple of its reduced row, so the
+    Fractions x / pivot are built once at the end; the reduced form is
+    unique, so they are the entries any exact elimination gives.
+    """
     if not a:
         return [], []
-    rows = [[rat(x) for x in row] for row in a]
+    rows = [_primitive_row(row) for row in a]
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -175,21 +200,29 @@ def rref(a):
         prow = rows[r]
         p = prow[j]
         # the pivot row is zero left of j; only its nonzero columns change
-        # anything, as x - f * 0 is x exactly
+        # anything beyond the rescaling, as x - f * 0 is x
         nz = [c for c in range(j, ncols) if prow[c] != 0]
-        for c in nz:
-            prow[c] = prow[c] / p
         for i in range(nrows):
             row = rows[i]
             f = row[j]
-            if i != r and f != 0:
-                for c in nz:
-                    row[c] = row[c] - f * prow[c]
+            if i == r or f == 0:
+                continue
+            g = math.gcd(p, f)
+            if p != g:
+                row = [x * (p // g) for x in row]
+            f //= g
+            for c in nz:
+                row[c] -= f * prow[c]
+            g = math.gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(j)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    zero = Rat(0)
+    out = [[Rat(x, row[j]) if x else zero for x in row] for row, j in zip(rows, pivots)]
+    out += [[zero] * ncols for _ in range(r, nrows)]
+    return out, pivots
 
 
 def rank(a):

@@ -18,11 +18,17 @@ product (column p of g)(row q of g^-1) and [x, E_pq] is
 g comes from one shared Laplace expansion.  Zero factors are skipped
 throughout; shears u(e) are mostly zeros.
 
-Everything in this module runs on the exact backend.
+Everything in this module runs on the exact backend, and its linear
+algebra runs on integers.  The minors and the rank-one terms are computed
+on D g (and D' g^-1, or D x), D the common denominator, and each entry is
+divided once at the end; the images of the hypothesis space under the
+shears are summed the same way.  Every matrix and vector returned holds
+Fractions only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,15 +95,16 @@ class RepSpace:
     # -- adjoint coordinate helpers -----------------------------------------
     def _adjoint_coords(self, terms):
         """Coordinates of the traceless matrix sum of +-u v^T over the
-        (negate, u, v) terms; zero entries of u and v are skipped.
+        (negate, u, v) terms of integer vectors; zero entries of u and v
+        are skipped.
 
         E_pq takes entry (p, q) and H_i the sum of the first i diagonal
         entries, the coordinates of sum_i c_i H_i in which the diagonal of a
         traceless matrix is written.
         """
         n = self.n
-        col = [Rat(0)] * self.dim
-        diag = [Rat(0)] * n
+        col = [0] * self.dim
+        diag = [0] * n
         for negate, u, v in terms:
             vs = [(b, y) for b, y in enumerate(v) if y != 0]
             for a, x in enumerate(u):
@@ -112,16 +119,17 @@ class RepSpace:
                     else:
                         k = base + b - (b > a)
                         col[k] = col[k] + x * y
-        total = Rat(0)
+        total = 0
         for i in range(n - 1):
             total = total + diag[i]
             col[n * (n - 1) + i] = total
         return col
 
     def _adjoint_columns(self, image):
-        """Columns of a linear map on sl(n) given on each E_pq (0-based p, q)
-        as a sum of rank-one terms image(p, q); H_i = E_ii - E_{i+1,i+1}
-        maps to image(i, i) minus image(i + 1, i + 1)."""
+        """Integer columns of a linear map on sl(n) given on each E_pq
+        (0-based p, q) as a sum of integer rank-one terms image(p, q);
+        H_i = E_ii - E_{i+1,i+1} maps to image(i, i) minus
+        image(i + 1, i + 1)."""
         cols = []
         for lab in self.labels():
             if lab[0] == "E":
@@ -139,36 +147,46 @@ class RepSpace:
         Wedge: entry (I, J) is the minor of g on rows I and columns J, all
         taken from one shared Laplace expansion (`_wedge_minors`).  Adjoint:
         g E_pq g^-1 is the rank-one matrix (column p of g)(row q of g^-1).
+        Both run on integers: the minors of D g, and the rank-one terms of
+        D_1 g and D_2 g^-1, for D, D_1 and D_2 the common denominators
+        (`linalg.clear_denominators`), each entry divided by D^d or by
+        D_1 D_2 once at the end.
         """
         if g.backend != EXACT:
             raise ValueError("weight machinery runs on the exact backend")
         if g.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         if self.kind == "wedge":
-            minors = _wedge_minors(g.rows, self.degree)
+            scale, rows = linalg.clear_denominators(g.rows)
+            minors = _wedge_minors(rows, self.degree)
             labs = [tuple(i - 1 for i in lab) for lab in self.labels()]
-            return ExactMatrix._trusted([[minors[I, J] for J in labs] for I in labs])
+            return ExactMatrix._trusted(
+                _over([[minors[I, J] for J in labs] for I in labs], scale**self.degree)
+            )
         # g E_pq g^-1 = (column p of g)(row q of g^-1)
-        gcols, ginv = g.columns(), g.inverse().rows
+        d1, gcols = linalg.clear_denominators(g.columns())
+        d2, ginv = linalg.clear_denominators(g.inverse().rows)
         cols = self._adjoint_columns(lambda p, q: [(False, gcols[p], ginv[q])])
-        return ExactMatrix._trusted(zip(*cols))
+        return ExactMatrix._trusted(zip(*_over(cols, d1 * d2)))
 
     def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
         """The derived (Lie algebra) action of a traceless matrix (exact
-        backend)."""
+        backend), accumulated on the integers D x and divided by D once, D
+        the common denominator of x."""
         if x.backend != EXACT:  # its entries would enter the result uncoerced
             raise BackendMismatch("weight machinery runs on the exact backend")
         if x.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         labs = self.labels()
+        scale, xrows = linalg.clear_denominators(x.rows)
         if self.kind == "wedge":
             index = {J: t for t, J in enumerate(labs)}
             cols = []
             for J in labs:
-                col = [Rat(0)] * len(labs)
+                col = [0] * len(labs)
                 for t, j in enumerate(J):
                     for p in range(1, self.n + 1):
-                        c = x.rows[p - 1][j - 1]
+                        c = xrows[p - 1][j - 1]
                         if c == 0:
                             continue
                         res = _wedge_replace(J, t, p)
@@ -177,13 +195,13 @@ class RepSpace:
                         J2, sign = res
                         col[index[J2]] = col[index[J2]] + sign * c
                 cols.append(col)
-            return ExactMatrix._trusted(zip(*cols))
+            return ExactMatrix._trusted(zip(*_over(cols, scale)))
         # [x, E_pq] = (column p of x) e_q^T - e_p (row q of x)
-        xcols, unit = x.columns(), linalg.identity(self.n, Rat(1), Rat(0))
+        xcols, unit = list(zip(*xrows)), linalg.identity(self.n)
         cols = self._adjoint_columns(
-            lambda p, q: [(False, xcols[p], unit[q]), (True, unit[p], x.rows[q])]
+            lambda p, q: [(False, xcols[p], unit[q]), (True, unit[p], xrows[q])]
         )
-        return ExactMatrix._trusted(zip(*cols))
+        return ExactMatrix._trusted(zip(*_over(cols, scale)))
 
     def weight_of(self, lab, block_sizes):
         """Per-block eigenvalue tuple of a basis label."""
@@ -200,9 +218,18 @@ class RepSpace:
         return tuple(out)
 
 
+def _over(rows, scale):
+    """Rows of the Rats x / scale for rows of integers x; with scale 1 each
+    Rat is built without a gcd, and the zeros share one Rat."""
+    zero = Rat(0)
+    if scale == 1:
+        return [[Rat(x) if x else zero for x in row] for row in rows]
+    return [[Rat(x, scale) if x else zero for x in row] for row in rows]
+
+
 def _wedge_minors(rows, d):
-    """Every d x d minor of the square matrix rows, keyed by (row indices,
-    column indices), 0-based sorted tuples.
+    """Every d x d minor of the square integer matrix rows, keyed by (row
+    indices, column indices), 0-based sorted tuples.
 
     Each minor is expanded along its first column into minors one size
     smaller on the remaining columns, so every smaller minor is computed
@@ -217,7 +244,7 @@ def _wedge_minors(rows, d):
         for J in itertools.combinations(range(d - s, n), s):
             j, rest = J[0], J[1:]
             for I in itertools.combinations(range(n), s):
-                total = Rat(0)
+                total = 0
                 for t, i in enumerate(I):
                     x = rows[i][j]
                     if x != 0:
@@ -430,20 +457,32 @@ def split_spaces(rep: RepSpace, block_sizes, growth: GrowthSpec) -> WeightSplit:
     sizes = validate_block_sizes(rep.n, block_sizes)
     if len(sizes) != growth.k:
         raise ValueError("block count and growth layer count differ")
+    return _split(rep, sizes, growth)
+
+
+# every argument and the result are frozen, so one split serves all trials
+@functools.lru_cache(maxsize=64)
+def _split(rep, sizes, growth):
     labs = rep.labels()
     ws = tuple(rep.weight_of(lab, sizes) for lab in labs)
     cls = tuple(growth.classify(w) for w in ws)
     return WeightSplit(rep, sizes, growth, labs, ws, cls)
 
 
-def _combine(coeffs, vecs, dim):
-    """The vector sum of c * v over paired coefficients and vectors."""
-    out = [Rat(0)] * dim
-    for c, v in zip(coeffs, vecs):
+def _combine(coeffs, scaled):
+    """The vector sum of c * v over paired rational coefficients and
+    vectors, given the vectors as scaled = (E, E * vecs) with E * vecs
+    integral (`linalg.clear_denominators`).  The sum runs on the integers
+    D c and divides by D E once, D the coefficients' common denominator."""
+    scale, (ints,) = linalg.clear_denominators([coeffs])
+    vscale, vecs = scaled
+    out = [0] * len(vecs[0])
+    for c, v in zip(ints, vecs):
         if c != 0:
             for i, x in enumerate(v):
-                out[i] = out[i] + c * x
-    return out
+                if x != 0:
+                    out[i] += c * x
+    return _over([out], scale * vscale)[0]
 
 
 @dataclass(frozen=True)
@@ -564,8 +603,8 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
         return split, pts, space, [], []
     images = []
     for act in actions:
-        cols = act.columns()
-        images.append([_combine(b, cols, rep.dim) for b in space.basis])
+        cols = linalg.clear_denominators(act.columns())
+        images.append([_combine(b, cols) for b in space.basis])
     zero_full = split.zero_weight_indices()
     kernels = [_kernel_on_selected_rows(cols, zero_full, space.dim) for cols in images]
     return split, pts, space, images, kernels
@@ -577,6 +616,7 @@ def _layered_violations(split, pts, space, images, kernels):
     rep, growth = split.rep, split.growth
     plus_trunc = split_spaces(rep, split.block_sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
     zero_head = split.zero_weight_indices(first=growth.k - 1)
+    basis = linalg.clear_denominators(space.basis)
     violations = []
     for e, cols, kernel in zip(pts, images, kernels):
         for i in plus_trunc:
@@ -585,7 +625,7 @@ def _layered_violations(split, pts, space, images, kernels):
         hmat = [[col[i] for col in cols] for i in zero_head]
         for y in kernel:
             if any(linalg.dot(row, y) != 0 for row in hmat):
-                vec = _combine(y, space.basis, rep.dim)
+                vec = _combine(y, basis)
                 violations.append(("invariant-shadow-lost", e, tuple(vec)))
     return violations
 
@@ -593,8 +633,9 @@ def _layered_violations(split, pts, space, images, kernels):
 def _spanning_violations(split, pts, space, kernels):
     """(point, vector) for each hypothesis vector whose translate loses its
     fully invariant component."""
+    basis = linalg.clear_denominators(space.basis)
     return [
-        (e, tuple(_combine(y, space.basis, split.rep.dim)))
+        (e, tuple(_combine(y, basis)))
         for e, kernel in zip(pts, kernels)
         for y in kernel
     ]

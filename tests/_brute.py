@@ -154,8 +154,13 @@ def fincke_pohst_reference(basis_cols, bounds, closed, first_only=False):
 
 
 def shortest_sup(basis_cols):
-    """Minimum sup-norm over nonzero lattice points (exact input)."""
+    """Minimum sup-norm over nonzero lattice points (exact input).  The scan
+    box is the shortest basis column's, capped at the closed unit cube when
+    the covolume is 1: by Minkowski's theorem that cube holds a nonzero
+    lattice point."""
     bound = min(max(abs(frac(x)) for x in col) for col in basis_cols)
+    if abs(det_reference(basis_cols)) == 1:
+        bound = min(bound, 1)
     pts = enumerate_box(
         basis_cols, [bound] * len(basis_cols), [True] * len(basis_cols)
     )

@@ -235,6 +235,39 @@ def test_lemma_verify_cli(capsys):
     assert "all checks passed" in out
 
 
+# the lemma-sweep benchmark configs at seed 0 with fewer trials: trial rows
+# (trial, projection_ok, hypothesis_dim, spanning_ok, spanning_dim) as
+# recorded from the rational elimination these replace
+_LEMMA_ROWS = [
+    (["--rep", "adjoint:4", "--config-sizes", "2,1", "--growth", "1:1,1:2", "--trials", "3"],
+     ["0,True,1,True,1", "1,True,1,True,1", "2,True,1,True,1"]),
+    (["--rep", "adjoint:5", "--config-sizes", "3,1", "--growth", "1:1,1:2", "--trials", "2"],
+     ["0,True,1,True,1", "1,True,1,True,1"]),
+    (["--rep", "wedge:6:3", "--config-sizes", "4,2", "--growth", "1:1,1:2", "--trials", "2"],
+     ["0,True,0,True,0", "1,True,0,True,0"]),
+    (["--rep", "wedge:5:2", "--config-sizes", "3", "--trials", "3"],
+     ["0,True,0,True,0", "1,True,0,True,0", "2,True,0,True,0"]),
+]
+
+
+@pytest.mark.parametrize("argv, rows", _LEMMA_ROWS, ids=["adjoint4", "adjoint5", "wedge63", "wedge52"])
+def test_lemma_verify_rows_are_pinned(tmp_path, capsys, argv, rows):
+    out = str(tmp_path / "lemma")
+    assert main(["lemma-verify"] + argv + ["--seed", "0", "--out", out]) == 0
+    trials = len(rows)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "%d trials, alignment ok, containment ok -> all checks passed" % trials
+    )
+    with open(os.path.join(out, "lemma-verify.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1] == "trial,projection_ok,hypothesis_dim,spanning_ok,spanning_dim"
+    assert lines[2:] == rows
+    with open(os.path.join(out, "lemma-verify.json")) as fh:
+        report = json.load(fh)
+    assert (report["ok"], report["alignment_ok"], report["containment_ok"]) == (True, True, True)
+    assert report["trials"] == trials and report["failures"] == []
+
+
 def test_twist_cli_exact_zero_gate(capsys):
     rc = main(
         [

@@ -368,14 +368,36 @@ def test_siegel_matches_brute_sum():
         assert mine == pytest.approx(ref, abs=1e-9)
 
 
+def _covolume_one_basis(rng, n):
+    """diag(a, 1/a) U or diag(a, b, 1/(a b)) U, rows permuted, for rational
+    a, b and an integer unimodular U: a covolume-1 lattice that is not Z^n."""
+    a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    b = Fraction(rng.randint(1, 9), rng.randint(1, 9)) if n == 3 else 1
+    scale = [a, 1 / a] if n == 2 else [a, b, 1 / (a * b)]
+    rng.shuffle(scale)
+    u = _brute.random_unimodular(rng, n)
+    return ExactMatrix([[scale[i] * x for x in row] for i, row in enumerate(u)], EXACT)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_shortest_matches_brute(seed):
     rng = random.Random(seed)
-    g = ExactMatrix(_brute.random_unimodular(rng, rng.choice((2, 3))), EXACT)
+    g = _covolume_one_basis(rng, rng.choice((2, 3)))
     if _brute.scan_cost(g.columns(), [1] * g.nrows) > 30_000:
         return
     assert str(shortest_sup_norm(Lattice(g))) == str(_brute.shortest_sup(g.columns()))
+
+
+def test_covolume_one_bases_have_other_minima_than_one():
+    # the draws above reach minima below 1, not only the 1 of Z^n
+    rng = random.Random(0)
+    minima = set()
+    for _ in range(40):
+        g = _covolume_one_basis(rng, rng.choice((2, 3)))
+        if _brute.scan_cost(g.columns(), [1] * g.nrows) <= 30_000:
+            minima.add(_brute.shortest_sup(g.columns()))
+    assert len(minima) >= 5 and max(minima) <= 1 and min(minima) < 1
 
 
 def test_enumeration_refuses_mixed_backends():

@@ -14,6 +14,7 @@ from latflow.linalg import (
     kernel_basis,
     lll_integral,
     lll_reduce,
+    rank,
     rref,
 )
 
@@ -227,3 +228,63 @@ def test_rref_and_kernel_match_dense_reference_on_sparse_input(seed):
             assert all(sum(_brute.frac(x) * _brute.frac(y) for x, y in zip(r, v)) == 0 for r in a)
             if all(r[f] == 0 for r in a):  # a zero column is its own kernel vector
                 assert v == [int(j == f) for j in range(ncols)]
+
+
+def _check_rref(a):
+    """rref, rank and kernel_basis against the textbook elimination, every
+    entry a Fraction (never an int, even where it is integral)."""
+    rows, pivots = rref(a)
+    want_rows, want_pivots = _brute.rref_reference(a)
+    assert (rows, pivots) == (want_rows, want_pivots)
+    assert rank(a) == len(want_pivots)
+    ncols = len(a[0])
+    want_kernel = []
+    for f in (j for j in range(ncols) if j not in want_pivots):
+        v = [Fraction(int(j == f)) for j in range(ncols)]
+        for r, p in enumerate(want_pivots):
+            v[p] = -want_rows[r][f]
+        want_kernel.append(v)
+    kernel = kernel_basis(a)
+    assert kernel == want_kernel
+    assert all(type(x) is Fraction for m in (rows, kernel) for r in m for x in r)
+    return rows, pivots
+
+
+def _hilbert(nrows, ncols):
+    return [[Fraction(1, i + j + 1) for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rref_of_hilbert_matrices(n):
+    # ill-conditioned with denominators up to 2n - 1: the square one reduces
+    # to the identity, the wide and tall ones to fractional rows
+    rows, pivots = _check_rref(_hilbert(n, n))
+    assert pivots == list(range(n)) and rows == [[int(i == j) for j in range(n)] for i in range(n)]
+    for m in range(1, 9):
+        _check_rref(_hilbert(n, m))
+    # a dependent row below, as the combination 1/3 H_0 - 7/2 H_{n-1}
+    h = _hilbert(n, 8)
+    _check_rref(h + [[Fraction(1, 3) * x - Fraction(7, 2) * y for x, y in zip(h[0], h[-1])]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_with_large_coprime_denominators_and_dependent_rows(seed):
+    rng = random.Random(500 + seed)
+    primes = [999_983, 999_979, 999_961, 999_959, 999_953, 999_931]
+    for _ in range(10):
+        nrows, ncols = rng.randint(2, 7), rng.randint(1, 9)
+        a = [
+            [Fraction(rng.randint(-10**6, 10**6), rng.choice(primes + [rng.randint(1, 10**6)]))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        # a duplicate, a rational combination of two rows, a zero row and
+        # an integer-valued row, in shuffled order
+        a.append(list(a[0]))
+        c1, c2 = Fraction(rng.randint(-9, 9), rng.choice(primes)), Fraction(rng.randint(1, 9), 7)
+        a.append([c1 * x + c2 * y for x, y in zip(a[0], a[1])])
+        a.append([Fraction(0)] * ncols)
+        a.append([rng.randint(-5, 5) for _ in range(ncols)])
+        rng.shuffle(a)
+        rows, pivots = _check_rref(a)
+        assert len(pivots) <= nrows + 1 and rows[len(pivots):] == [[0] * ncols] * (len(a) - len(pivots))

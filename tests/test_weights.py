@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -55,12 +56,16 @@ def test_adjoint_dimension():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9), st.integers(3, 6), st.sampled_from(["wedge", "adjoint"]))
-def test_group_matrix_is_a_homomorphism(seed, n, kind):
+@given(st.integers(0, 10**9), st.integers(3, 6), st.sampled_from(["wedge", "adjoint"]),
+       st.booleans())
+def test_group_matrix_is_a_homomorphism(seed, n, kind, rational):
+    # rational elements have common denominators D > 1, which the minors
+    # and the rank-one terms divide out once at the end
     rng = random.Random(seed)
     rep = RepSpace(n, kind, rng.randint(1, n - 1) if kind == "wedge" else 1)
-    g = ExactMatrix(random_unimodular(rng, n), EXACT)
-    h = ExactMatrix(random_unimodular(rng, n), EXACT)
+    draw = random_rational_invertible if rational else random_unimodular
+    g = ExactMatrix(draw(rng, n), EXACT)
+    h = ExactMatrix(draw(rng, n), EXACT)
     lhs = rep.group_matrix(g @ h)
     rhs = rep.group_matrix(g) @ rep.group_matrix(h)
     assert lhs.rows == rhs.rows
@@ -75,6 +80,7 @@ def _sparse_rat(rng):
 
 
 def _frac_rows(m):
+    assert all(type(x) is Fraction for row in m.rows for x in row)
     return [[frac(x) for x in row] for row in m.rows]
 
 
@@ -174,6 +180,47 @@ def test_degenerate_points_produce_violations():
         wedge, (2,), ONE_BLOCK, [(0, 0), (0, 0), (0, 0)], require_spanning=False
     )[1]
     assert not report.ok
+
+
+def _entries(vec):
+    assert all(type(x) is Fraction for x in vec)
+    return " ".join(str(x) for x in vec)
+
+
+def test_degenerate_rational_point_pins_its_violation_vectors():
+    # one point, so no affine span; its coordinates 1/2 and -2/3 put
+    # denominators into the shear, every minor and the rank-one terms.
+    # The vectors were recorded from the rational elimination.
+    growth = GrowthSpec.simple([(1, 1), (1, 2)])
+    e = (Rat(1, 2), Rat(-2, 3), Rat(0))
+    layered, spanning = lemma_reports(
+        RepSpace(4, "adjoint"), (2, 1), growth, [e], require_spanning=False
+    )
+    assert layered.hypothesis_dim == spanning.hypothesis_dim == 9
+    assert [(kind, p, _entries(v)) for kind, p, v in layered.violations] == [
+        ("invariant-shadow-lost", e, vec) for vec in (
+            "0 -1/2 0 0 1 0 0 0 0 0 0 0 0 0 0",
+            "0 -4/9 0 4/3 0 0 1 1/2 0 0 0 0 0 2/3 0",
+            "1/2 0 0 -2 0 0 0 0 0 0 0 0 1 0 0",
+        )
+    ]
+    assert [(p, _entries(v)) for p, v in spanning.violations] == [
+        (e, vec) for vec in (
+            "0 0 1 0 0 0 0 0 3/2 0 0 0 0 0 0",
+            "0 -1/2 0 0 1 0 0 0 0 0 0 0 0 0 0",
+            "0 0 0 0 0 1 0 0 3/4 0 0 0 0 0 0",
+            "0 -4/9 0 4/3 0 0 1 1/2 0 0 0 0 0 2/3 0",
+            "0 0 0 0 0 0 0 0 0 1 1/2 -2/3 0 0 0",
+            "1/2 0 0 -2 0 0 0 0 0 0 0 0 1 0 0",
+        )
+    ]
+    layered, spanning = lemma_reports(
+        RepSpace(4, "wedge", 2), (2, 1), growth, [e], require_spanning=False
+    )
+    assert layered.ok and layered.hypothesis_dim == 3
+    assert [(p, _entries(v)) for p, v in spanning.violations] == [
+        (e, "1 3/4 0 -3/2 0 0"), (e, "0 0 1 0 0 3/2"), (e, "0 0 0 0 1 3/4"),
+    ]
 
 
 def test_layered_lemma_and_spanning_zero():
