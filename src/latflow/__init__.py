@@ -85,7 +85,6 @@ from .sequences import (
     layered_presentation,
 )
 from .experiments import (
-    BasePoint,
     ImprovabilityRow,
     NondivergenceRow,
     ShearRow,

@@ -139,9 +139,6 @@ class ExactMatrix:
             return self
         return ExactMatrix([[float(x) for x in row] for row in self.rows], FLOAT)
 
-    def has_det_one(self):
-        return _det_is_one(self.det(), self.backend)
-
     def __repr__(self):
         return "ExactMatrix(%r, backend=%r)" % (
             [list(r) for r in self.rows],
@@ -225,14 +222,17 @@ def diagonal_shear(weights, shift, backend=EXACT) -> ExactMatrix:
 
 
 def row_unipotent(shift, backend=EXACT) -> ExactMatrix:
-    """Identity plus the shift vector along the first row."""
-    s = [scalar(x, backend) for x in shift]
-    n = len(s) + 1
-    rows = linalg.identity(n)
-    rows = [[scalar(x, backend) for x in row] for row in rows]
-    for j, x in enumerate(s):
-        rows[0][j + 1] = rows[0][j + 1] + x
-    return ExactMatrix(rows, backend)
+    """Identity plus the shift vector along the first row.  Each entry is
+    coerced once; on floats the `0 +` turns a shift of -0.0 into +0.0, as
+    adding the shift to the identity's zero does."""
+    one, zero = scalar(1, backend), scalar(0, backend)
+    n = len(shift) + 1
+    rows = [[one] + [zero + scalar(x, backend) for x in shift]]
+    for i in range(1, n):
+        row = [zero] * n
+        row[i] = one
+        rows.append(row)
+    return ExactMatrix._trusted(rows, backend)
 
 
 def column_unipotent(shift, backend=EXACT) -> ExactMatrix:

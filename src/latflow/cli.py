@@ -321,6 +321,9 @@ def _build_tent(cfg, n):
 def _experiment_kwargs(cfg):
     kw = {"threads": cfg["threads"], "grid": cfg["grid"], "seed": cfg["seed"]}
     if cfg.get("budget") is not None:
+        # a budget below one node would report every walk as a blow-up
+        if cfg["budget"] < 1:
+            raise ValueError("--budget must be at least 1, got %d" % cfg["budget"])
         kw["budget"] = cfg["budget"]
     return kw
 
@@ -558,6 +561,8 @@ def _cmd_lemma_verify(cfg):
             ", ".join("s^%d" % (j + 1) for j in range(rep.n - 1))
         )
     trials = cfg["trials"]
+    if trials < 0:
+        raise ValueError("--trials must be at least 0, got %d" % trials)
     rng = random.Random(cfg["seed"])
 
     failures = []

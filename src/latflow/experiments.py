@@ -2,7 +2,7 @@
 
 Each experiment averages an observable over lattices
 
-    z(s) a_i u(phi(s)) g_0 Z^n,     s on a fixed sample grid,
+    z(s) a_i u(phi(s)) Z^n,     s on a fixed sample grid,
 
 with a_i the expanding diagonal of a rate schedule at index i.  Sampling
 is equispaced by default (seeded-random grids are available for variance
@@ -27,7 +27,7 @@ from .algebra import (
     expanding_diagonal,
     row_unipotent,
 )
-from .backend import EXACT, FLOAT, Rat, rat
+from .backend import FLOAT, Rat, rat
 from .diophantine import (
     Curve,
     WindowSpec,
@@ -44,7 +44,6 @@ from .lattice import (
 from .sequences import RateSchedule, float_expansion, layered_presentation
 
 __all__ = [
-    "BasePoint",
     "SiegelRow",
     "NondivergenceRow",
     "ImprovabilityRow",
@@ -59,56 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# base points and sample grids
-
-
-@dataclass(frozen=True)
-class BasePoint:
-    """Base lattice g_0 Z^n, optionally with per-index overrides g_i -> g_0
-    (a convergent approach sequence; .at(i) resolves the matrix used at
-    experiment index i)."""
-
-    matrix: ExactMatrix
-    approach: tuple = ()  # ((index, ExactMatrix), ...)
-
-    def __post_init__(self):
-        mats = [self.matrix] + [m for _, m in self.approach]
-        for m in mats:
-            if m.nrows != m.ncols:
-                raise ValueError("base point must be square")
-            if not m.has_det_one():
-                raise ValueError("base point must have determinant 1")
-        if len({m.nrows for m in mats}) != 1:
-            raise ValueError("approach matrices must match the base size")
-
-    @classmethod
-    def identity(cls, n) -> "BasePoint":
-        return cls(ExactMatrix.identity(n))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.nrows
-
-    def at(self, i) -> ExactMatrix:
-        for idx, m in self.approach:
-            if idx == i:
-                return m
-        return self.matrix
-
-
-def _resolve_base(base, i):
-    """The base matrix at index i on the float backend, or None when there
-    is no base or it is the identity there: no product."""
-    if base is None:
-        return None
-    if isinstance(base, ExactMatrix):
-        base = BasePoint(base)
-    elif not isinstance(base, BasePoint):
-        raise TypeError("base must be a BasePoint, an ExactMatrix, or None")
-    g = base.at(i)
-    if g == ExactMatrix.identity(g.nrows, g.backend):
-        return None
-    return g.to_float()
+# sample grids
 
 
 def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
@@ -132,19 +82,10 @@ def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
 # translates
 
 
-def translate_lattice(curve: Curve, rates: ExpansionRates, s, base=None, doubled=False):
-    """The lattice a u(phi(s)) g_0 Z^n (with its reversal partner when
-    doubled=True), on the backend of the given rates.  base is the matrix
-    g_0 on that backend (the drivers resolve it once per index) or None,
-    and without it the product is not formed."""
-    backend = rates.backend
-    if backend == EXACT:
-        phi = curve.eval_exact(s)
-    else:
-        phi = curve.eval_float(s)
-    m = diagonal_shear(rates.weights, phi, backend)
-    if base is not None:
-        m = m @ base
+def translate_lattice(curve: Curve, rates: ExpansionRates, s, doubled=False):
+    """The lattice a u(phi(s)) Z^n on floats, with its reversal partner
+    when doubled=True."""
+    m = diagonal_shear(rates.weights, curve.eval_float(s), FLOAT)
     if doubled:
         return Lattice(m), Lattice(dual_involution(m))
     return Lattice(m)
@@ -178,16 +119,16 @@ def _sweep(at, jobs, samples, threads):
 
 
 def _siegel_at(job, s):
-    curve, rates, tent, base, doubled, budget = job
-    got = translate_lattice(curve, rates, s, base=base, doubled=doubled)
+    curve, rates, tent, doubled, budget = job
+    got = translate_lattice(curve, rates, s, doubled=doubled)
     if doubled:
         return siegel_transform(got[0], tent, budget) * siegel_transform(got[1], tent, budget)
     return siegel_transform(got, tent, budget)
 
 
 def _shortest_at(job, s):
-    curve, rates, base, budget = job
-    return float(shortest_sup_norm(translate_lattice(curve, rates, s, base=base), budget))
+    curve, rates, budget = job
+    return float(shortest_sup_norm(translate_lattice(curve, rates, s), budget))
 
 
 def _window_flags_at(job, s):
@@ -207,14 +148,12 @@ def _window_flags_at(job, s):
 
 
 def _shear_at(job, s):
-    curve, deriv, rates, tent, base, t_list, block, budget = job
+    curve, deriv, rates, tent, t_list, block, budget = job
     n = curve.k + 1
     z = _aligning_element(deriv.eval_float(s)[:block], n)
     if z is None:
         return None
     m = z @ expanding_diagonal(rates) @ row_unipotent(curve.eval_float(s), FLOAT)
-    if base is not None:
-        m = m @ base
     base_val = siegel_transform(Lattice(m), tent, budget)
     sheared = []
     for t in t_list:
@@ -303,7 +242,6 @@ def equidistribution_siegel(
     indices,
     count,
     tent: Tent,
-    base=None,
     doubled=False,
     threads=1,
     grid="equispaced",
@@ -322,8 +260,7 @@ def equidistribution_siegel(
         ref = ref * ref
     ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
     jobs = [
-        (curve, schedule.expansion_at(i), ftent, _resolve_base(base, i), doubled, budget)
-        for i in indices
+        (curve, schedule.expansion_at(i), ftent, doubled, budget) for i in indices
     ]
     out = []
     for i, vals in zip(indices, _sweep(_siegel_at, jobs, svals, threads)):
@@ -357,7 +294,6 @@ def nondivergence_scan(
     indices,
     eps_list,
     count,
-    base=None,
     threads=1,
     grid="equispaced",
     seed=0,
@@ -372,10 +308,7 @@ def nondivergence_scan(
     if bad:
         raise ValueError("eps must be finite and > 0, got %r" % (bad[0],))
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
-    jobs = [
-        (curve, schedule.expansion_at(i), _resolve_base(base, i), budget)
-        for i in indices
-    ]
+    jobs = [(curve, schedule.expansion_at(i), budget) for i in indices]
     out = []
     for i, shorts in zip(indices, _sweep(_shortest_at, jobs, svals, threads)):
         for eps in eps_list:
@@ -458,7 +391,6 @@ def shear_invariance_scan(
     t_list,
     count,
     tent: Tent,
-    base=None,
     threads=1,
     grid="equispaced",
     seed=0,
@@ -487,7 +419,6 @@ def shear_invariance_scan(
             deriv,
             float_expansion(pres.anchored, i),
             ftent,
-            _resolve_base(base, i),
             t_list,
             block,
             budget,

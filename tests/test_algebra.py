@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -155,6 +156,28 @@ def test_row_unipotent_homomorphism(a, b):
     assert ua.det() == 1
 
 
+@pytest.mark.parametrize(
+    "backend, kind, first_row",
+    [
+        (EXACT, Fraction, (1, 3, Fraction(1, 2), Fraction(-2, 3))),
+        (FLOAT, float, (1.0, 3.0, 0.5, -2 / 3)),
+    ],
+)
+def test_row_unipotent_entries_are_backend_scalars(backend, kind, first_row):
+    # int, str and Fraction shifts, each coerced to the backend's one scalar type
+    shift = (3, "1/2" if backend == EXACT else "0.5", Fraction(-2, 3))
+    u = row_unipotent(shift, backend)
+    assert all(type(x) is kind for row in u.rows for x in row)
+    assert u.rows[0] == first_row
+    assert u.rows[1:] == tuple(tuple(int(i == j) for j in range(4)) for i in range(1, 4))
+
+
+def test_row_unipotent_turns_a_negative_zero_shift_positive():
+    # as adding -0.0 to the identity's +0.0 does, and as diagonal_shear does
+    u = row_unipotent((-0.0, 1.0), FLOAT)
+    assert math.copysign(1.0, u.rows[0][1]) == 1.0
+
+
 def test_column_unipotent_is_involution_image():
     # sigma(u(-s)) = column shear by s: the two translate shapes are the
     # same element seen through the outer automorphism
@@ -199,8 +222,6 @@ def test_expansion_rates_validation():
 
 
 def test_expanding_diagonal_unimodular():
-    import math
-
     r = ExpansionRates.from_rates((2.0, 1.0))
     d = expanding_diagonal(r)
     # diag(e^3, e^-2, e^-1): total expansion balances the contractions

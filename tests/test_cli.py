@@ -323,6 +323,37 @@ def test_nondiv_threshold_must_be_finite_and_positive(tmp_path, capsys, eps, sho
     assert not (out / "nondiv.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["nondiv", "--imax", "3", "--samples", "5"], {"budget": 0}),
+        (["nondiv", "--imax", "3", "--samples", "5"], {"budget": -5}),
+        (["improvability", "--samples", "3"], {"budget": 0}),
+    ],
+)
+def test_budget_below_one_node_is_usage_error(tmp_path, capsys, argv, config):
+    # not a verification failure (exit 1): no walk can fit in such a budget
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    flag = ["--budget", str(config["budget"])]
+    for extra in (flag, ["--config", str(path)]):
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --budget must be at least 1, got %d" % config["budget"])
+
+
+def test_negative_trials_is_usage_error(tmp_path, capsys):
+    argv = ["lemma-verify", "--rep", "adjoint:4", "--config-sizes", "2,1", "--growth", "1:1,1:2"]
+    out = tmp_path / "lemma"
+    assert main(argv + ["--trials", "-2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --trials must be at least 0, got -2" in captured.err
+    assert not out.exists()
+    # no trials still runs the alignment and containment checks
+    assert main(argv + ["--trials", "0"]) == 0
+    assert "0 trials, alignment ok, containment ok -> all checks passed" in capsys.readouterr().out
+
+
 # -- the CLI surface, pinned flag by flag ----------------------------------
 
 _S, _I, _F, _T = (None, "store"), (int, "store"), (float, "store"), (None, "store_true")

@@ -10,7 +10,6 @@ from latflow.diophantine import Curve, WindowSpec, window_dual_soluble, window_p
 from latflow.lattice import Tent
 from latflow.sequences import RateSchedule
 from latflow.experiments import (
-    BasePoint,
     ImprovabilityRow,
     _aligning_element,
     equidistribution_siegel,
@@ -48,27 +47,17 @@ def test_sample_grid_random_is_seeded_and_exact():
 
 def test_translate_lattice_unimodular_and_trivial_case():
     c = Curve.parse("0*s, 0*s")  # phi == 0
-    rates = ExpansionRates((1, 1), EXACT)  # tau = 0
-    lat = translate_lattice(c, rates, Rat(1, 3))
-    assert lat.basis.rows == ExactMatrix.identity(3, EXACT).rows
+    rates = ExpansionRates.from_rates((0, 0))  # tau = 0
+    lat = translate_lattice(c, rates, 1 / 3)
+    assert lat.basis.backend == FLOAT
+    assert lat.basis.rows == ExactMatrix.identity(3, FLOAT).rows
 
 
 def test_translate_lattice_doubled_partners():
     c = Curve.parse("s, s^2")
-    rates = ExpansionRates((2, 2), EXACT)
-    lat, par = translate_lattice(c, rates, Rat(1, 2), doubled=True)
+    rates = ExpansionRates((2.0, 2.0), FLOAT)
+    lat, par = translate_lattice(c, rates, 0.5, doubled=True)
     assert par.basis.rows == dual_involution(lat.basis).rows
-
-
-def test_base_point_validation_and_resolution():
-    with pytest.raises(ValueError):
-        BasePoint(ExactMatrix([[2, 0], [0, 1]], EXACT))
-    g0 = ExactMatrix([[1, 1], [0, 1]], EXACT)
-    gi = ExactMatrix([[1, 2], [0, 1]], EXACT)
-    bp = BasePoint(g0, ((4, gi),))
-    assert bp.at(4).rows == gi.rows
-    assert bp.at(5).rows == g0.rows
-    assert BasePoint.identity(3).n == 3
 
 
 def test_aligning_element_contract():
@@ -291,23 +280,6 @@ def _float_drivers(curve, schedule, tent):
     ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_base_point_reaches_every_float_driver(threads):
-    # at each index a driver uses the matrix BasePoint.at gives there: the
-    # approach matrix at 3, g0 elsewhere
-    curve = Curve.parse("s")
-    tent = Tent((0.0, 0.0), 2.0, 1.0, FLOAT)
-    g0 = ExactMatrix([[1, Rat(1, 2)], [0, 1]], EXACT)
-    gi = ExactMatrix([[1, 0], [Rat(1, 3), 1]], EXACT)
-    bp = BasePoint(g0, ((3, gi),))
-    for run in _float_drivers(curve, RateSchedule.parse("i"), tent):
-        got = run((3, 4), 24, base=bp, threads=threads)
-        assert got == (run((3,), 24, base=bp.at(3), threads=threads)
-                       + run((4,), 24, base=bp.at(4), threads=threads))
-        assert run((4,), 24, base=g0, threads=threads) == run((4,), 24, base=bp, threads=threads)
-        assert got != run((3, 4), 24, threads=threads)
-
-
 def test_drivers_take_a_tent_on_either_backend():
     curve = Curve.parse("s")
     schedule = RateSchedule.parse("i")
@@ -316,6 +288,11 @@ def test_drivers_take_a_tent_on_either_backend():
     got, want = (_float_drivers(curve, schedule, t) for t in (exact, flt))
     for a, b in zip(got, want):
         assert a((3, 4), 20) == b((3, 4), 20)
+        # the rows over several indices are the rows of each index in turn,
+        # in one process or through the pool
+        for threads in (1, 2):
+            assert a((3, 4), 20, threads=threads) == (
+                a((3,), 20, threads=threads) + a((4,), 20, threads=threads))
 
 
 def test_one_process_pool_per_call(monkeypatch):
