@@ -22,7 +22,6 @@ from .backend import (
 from .algebra import (
     ExactMatrix,
     ExpansionRates,
-    column_unipotent,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,

@@ -13,8 +13,6 @@ Conventions (fixed once, used everywhere):
 - ``row_unipotent(shift)``: identity plus ``shift`` laid along the first row.
 - ``diagonal_shear(weights, shift)``: the product of the two above, written
   in closed form.
-- ``column_unipotent(shift)``: identity plus ``shift`` reversed down the last
-  column; equals ``dual_involution(row_unipotent(-shift))``.
 - ``dual_involution(g)``: W (g^-1)^T W with W the coordinate reversal.  It is
   an involutive automorphism of SL(n) and exchanges the two shear families.
 """
@@ -233,16 +231,6 @@ def row_unipotent(shift, backend=EXACT) -> ExactMatrix:
         row[i] = one
         rows.append(row)
     return ExactMatrix._trusted(rows, backend)
-
-
-def column_unipotent(shift, backend=EXACT) -> ExactMatrix:
-    """Identity plus the reversed shift vector down the last column."""
-    s = [scalar(x, backend) for x in shift]
-    n = len(s) + 1
-    rows = [[scalar(x, backend) for x in row] for row in linalg.identity(n)]
-    for i in range(n - 1):
-        rows[i][n - 1] = rows[i][n - 1] + s[n - 2 - i]
-    return ExactMatrix(rows, backend)
 
 
 def dual_involution(g: ExactMatrix) -> ExactMatrix:

@@ -20,8 +20,12 @@ There is one LLL per backend.  `lll_reduce` reduces float bases.  It runs
 Gram-Schmidt in full once and then incrementally: row j of Gram-Schmidt
 depends only on columns 0..j, so a size reduction of column k recomputes
 rows k onwards and a swap of columns k - 1, k rows k - 1 onwards.  The
-rows kept are those a full pass would compute, bit for bit.  On the
-exact backend `lll_integral` reduces integer columns (a rational basis is
+rows kept are those a full pass would compute, bit for bit.  Two planar
+columns, the only float bases the k = 1 sweeps reduce, go through
+`_lll_planar`: the same loop on scalars (Lagrange-Gauss reduction), with
+the same floating-point operations in the same order, so the result is
+equal in repr and no Gram-Schmidt lists are built.  On the exact backend
+`lll_integral` reduces integer columns (a rational basis is
 first scaled by its common denominator) and keeps integer Gram
 determinants and scaled Gram-Schmidt coefficients, updated in place on
 each size reduction and swap, so no rational Gram-Schmidt is ever
@@ -301,8 +305,16 @@ def lll_reduce(cols, max_iters=100_000):
     arithmetic as a full pass.  The loop stops after max_iters passes
     (float LLL may cycle on degenerate input; the basis is still valid).
     Exact bases go through lll_integral.
+
+    Two planar columns go through `_lll_planar`, which keeps them, U, mu_10
+    and c as scalars and does the floating-point operations of this loop
+    in the same order: its result is equal in repr, bit for bit, and it
+    counts passes, warns at the cap and refuses dependent columns as this
+    loop does.
     """
     n = len(cols)
+    if n == 2 and len(cols[0]) == 2 and len(cols[1]) == 2:
+        return _lll_planar(cols, max_iters)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
     bstar, mu, c = gram_schmidt(b)
@@ -333,6 +345,57 @@ def lll_reduce(cols, max_iters=100_000):
             _gram_schmidt_from(b, k - 1, bstar, mu, c)
             k = max(k - 1, 1)
     return b, u, mu, c
+
+
+def _lll_planar(cols, max_iters):
+    """`lll_reduce` of two columns of length 2: Lagrange-Gauss reduction
+    with the two columns, U, mu_10 and c kept as scalars.
+
+    Every expression is the one `gram_schmidt`, `_gram_schmidt_from` and
+    `dot` evaluate for n = 2, in their order: c0 = x0 x0 + y0 y0, then
+    m = (x1 x0 + y1 y0) / c0, the projection b1 - m b0 only when m != 0,
+    and c1 its squared norm.  Row 0 of mu is never written, so it stays
+    [0, 0] as in the general loop, and the result is equal in repr."""
+    (x0, y0), (x1, y1) = cols
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    iters = 0
+    new_pass = True  # at the start and after a swap both rows are stale
+    while True:
+        if new_pass:
+            c0 = x0 * x0 + y0 * y0
+            if c0 == 0:
+                raise ValueError("linearly dependent columns")
+        m = (x1 * x0 + y1 * y0) / c0
+        if m != 0:
+            v0, v1 = x1 - m * x0, y1 - m * y0
+        else:
+            v0, v1 = x1, y1
+        c1 = v0 * v0 + v1 * v1
+        if c1 == 0:
+            raise ValueError("linearly dependent columns")
+        if new_pass:
+            iters += 1
+            if iters > max_iters:
+                warnings.warn(
+                    "float LLL stopped at its cap of %d passes; the basis is "
+                    "valid but may not be reduced" % max_iters,
+                    LLLIterationCap,
+                    stacklevel=3,
+                )
+                break
+            q = int(m + 0.5) if m >= 0 else -int(-m + 0.5)
+            if q != 0:
+                # size reduction: recompute row 1, then the Lovasz test
+                x1, y1 = x1 - q * x0, y1 - q * y0
+                u10, u11 = u10 - q * u00, u11 - q * u01
+                new_pass = False
+                continue
+        if c1 >= (0.75 - m * m) * c0:
+            break
+        x0, y0, x1, y1 = x1, y1, x0, y0
+        u00, u01, u10, u11 = u10, u11, u00, u01
+        new_pass = True
+    return [[x0, y0], [x1, y1]], [[u00, u01], [u10, u11]], [[0, 0], [m, 0]], [c0, c1]
 
 
 def lll_integral(b, max_iters=100_000):

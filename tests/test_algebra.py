@@ -19,7 +19,6 @@ from latflow.backend import (
 from latflow.algebra import (
     ExactMatrix,
     ExpansionRates,
-    column_unipotent,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,
@@ -176,16 +175,6 @@ def test_row_unipotent_turns_a_negative_zero_shift_positive():
     # as adding -0.0 to the identity's +0.0 does, and as diagonal_shear does
     u = row_unipotent((-0.0, 1.0), FLOAT)
     assert math.copysign(1.0, u.rows[0][1]) == 1.0
-
-
-def test_column_unipotent_is_involution_image():
-    # sigma(u(-s)) = column shear by s: the two translate shapes are the
-    # same element seen through the outer automorphism
-    shift = [rat("1/2"), rat(3)]
-    got = column_unipotent(shift)
-    want = dual_involution(row_unipotent([-x for x in shift]))
-    assert got.rows == want.rows
-    assert got.det() == 1
 
 
 @settings(max_examples=40)

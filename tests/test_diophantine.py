@@ -10,8 +10,8 @@ from latflow.backend import EXACT, FLOAT, Rat
 from latflow.algebra import (
     ExactMatrix,
     ExpansionRates,
-    column_unipotent,
     diagonal_shear,
+    dual_involution,
     expanding_diagonal,
     row_unipotent,
 )
@@ -92,7 +92,7 @@ def test_closed_form_translates_equal_dense_products():
         primal = ExactMatrix.diagonal([total] + [1 / nj for nj in weights], EXACT)
         assert primal_translate_matrix(w, phi) == primal @ row_unipotent(phi, EXACT)
         dual = ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
-        assert dual_translate_matrix(w, phi) == dual @ column_unipotent(phi, EXACT)
+        assert dual_translate_matrix(w, phi) == dual @ dual_involution(row_unipotent([-x for x in phi]))
         assert primal_translate_matrix(w, phi).det() == 1
         assert dual_translate_matrix(w, phi).det() == 1
 
@@ -116,7 +116,7 @@ def test_integral_translate_is_the_cleared_closed_form():
             "primal": ExactMatrix.diagonal([total] + [1 / x for x in weights], EXACT)
             @ row_unipotent(xi, EXACT),
             "dual": ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
-            @ column_unipotent(xi, EXACT),
+            @ dual_involution(row_unipotent([-x for x in xi])),
         }
         for system, m in dense.items():
             d, cols = diophantine._integral_translate(system, xi, w)

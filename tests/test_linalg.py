@@ -110,6 +110,59 @@ def test_float_lll_warns_at_its_iteration_cap():
             lll_reduce(_float_basis(rng, 2 + case % 4))
 
 
+def test_planar_float_lll_matches_reference_on_sweep_translates():
+    # the planar loop against the full-recompute loop on the translates
+    # diag(e^t, e^-t) u(s) the sweeps reduce, at the default cap and at
+    # every cap that stops it early
+    rng = random.Random(2020)
+    cases = [(rng.uniform(0.0, 12.0), rng.uniform(-1.0, 1.0)) for _ in range(2000)]
+    cases += [(t, 0.0) for t in (0.0, 1.0, 6.5, 12.0)]
+    for t, s in cases:
+        cols = [list(col) for col in diagonal_shear((math.exp(t),), (s,), FLOAT).columns()]
+        for cap in (1, 2, 3, 4, 5, 6, 100_000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LLLIterationCap)
+                got = lll_reduce(cols, max_iters=cap)
+            assert repr(got) == repr(_brute.lll_float_reference(cols, max_iters=cap))
+
+
+def test_planar_float_lll_half_ties():
+    # the float twins of test_exact_lll_half_ties: mu = +1/2 is reduced
+    # (q = 1), mu = -1/2 too, as q rounds halves away from 0
+    for cols in ([[2.0, 0.0], [1.0, 5.0]], [[2.0, 0.0], [-1.0, 5.0]]):
+        got = lll_reduce(cols)
+        assert repr(got) == repr(_brute.lll_float_reference(cols))
+    assert lll_reduce([[2.0, 0.0], [1.0, 5.0]])[:2] == ([[2.0, 0.0], [-1.0, 5.0]], [[1, 0], [-1, 1]])
+    assert lll_reduce([[2.0, 0.0], [-1.0, 5.0]])[:2] == ([[2.0, 0.0], [1.0, 5.0]], [[1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("dependent", [
+    [[0.0, 0.0], [1.0, 0.0]],
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[2.0, 0.0], [1.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+])
+def test_float_lll_refuses_dependent_columns(dependent):
+    # refused before the first pass, so also under a cap of one pass that
+    # a reduction and swap would reach first
+    for cap in (1, 100_000):
+        with pytest.raises(ValueError, match="linearly dependent columns"):
+            lll_reduce(dependent, max_iters=cap)
+
+
+@pytest.mark.parametrize("long_first", [
+    [[5.0, 0.0], [0.0, 3.0]],
+    [[5.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]],
+])
+def test_float_lll_cap_warning_names_the_caller(long_first):
+    # the planar loop and the general loop both point the warning at the
+    # caller of lll_reduce
+    with pytest.warns(LLLIterationCap) as record:
+        lll_reduce(long_first, max_iters=1)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_exact_lll_half_ties():
     # mu = +1/2 is reduced (q = 1), mu = -1/2 is left alone (q = 0)
     plus, u, lam, d = lll_integral([[2, 0], [1, 5]])
