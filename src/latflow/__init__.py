@@ -2,9 +2,10 @@
 unimodular lattices: exact window solubility, weight-space lemmas, and
 desk-scale experiments.
 
-Everything number-theoretic runs over exact rationals (fractions.Fraction);
-floats only enter through the empirical averages, where they are
-unavoidable and harmless.
+Everything number-theoretic runs over exact rationals (fractions.Fraction),
+and the exact types (`ExactMatrix`, `Lattice`) hold nothing else; floats
+only enter through the empirical averages, whose translates are plain
+lists of float columns, where they are unavoidable and harmless.
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,14 @@
 """Scalar backends: exact rationals (fractions.Fraction) and plain floats.
 
-Every compound object in this package (matrices, lattices, boxes, window
-specs) is tagged with a backend, either "exact" or "float".  Exact objects
-hold rationals and all comparisons are decided exactly; float objects hold
-machine floats and decision functions either refuse them or attach margin
-warnings.  Mixing backends in one operation is a hard error, never a silent
-coercion.
+Each compound type in this package holds one scalar type.  Matrices
+(`ExactMatrix`), lattices and window specs are exact: they hold rationals,
+every comparison on them is decided exactly, and `rat` refuses a float
+entry.  Expansion weights and tents are floats, and the float translates
+of the Monte-Carlo sweeps are plain lists of basis columns.  Only the
+box and the point enumeration serve both, and carry a backend tag,
+"exact" or "float"; a float membership test near a face attaches a
+margin warning.  Mixing backends in one operation is a hard error, never
+a silent coercion.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .algebra import ExactMatrix
-from .backend import EXACT, FLOAT, BudgetExceeded, Rat, format_scalar, rat
+from .backend import EXACT, BudgetExceeded, Rat, format_scalar, rat
 from .constructions import (
     THRESHOLD_STEP,
     block_transport_witness,
@@ -315,7 +315,7 @@ def _build_tent(cfg, n):
     )
     if len(center) != n:
         raise ValueError("tent center wants %d coordinates" % n)
-    return Tent(tuple(center), cfg["tent_radius"], cfg["tent_height"], FLOAT)
+    return Tent(tuple(center), cfg["tent_radius"], cfg["tent_height"])
 
 
 def _experiment_kwargs(cfg):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .backend import EXACT, Rat, rat
+from .backend import Rat, rat
 from .algebra import (
     ExactMatrix,
     dual_involution,
@@ -51,7 +51,7 @@ def staircase_unimodular(weights) -> ExactMatrix:
                 row.append(0)
         row.append(1)
         rows.append(row)
-    return ExactMatrix(rows, EXACT)
+    return ExactMatrix(rows)
 
 
 def unit_lower_elimination(g: ExactMatrix):
@@ -74,7 +74,7 @@ def unit_lower_elimination(g: ExactMatrix):
             if f != 0:
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
                 h[i] = [x - f * y for x, y in zip(h[i], h[col])]
-    return ExactMatrix(h, EXACT), ExactMatrix(work, EXACT)
+    return ExactMatrix(h), ExactMatrix(work)
 
 
 def _is_unit_triangular(g: ExactMatrix, lower: bool) -> bool:
@@ -153,9 +153,9 @@ def block_transport_witness(weights, leading_ones):
     total = Rat(1)
     for x in wprime:
         total = total * x
-    diag = ExactMatrix.diagonal([total] + [Rat(1) / Rat(x) for x in wprime], EXACT)
+    diag = ExactMatrix.diagonal([total] + [Rat(1) / Rat(x) for x in wprime])
     diag_mirror = ExactMatrix.diagonal(
-        [Rat(x) for x in reversed(wprime)] + [Rat(1) / total], EXACT
+        [Rat(x) for x in reversed(wprime)] + [Rat(1) / total]
     )
 
     q_mirror = diag_mirror.inverse() @ upper  # so h S = diag_mirror q_mirror

@@ -402,8 +402,6 @@ def minkowski_soluble(forms: ExactMatrix, alphas, mu=1, budget=DEFAULT_NODE_BUDG
     With mu = 1 and prod(a_j) >= |det forms| this is guaranteed soluble
     (Minkowski's linear forms theorem, closed first face).
     """
-    if forms.backend != EXACT:
-        raise ValueError("linear-forms decisions run on the exact backend")
     n = forms.nrows
     alphas = tuple(rat(a) for a in alphas)
     if len(alphas) != n or any(not a > 0 for a in alphas):

@@ -9,6 +9,12 @@ is equispaced by default (seeded-random grids are available for variance
 estimation), per-sample work is pure, and results are reassembled by
 sample index, so outputs are reproducible — bit-identical across thread
 counts.
+
+The translates are float matrices held as plain lists: rows while they
+are multiplied (`linalg.mat_mul`), columns when they are enumerated.  A
+triangular translate a_i u(phi(s)), and its reversal partner, checks
+det 1 from its diagonal in O(n); the aligned products of the twist scan
+take a full `linalg.det`.
 """
 
 from __future__ import annotations
@@ -19,14 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    ExactMatrix,
-    ExpansionRates,
-    diagonal_shear,
-    dual_involution,
-    expanding_diagonal,
-    row_unipotent,
-)
+from . import linalg
+from .algebra import ExpansionRates, diagonal_shear, expanding_diagonal
 from .backend import FLOAT, Rat, rat
 from .diophantine import (
     Curve,
@@ -36,7 +36,6 @@ from .diophantine import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    Lattice,
     Tent,
     shortest_sup_norm,
     siegel_transform,
@@ -82,13 +81,40 @@ def sample_grid(curve: Curve, count, mode="equispaced", seed=0):
 # translates
 
 
+_DET_TOL = 1e-9
+
+
+def _check_det(d):
+    """Refuse a float basis whose determinant d is not +-1 within _DET_TOL."""
+    if not abs(abs(d) - 1.0) <= _DET_TOL:  # also refuses nan
+        raise ValueError("basis is not unimodular (det = %r)" % (d,))
+
+
+def _check_triangular_det(cols):
+    """_check_det of a triangular basis, from the product 1.0 d_0 ... d_{n-1}
+    of its diagonal in order: the product `linalg.det(approx=True)` forms,
+    with no row update, for a triangular matrix."""
+    d = 1.0
+    for j, col in enumerate(cols):
+        d = d * col[j]
+    _check_det(d)
+
+
 def translate_lattice(curve: Curve, rates: ExpansionRates, s, doubled=False):
-    """The lattice a u(phi(s)) Z^n on floats, with its reversal partner
-    when doubled=True."""
-    m = diagonal_shear(rates.weights, curve.eval_float(s), FLOAT)
-    if doubled:
-        return Lattice(m), Lattice(dual_involution(m))
-    return Lattice(m)
+    """Float basis columns of the lattice a u(phi(s)) Z^n, with those of
+    its reversal partner W (g^-1)^T W when doubled=True.
+
+    The translate g is upper triangular (`diagonal_shear`), and so is its
+    partner, so each checks det 1 in O(n).  The partner's columns are the
+    reversed rows of g^-1, in reverse order."""
+    rows = diagonal_shear(rates.weights, curve.eval_float(s))
+    cols = linalg.transpose(rows)
+    _check_triangular_det(cols)
+    if not doubled:
+        return cols
+    partner = [row[::-1] for row in reversed(linalg.inverse(rows, approx=True))]
+    _check_triangular_det(partner)
+    return cols, partner
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +154,7 @@ def _siegel_at(job, s):
 
 def _shortest_at(job, s):
     curve, rates, budget = job
-    return float(shortest_sup_norm(translate_lattice(curve, rates, s), budget))
+    return float(shortest_sup_norm(translate_lattice(curve, rates, s), FLOAT, budget))
 
 
 def _window_flags_at(job, s):
@@ -153,18 +179,29 @@ def _shear_at(job, s):
     z = _aligning_element(deriv.eval_float(s)[:block], n)
     if z is None:
         return None
-    m = z @ expanding_diagonal(rates) @ row_unipotent(curve.eval_float(s), FLOAT)
-    base_val = siegel_transform(Lattice(m), tent, budget)
+    # u(shift) is the shear with unit weights, entry for entry
+    unit = (1.0,) * (n - 1)
+    m = linalg.mat_mul(
+        linalg.mat_mul(z, expanding_diagonal(rates)),
+        diagonal_shear(unit, curve.eval_float(s)),
+    )
+    base_val = siegel_transform(_checked_columns(m), tent, budget)
     sheared = []
     for t in t_list:
         if t == 0:
             sheared.append(base_val)  # u(0) = identity, exactly
             continue
         shift = (t,) + (0.0,) * (n - 2)
-        sheared.append(
-            siegel_transform(Lattice(row_unipotent(shift, FLOAT) @ m), tent, budget)
-        )
+        g = linalg.mat_mul(diagonal_shear(unit, shift), m)
+        sheared.append(siegel_transform(_checked_columns(g), tent, budget))
     return base_val, tuple(sheared)
+
+
+def _checked_columns(rows):
+    """The columns of a float basis given by rows, after a full
+    `linalg.det` check of its determinant."""
+    _check_det(linalg.det(rows, approx=True))
+    return linalg.transpose(rows)
 
 
 def _aligning_element(head, n):
@@ -213,13 +250,12 @@ def _aligning_element(head, n):
             rows[i][j] = block[i][j]
     for i in range(len(block), n):
         rows[i][i] = 1.0
-    z = ExactMatrix(rows, FLOAT)
-    d = z.det()
+    d = linalg.det(rows, approx=True)
     if not abs(d - 1.0) <= 1e-6:  # also catches nan from overflowing heads
         raise ValueError(
             "aligning element for head %r is not in SL_%d (det %r)" % (head, n, d)
         )
-    return z
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +291,11 @@ def equidistribution_siegel(
     observable is the product over the pair and the reference squares.
     """
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
-    ref = float(tent.integral())
+    ref = tent.integral()
     if doubled:
         ref = ref * ref
-    ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
     jobs = [
-        (curve, schedule.expansion_at(i), ftent, doubled, budget) for i in indices
+        (curve, schedule.expansion_at(i), tent, doubled, budget) for i in indices
     ]
     out = []
     for i, vals in zip(indices, _sweep(_siegel_at, jobs, svals, threads)):
@@ -410,15 +445,14 @@ def shear_invariance_scan(
     block = pres.block_sizes[-1]  # innermost layer block, the shear's home
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     t_list = [float(t) for t in t_list]
-    ftent = Tent(tent.center, tent.radius, tent.height, FLOAT)
-    sup_f = float(tent.height)
+    sup_f = tent.height
     deriv = curve.derivative()
     jobs = [
         (
             curve,
             deriv,
             float_expansion(pres.anchored, i),
-            ftent,
+            tent,
             t_list,
             block,
             budget,

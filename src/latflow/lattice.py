@@ -15,9 +15,14 @@ the box becomes one Rat per coordinate.  The float path inflates radii by
 warns when a point lands within 1e-9 of a face.  Both leaf tests share
 one membership rule (`_inside`).
 
-An exact `Lattice`, a basis given from outside, checks its determinant on
-integers: `linalg.det` scales B by its common denominator D and computes
-det B = det(D B) / D^n by fraction-free (Bareiss) elimination.
+A `Lattice` holds an exact basis given from outside and checks its
+determinant on integers: `linalg.det` scales B by its common denominator D
+and computes det B = det(D B) / D^n by fraction-free (Bareiss)
+elimination.  The float lattices of the Monte-Carlo sweeps are plain lists
+of basis columns, checked where they are built: `siegel_transform` sums a
+float `Tent`, whose support box is built once with the tent, over the
+points of such columns, and `shortest_sup_norm` takes columns on either
+backend.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback.  It visits one point of each +-v pair, the one whose last
@@ -35,14 +40,13 @@ visits has the bits of a full walk; it takes no mirrors, pull-back or sort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
 from . import linalg
 from .backend import (
     EXACT,
     FLOAT,
-    BackendMismatch,
     BudgetExceeded,
     FLOAT_SLACK,
     Rat,
@@ -98,7 +102,7 @@ def _inside(v, bounds, closed, backend):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank lattice of covolume 1, generated by the basis columns."""
+    """Full-rank lattice of covolume 1, generated by the exact basis columns."""
 
     basis: ExactMatrix
 
@@ -107,23 +111,16 @@ class Lattice:
         if b.nrows != b.ncols:
             raise ValueError("basis must be square")
         d = b.det()
-        if not _det_is_one(d, b.backend, up_to_sign=True):
+        if not _det_is_one(d, up_to_sign=True):
             raise ValueError("basis is not unimodular (det = %r)" % (d,))
 
     @classmethod
-    def standard(cls, n, backend=EXACT):
-        return cls(ExactMatrix.identity(n, backend))
+    def standard(cls, n):
+        return cls(ExactMatrix.identity(n))
 
     @property
     def n(self):
         return self.basis.nrows
-
-    @property
-    def backend(self):
-        return self.basis.backend
-
-    def to_float(self) -> "Lattice":
-        return Lattice(self.basis.to_float())
 
 
 def _integral_box_basis(basis_cols, bounds):
@@ -363,36 +360,40 @@ def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_o
     Raises BudgetExceeded when the search tree outgrows the node budget.
     """
     results = enumerate_basis_in_box(
-        lat.basis.columns(), box, lat.backend, budget=budget, first_only=first_only
+        lat.basis.columns(), box, EXACT, budget=budget, first_only=first_only
     )
     return [v for v, _ in results]
 
 
 def avoids_open_unit_box(lat: Lattice) -> bool:
-    """True iff the open unit box meets the lattice only at 0 (exact only)."""
-    if lat.backend != EXACT:
-        raise BackendMismatch("open-unit-box membership is an exact-only decision")
+    """True iff the open unit box meets the lattice only at 0."""
     box = Box((1,) * lat.n, (False,) * lat.n, EXACT)
     return not enumerate_in_box(lat, box, first_only=True)
 
 
 @dataclass(frozen=True)
 class Tent:
-    """Sup-norm tent bump: height at the center, linear to 0 at distance radius."""
+    """Sup-norm tent bump on floats: height at the center, linear to 0 at
+    distance radius.  Its support box is built once, with the tent."""
 
     center: tuple
-    radius: object
-    height: object
-    backend: str = FLOAT
+    radius: float
+    height: float
+    support_box: Box = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "center", tuple(scalar(x, self.backend) for x in self.center)
-        )
-        object.__setattr__(self, "radius", scalar(self.radius, self.backend))
-        object.__setattr__(self, "height", scalar(self.height, self.backend))
-        if not self.radius > 0:
-            raise ValueError("tent radius must be positive")
+        center = tuple(float(x) for x in self.center)
+        radius, height = float(self.radius), float(self.height)
+        if not all(math.isfinite(x) for x in center):
+            raise ValueError("tent center must be finite, got %r" % (center,))
+        for name, x in (("radius", radius), ("height", height)):
+            if not 0 < x < math.inf:  # nan fails both
+                raise ValueError("tent %s must be finite and > 0, got %r" % (name, x))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "height", height)
+        bounds = tuple((cx if cx >= 0 else -cx) + radius for cx in center)
+        object.__setattr__(self, "support_box", Box(bounds, (True,) * len(center), FLOAT))
 
     @property
     def dim(self):
@@ -406,8 +407,7 @@ class Tent:
                 d = -d
             dist = d if dist is None else (d if d > dist else dist)
         t = 1 - dist / self.radius
-        zero = scalar(0, self.backend)
-        return self.height * t if t > 0 else zero
+        return self.height * t if t > 0 else 0.0
 
     def integral(self):
         """Integral over n-space: height * (2 radius)^n / (n + 1)."""
@@ -416,28 +416,23 @@ class Tent:
         val = self.height
         for _ in range(n):
             val = val * two_r
-        return val / scalar(n + 1, self.backend)
-
-    def support_box(self) -> Box:
-        bounds = tuple(
-            (cx if cx >= 0 else -cx) + self.radius for cx in self.center
-        )
-        return Box(bounds, (True,) * self.dim, self.backend)
+        return val / (n + 1)
 
 
-def siegel_transform(lat: Lattice, tent: Tent, budget=DEFAULT_NODE_BUDGET):
-    """Sum of the tent over all nonzero lattice points."""
-    check_same_backend(lat.backend, tent.backend)
-    if tent.dim != lat.n:
+def siegel_transform(basis_cols, tent: Tent, budget=DEFAULT_NODE_BUDGET):
+    """Sum of the tent over the nonzero points of the lattice spanned by the
+    float basis columns."""
+    if tent.dim != len(basis_cols):
         raise ValueError("dimension mismatch")
-    total = scalar(0, lat.backend)
-    for v in enumerate_in_box(lat, tent.support_box(), budget=budget):
+    total = 0.0
+    for v, _ in enumerate_basis_in_box(basis_cols, tent.support_box, FLOAT, budget=budget):
         total = total + tent.value(v)
     return total
 
 
-def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
-    """Sup-norm of a shortest nonzero lattice vector.
+def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):
+    """Sup-norm of a shortest nonzero vector of the covolume-1 lattice
+    spanned by the basis columns, on the given backend.
 
     By Minkowski's convex body theorem the closed unit cube, of volume 2^n,
     holds a nonzero point of every covolume-1 lattice, so one walk of that
@@ -456,8 +451,9 @@ def shortest_sup_norm(lat: Lattice, budget=DEFAULT_NODE_BUDGET):
             best = m
         return False
 
-    cube = Box((1,) * lat.n, (True,) * lat.n, lat.backend)
-    _walk(lat.basis.columns(), cube, lat.backend, budget, keep, shrink=True)
+    n = len(basis_cols)
+    cube = Box((1,) * n, (True,) * n, backend)
+    _walk(basis_cols, cube, backend, budget, keep, shrink=True)
     if best is None:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
     return best

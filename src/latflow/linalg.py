@@ -61,18 +61,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    if len(a[0]) != len(v):
-        raise ValueError("shape mismatch")
-    out = []
-    for row in a:
-        s = row[0] * v[0]
-        for k in range(1, len(v)):
-            s = s + row[k] * v[k]
-        out.append(s)
-    return out
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

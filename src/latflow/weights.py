@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .backend import EXACT, BackendMismatch, Rat, _poly_terms, rat
+from .backend import Rat, _poly_terms, rat
 from .algebra import ExactMatrix, row_unipotent
 
 
@@ -42,7 +42,7 @@ def block_generator(n, m) -> ExactMatrix:
     attached to block size m."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    return ExactMatrix.diagonal([m] + [-1] * m + [0] * (n - m - 1), EXACT)
+    return ExactMatrix.diagonal([m] + [-1] * m + [0] * (n - m - 1))
 
 
 def validate_block_sizes(n, sizes):
@@ -142,7 +142,7 @@ class RepSpace:
 
     # -- actions --------------------------------------------------------------
     def group_matrix(self, g: ExactMatrix) -> ExactMatrix:
-        """The representation matrix of a group element (exact backend).
+        """The representation matrix of a group element.
 
         Wedge: entry (I, J) is the minor of g on rows I and columns J, all
         taken from one shared Laplace expansion (`_wedge_minors`).  Adjoint:
@@ -152,8 +152,6 @@ class RepSpace:
         (`linalg.clear_denominators`), each entry divided by D^d or by
         D_1 D_2 once at the end.
         """
-        if g.backend != EXACT:
-            raise ValueError("weight machinery runs on the exact backend")
         if g.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         if self.kind == "wedge":
@@ -170,11 +168,9 @@ class RepSpace:
         return ExactMatrix._trusted(zip(*_over(cols, d1 * d2)))
 
     def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """The derived (Lie algebra) action of a traceless matrix (exact
-        backend), accumulated on the integers D x and divided by D once, D
-        the common denominator of x."""
-        if x.backend != EXACT:  # its entries would enter the result uncoerced
-            raise BackendMismatch("weight machinery runs on the exact backend")
+        """The derived (Lie algebra) action of a traceless matrix,
+        accumulated on the integers D x and divided by D once, D the common
+        denominator of x."""
         if x.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         labs = self.labels()
@@ -531,7 +527,7 @@ def _points_ok(points, n, m1):
 
 def _shear_actions(rep: RepSpace, points):
     """The representation matrix of the shear u(e), once per point."""
-    return [rep.group_matrix(row_unipotent([rat(x) for x in e], EXACT)) for e in points]
+    return [rep.group_matrix(row_unipotent([rat(x) for x in e])) for e in points]
 
 
 def _space_from_actions(split: WeightSplit, actions) -> Subspace:

@@ -14,6 +14,11 @@ def frac(x):
     return Fraction(str(x))  # e.g. a string such as '3/4'
 
 
+def mat_vec(rows, v):
+    """The product of the matrix rows and the vector v, over Fractions."""
+    return [sum((frac(a) * frac(x) for a, x in zip(row, v)), Fraction(0)) for row in rows]
+
+
 def invert(rows):
     n = len(rows)
     a = [
@@ -326,6 +331,15 @@ def lll_reference(cols):
     return b, u
 
 
+def _float_dot(u, v):
+    """The dot product summed from its first product, not from the int 0:
+    products that are all -0.0 sum to -0.0."""
+    s = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        s = s + x * y
+    return s
+
+
 def _float_gram_schmidt(cols):
     n = len(cols)
     bstar, norms2 = [], []
@@ -333,12 +347,12 @@ def _float_gram_schmidt(cols):
     for i, b in enumerate(cols):
         v = list(b)
         for j in range(i):
-            m = sum(x * y for x, y in zip(b, bstar[j])) / norms2[j]
+            m = _float_dot(b, bstar[j]) / norms2[j]
             mu[i][j] = m
             if m != 0:
                 v = [x - m * y for x, y in zip(v, bstar[j])]
         bstar.append(v)
-        c = sum(x * x for x in v)
+        c = _float_dot(v, v)
         if c == 0:
             raise ValueError("linearly dependent columns")
         norms2.append(c)

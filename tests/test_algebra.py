@@ -16,9 +16,11 @@ from latflow.backend import (
     format_scalar,
     rat,
 )
+from latflow import linalg
 from latflow.algebra import (
     ExactMatrix,
     ExpansionRates,
+    diagonal_shear,
     dual_involution,
     expanding_diagonal,
     is_block_stabilizer,
@@ -120,27 +122,27 @@ def test_scalar_roundtrip(q):
 
 
 def test_matrix_exact_arithmetic():
-    g = ExactMatrix([[1, 2], [3, "5/2"]], EXACT)
+    g = ExactMatrix([[1, 2], [3, "5/2"]])
     assert g.det() == Rat(-7, 2)
     inv = g.inverse()
-    assert (g @ inv).rows == ExactMatrix.identity(2, EXACT).rows
+    assert (g @ inv).rows == ExactMatrix.identity(2).rows
     # inverse of an integer unimodular matrix stays integral
-    u = ExactMatrix([[2, 3], [1, 2]], EXACT)
+    u = ExactMatrix([[2, 3], [1, 2]])
     assert u.det() == 1
     assert all(x.denominator == 1 for row in u.inverse().rows for x in row)
 
 
 def test_matrix_backend_mismatch_is_hard_error():
-    a = ExactMatrix([[1, 0], [0, 1]], EXACT)
-    b = ExactMatrix([[1.0, 0.0], [0.0, 1.0]], FLOAT)
-    with pytest.raises(BackendMismatch):
-        a @ b
+    # a matrix holds exact scalars only: a float entry is refused when built
+    for rows in ([[1.0, 0.0], [0.0, 1.0]], [[0.5]], [[1, 0], [0, 1.0]]):
+        with pytest.raises(BackendMismatch):
+            ExactMatrix(rows)
 
 
 def test_matrix_pickles():
-    g = ExactMatrix([[1, "1/3"], [0, 1]], EXACT)
+    g = ExactMatrix([[1, "1/3"], [0, 1]])
     h = pickle.loads(pickle.dumps(g))
-    assert h.rows == g.rows and h.backend == g.backend
+    assert h.rows == g.rows and h == g
 
 
 @given(
@@ -163,26 +165,32 @@ def test_row_unipotent_homomorphism(a, b):
     ],
 )
 def test_row_unipotent_entries_are_backend_scalars(backend, kind, first_row):
-    # int, str and Fraction shifts, each coerced to the backend's one scalar type
+    # int, str and Fraction shifts, each coerced to the backend's one scalar
+    # type; on floats u(shift) is the shear with unit weights
     shift = (3, "1/2" if backend == EXACT else "0.5", Fraction(-2, 3))
-    u = row_unipotent(shift, backend)
-    assert all(type(x) is kind for row in u.rows for x in row)
-    assert u.rows[0] == first_row
-    assert u.rows[1:] == tuple(tuple(int(i == j) for j in range(4)) for i in range(1, 4))
+    if backend == EXACT:
+        rows = row_unipotent(shift).rows
+    else:
+        rows = diagonal_shear((1.0,) * 3, shift)
+    assert all(type(x) is kind for row in rows for x in row)
+    assert tuple(rows[0]) == first_row
+    assert [tuple(r) for r in rows[1:]] == [tuple(int(i == j) for j in range(4)) for i in range(1, 4)]
 
 
 def test_row_unipotent_turns_a_negative_zero_shift_positive():
-    # as adding -0.0 to the identity's +0.0 does, and as diagonal_shear does
-    u = row_unipotent((-0.0, 1.0), FLOAT)
-    assert math.copysign(1.0, u.rows[0][1]) == 1.0
+    # as adding -0.0 to the identity's +0.0 does: the float u(shift) is the
+    # shear with unit weights, and any weights keep the zero positive
+    for weights in ((1.0, 1.0), (4.0, 2.0)):
+        rows = diagonal_shear(weights, (-0.0, 1.0))
+        assert math.copysign(1.0, rows[0][1]) == 1.0
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_dual_involution_properties(seed_a, seed_b):
     rng_a, rng_b = random.Random(seed_a), random.Random(seed_b)
-    g = ExactMatrix(random_unimodular(rng_a, 3), EXACT)
-    h = ExactMatrix(random_unimodular(rng_b, 3), EXACT)
+    g = ExactMatrix(random_unimodular(rng_a, 3))
+    h = ExactMatrix(random_unimodular(rng_b, 3))
     sg = dual_involution(g)
     # involution, det preserved up to the inverse-transpose sign structure
     assert dual_involution(sg).rows == g.rows
@@ -194,26 +202,26 @@ def test_dual_involution_properties(seed_a, seed_b):
 
 def test_dual_involution_swaps_block_stabilizers():
     # [[A, *], [0, I]] with det A = 1
-    g = ExactMatrix([[2, 3, 5], [1, 2, 7], [0, 0, 1]], EXACT)
+    g = ExactMatrix([[2, 3, 5], [1, 2, 7], [0, 0, 1]])
     assert is_block_stabilizer(g, 2)
     assert not is_dual_block_stabilizer(g, 2)
     assert is_dual_block_stabilizer(dual_involution(g), 2)
 
 
 def test_expansion_rates_validation():
-    r = ExpansionRates((4.0, 2.0, 1.0), FLOAT)
+    r = ExpansionRates((4.0, 2.0, 1.0))
     assert r.n == 4
     assert r.total_weight() == pytest.approx(8.0)
     with pytest.raises(ValueError):
-        ExpansionRates((1.0, 2.0), FLOAT)  # must be nonincreasing
+        ExpansionRates((1.0, 2.0))  # must be nonincreasing
     with pytest.raises(ValueError):
-        ExpansionRates((2.0, 0.5), FLOAT)  # and >= 1 throughout
+        ExpansionRates((2.0, 0.5))  # and >= 1 throughout
 
 
 def test_expanding_diagonal_unimodular():
     r = ExpansionRates.from_rates((2.0, 1.0))
     d = expanding_diagonal(r)
     # diag(e^3, e^-2, e^-1): total expansion balances the contractions
-    assert abs(d.det() - 1.0) < 1e-12
-    assert d.rows[0][0] == pytest.approx(math.exp(3.0))
-    assert d.rows[1][1] == pytest.approx(math.exp(-2.0))
+    assert abs(linalg.det(d, approx=True) - 1.0) < 1e-12
+    assert d[0][0] == pytest.approx(math.exp(3.0))
+    assert d[1][1] == pytest.approx(math.exp(-2.0))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 
 import pytest
@@ -340,6 +341,38 @@ def test_budget_below_one_node_is_usage_error(tmp_path, capsys, argv, config):
         assert main(argv + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --budget must be at least 1, got %d" % config["budget"])
+
+
+_TENT_RUN = ["--imax", "2", "--samples", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, shown",
+    [
+        (["equidist"] + _TENT_RUN, "tent_height", 0.0, "tent height must be finite and > 0, got 0.0"),
+        # a negative reference would make the gap gate unfailable
+        (["equidist", "--gap-tol", "0.01"] + _TENT_RUN, "tent_height", -1.0,
+         "tent height must be finite and > 0, got -1.0"),
+        (["equidist"] + _TENT_RUN, "tent_height", math.nan, "tent height must be finite and > 0, got nan"),
+        (["equidist"] + _TENT_RUN, "tent_height", math.inf, "tent height must be finite and > 0, got inf"),
+        (["twist"] + _TENT_RUN, "tent_height", math.nan, "tent height must be finite and > 0, got nan"),
+        (["equidist"] + _TENT_RUN, "tent_radius", math.inf, "tent radius must be finite and > 0, got inf"),
+        (["twist"] + _TENT_RUN, "tent_radius", 0.0, "tent radius must be finite and > 0, got 0.0"),
+        (["equidist"] + _TENT_RUN, "tent_center", "nan,0", "tent center must be finite, got (nan, 0.0)"),
+        (["twist"] + _TENT_RUN, "tent_center", "0,-inf", "tent center must be finite, got (0.0, -inf)"),
+    ],
+)
+def test_tent_not_finite_and_positive_is_usage_error(tmp_path, capsys, argv, key, value, shown):
+    # refused when the tent is built: no traceback, no NaN rows, no gate
+    # that cannot fail
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    flag = ["--%s=%s" % (key.replace("_", "-"), value)]
+    for extra in (flag, ["--config", str(path)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + shown)
 
 
 def test_negative_trials_is_usage_error(tmp_path, capsys):

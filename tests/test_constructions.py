@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from latflow.backend import EXACT, Rat, rat
+from latflow.backend import Rat
 from latflow.algebra import ExactMatrix, dual_involution
 from latflow import constructions
 from latflow.lattice import Lattice, avoids_open_unit_box
@@ -53,7 +53,7 @@ def test_unit_lower_elimination_factorization():
 
 def test_elimination_zero_pivot():
     with pytest.raises(ValueError):
-        unit_lower_elimination(ExactMatrix([[0, 1], [1, 0]], EXACT))
+        unit_lower_elimination(ExactMatrix([[0, 1], [1, 0]]))
 
 
 def test_unit_triangular_avoidance():
@@ -80,7 +80,7 @@ def test_random_unit_triangular_avoidance():
             ]
             for i in range(n)
         ]
-        g = ExactMatrix(rows, EXACT)
+        g = ExactMatrix(rows)
         structural, enumerated = unit_triangular_avoidance_check(g)
         assert structural and enumerated
         assert avoids_open_unit_box(Lattice(dual_involution(g)))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow import diophantine, lattice
-from latflow.backend import EXACT, FLOAT, Rat
+from latflow import diophantine, experiments, lattice, linalg
+from latflow.backend import BackendMismatch, Rat
 from latflow.algebra import (
     ExactMatrix,
     ExpansionRates,
@@ -68,30 +68,72 @@ def test_translate_matrices_unimodular():
     assert dual_translate_matrix(w, phi).det() == 1
 
 
+class _ConstantCurve:
+    """A curve at phi for every s: all that translate_lattice reads."""
+
+    def __init__(self, phi):
+        self.phi = tuple(phi)
+
+    def eval_float(self, s):
+        return self.phi
+
+
 def test_closed_form_translates_equal_dense_products():
     # the entries written by formula equal diag @ shear, and are unimodular;
-    # on floats bit for bit, the sign of every zero included
+    # on floats bit for bit, the sign of every zero included.  The float
+    # translate's columns, and its partner's, are those of the dense rows
+    # diag @ shear and W (g^-1)^T W
     rng = random.Random(17)
     for _ in range(320):
         k = rng.randint(1, 4)
+        n = k + 1
         rates = ExpansionRates.from_rates(sorted((rng.uniform(0.0, 30.0) for _ in range(k)), reverse=True))
         phi = [rng.choice((0.0, -0.0, -1.5, rng.uniform(-1e3, 1e3), -rng.random() * 1e-300))
                for _ in range(k)]
-        dense = expanding_diagonal(rates) @ row_unipotent(phi, FLOAT)
-        assert repr(diagonal_shear(rates.weights, phi, FLOAT)) == repr(dense)
+        shear = [[1.0] + phi] + [[1.0 if i == j else 0.0 for j in range(n)] for i in range(1, n)]
+        dense = linalg.mat_mul(expanding_diagonal(rates), shear)
+        assert repr(diagonal_shear(rates.weights, phi)) == repr(dense)
+        cols, partner = experiments.translate_lattice(_ConstantCurve(phi), rates, 0.5, doubled=True)
+        assert repr(cols) == repr(linalg.transpose(dense))
+        it = linalg.transpose(linalg.inverse(dense, approx=True))
+        flipped = [[it[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+        assert repr(partner) == repr(linalg.transpose(flipped))
+        # the exact closed form is the primal translate
         weights = sorted((Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1 for _ in range(k)), reverse=True)
         phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
-        dense = expanding_diagonal(ExpansionRates(tuple(weights), EXACT)) @ row_unipotent(phi, EXACT)
-        assert repr(diagonal_shear(weights, phi, EXACT)) == repr(dense)
+        total = WindowSpec(weights, 1).total_weight()
+        dense = ExactMatrix.diagonal([total] + [1 / nj for nj in weights]) @ row_unipotent(phi)
+        assert repr(primal_translate_matrix(WindowSpec(weights, 1), phi)) == repr(dense)
+    # the O(n) det check of a triangular translate accepts and rejects as
+    # the full float det does, at det 1 +- 0.5e-9, 1 +- 2e-9 and nan
+    for delta in (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, float("nan")):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            diag = [rng.uniform(0.5, 2.0) for _ in range(n - 1)]
+            last = 1.0 + delta
+            for d in diag:
+                last = last / d
+            rows = [[0.0] * n for _ in range(n)]
+            for i, d in enumerate(diag + [last]):
+                rows[i][i] = d
+                for j in range(i + 1, n):
+                    rows[i][j] = rng.uniform(-5.0, 5.0)
+            want = abs(linalg.det(rows, approx=True) - 1.0) <= 1e-9
+            try:
+                experiments._check_triangular_det(linalg.transpose(rows))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want == (abs(delta) <= 1e-9), (delta, rows)
     for _ in range(320):
         k = rng.randint(1, 4)
         weights = [Rat(rng.randint(1, 10**4), rng.randint(1, 10)) + 1 for _ in range(k)]
         w = WindowSpec(weights, Rat(rng.randint(1, 100), 100))
         phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
         total = w.total_weight()
-        primal = ExactMatrix.diagonal([total] + [1 / nj for nj in weights], EXACT)
-        assert primal_translate_matrix(w, phi) == primal @ row_unipotent(phi, EXACT)
-        dual = ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
+        primal = ExactMatrix.diagonal([total] + [1 / nj for nj in weights])
+        assert primal_translate_matrix(w, phi) == primal @ row_unipotent(phi)
+        dual = ExactMatrix.diagonal(weights[::-1] + [1 / total])
         assert dual_translate_matrix(w, phi) == dual @ dual_involution(row_unipotent([-x for x in phi]))
         assert primal_translate_matrix(w, phi).det() == 1
         assert dual_translate_matrix(w, phi).det() == 1
@@ -113,9 +155,9 @@ def test_integral_translate_is_the_cleared_closed_form():
                    for _ in range(k))
         total = w.total_weight()
         dense = {
-            "primal": ExactMatrix.diagonal([total] + [1 / x for x in weights], EXACT)
-            @ row_unipotent(xi, EXACT),
-            "dual": ExactMatrix.diagonal(weights[::-1] + [1 / total], EXACT)
+            "primal": ExactMatrix.diagonal([total] + [1 / x for x in weights])
+            @ row_unipotent(xi),
+            "dual": ExactMatrix.diagonal(weights[::-1] + [1 / total])
             @ dual_involution(row_unipotent([-x for x in xi])),
         }
         for system, m in dense.items():
@@ -175,19 +217,19 @@ def test_minkowski_soluble_on_unimodular_forms():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.choice((2, 3))
-        forms = ExactMatrix(_brute.random_unimodular(rng, n), EXACT)
+        forms = ExactMatrix(_brute.random_unimodular(rng, n))
         alphas = tuple(Rat(rng.randint(1, 4)) for _ in range(n))
         ok, x = minkowski_soluble(forms, alphas, 1)
         assert ok
-        vals = forms.apply(x)
+        vals = _brute.mat_vec(forms.rows, x)
         assert abs(vals[0]) <= alphas[0]
         assert all(abs(v) < a for v, a in zip(vals[1:], alphas[1:]))
 
 
 def test_minkowski_refuses_float_backend():
-    forms = ExactMatrix([[1.0, 0.0], [0.0, 1.0]], "float")
-    with pytest.raises(ValueError):
-        minkowski_soluble(forms, (1, 1))
+    # float forms never reach the decision: the matrix refuses them when built
+    with pytest.raises(BackendMismatch):
+        minkowski_soluble(ExactMatrix([[1.0, 0.0], [0.0, 1.0]]), (1, 1))
 
 
 def test_correspondence_random_instances():

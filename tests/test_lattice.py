@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow import lattice
+from latflow import experiments, lattice
 from latflow.backend import (
     EXACT,
     FLOAT,
@@ -22,13 +22,7 @@ from latflow.backend import (
     rat,
     scalar,
 )
-from latflow.algebra import (
-    ExactMatrix,
-    ExpansionRates,
-    diagonal_shear,
-    expanding_diagonal,
-    row_unipotent,
-)
+from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.linalg import clear_denominators
 from latflow.lattice import (
     Box,
@@ -42,6 +36,21 @@ from latflow.lattice import (
 )
 
 import _brute
+
+
+def _columns(g, backend):
+    """The basis columns of the exact matrix g, rounded to floats on the
+    float backend."""
+    cols = g.columns()
+    return cols if backend == EXACT else [[float(x) for x in col] for col in cols]
+
+
+def _exact_shear(weights, shift):
+    """diag(prod w, 1/w_1, ...) u(shift) on exact weights and shifts."""
+    total = Rat(1)
+    for w in weights:
+        total *= w
+    return ExactMatrix.diagonal([total] + [1 / Rat(w) for w in weights]) @ row_unipotent(shift)
 
 
 def test_box_face_flags():
@@ -70,11 +79,14 @@ def test_lattice_requires_unimodular():
                     ([[Rat(1, 2), 7], [0, Rat(3, 2)]], Rat(3, 4)),
                     ([[Rat(1, 3), Rat(2, 3)], [1, 2]], Rat(0))]:
         with pytest.raises(ValueError, match=re.escape("not unimodular (det = %r)" % (d,))):
-            Lattice(ExactMatrix(rows, EXACT))
+            Lattice(ExactMatrix(rows))
+    # float bases are checked where the translates are built, within 1e-9
     with pytest.raises(ValueError, match=re.escape("(det = 2.0)")):
-        Lattice(ExactMatrix([[2, 0], [0, 1]], FLOAT))
+        experiments._check_triangular_det([[2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape("(det = 2.0)")):
+        experiments._checked_columns([[2.0, 0.0], [0.0, 1.0]])
     assert Lattice.standard(3).n == 3
-    assert Lattice(ExactMatrix([[Rat(2, 3), Rat(5, 7)], [0, Rat(-3, 2)]], EXACT)).n == 2
+    assert Lattice(ExactMatrix([[Rat(2, 3), Rat(5, 7)], [0, Rat(-3, 2)]])).n == 2
 
 
 def test_enumerate_standard_lattice():
@@ -93,13 +105,13 @@ def test_enumerate_open_box_drops_faces():
 def test_float_leaf_keeps_face_flags():
     # the float walk decides each face as lattice._inside does: a point on a
     # closed face is in, on an open face out, and both warn
-    z2 = Lattice.standard(2, FLOAT)
+    z2 = [[1.0, 0.0], [0.0, 1.0]]
     for closed, want in [((False, False), []), ((True, False), [(-1.0, 0.0), (1.0, 0.0)]),
                          ((True, True), [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, -1.0),
                                          (0.0, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)])]:
         box = Box((1.0, 1.0), closed, FLOAT)
         with pytest.warns(FaceProximity):
-            pts = enumerate_in_box(z2, box)
+            pts = [p for p, _ in enumerate_basis_in_box(z2, box, FLOAT)]
         assert pts == want
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
@@ -107,7 +119,7 @@ def test_float_leaf_keeps_face_flags():
 
 
 def test_enumerate_skew_matches_brute():
-    g = ExactMatrix([[1, rat("7/3")], [0, 1]], EXACT)
+    g = ExactMatrix([[1, rat("7/3")], [0, 1]])
     box = Box((rat("5/2"), rat("4/3")), (True, False), EXACT)
     mine = sorted(tuple(x for x in p) for p in enumerate_in_box(Lattice(g), box))
     ref = _brute.enumerate_box(g.columns(), box.bounds, box.closed)
@@ -119,7 +131,7 @@ def test_enumerate_skew_matches_brute():
 def test_enumerate_matches_brute_random(seed):
     rng = random.Random(seed)
     n = rng.choice((2, 3))
-    g = ExactMatrix(_brute.random_unimodular(rng, n), EXACT)
+    g = ExactMatrix(_brute.random_unimodular(rng, n))
     bounds = [Rat(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n)]
     closed = [rng.random() < 0.5 for _ in range(n)]
     if _brute.scan_cost(g.columns(), bounds) > 30_000:
@@ -165,7 +177,7 @@ def test_float_and_exact_enumeration_differ_only_near_faces():
 
 
 def test_first_only_returns_valid_point():
-    g = ExactMatrix([[1, rat("7/3")], [0, 1]], EXACT)
+    g = ExactMatrix([[1, rat("7/3")], [0, 1]])
     box = Box((rat("5/2"), rat("4/3")), (True, True), EXACT)
     hits = enumerate_basis_in_box(g.columns(), box, EXACT, first_only=True)
     assert len(hits) == 1
@@ -324,10 +336,10 @@ def test_mirrors_equal_the_walk_bit_for_bit():
 
 
 def test_coefficients_reproduce_points():
-    g = ExactMatrix([[2, 1], [1, 1]], EXACT)
+    g = ExactMatrix([[2, 1], [1, 1]])
     box = Box((3, 3), (True, True), EXACT)
     for point, coeff in enumerate_basis_in_box(g.columns(), box, EXACT):
-        v = g.apply(coeff)
+        v = _brute.mat_vec(g.rows, coeff)
         assert tuple(v) == tuple(point)
 
 
@@ -337,23 +349,35 @@ def test_avoidance_helpers():
     assert enumerate_in_box(Lattice.standard(2), Box((1, 1), (True, False), EXACT), first_only=True)
     # unit triangular bases always avoid (coordinates vanish bottom-up)
     assert avoids_open_unit_box(
-        Lattice(ExactMatrix([[1, rat("1/2")], [0, 1]], EXACT))
+        Lattice(ExactMatrix([[1, rat("1/2")], [0, 1]]))
     )
-    squash = Lattice(ExactMatrix([[rat("1/2"), 0], [0, 2]], EXACT))
+    squash = Lattice(ExactMatrix([[rat("1/2"), 0], [0, 2]]))
     assert not avoids_open_unit_box(squash)  # (1/2, 0) sits strictly inside
 
 
 def test_tent_values_and_integral():
-    t = Tent((0, 0), 2, 1, EXACT)
+    t = Tent((0, 0), 2, 1)  # exact scalars become floats
+    assert t.center == (0.0, 0.0) and type(t.radius) is float and type(t.height) is float
     assert t.value((0, 0)) == 1
-    assert t.value((1, 0)) == Rat(1, 2)  # sup-norm distance 1 of radius 2
+    assert t.value((1, 0)) == 0.5  # sup-norm distance 1 of radius 2
     assert t.value((2, 2)) == 0
-    assert t.integral() == Rat(16, 3)  # (2r)^d h / (d+1) at r=2, d=2
+    assert t.integral() == 16.0 / 3.0  # (2r)^d h / (d+1) at r=2, d=2
+    assert t.support_box == Box((2.0, 2.0), (True, True), FLOAT)
+    # a radius or height that is not finite and > 0, or a center that is not
+    # finite, is refused
+    for bad in [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                (2.0, 0.0), (2.0, -1.0), (2.0, math.inf), (2.0, math.nan)]:
+        with pytest.raises(ValueError, match="tent (radius|height) must be finite and > 0"):
+            Tent((0.0, 0.0), *bad)
+    for center in [(math.nan, 0.0), (0.0, -math.inf)]:
+        with pytest.raises(ValueError, match="tent center must be finite"):
+            Tent(center, 2.0, 1.0)
 
 
 def test_siegel_transform_standard_lattice():
-    t = Tent((0, 0), 2, 1, EXACT)
-    val = siegel_transform(Lattice.standard(2), t)
+    t = Tent((0, 0), 2, 1)
+    with pytest.warns(FaceProximity):  # the points at sup distance 2 sit on the faces
+        val = siegel_transform([[1.0, 0.0], [0.0, 1.0]], t)
     # 8 lattice points at sup distance 1 contribute 1/2 each
     assert val == 4
 
@@ -361,9 +385,9 @@ def test_siegel_transform_standard_lattice():
 def test_siegel_matches_brute_sum():
     rng = random.Random(11)
     for _ in range(10):
-        g = ExactMatrix(_brute.random_unimodular(rng, 2), EXACT)
-        tent = Tent((0.0, 0.0), 1.5, 1.0, FLOAT)
-        mine = siegel_transform(Lattice(g).to_float(), tent)
+        g = ExactMatrix(_brute.random_unimodular(rng, 2))
+        tent = Tent((0.0, 0.0), 1.5, 1.0)
+        mine = siegel_transform(_columns(g, FLOAT), tent)
         ref = float(_brute.tent_sum(g.columns(), [0, 0], Rat(3, 2), 1))
         assert mine == pytest.approx(ref, abs=1e-9)
 
@@ -376,7 +400,7 @@ def _covolume_one_basis(rng, n):
     scale = [a, 1 / a] if n == 2 else [a, b, 1 / (a * b)]
     rng.shuffle(scale)
     u = _brute.random_unimodular(rng, n)
-    return ExactMatrix([[scale[i] * x for x in row] for i, row in enumerate(u)], EXACT)
+    return ExactMatrix([[scale[i] * x for x in row] for i, row in enumerate(u)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,7 +410,7 @@ def test_shortest_matches_brute(seed):
     g = _covolume_one_basis(rng, rng.choice((2, 3)))
     if _brute.scan_cost(g.columns(), [1] * g.nrows) > 30_000:
         return
-    assert str(shortest_sup_norm(Lattice(g))) == str(_brute.shortest_sup(g.columns()))
+    assert str(shortest_sup_norm(g.columns(), EXACT)) == str(_brute.shortest_sup(g.columns()))
 
 
 def test_covolume_one_bases_have_other_minima_than_one():
@@ -429,7 +453,7 @@ def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, ba
     monkeypatch.setattr(lattice, "_walk", counted)
     on_faces = pytest.warns(FaceProximity) if backend == FLOAT else contextlib.nullcontext()
     with on_faces:
-        got = shortest_sup_norm(Lattice.standard(n, backend))
+        got = shortest_sup_norm(_columns(ExactMatrix.identity(n), backend), backend)
     assert got == 1 and type(got) is type(scalar(1, backend))
     assert len(calls) == 1
     assert calls[0].bounds == (scalar(1, backend),) * n and all(calls[0].closed)
@@ -442,16 +466,14 @@ def test_shortest_of_a_nearly_divergent_translate_skips_the_multiples(weight, ba
     # closed unit cube holds its multiples up to w/3: 2,730 points at
     # w = 2^12.  The walk whose sphere shrinks at each point found skips
     # them; a walk of the whole cube visits each
-    lat = Lattice(diagonal_shear((Rat(weight),), (Rat(1, 3),)))
-    if backend == FLOAT:
-        lat = lat.to_float()
+    cols = _columns(_exact_shear((Rat(weight),), (Rat(1, 3),)), backend)
     cube = Box((1, 1), (True, True), backend)
     with pytest.raises(BudgetExceeded):
-        enumerate_in_box(lat, cube, budget=50)
-    got = shortest_sup_norm(lat, budget=50)
+        enumerate_basis_in_box(cols, cube, backend, budget=50)
+    got = shortest_sup_norm(cols, backend, budget=50)
     assert repr(got) == repr(scalar(Rat(3, weight), backend))
     if weight == 2**12:  # small enough to list the whole cube
-        want = min(max(map(abs, p)) for p in enumerate_in_box(lat, cube))
+        want = min(max(map(abs, p)) for p, _ in enumerate_basis_in_box(cols, cube, backend))
         assert repr(got) == repr(want)
 
 
@@ -464,8 +486,7 @@ def test_shortest_float_search_keeps_a_near_tie_after_shrinking(m, shorter_by):
     # ulps of the first sphere 3 (1 + FLOAT_SLACK), far above 3 m^2 FLOAT_SLACK
     q = m * (1 - shorter_by)
     cols = [(m, -m, 0.0), (q, q, q), (0.0, 0.0, 1.0 / (2 * m * q))]
-    lat = Lattice(ExactMatrix([[c[i] for c in cols] for i in range(3)], FLOAT))
-    assert shortest_sup_norm(lat, budget=1000) == pytest.approx(q, rel=1e-12)
+    assert shortest_sup_norm(cols, FLOAT, budget=1000) == pytest.approx(q, rel=1e-12)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
@@ -479,19 +500,19 @@ def test_shortest_of_rational_shears_matches_the_cube(backend):
         k = rng.choice((1, 2))
         weights = tuple(Rat(rng.randint(2, 30), rng.randint(1, 7)) for _ in range(k))
         shift = tuple(Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
-        g = diagonal_shear(weights, shift)
-        lat = Lattice(g) if backend == EXACT else Lattice(g).to_float()
-        cube = Box((1,) * lat.n, (True,) * lat.n, backend)
+        g = _exact_shear(weights, shift)
+        n = g.nrows
+        cube = Box((1,) * n, (True,) * n, backend)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
-            pts = enumerate_in_box(lat, cube)
-            got = shortest_sup_norm(lat)
+            pts = [p for p, _ in enumerate_basis_in_box(_columns(g, backend), cube, backend)]
+            got = shortest_sup_norm(_columns(g, backend), backend)
         want = min(max(map(abs, p)) for p in pts)
         assert repr(got) == repr(want)
         cube_mins += want < 1
-        cols, ones = g.columns(), [1] * lat.n
+        cols, ones = g.columns(), [1] * n
         if backend == EXACT and _brute.scan_cost(cols, ones) <= 5_000:
-            brute = _brute.enumerate_box(cols, ones, [True] * lat.n)
+            brute = _brute.enumerate_box(cols, ones, [True] * n)
             assert got == min(max(map(abs, p)) for p in brute)
     assert cube_mins > 30  # most cases are not decided by a point on the cube's face
 
@@ -500,16 +521,15 @@ def _thin_case(rng, backend):
     """A seeded lattice a u(phi) g Z^n, n = 2-4, with rational weights and
     shifts and g an integer unimodular matrix, and a box with bounds among
     1/2, 1, 5/4, 3/2 and random open or closed faces: points on faces are
-    common.  On the float backend both are rounded to floats."""
+    common.  Returns the lattice and the box, both rounded to floats on the
+    float backend, where the lattice is its list of basis columns."""
     n = rng.choice((2, 3, 4))
     weights = sorted((Rat(rng.randint(1, 4), rng.randint(1, 2)) + 1 for _ in range(n - 1)), reverse=True)
     phi = [Rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n - 1)]
-    g = (expanding_diagonal(ExpansionRates(tuple(weights), EXACT))
-         @ row_unipotent(phi, EXACT)
-         @ ExactMatrix(_brute.random_unimodular(rng, n), EXACT))
+    g = _exact_shear(weights, phi) @ ExactMatrix(_brute.random_unimodular(rng, n))
     bounds = tuple(rng.choice((Rat(1), Rat(1, 2), Rat(5, 4), Rat(3, 2))) for _ in range(n))
     closed = tuple(rng.random() < 0.5 for _ in range(n))
-    lat = Lattice(g) if backend == EXACT else Lattice(g).to_float()
+    lat = Lattice(g) if backend == EXACT else _columns(g, FLOAT)
     return lat, Box(bounds if backend == EXACT else tuple(map(float, bounds)), closed, backend)
 
 
@@ -542,8 +562,9 @@ _SHORTEST_NODES = {EXACT: 203, FLOAT: 203}
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_thin_callers_agree_with_the_full_walk(backend):
-    # enumerate_in_box keeps the points of enumerate_basis_in_box, in its
-    # order, and walks the same tree, so their budgets trip alike;
+    # enumerate_in_box (exact) keeps the points of enumerate_basis_in_box,
+    # in its order, and walks the same tree, so their budgets trip alike;
+    # so does siegel_transform (float) over its tent's support box.
     # shortest_sup_norm is the minimum over the points of the closed unit
     # cube, found by a walk of that cube whose sphere shrinks, so it fits
     # the full cube walk's budget
@@ -554,21 +575,35 @@ def test_thin_callers_agree_with_the_full_walk(backend):
         warnings.simplefilter("ignore", FaceProximity)
         for _ in range(30):
             lat, box = _thin_case(rng, backend)
-            cols = lat.basis.columns()
-            cube = Box((1,) * lat.n, (True,) * lat.n, backend)
+            cols = lat.basis.columns() if backend == EXACT else lat
+            n = len(cols)
+            cube = Box((1,) * n, (True,) * n, backend)
             full = enumerate_basis_in_box(cols, box, backend)
-            assert enumerate_in_box(lat, box) == [p for p, _ in full]
             first = enumerate_basis_in_box(cols, box, backend, first_only=True)
-            assert enumerate_in_box(lat, box, first_only=True) == [p for p, _ in first]
+            nodes = _nodes(lambda b: enumerate_basis_in_box(cols, box, backend, budget=b))
+            if backend == EXACT:
+                assert enumerate_in_box(lat, box) == [p for p, _ in full]
+                assert enumerate_in_box(lat, box, first_only=True) == [p for p, _ in first]
+                enumerate_in_box(lat, box, budget=nodes)
+                with pytest.raises(BudgetExceeded):
+                    enumerate_in_box(lat, box, budget=nodes - 1)
+            else:
+                tent = Tent((0.0,) * n, 1.25, 1.0)
+                in_tent = enumerate_basis_in_box(cols, tent.support_box, FLOAT)
+                total = 0.0
+                for p, _ in in_tent:
+                    total = total + tent.value(p)
+                assert repr(siegel_transform(cols, tent)) == repr(total)
+                tent_nodes = _nodes(
+                    lambda b: enumerate_basis_in_box(cols, tent.support_box, FLOAT, budget=b))
+                siegel_transform(cols, tent, budget=tent_nodes)
+                with pytest.raises(BudgetExceeded):
+                    siegel_transform(cols, tent, budget=tent_nodes - 1)
             in_cube = enumerate_basis_in_box(cols, cube, backend)
             want = min(max(abs(x) for x in p) for p, _ in in_cube)
-            assert repr(shortest_sup_norm(lat)) == repr(want)
-            nodes = _nodes(lambda b: enumerate_basis_in_box(cols, box, backend, budget=b))
-            enumerate_in_box(lat, box, budget=nodes)
-            with pytest.raises(BudgetExceeded):
-                enumerate_in_box(lat, box, budget=nodes - 1)
+            assert repr(shortest_sup_norm(cols, backend)) == repr(want)
             cube_nodes = _nodes(lambda b: enumerate_basis_in_box(cols, cube, backend, budget=b))
-            own = _nodes(lambda b: shortest_sup_norm(lat, budget=b))
+            own = _nodes(lambda b: shortest_sup_norm(cols, backend, budget=b))
             assert own <= cube_nodes
             totals[0] += nodes
             totals[1] += cube_nodes

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latflow.algebra import diagonal_shear
-from latflow.backend import FLOAT, LLLIterationCap, Rat
+from latflow.backend import LLLIterationCap, Rat
 from latflow.linalg import (
     clear_denominators,
     det,
@@ -76,7 +76,7 @@ def _float_basis(rng, n):
     if rng.random() < 0.5:
         weights = sorted((math.exp(rng.uniform(0.0, 12.0)) for _ in range(n - 1)), reverse=True)
         phi = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)]
-        return [list(col) for col in diagonal_shear(weights, phi, FLOAT).columns()]
+        return [list(col) for col in zip(*diagonal_shear(weights, phi))]
     rows = _brute.random_unimodular(rng, n, ops=8, max_mult=3)
     return [[rows[i][j] + rng.uniform(-0.5, 0.5) for i in range(n)] for j in range(n)]
 
@@ -117,8 +117,10 @@ def test_planar_float_lll_matches_reference_on_sweep_translates():
     rng = random.Random(2020)
     cases = [(rng.uniform(0.0, 12.0), rng.uniform(-1.0, 1.0)) for _ in range(2000)]
     cases += [(t, 0.0) for t in (0.0, 1.0, 6.5, 12.0)]
-    for t, s in cases:
-        cols = [list(col) for col in diagonal_shear((math.exp(t),), (s,), FLOAT).columns()]
+    bases = [[list(col) for col in zip(*diagonal_shear((math.exp(t),), (s,)))] for t, s in cases]
+    # signed zeros: mu_10 = -0.0, which the reference's sums keep too
+    bases.append([[1.0, -0.0], [-0.0, 5.0]])
+    for cols in bases:
         for cap in (1, 2, 3, 4, 5, 6, 100_000):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LLLIterationCap)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latflow.backend import EXACT, FLOAT, BackendMismatch, Rat
+from latflow.backend import BackendMismatch, Rat
 from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.diophantine import Curve
 from latflow.weights import (
@@ -26,6 +26,7 @@ from _brute import (
     algebra_matrix_reference,
     frac,
     group_matrix_reference,
+    mat_vec,
     random_rational_invertible,
     random_unimodular,
 )
@@ -64,8 +65,8 @@ def test_group_matrix_is_a_homomorphism(seed, n, kind, rational):
     rng = random.Random(seed)
     rep = RepSpace(n, kind, rng.randint(1, n - 1) if kind == "wedge" else 1)
     draw = random_rational_invertible if rational else random_unimodular
-    g = ExactMatrix(draw(rng, n), EXACT)
-    h = ExactMatrix(draw(rng, n), EXACT)
+    g = ExactMatrix(draw(rng, n))
+    h = ExactMatrix(draw(rng, n))
     lhs = rep.group_matrix(g @ h)
     rhs = rep.group_matrix(g) @ rep.group_matrix(h)
     assert lhs.rows == rhs.rows
@@ -94,10 +95,10 @@ def test_group_matrix_matches_dense_reference(n):
             elements = [
                 random_rational_invertible(rng, n),
                 random_unimodular(rng, n),
-                row_unipotent([_sparse_rat(rng) for _ in range(n - 1)], EXACT).rows,
+                row_unipotent([_sparse_rat(rng) for _ in range(n - 1)]).rows,
             ]
             for g in elements:
-                got = rep.group_matrix(ExactMatrix(g, EXACT))
+                got = rep.group_matrix(ExactMatrix(g))
                 assert _frac_rows(got) == group_matrix_reference(n, rep.kind, rep.degree, g)
 
 
@@ -108,11 +109,12 @@ def test_algebra_matrix_matches_dense_reference(n):
         for _ in range(3):
             x = [[_sparse_rat(rng) for _ in range(n)] for _ in range(n)]
             x[n - 1][n - 1] = -sum(x[i][i] for i in range(n - 1))
-            got = rep.algebra_matrix(ExactMatrix(x, EXACT))
+            got = rep.algebra_matrix(ExactMatrix(x))
             assert _frac_rows(got) == algebra_matrix_reference(n, rep.kind, rep.degree, x)
-            # a float matrix is refused, never carried into the exact result
+            # a float matrix is refused when built, never carried into the
+            # exact result
             with pytest.raises(BackendMismatch):
-                rep.algebra_matrix(ExactMatrix(x, EXACT).to_float())
+                rep.algebra_matrix(ExactMatrix([[float(v) for v in row] for row in x]))
 
 
 def test_growth_spec_classify():
@@ -290,11 +292,11 @@ def _block_subgroup_elements(n, block):
     def shear(p, q, c):
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         rows[p - 1][q - 1] = c
-        return ExactMatrix(rows, EXACT)
+        return ExactMatrix(rows)
 
     if block == 1:
         return [shear(1, n, 3), shear(1, 2, -2), shear(1, n, 3) @ shear(1, 2, -2)]
-    d = ExactMatrix.diagonal([2, Rat(1, 2)] + [1] * (n - 2), EXACT)
+    d = ExactMatrix.diagonal([2, Rat(1, 2)] + [1] * (n - 2))
     return [shear(1, block, 1), shear(block, 1, -2), d @ shear(1, n, 3) @ shear(2, n, -1)]
 
 
@@ -316,7 +318,7 @@ def test_block_invariant_space_fixed_vectors(rep, block, dim, inside, outside):
     for g in _block_subgroup_elements(rep.n, block):
         act = rep.group_matrix(g)
         for vec in space.basis:
-            assert act.apply(vec) == tuple(vec)
+            assert mat_vec(act.rows, vec) == list(vec)
     labels = rep.labels()
 
     def unit(lab):
