@@ -1,14 +1,17 @@
 """Scalar backends: exact rationals (fractions.Fraction) and plain floats.
 
 Each compound type in this package holds one scalar type.  Matrices
-(`ExactMatrix`), lattices and window specs are exact: they hold rationals,
-every comparison on them is decided exactly, and `rat` refuses a float
-entry.  Expansion weights and tents are floats, and the float translates
-of the Monte-Carlo sweeps are plain lists of basis columns.  Only the
-box and the point enumeration serve both, and carry a backend tag,
-"exact" or "float"; a float membership test near a face attaches a
-margin warning.  Mixing backends in one operation is a hard error, never
-a silent coercion.
+(`ExactMatrix`), lattices and window specs are exact: they hold
+rationals, every comparison on them is decided exactly, and `rat`
+refuses a float entry.  Expansion weights and tents are floats, and the
+float translates of the Monte-Carlo sweeps are plain lists of basis
+columns.  A box holds its bounds as given.  The scalar kind is named
+once, by the `backend` argument ("exact" or "float") of the point
+enumeration, and one rule holds there: an exact walk refuses a float
+anywhere, in a basis entry or a box bound; a float walk computes in
+floats and refuses a `Fraction` bound.  Ints serve both.  A float
+membership test near a face attaches a margin warning.  Mixing backends
+is a hard error, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def rat(x):
     Accepts ints, Fractions, and strings like "3/4" or "-2"; a string
     with a zero denominator is a ValueError, like any other malformed
     string.  Floats are rejected: silently rationalizing a float is exactly
-    the bug the backend tagging exists to prevent.
+    the bug that keeping the two backends apart prevents.
     """
     if type(x) is Rat:
         return x
@@ -76,22 +79,6 @@ def rat(x):
     raise BackendMismatch("cannot coerce %r into the exact backend" % (x,))
 
 
-def scalar(x, backend):
-    """Coerce x to the given backend's scalar type."""
-    if backend == EXACT:
-        return rat(x)
-    if backend == FLOAT:
-        return float(x)
-    raise ValueError("unknown backend %r" % (backend,))
-
-
-def format_scalar(x, backend) -> str:
-    """Serialize one scalar: 'num/den' on the exact backend, repr on float."""
-    if backend == EXACT:
-        return str(rat(x))
-    return repr(float(x))
-
-
 def _poly_terms(text, var):
     """(coefficient, power) pairs of a sum like '1/2*s^2 - s + 3' in the
     variable letter var, in written order; empty text gives no pairs."""
@@ -112,16 +99,6 @@ def _poly_terms(text, var):
             raise ValueError("cannot parse term %r" % term)
         pairs.append((coef, power))
     return pairs
-
-
-def check_same_backend(*backends):
-    first = backends[0]
-    for b in backends[1:]:
-        if b != first:
-            raise BackendMismatch(
-                "mixed backends in one operation: %r vs %r" % (first, b)
-            )
-    return first
 
 
 def warn_if_near_face(margin: float) -> None:

@@ -28,7 +28,7 @@ from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .algebra import ExactMatrix
-from .backend import EXACT, BudgetExceeded, Rat, format_scalar, rat
+from .backend import BudgetExceeded, Rat, rat
 from .constructions import (
     THRESHOLD_STEP,
     block_transport_witness,
@@ -665,18 +665,10 @@ def _cmd_constructions(cfg):
     if cfg["threshold"]:
         thr, at_thr = scan_radius_threshold(tail, first_weights)
         report["threshold"] = thr
-        print("all-soluble radius threshold (to %s): %s"
-              % (format_scalar(THRESHOLD_STEP, EXACT), thr))
+        print("all-soluble radius threshold (to %s): %s" % (THRESHOLD_STEP, thr))
     _emit("constructions", cfg, header, table, report)
-    print(
-        "radius %s, tail %s: %d insoluble of %d"
-        % (
-            format_scalar(mu, EXACT),
-            ",".join(format_scalar(t, EXACT) for t in tail),
-            len(scan.insoluble),
-            len(scan.rows),
-        )
-    )
+    print("radius %s, tail %s: %d insoluble of %d"
+          % (mu, ",".join(map(str, tail)), len(scan.insoluble), len(scan.rows)))
     if cfg["expect_soluble"] and not scan.all_soluble:
         return 1
     return 0

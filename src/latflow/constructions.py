@@ -63,7 +63,7 @@ def unit_lower_elimination(g: ExactMatrix):
     n = g.nrows
     if g.ncols != n:
         raise ValueError("square matrices only")
-    work = [[rat(x) for x in row] for row in g.rows]
+    work = [list(row) for row in g.rows]
     h = [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = work[col][col]
@@ -74,7 +74,7 @@ def unit_lower_elimination(g: ExactMatrix):
             if f != 0:
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
                 h[i] = [x - f * y for x, y in zip(h[i], h[col])]
-    return ExactMatrix(h), ExactMatrix(work)
+    return ExactMatrix._trusted(h), ExactMatrix._trusted(work)
 
 
 def _is_unit_triangular(g: ExactMatrix, lower: bool) -> bool:

@@ -349,7 +349,7 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
         d, cols = _integral_translate(system, xi, window)
         pts = enumerate_basis_in_box(
             cols,
-            Box((window.radius * d,) * (window.k + 1), (True,) + (False,) * window.k, EXACT),
+            Box((window.radius * d,) * (window.k + 1), (True,) + (False,) * window.k),
             EXACT,
             budget,
             first_only=True,
@@ -407,9 +407,7 @@ def minkowski_soluble(forms: ExactMatrix, alphas, mu=1, budget=DEFAULT_NODE_BUDG
     if len(alphas) != n or any(not a > 0 for a in alphas):
         raise ValueError("need %d positive bounds" % n)
     mu = rat(mu)
-    box = Box(
-        tuple(mu * a for a in alphas), (True,) + (False,) * (n - 1), EXACT
-    )
+    box = Box(tuple(mu * a for a in alphas), (True,) + (False,) * (n - 1))
     pts = enumerate_basis_in_box(
         forms.columns(), box, EXACT, budget=budget, first_only=True
     )

@@ -25,9 +25,14 @@ points of such columns, and `shortest_sup_norm` takes columns on either
 backend.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
-a leaf callback.  It visits one point of each +-v pair, the one whose last
-nonzero coefficient is negative: the node budget counts that half tree, and
-a FaceProximity warning fires once per pair it visits.
+a leaf callback.  A `Box` carries no backend: it holds its bounds as given,
+and the walk's `backend` argument names their scalar kind once.  One rule
+holds: an exact walk refuses a float anywhere (`BackendMismatch`), in a
+basis entry or a bound; a float walk computes in floats and refuses a
+`Fraction` bound.  Ints serve both.  The walk visits one point of each
++-v pair, the one whose last nonzero coefficient is negative: the node
+budget counts that half tree, and a FaceProximity warning fires once per
+pair it visits.
 `enumerate_basis_in_box` collects the points, pulls their coefficients back
 to the given basis and adds each point's mirror; `enumerate_in_box` is
 built on it.  `shortest_sup_norm` walks the closed unit cube once itself,
@@ -47,12 +52,11 @@ from . import linalg
 from .backend import (
     EXACT,
     FLOAT,
+    BackendMismatch,
     BudgetExceeded,
     FLOAT_SLACK,
     Rat,
-    check_same_backend,
     rat,
-    scalar,
     warn_if_near_face,
 )
 from .algebra import ExactMatrix, _det_is_one
@@ -63,21 +67,17 @@ DEFAULT_NODE_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class Box:
     """Origin-symmetric box {v : |v_i| <~ bounds_i} with a per-coordinate
-    closed (<=) or open (<) face flag."""
+    closed (<=) or open (<) face flag.  The bounds are kept as given; a
+    walk takes them as the scalar kind its `backend` argument names."""
 
     bounds: tuple
     closed: tuple
-    backend: str = EXACT
 
     def __post_init__(self):
-        b = tuple(scalar(x, self.backend) for x in self.bounds)
-        c = tuple(bool(f) for f in self.closed)
-        if len(b) != len(c):
+        if len(self.bounds) != len(self.closed):
             raise ValueError("bounds/closed length mismatch")
-        if any(not x > 0 for x in b):
+        if any(not x > 0 for x in self.bounds):  # nan fails too
             raise ValueError("box bounds must be positive")
-        object.__setattr__(self, "bounds", b)
-        object.__setattr__(self, "closed", c)
 
     @property
     def dim(self):
@@ -113,10 +113,6 @@ class Lattice:
         d = b.det()
         if not _det_is_one(d, up_to_sign=True):
             raise ValueError("basis is not unimodular (det = %r)" % (d,))
-
-    @classmethod
-    def standard(cls, n):
-        return cls(ExactMatrix.identity(n))
 
     @property
     def n(self):
@@ -157,18 +153,22 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
     mirror -point, -xs is in the box too, and the leaf is not called on it.
     A true return from leaf stops the walk.  Returns u_cols, the columns of
     the unimodular U that pulls xs back to coefficients w.r.t. the given
-    basis.  Raises BudgetExceeded after budget nodes of this half tree, and
-    BackendMismatch for a box on another backend than `backend`.
+    basis.  Raises BudgetExceeded after budget nodes of this half tree.
+
+    The backend names the scalar kind of the box bounds.  The exact walk
+    takes each bound through `rat` and each basis entry too, so a float
+    anywhere raises BackendMismatch; the float walk divides the columns
+    by the bounds in floats and raises BackendMismatch for a Fraction
+    bound.  Int bounds serve both.
 
     shrink=True lowers the search sphere to sphere(m), about n m^2, at each
     point found, m its sup-norm in the normalised box: the walk reaches
     every point no longer than the shortest so far and skips most others.
     """
-    check_same_backend(backend, box.backend)
     n = len(basis_cols)
     if box.dim != n:
         raise ValueError("box/basis dimension mismatch")
-    bounds, closed = box.bounds, box.closed
+    closed = box.closed
     xs = [0] * n
     # Normalize each coordinate by its box bound: enumerate diag(bounds)^-1
     # B Z^n in the unit box instead of B Z^n in the original one.  Integer
@@ -191,6 +191,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
         # Radii are kept as integers over the one denominator
         # M = lcm_j(d_j d_{j+1}), so the step is w_j y^2 with
         # w_j = M / (d_j d_{j+1}), and |y| <= isqrt(rem // w_j) is exact.
+        bounds = [rat(b) for b in box.bounds]
         scale, cols = _integral_box_basis(basis_cols, bounds)
         reduced, u_cols, lam, d = linalg.lll_integral(cols)
         den = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
@@ -221,11 +222,15 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
             if not _inside(v, unit, closed, EXACT):
                 return None
             return tuple(Rat(v[i] * nums[i], dens[i]) for i in range(n))
-    else:
-        cols = [
-            [scalar(c[i], backend) / bounds[i] for i in range(n)]
-            for c in basis_cols
-        ]
+    elif backend == FLOAT:
+        if any(isinstance(b, Rat) for b in box.bounds):
+            raise BackendMismatch(
+                "refusing a Fraction bound on the float backend: %r" % (box.bounds,)
+            )
+        # dividing by a float bound takes an int or Fraction entry to
+        # float(entry) / bound, so the columns are floats on any input
+        bounds = [float(b) for b in box.bounds]
+        cols = [[c[i] / bounds[i] for i in range(n)] for c in basis_cols]
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
         r2 = n * (1.0 + FLOAT_SLACK)
 
@@ -255,6 +260,8 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
             if not _inside(v, unit, closed, FLOAT):
                 return None
             return tuple(map(mul, v, bounds))
+    else:
+        raise ValueError("unknown backend %r" % (backend,))
 
     nodes = 0
 
@@ -333,8 +340,9 @@ def enumerate_basis_in_box(
     first_only=True stops at the first point found (DFS order, so which one
     is unspecified but deterministic).  Solubility decisions need this: at
     rational inputs a window can legitimately hold millions of points, and
-    emptiness is the only question.  A box on another backend than
-    `backend` raises BackendMismatch.
+    emptiness is the only question.  The backend names the scalar kind of
+    the box bounds; a float bound on the exact backend, or a Fraction bound
+    on the float one, raises BackendMismatch (see `_walk`).
     """
     found = []
 
@@ -367,7 +375,7 @@ def enumerate_in_box(lat: Lattice, box: Box, budget=DEFAULT_NODE_BUDGET, first_o
 
 def avoids_open_unit_box(lat: Lattice) -> bool:
     """True iff the open unit box meets the lattice only at 0."""
-    box = Box((1,) * lat.n, (False,) * lat.n, EXACT)
+    box = Box((1,) * lat.n, (False,) * lat.n)
     return not enumerate_in_box(lat, box, first_only=True)
 
 
@@ -393,7 +401,7 @@ class Tent:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "height", height)
         bounds = tuple((cx if cx >= 0 else -cx) + radius for cx in center)
-        object.__setattr__(self, "support_box", Box(bounds, (True,) * len(center), FLOAT))
+        object.__setattr__(self, "support_box", Box(bounds, (True,) * len(center)))
 
     @property
     def dim(self):
@@ -452,7 +460,7 @@ def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):
         return False
 
     n = len(basis_cols)
-    cube = Box((1,) * n, (True,) * n, backend)
+    cube = Box((1,) * n, (True,) * n)
     _walk(basis_cols, cube, backend, budget, keep, shrink=True)
     if best is None:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")

@@ -527,7 +527,7 @@ def _points_ok(points, n, m1):
 
 def _shear_actions(rep: RepSpace, points):
     """The representation matrix of the shear u(e), once per point."""
-    return [rep.group_matrix(row_unipotent([rat(x) for x in e])) for e in points]
+    return [rep.group_matrix(row_unipotent(e)) for e in points]
 
 
 def _space_from_actions(split: WeightSplit, actions) -> Subspace:

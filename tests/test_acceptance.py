@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from latflow import (
-    EXACT,
     Box,
     Curve,
     ExactMatrix,
@@ -87,7 +86,7 @@ def test_criterion_01_exact_enumeration_matches_oracle():
             if _brute.scan_cost(g.columns(), bounds) > 30_000:
                 continue  # keep the full coefficient scan affordable
             closed = tuple(rng.random() < 0.5 for _ in range(n))
-            box = Box(bounds, closed, EXACT)
+            box = Box(bounds, closed)
             mine = sorted(tuple(x for x in p) for p in enumerate_in_box(Lattice(g), box))
             ref = _brute.enumerate_box(g.columns(), bounds, closed)
             assert [tuple(map(str, p)) for p in mine] == [

@@ -13,7 +13,6 @@ from latflow.backend import (
     FLOAT,
     BackendMismatch,
     Rat,
-    format_scalar,
     rat,
 )
 from latflow import linalg
@@ -117,7 +116,7 @@ def test_rat_refuses(x, error):
 
 @given(rationals)
 def test_scalar_roundtrip(q):
-    s = format_scalar(rat(q), EXACT)
+    s = str(rat(q))
     assert rat(s) == rat(q)
 
 

@@ -20,7 +20,6 @@ from latflow.backend import (
     FaceProximity,
     Rat,
     rat,
-    scalar,
 )
 from latflow.algebra import ExactMatrix, row_unipotent
 from latflow.linalg import clear_denominators
@@ -45,6 +44,11 @@ def _columns(g, backend):
     return cols if backend == EXACT else [[float(x) for x in col] for col in cols]
 
 
+def _backend_scalar(x, backend):
+    """The rational x as the backend's scalar: a Fraction, or its float."""
+    return rat(x) if backend == EXACT else float(x)
+
+
 def _exact_shear(weights, shift):
     """diag(prod w, 1/w_1, ...) u(shift) on exact weights and shifts."""
     total = Rat(1)
@@ -54,23 +58,24 @@ def _exact_shear(weights, shift):
 
 
 def test_box_face_flags():
-    b = Box((1, 1), (True, False), EXACT)
-    assert lattice._inside((1, 0), b.bounds, b.closed, b.backend)  # closed face
-    assert not lattice._inside((0, 1), b.bounds, b.closed, b.backend)  # open face
-    assert lattice._inside((rat("-1"), rat("99/100")), b.bounds, b.closed, b.backend)
+    b = Box((1, 1), (True, False))
+    assert lattice._inside((1, 0), b.bounds, b.closed, EXACT)  # closed face
+    assert not lattice._inside((0, 1), b.bounds, b.closed, EXACT)  # open face
+    assert lattice._inside((rat("-1"), rat("99/100")), b.bounds, b.closed, EXACT)
 
 
 def test_box_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Box((0, 1), (True, True), EXACT)
-    with pytest.raises(ValueError):
-        Box((1,), (True, True), EXACT)
+    for bounds in [(0, 1), (1, math.nan), (Rat(-1, 2), 1), (1.0, -2.0)]:
+        with pytest.raises(ValueError, match="box bounds must be positive"):
+            Box(bounds, (True, True))
+    with pytest.raises(ValueError, match="length mismatch"):
+        Box((1,), (True, True))
 
 
 def test_float_box_warns_near_face():
-    b = Box((1.0, 1.0), (True, True), FLOAT)
+    b = Box((1.0, 1.0), (True, True))
     with pytest.warns(FaceProximity):
-        lattice._inside((1.0 - 1e-12, 0.0), b.bounds, b.closed, b.backend)
+        lattice._inside((1.0 - 1e-12, 0.0), b.bounds, b.closed, FLOAT)
 
 
 def test_lattice_requires_unimodular():
@@ -85,20 +90,20 @@ def test_lattice_requires_unimodular():
         experiments._check_triangular_det([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match=re.escape("(det = 2.0)")):
         experiments._checked_columns([[2.0, 0.0], [0.0, 1.0]])
-    assert Lattice.standard(3).n == 3
+    assert Lattice(ExactMatrix.identity(3)).n == 3
     assert Lattice(ExactMatrix([[Rat(2, 3), Rat(5, 7)], [0, Rat(-3, 2)]])).n == 2
 
 
 def test_enumerate_standard_lattice():
     # Z^2 in the closed square of radius 2: 24 nonzero points
-    pts = enumerate_in_box(Lattice.standard(2), Box((2, 2), (True, True), EXACT))
+    pts = enumerate_in_box(Lattice(ExactMatrix.identity(2)), Box((2, 2), (True, True)))
     assert len(pts) == 24
     assert all(max(abs(int(x)) for x in p) <= 2 for p in pts)
     assert (0, 0) not in {tuple(int(x) for x in p) for p in pts}
 
 
 def test_enumerate_open_box_drops_faces():
-    pts = enumerate_in_box(Lattice.standard(2), Box((1, 1), (False, False), EXACT))
+    pts = enumerate_in_box(Lattice(ExactMatrix.identity(2)), Box((1, 1), (False, False)))
     assert pts == []  # only the origin lies strictly inside
 
 
@@ -109,18 +114,18 @@ def test_float_leaf_keeps_face_flags():
     for closed, want in [((False, False), []), ((True, False), [(-1.0, 0.0), (1.0, 0.0)]),
                          ((True, True), [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, -1.0),
                                          (0.0, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)])]:
-        box = Box((1.0, 1.0), closed, FLOAT)
+        box = Box((1.0, 1.0), closed)
         with pytest.warns(FaceProximity):
             pts = [p for p, _ in enumerate_basis_in_box(z2, box, FLOAT)]
         assert pts == want
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
-            assert all(lattice._inside(p, box.bounds, box.closed, box.backend) for p in pts)
+            assert all(lattice._inside(p, box.bounds, box.closed, FLOAT) for p in pts)
 
 
 def test_enumerate_skew_matches_brute():
     g = ExactMatrix([[1, rat("7/3")], [0, 1]])
-    box = Box((rat("5/2"), rat("4/3")), (True, False), EXACT)
+    box = Box((rat("5/2"), rat("4/3")), (True, False))
     mine = sorted(tuple(x for x in p) for p in enumerate_in_box(Lattice(g), box))
     ref = _brute.enumerate_box(g.columns(), box.bounds, box.closed)
     assert [tuple(map(str, p)) for p in mine] == [tuple(map(str, p)) for p in ref]
@@ -136,7 +141,7 @@ def test_enumerate_matches_brute_random(seed):
     closed = [rng.random() < 0.5 for _ in range(n)]
     if _brute.scan_cost(g.columns(), bounds) > 30_000:
         return  # keep the oracle affordable
-    box = Box(tuple(bounds), tuple(closed), EXACT)
+    box = Box(tuple(bounds), tuple(closed))
     mine = sorted(tuple(x for x in p) for p in enumerate_in_box(Lattice(g), box))
     ref = _brute.enumerate_box(g.columns(), bounds, closed)
     assert [tuple(map(str, p)) for p in mine] == [tuple(map(str, p)) for p in ref]
@@ -165,8 +170,8 @@ def test_float_and_exact_enumeration_differ_only_near_faces():
         ebounds = [exact(b) for b in bounds]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
-            fl = enumerate_basis_in_box(fcols, Box(tuple(bounds), tuple(closed), FLOAT), FLOAT)
-        ex = enumerate_basis_in_box(ecols, Box(tuple(ebounds), tuple(closed), EXACT), EXACT)
+            fl = enumerate_basis_in_box(fcols, Box(tuple(bounds), tuple(closed)), FLOAT)
+        ex = enumerate_basis_in_box(ecols, Box(tuple(ebounds), tuple(closed)), EXACT)
         fl_coeffs, ex_coeffs = {c for _, c in fl}, {c for _, c in ex}
         for coeffs in fl_coeffs ^ ex_coeffs:
             point = [sum(col[i] * x for col, x in zip(ecols, coeffs)) for i in range(n)]
@@ -176,18 +181,52 @@ def test_float_and_exact_enumeration_differ_only_near_faces():
     assert agreed > 100
 
 
+def test_float_walk_takes_rational_columns_as_their_floats():
+    # the float walk divides each entry by its bound taken as a float, which
+    # turns an int or Fraction entry into float(entry) / bound: on seeded
+    # rational bases, with int and float bounds, the points, coefficients
+    # and shortest vectors are those of the columns rounded to floats
+    def mixed(x):  # an integral Fraction as an int, so both kinds occur
+        return int(x) if x.denominator == 1 else x
+
+    rng = random.Random(37)
+    kinds = set()
+    for case in range(90):
+        n = 2 + case % 3
+        rows = _brute.random_unimodular(rng, n)
+        cols = [[mixed(Rat(rows[i][j]) + rng.choice((0, 0, Rat(1, 3), Rat(-2, 7), Rat(5, 2))))
+                 for i in range(n)] for j in range(n)]
+        if _brute.det_reference(cols) == 0:
+            continue
+        fcols = [[float(x) for x in col] for col in cols]
+        bounds = tuple(rng.choice((1, 2, 1.5, 1.25, rng.uniform(0.5, 2.5))) for _ in range(n))
+        closed = tuple(rng.random() < 0.5 for _ in range(n))
+        shortest = [[mixed(x) for x in col] for col in _covolume_one_basis(rng, min(n, 3)).columns()]
+        kinds.update(type(x) for col in cols + shortest for x in col)
+        kinds.update(type(b) for b in bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            got = enumerate_basis_in_box(cols, Box(bounds, closed), FLOAT)
+            want = enumerate_basis_in_box(fcols, Box(tuple(map(float, bounds)), closed), FLOAT)
+            assert repr(got) == repr(want)
+            got = shortest_sup_norm(shortest, FLOAT)
+            want = shortest_sup_norm([[float(x) for x in col] for col in shortest], FLOAT)
+        assert type(got) is float and repr(got) == repr(want)
+    assert kinds == {int, Fraction, float}
+
+
 def test_first_only_returns_valid_point():
     g = ExactMatrix([[1, rat("7/3")], [0, 1]])
-    box = Box((rat("5/2"), rat("4/3")), (True, True), EXACT)
+    box = Box((rat("5/2"), rat("4/3")), (True, True))
     hits = enumerate_basis_in_box(g.columns(), box, EXACT, first_only=True)
     assert len(hits) == 1
-    assert lattice._inside(hits[0][0], box.bounds, box.closed, box.backend)
+    assert lattice._inside(hits[0][0], box.bounds, box.closed, EXACT)
 
 
 def test_budget_blows_up():
-    big = Box((60, 60), (True, True), EXACT)
+    big = Box((60, 60), (True, True))
     with pytest.raises(BudgetExceeded):
-        enumerate_in_box(Lattice.standard(2), big, budget=50)
+        enumerate_in_box(Lattice(ExactMatrix.identity(2)), big, budget=50)
 
 
 def _hang(signum, frame):
@@ -200,7 +239,7 @@ def test_exact_walk_counts_nodes_on_skewed_bases(e):
     # 10^2e: the interval at the bottom level holds about 10^e integers,
     # and every one of them must count against the budget
     cols = [[Rat(1, 10**e), 0], [0, Rat(10**e)]]
-    box = Box((1, 1), (True, True), EXACT)
+    box = Box((1, 1), (True, True))
     old = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(10)
     try:
@@ -269,7 +308,7 @@ def test_integral_box_basis_takes_int_entries_as_they_are():
         bounds = [Rat(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
         got = lattice._integral_box_basis(cols, bounds)
         assert got == lattice._integral_box_basis([[Rat(x) for x in col] for col in cols], bounds)
-    box = Box((Rat(3, 2),) * 2, (True, False), EXACT)
+    box = Box((Rat(3, 2),) * 2, (True, False))
     with pytest.raises(BackendMismatch):
         enumerate_basis_in_box([[2.0, 0], [0, 1]], box, EXACT)
 
@@ -285,7 +324,7 @@ def test_integer_walk_matches_fraction_oracles(seed):
         cols, bounds, closed = _rational_case(rng)
         if _brute.det_reference(cols) == 0 or _brute.scan_cost(cols, bounds) > 2500:
             continue
-        box = Box(tuple(bounds), tuple(closed), EXACT)
+        box = Box(tuple(bounds), tuple(closed))
         oracle = _brute.enumerate_box_coeffs(cols, bounds, closed)
         for first_only in (False, True):
             hits, nodes = _brute.fincke_pohst_reference(cols, bounds, closed, first_only)
@@ -324,7 +363,7 @@ def test_mirrors_equal_the_walk_bit_for_bit():
             bounds = tuple(rng.choice((Rat(1), Rat(3, 2), Rat(2), Rat(7, 3))) for _ in range(n))
         if _brute.det_reference(cols) == 0:
             continue
-        box = Box(bounds, tuple(rng.random() < 0.5 for _ in range(n)), backend)
+        box = Box(bounds, tuple(rng.random() < 0.5 for _ in range(n)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
             mine = enumerate_basis_in_box(cols, box, backend)
@@ -337,16 +376,16 @@ def test_mirrors_equal_the_walk_bit_for_bit():
 
 def test_coefficients_reproduce_points():
     g = ExactMatrix([[2, 1], [1, 1]])
-    box = Box((3, 3), (True, True), EXACT)
+    box = Box((3, 3), (True, True))
     for point, coeff in enumerate_basis_in_box(g.columns(), box, EXACT):
         v = _brute.mat_vec(g.rows, coeff)
         assert tuple(v) == tuple(point)
 
 
 def test_avoidance_helpers():
-    assert avoids_open_unit_box(Lattice.standard(2))  # faces don't count
+    assert avoids_open_unit_box(Lattice(ExactMatrix.identity(2)))  # faces don't count
     # the closed head face does count in the solubility window
-    assert enumerate_in_box(Lattice.standard(2), Box((1, 1), (True, False), EXACT), first_only=True)
+    assert enumerate_in_box(Lattice(ExactMatrix.identity(2)), Box((1, 1), (True, False)), first_only=True)
     # unit triangular bases always avoid (coordinates vanish bottom-up)
     assert avoids_open_unit_box(
         Lattice(ExactMatrix([[1, rat("1/2")], [0, 1]]))
@@ -362,7 +401,7 @@ def test_tent_values_and_integral():
     assert t.value((1, 0)) == 0.5  # sup-norm distance 1 of radius 2
     assert t.value((2, 2)) == 0
     assert t.integral() == 16.0 / 3.0  # (2r)^d h / (d+1) at r=2, d=2
-    assert t.support_box == Box((2.0, 2.0), (True, True), FLOAT)
+    assert t.support_box == Box((2.0, 2.0), (True, True))
     # a radius or height that is not finite and > 0, or a center that is not
     # finite, is refused
     for bad in [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
@@ -426,14 +465,16 @@ def test_covolume_one_bases_have_other_minima_than_one():
 
 def test_enumeration_refuses_mixed_backends():
     cols = ((1, 0), (0, 1))
-    exact_box = Box((Rat(3, 2),) * 2, (True, True), EXACT)
-    float_box = Box((1.5, 1.5), (True, True), FLOAT)
+    exact_box = Box((Rat(3, 2),) * 2, (True, True))
+    float_box = Box((1.5, 1.5), (True, True))
     with pytest.raises(BackendMismatch):
         enumerate_basis_in_box(cols, float_box, EXACT)  # exact columns, float box
     with pytest.raises(BackendMismatch):
         enumerate_basis_in_box(cols, exact_box, FLOAT)  # float columns, exact box
     with pytest.raises(BackendMismatch):
-        enumerate_in_box(Lattice.standard(2), float_box)
+        enumerate_in_box(Lattice(ExactMatrix.identity(2)), float_box)
+    with pytest.raises(ValueError, match="unknown backend"):
+        enumerate_basis_in_box(cols, exact_box, "rational")
     assert len(enumerate_basis_in_box(cols, exact_box, EXACT)) == 8
     assert len(enumerate_basis_in_box(cols, float_box, FLOAT)) == 8
 
@@ -454,9 +495,9 @@ def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, ba
     on_faces = pytest.warns(FaceProximity) if backend == FLOAT else contextlib.nullcontext()
     with on_faces:
         got = shortest_sup_norm(_columns(ExactMatrix.identity(n), backend), backend)
-    assert got == 1 and type(got) is type(scalar(1, backend))
+    assert got == 1 and type(got) is type(_backend_scalar(1, backend))
     assert len(calls) == 1
-    assert calls[0].bounds == (scalar(1, backend),) * n and all(calls[0].closed)
+    assert calls[0].bounds == (_backend_scalar(1, backend),) * n and all(calls[0].closed)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
@@ -467,11 +508,11 @@ def test_shortest_of_a_nearly_divergent_translate_skips_the_multiples(weight, ba
     # w = 2^12.  The walk whose sphere shrinks at each point found skips
     # them; a walk of the whole cube visits each
     cols = _columns(_exact_shear((Rat(weight),), (Rat(1, 3),)), backend)
-    cube = Box((1, 1), (True, True), backend)
+    cube = Box((1, 1), (True, True))
     with pytest.raises(BudgetExceeded):
         enumerate_basis_in_box(cols, cube, backend, budget=50)
     got = shortest_sup_norm(cols, backend, budget=50)
-    assert repr(got) == repr(scalar(Rat(3, weight), backend))
+    assert repr(got) == repr(_backend_scalar(Rat(3, weight), backend))
     if weight == 2**12:  # small enough to list the whole cube
         want = min(max(map(abs, p)) for p, _ in enumerate_basis_in_box(cols, cube, backend))
         assert repr(got) == repr(want)
@@ -502,7 +543,7 @@ def test_shortest_of_rational_shears_matches_the_cube(backend):
         shift = tuple(Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
         g = _exact_shear(weights, shift)
         n = g.nrows
-        cube = Box((1,) * n, (True,) * n, backend)
+        cube = Box((1,) * n, (True,) * n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
             pts = [p for p, _ in enumerate_basis_in_box(_columns(g, backend), cube, backend)]
@@ -530,7 +571,7 @@ def _thin_case(rng, backend):
     bounds = tuple(rng.choice((Rat(1), Rat(1, 2), Rat(5, 4), Rat(3, 2))) for _ in range(n))
     closed = tuple(rng.random() < 0.5 for _ in range(n))
     lat = Lattice(g) if backend == EXACT else _columns(g, FLOAT)
-    return lat, Box(bounds if backend == EXACT else tuple(map(float, bounds)), closed, backend)
+    return lat, Box(bounds if backend == EXACT else tuple(map(float, bounds)), closed)
 
 
 def _nodes(run):
@@ -577,7 +618,7 @@ def test_thin_callers_agree_with_the_full_walk(backend):
             lat, box = _thin_case(rng, backend)
             cols = lat.basis.columns() if backend == EXACT else lat
             n = len(cols)
-            cube = Box((1,) * n, (True,) * n, backend)
+            cube = Box((1,) * n, (True,) * n)
             full = enumerate_basis_in_box(cols, box, backend)
             first = enumerate_basis_in_box(cols, box, backend, first_only=True)
             nodes = _nodes(lambda b: enumerate_basis_in_box(cols, box, backend, budget=b))
