@@ -9,10 +9,12 @@ A window (weights N_1..N_k, radius mu) asks for nonzero integer solutions of
 with the first inequality closed and all others open; this matches the
 face flags of the enumeration window exactly, so each system is soluble if
 and only if the corresponding diagonal-times-shear translate of Z^n puts a
-nonzero point in the window box.  Every decision here runs on the exact
-backend; two independent routes (direct loops over the inequality system
-and lattice-point enumeration) are compared whenever the direct loop is
-affordable.
+nonzero point in the window box.  Every decision here is exact; two
+independent routes are compared whenever the direct loop is affordable.
+The direct route loops over the inequality system on Python integers,
+each inequality scaled by the common denominator of its two sides; the
+lattice route enumerates the integral translate.  The two share no
+helper, so a fault in one cannot hide in the other.
 
 The two systems are exchanged by the outer involution of SL(k+1), and one
 decider serves both: each system brings only what is its own, namely its
@@ -221,73 +223,93 @@ def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
     return _translate_matrix("dual", window, phi)
 
 
-def _closed_int_range(lo_val, hi_val):
-    return math.ceil(lo_val), math.floor(hi_val)
+def _strict_top(num, den):
+    """Largest integer m with m < num / den (den > 0)."""
+    return (num - 1) // den
 
 
-def _open_int_range(lo_val, hi_val):
-    lo = math.floor(lo_val) + 1
-    hi = math.ceil(hi_val) - 1
-    return lo, hi
+def _primal_q_tops(window: WindowSpec):
+    """Largest |q_j| with |q_j| < mu N_j, one per weight."""
+    mn, md = window.radius.as_integer_ratio()
+    tops = []
+    for w in window.weights:
+        wn, wd = w.as_integer_ratio()
+        tops.append(_strict_top(mn * wn, md * wd))
+    return tops
 
 
-def _strict_abs_max(bound):
-    """Largest integer m with m < bound (bound rational > 0)."""
-    return math.ceil(bound) - 1
+def _dual_q_top(window: WindowSpec):
+    """Largest |q| with |q| < mu prod N."""
+    mn, md = window.radius.as_integer_ratio()
+    tn, td = window.total_weight().as_integer_ratio()
+    return _strict_top(mn * tn, md * td)
 
 
+# The direct loops run on integers: each inequality is scaled by the common
+# denominator of its two sides, and every range is taken by floor division
+# (-(-a // b) for a ceiling).  They share no helper with the lattice route.
 def _primal_direct(xi, window: WindowSpec):
-    mu, total = window.radius, window.total_weight()
-    beta = mu / total
-    q_tops = [_strict_abs_max(mu * w) for w in window.weights]
-    for q in itertools.product(*[range(-t, t + 1) for t in q_tops]):
-        target = Rat(0)
-        for qj, xj in zip(q, xi):
-            target = target + qj * xj
-        lo, hi = _closed_int_range(target - beta, target + beta)
-        for p in range(lo, hi + 1):
+    # with L the lcm of the denominators of xi and mu / prod N = bn / bd,
+    # q . xi = t / (L bd) and p runs over ceil((t - half) / den) ..
+    # floor((t + half) / den) for den = L bd and half = bn L
+    fracs = [x.as_integer_ratio() for x in xi]
+    lcm = math.lcm(*(d for _, d in fracs))
+    mn, md = window.radius.as_integer_ratio()
+    tn, td = window.total_weight().as_integer_ratio()
+    bn, bd = mn * td, md * tn
+    den, half = lcm * bd, bn * lcm
+    steps = [n * (lcm // d) * bd for n, d in fracs]
+    for q in itertools.product(*[range(-t, t + 1) for t in _primal_q_tops(window)]):
+        t = 0
+        for qj, s in zip(q, steps):
+            t += qj * s
+        for p in range(-((half - t) // den), (t + half) // den + 1):
             if p == 0 and not any(q):
                 continue
-            return True, (p, tuple(q))
+            return True, (p, q)
     return False, None
 
 
 def _primal_direct_cost(window: WindowSpec):
     cost = 1
-    for w in window.weights:
-        cost *= 2 * _strict_abs_max(window.radius * w) + 1
+    for t in _primal_q_tops(window):
+        cost *= 2 * t + 1
     return cost
 
 
 def _dual_direct(xi, window: WindowSpec):
-    mu = window.radius
-    q_top = _strict_abs_max(mu * window.total_weight())
-    k = window.k
-    for q in range(-q_top, q_top + 1):
+    # form j over den = d bd, for xi_j = n / d and mu / N_j = bn / bd: the
+    # center -q xi_j is -q step / den and the half-width half / den
+    mn, md = window.radius.as_integer_ratio()
+    forms = []
+    for x, w in zip(xi, window.weights):
+        n, d = x.as_integer_ratio()
+        wn, wd = w.as_integer_ratio()
+        bn, bd = mn * wd, md * wn
+        forms.append((n * bd, bn * d, d * bd))
+    last = len(forms) - 1
+    top = _dual_q_top(window)
+    for q in range(-top, top + 1):
         ranges = []
-        feasible = True
-        for j in range(k):
-            center = -(q * xi[j])
-            beta = mu / window.weights[j]
-            if j == k - 1:
-                lo, hi = _closed_int_range(center - beta, center + beta)
-            else:
-                lo, hi = _open_int_range(center - beta, center + beta)
+        for j, (step, half, den) in enumerate(forms):
+            c = -q * step
+            if j == last:  # closed
+                lo, hi = -((half - c) // den), (c + half) // den
+            else:  # open
+                lo, hi = (c - half) // den + 1, -((-c - half) // den) - 1
             if lo > hi:
-                feasible = False
                 break
             ranges.append(range(lo, hi + 1))
-        if not feasible:
-            continue
-        for ps in itertools.product(*ranges):
-            if q == 0 and not any(ps):
-                continue
-            return True, (q, tuple(ps))
+        else:
+            for ps in itertools.product(*ranges):
+                if q == 0 and not any(ps):
+                    continue
+                return True, (q, ps)
     return False, None
 
 
 def _dual_direct_cost(window: WindowSpec):
-    return 2 * _strict_abs_max(window.radius * window.total_weight()) + 1
+    return 2 * _dual_q_top(window) + 1
 
 
 # The witness checks cross-multiply each inequality by the positive
@@ -338,6 +360,8 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
     direct loop and that loop's iteration count, the map from lattice
     coefficients to its witness, and its witness check.  The lattice route
     walks the integral translate D B in the window box scaled by D."""
+    if route not in ("auto", "direct", "lattice"):
+        raise ValueError("unknown route %r; choose auto, direct or lattice" % (route,))
     xi = tuple(rat(x) for x in xi)
     if len(xi) != window.k:
         raise ValueError("point/window dimension mismatch")
@@ -355,8 +379,6 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
             first_only=True,
         )
         answers["lattice"] = (True, witness_of(pts[0][1])) if pts else (False, None)
-    if not answers:
-        raise ValueError("no route ran")
     kinds = {s for s, _ in answers.values()}
     if len(kinds) > 1:
         raise RouteDisagreement(

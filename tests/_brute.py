@@ -237,6 +237,60 @@ def dual_soluble(xi, weights, mu):
     return False
 
 
+def primal_direct_reference(xi, weights, mu):
+    """(soluble, witness) of the primal system by the direct loop over
+    Fractions: q in itertools.product order over |q_j| < mu N_j, then p
+    upward over the closed range around q . xi; the first hit is the
+    witness (p, q)."""
+    xi = [frac(x) for x in xi]
+    weights = [frac(w) for w in weights]
+    mu = frac(mu)
+    total = Fraction(1)
+    for w in weights:
+        total *= w
+    beta = mu / total
+    tops = [_strict_top(mu * w) for w in weights]
+    for q in product(*[range(-t, t + 1) for t in tops]):
+        target = sum((qj * xj for qj, xj in zip(q, xi)), Fraction(0))
+        for p in range(_ceil(target - beta), _floor(target + beta) + 1):
+            if p == 0 and not any(q):
+                continue
+            return True, (p, tuple(q))
+    return False, None
+
+
+def dual_direct_reference(xi, weights, mu):
+    """(soluble, witness) of the dual system by the direct loop over
+    Fractions: q upward over |q| < mu prod(N), then (p_1..p_k) in
+    itertools.product order over each form's range, open for j < k and
+    closed for the last form; the first hit is the witness (q, p)."""
+    xi = [frac(x) for x in xi]
+    weights = [frac(w) for w in weights]
+    mu = frac(mu)
+    total = Fraction(1)
+    for w in weights:
+        total *= w
+    k = len(weights)
+    for q in range(-_strict_top(mu * total), _strict_top(mu * total) + 1):
+        ranges = []
+        for j in range(k):
+            center = -q * xi[j]
+            beta = mu / weights[j]
+            if j == k - 1:
+                lo, hi = _ceil(center - beta), _floor(center + beta)
+            else:
+                lo, hi = _floor(center - beta) + 1, _ceil(center + beta) - 1
+            if lo > hi:
+                break
+            ranges.append(range(lo, hi + 1))
+        else:
+            for ps in product(*ranges):
+                if q == 0 and not any(ps):
+                    continue
+                return True, (q, tuple(ps))
+    return False, None
+
+
 def improvability_flags(points, weight_rows, mu):
     """Per point: both systems are soluble at every weight row."""
     return [

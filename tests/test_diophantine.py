@@ -1,4 +1,8 @@
+import inspect
+import math
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -423,3 +427,256 @@ def test_witness_checks_on_faces():
     assert not dual((Rat(0), Rat(0)), w, (5, (0, 0)))  # |q| = mu prod N = 5
     assert dual((Rat(0), Rat(0)), w, (4, (0, 0)))
     assert not dual((Rat(0), Rat(0)), w, (0, (0, 0)))
+
+
+# -- the direct loops on integers ------------------------------------------------
+
+
+_DIRECT_CAP = 1500  # the largest loop cost the witness-identity test runs
+
+
+def _direct_case(rng):
+    """A seeded window and point for the witness-identity test: k = 1..3,
+    negative and positive xi with denominators up to 40, and per weight an
+    integer, a Fraction, or m / mu so that mu N_j = m is integral (the open
+    face of |q_j| < mu N_j)."""
+    k = rng.randint(1, 3)
+    mu = Rat(rng.randint(1, 16), 16)
+    weights = []
+    for _ in range(k):
+        kind = rng.randrange(3)
+        if kind == 0:
+            weights.append(Rat(rng.randint(1, 6)))
+        elif kind == 1:
+            weights.append(1 + Rat(rng.randint(0, 20), rng.randint(1, 4)))
+        else:
+            weights.append(Rat(rng.randint(1, 4)) / mu)
+    xi = tuple(Rat(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(k))
+    return xi, WindowSpec(weights, mu)
+
+
+def _affordable(w):
+    return max(diophantine._primal_direct_cost(w), diophantine._dual_direct_cost(w)) <= _DIRECT_CAP
+
+
+def _assert_direct_matches_references(xi, w):
+    args = (xi, w.weights, w.radius)
+    primal = diophantine._primal_direct(xi, w)
+    dual = diophantine._dual_direct(xi, w)
+    assert primal == _brute.primal_direct_reference(*args), (xi, w)
+    assert dual == _brute.dual_direct_reference(*args), (xi, w)
+    return primal, dual
+
+
+def test_direct_loops_match_fraction_references():
+    # the integer loops return the same (soluble, witness) as the Fraction
+    # loops they replaced, so every witness of the cross-check stays the same
+    rng = random.Random(2323)
+    runs, solubles = 0, 0
+    while runs < 5000:
+        xi, w = _direct_case(rng)
+        if not _affordable(w):
+            continue
+        primal, dual = _assert_direct_matches_references(xi, w)
+        runs += 1
+        solubles += primal[0] + dual[0]
+    assert 2000 < solubles < 8000
+
+
+def test_direct_loops_on_faces():
+    # hand-built witnesses exactly on a face: |q . xi - p| = mu / prod N and
+    # |q xi_k + p_k| = mu / N_k are closed, so the loop finds a witness;
+    # |q xi_j + p_j| = mu / N_j (j < k) and |q_j| = mu N_j are open, so the
+    # candidate is never the witness returned
+    rng = random.Random(2324)
+    seen = {"primal closed": 0, "primal open": 0, "dual closed": 0, "dual open": 0}
+    while min(seen.values()) < 100:
+        w, pxi, primal, dxi, dual = _witness_case(rng)
+        if not _affordable(w):
+            continue
+        mu, total, k = w.radius, w.total_weight(), w.k
+        got = _assert_direct_matches_references(pxi, w)[0]
+        p, q = primal
+        if abs(sum(qj * x for qj, x in zip(q, pxi)) - p) == mu / total:
+            if all(abs(qj) < mu * n for qj, n in zip(q, w.weights)):
+                assert got[0]
+                seen["primal closed"] += 1
+            elif any(abs(qj) == mu * n for qj, n in zip(q, w.weights)):
+                assert got[1] != primal
+                seen["primal open"] += 1
+        got = _assert_direct_matches_references(dxi, w)[1]
+        dq, ps = dual
+        on_face = [abs(dq * x + pj) == mu / n for x, pj, n in zip(dxi, ps, w.weights)]
+        if any(on_face[:-1]):
+            assert got[1] != dual
+            seen["dual open"] += 1
+        elif on_face[-1] and abs(dq) < mu * total:
+            assert got[0]
+            seen["dual closed"] += 1
+
+
+def _q_visits(loop, xi, window):
+    """(the loop's answer, the number of q it visits), counted as line
+    events on the first line of the body of its `for q in` loop."""
+    lines, start = inspect.getsourcelines(loop)
+    body = start + 1 + next(i for i, s in enumerate(lines) if s.lstrip().startswith("for q in"))
+    visits = 0
+
+    def local(frame, event, arg):
+        nonlocal visits
+        visits += event == "line" and frame.f_lineno == body
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is loop.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        answer = loop(xi, window)
+    finally:
+        sys.settrace(old)
+    return answer, visits
+
+
+def _strict_count(bound):
+    """The number of integers m with |m| < bound, by Fraction comparison."""
+    return sum(1 for m in range(-int(bound) - 1, int(bound) + 2) if abs(m) < bound)
+
+
+def test_direct_cost_is_the_number_of_q_visited():
+    # windows with mu N_j (primal) or mu prod N (dual) integral, where an
+    # open-face top that is off by one would show
+    rng = random.Random(2325)
+    insoluble = {"primal": 0, "dual": 0}
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        mu = Rat(rng.randint(1, 8), 8)
+        xi = tuple(Rat(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(k))
+        w = WindowSpec([Rat(rng.randint(1, 3)) / mu for _ in range(k)], mu)
+        cost = diophantine._primal_direct_cost(w)
+        count = 1
+        for n in w.weights:
+            count *= _strict_count(mu * n)
+        assert cost == count
+        (soluble, _), visits = _q_visits(diophantine._primal_direct, xi, w)
+        assert visits <= cost and (soluble or visits == cost)
+        insoluble["primal"] += not soluble
+        rest = [1 + Rat(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(k - 1)]
+        scale = mu * math.prod(rest)
+        first = Rat(rng.randint(math.ceil(scale), math.ceil(scale) + 5)) / scale
+        w = WindowSpec([first] + rest, mu)  # mu prod N is an integer
+        assert (mu * w.total_weight()).denominator == 1
+        cost = diophantine._dual_direct_cost(w)
+        assert cost == _strict_count(mu * w.total_weight())
+        (soluble, _), visits = _q_visits(diophantine._dual_direct, xi, w)
+        assert visits <= cost and (soluble or visits == cost)
+        insoluble["dual"] += not soluble
+    assert min(insoluble.values()) >= 20
+
+
+def _criterion_03_instances():
+    rng = random.Random(303)
+    out = []
+    for _ in range(500):
+        k = rng.choice((1, 2, 3))
+        xi = tuple(Rat(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k))
+        w = WindowSpec(tuple(rng.randint(1, 6) for _ in range(k)), Rat(rng.randint(1, 8), 8))
+        out.append((xi, w))
+    return out
+
+
+def test_criterion_03_runs_both_routes_everywhere(monkeypatch):
+    # every criterion-03 instance is cheap enough for the direct loop, so
+    # the cross-check compares the two routes on all 500 of them
+    calls = {"primal": 0, "dual": 0}
+    for system, (_, name) in _DECIDERS.items():
+        loop = getattr(diophantine, name)
+
+        def counted(xi, w, system=system, loop=loop):
+            calls[system] += 1
+            return loop(xi, w)
+
+        monkeypatch.setattr(diophantine, name, counted)
+    for xi, w in _criterion_03_instances():
+        correspondence_check(xi, w)
+    assert calls == {"primal": 500, "dual": 500}
+
+
+def _primal_drops_last(system, xi):
+    return xi[:-1] + (Rat(0),) if system == "primal" else xi
+
+
+def _dual_drops_last(system, xi):
+    return xi[:-1] + (Rat(0),) if system == "dual" else xi
+
+
+def _primal_uses_xi0(system, xi):
+    return (xi[0],) * len(xi) if system == "primal" else xi
+
+
+@pytest.mark.parametrize("mutant, raised", [
+    (_primal_drops_last, {"primal": 52}),
+    (_dual_drops_last, {"dual": 62}),
+    (_primal_uses_xi0, {"primal": 36}),
+])
+def test_wrong_translate_raises_route_disagreement(monkeypatch, mutant, raised):
+    # a lattice route on a wrong translate is caught by the direct route:
+    # each mutant shear changes the lattice, and the cross-check raises on
+    # the criterion-03 instances where the answers then differ
+    translate = diophantine._integral_translate
+    monkeypatch.setattr(
+        diophantine, "_integral_translate",
+        lambda system, xi, w: translate(system, mutant(system, xi), w),
+    )
+    counts = {}
+    for xi, w in _criterion_03_instances():
+        try:
+            correspondence_check(xi, w)
+        except RouteDisagreement as e:
+            system = str(e).split()[0]
+            assert str(e).startswith(system + " routes disagree")
+            counts[system] = counts.get(system, 0) + 1
+    assert counts == raised
+
+
+_LATTICE_NAMES = {"_integral_translate", "enumerate_basis_in_box", "Box", "lattice",
+                  "linalg", "ExactMatrix", "Rat", "rat", "Fraction"}
+
+
+def _names_reached(fn):
+    """Every name in the code of fn, of its nested code objects, and of the
+    diophantine functions it names, recursively."""
+    names, seen, todo = set(), set(), [fn.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            helper = getattr(diophantine, name, None)
+            if isinstance(helper, types.FunctionType) and helper.__module__ == diophantine.__name__:
+                todo.append(helper.__code__)
+    return names
+
+
+@pytest.mark.parametrize("loop", ["_primal_direct", "_dual_direct"])
+def test_direct_loops_share_nothing_with_the_lattice_route(loop):
+    # the cross-check is only as independent as its routes: the direct loops
+    # and their helpers name nothing of the lattice route and build no Fraction
+    names = _names_reached(getattr(diophantine, loop))
+    assert "_strict_top" in names  # the helpers are read too
+    assert not names & _LATTICE_NAMES
+    assert {"_integral_translate", "rat"} <= _names_reached(diophantine._decide)
+
+
+@pytest.mark.parametrize("decide", [window_primal_soluble, window_dual_soluble])
+def test_unknown_route_is_refused_by_name(monkeypatch, decide):
+    # refused before any work: neither route is reached
+    w = WindowSpec((2,), Rat(1, 2))
+    for name in ("rat", "_integral_translate", "_primal_direct", "_dual_direct"):
+        monkeypatch.setattr(diophantine, name, None)
+    with pytest.raises(ValueError, match="^unknown route 'bogus'; choose auto, direct or lattice$"):
+        decide((Rat(1, 3),), w, route="bogus")
