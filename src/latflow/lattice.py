@@ -13,7 +13,7 @@ the integer Gram determinants and scaled coefficients that LLL returns
 the box becomes one Rat per coordinate.  The float path inflates radii by
 1e-9, tests each leaf against the unit box with no Box built per call, and
 warns when a point lands within 1e-9 of a face.  Both leaf tests share
-one membership rule (`_inside`).
+one membership rule (`_inside`), which the planar float loop inlines.
 
 A `Lattice` holds an exact basis given from outside and checks its
 determinant on integers: `linalg.det` scales B by its common denominator D
@@ -25,14 +25,19 @@ points of such columns, and `shortest_sup_norm` takes columns on either
 backend.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
-a leaf callback.  A `Box` carries no backend: it holds its bounds as given,
-and the walk's `backend` argument names their scalar kind once.  One rule
-holds: an exact walk refuses a float anywhere (`BackendMismatch`), in a
-basis entry or a bound; a float walk computes in floats and refuses a
-`Fraction` bound.  Ints serve both.  The walk visits one point of each
-+-v pair, the one whose last nonzero coefficient is negative: the node
-budget counts that half tree, and a FaceProximity warning fires once per
-pair it visits.
+a leaf callback; it refuses a basis that is not square.  On floats, a
+planar basis (n = 2, every walk of the sweeps on the default curve) is
+walked after its LLL reduction by `_walk_planar`, two nested loops on
+scalars that do the recursive walk's floating-point operations in its
+order: the same points in the same order, the same node count, stops and
+warnings, bit for bit.  A `Box` carries no backend: it holds its bounds
+as given, and the walk's `backend` argument names their scalar kind
+once.  One rule holds: an exact walk refuses a float anywhere
+(`BackendMismatch`), in a basis entry or a bound; a float walk computes
+in floats and refuses a `Fraction` bound.  Ints serve both.  The walk
+visits one point of each +-v pair, the one whose last nonzero
+coefficient is negative: the node budget counts that half tree, and a
+FaceProximity warning fires once per pair it visits.
 `enumerate_basis_in_box` collects the points, pulls their coefficients back
 to the given basis and adds each point's mirror; `enumerate_in_box` is
 built on it.  `shortest_sup_norm` walks the closed unit cube once itself,
@@ -153,7 +158,9 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
     mirror -point, -xs is in the box too, and the leaf is not called on it.
     A true return from leaf stops the walk.  Returns u_cols, the columns of
     the unimodular U that pulls xs back to coefficients w.r.t. the given
-    basis.  Raises BudgetExceeded after budget nodes of this half tree.
+    basis.  Raises BudgetExceeded after budget nodes of this half tree,
+    and ValueError, before any reduction, for a basis that is not square
+    (n columns of length n).
 
     The backend names the scalar kind of the box bounds.  The exact walk
     takes each bound through `rat` and each basis entry too, so a float
@@ -164,8 +171,19 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
     shrink=True lowers the search sphere to sphere(m), about n m^2, at each
     point found, m its sup-norm in the normalised box: the walk reaches
     every point no longer than the shortest so far and skips most others.
+
+    On the float backend with n = 2 the walk after the reduction is
+    `_walk_planar`, which does this recursion's floating-point operations
+    in its order: the leaf sees the same points, xs and order, and the
+    budget, the stops and the FaceProximity warnings fall on the same
+    nodes.  The exact backend and n >= 3 take the recursion below.
     """
     n = len(basis_cols)
+    if any(len(col) != n for col in basis_cols):
+        raise ValueError(
+            "basis must be square: %d columns of lengths %s"
+            % (n, [len(col) for col in basis_cols])
+        )
     if box.dim != n:
         raise ValueError("box/basis dimension mismatch")
     closed = box.closed
@@ -232,6 +250,9 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
         bounds = [float(b) for b in box.bounds]
         cols = [[c[i] / bounds[i] for i in range(n)] for c in basis_cols]
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
+        if n == 2:
+            _walk_planar(reduced, mu[1][0], c, bounds, closed, budget, leaf, shrink)
+            return u_cols
         r2 = n * (1.0 + FLOAT_SLACK)
 
         def sphere(m):
@@ -300,10 +321,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
         while True:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(
-                    "enumeration exceeded %d nodes; lattice too skew or box too big"
-                    % budget
-                )
+                raise _budget_exceeded(budget)
             xs[j] = x
             y = a * x + b
             if rec(j - 1, rem - cost * y * y, top and not x):
@@ -326,6 +344,119 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
 
     rec(n - 1, r2, True)
     return u_cols
+
+
+def _budget_exceeded(budget):
+    return BudgetExceeded(
+        "enumeration exceeded %d nodes; lattice too skew or box too big" % budget
+    )
+
+
+def _walk_planar(reduced, mu10, c, bounds, closed, budget, leaf, shrink):
+    """`_walk`'s float branch for n = 2 after the LLL reduction, as two
+    nested loops on scalars: x_1 (the top level, center 0.0) outside, x_0
+    inside, with no recursion, closure or call per node but the leaf's.
+
+    reduced holds the two reduced box-normalised columns, mu10 and c their
+    Gram-Schmidt data, bounds the float bounds and closed the face flags.
+    Every floating-point operation is the general walk's for n = 2, in its
+    order: the level-0 center 0.0 + mu_10 x_1, y = 1 x + center, rem - c_j
+    y y, the radius sqrt(q) (1 + 1e-12) + 1e-12 and its floor/ceil ends,
+    the point 0.0 + x_0 b_0 + x_1 b_1 (a zero coefficient skipped), the
+    `_inside` rule (coordinate 1 tested only if coordinate 0 passes) and
+    the shrunk sphere.  The leaves, the xs handed to them, the node at
+    which the budget trips, the stops and the FaceProximity warnings are
+    therefore those of the general walk.  The level-0 step rem - c_0 y y
+    is left out: a leaf never reads it."""
+    (b00, b01), (b10, b11) = reduced
+    c0, c1 = c
+    bound0, bound1 = bounds
+    closed0, closed1 = closed
+    slack = 1.0 + FLOAT_SLACK
+    xs = [0, 0]
+    nodes = 0
+    r2 = rem1 = 2 * slack
+    # level 1: center 0.0, so mid is floor(0.5) = 0; hi is clamped to 0,
+    # keeping x_1 <= 0, one of each +-v pair
+    r = math.sqrt(rem1 / c1) * (1.0 + 1e-12) + 1e-12
+    lo1, hi1 = math.ceil(-0.0 - r), min(math.floor(-0.0 + r), 0)
+    x1 = mid1 = min(max(0, lo1), hi1)
+    seen1 = r2
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise _budget_exceeded(budget)
+        xs[1] = x1
+        y = x1 + 0.0  # 1 x_1 + center, with center 0.0
+        rem = rem1 - c1 * y * y
+        # level 0
+        center = 0.0 + mu10 * x1 if x1 else 0.0
+        q = rem / c0
+        if q < 0.0:
+            lo0, hi0 = 1, 0
+        else:
+            r = math.sqrt(q) * (1.0 + 1e-12) + 1e-12
+            mid0 = math.floor(-center + 0.5)
+            lo0, hi0 = math.ceil(-center - r), math.floor(-center + r)
+            if not x1:  # the top level still: keep x_0 <= 0
+                hi0 = min(hi0, 0)
+        if lo0 <= hi0:
+            x0 = mid0 = min(max(mid0, lo0), hi0)
+            seen0 = r2
+            while True:
+                nodes += 1
+                if nodes > budget:
+                    raise _budget_exceeded(budget)
+                xs[0] = x0
+                if x0 or x1:
+                    if x0:
+                        v0, v1 = 0.0 + x0 * b00, 0.0 + x0 * b01
+                        if x1:
+                            v0, v1 = v0 + x1 * b10, v1 + x1 * b11
+                    else:
+                        v0, v1 = 0.0 + x1 * b10, 0.0 + x1 * b11
+                    # _inside on the unit box, coordinate 0 first
+                    a = -v0 if v0 < 0 else v0
+                    if abs(1.0 - a) <= FLOAT_SLACK:
+                        warn_if_near_face(1.0 - a)
+                    if (a <= 1.0) if closed0 else (a < 1.0):
+                        a = -v1 if v1 < 0 else v1
+                        if abs(1.0 - a) <= FLOAT_SLACK:
+                            warn_if_near_face(1.0 - a)
+                        if (a <= 1.0) if closed1 else (a < 1.0):
+                            if shrink:
+                                m = max(abs(v0), abs(v1))
+                                r2 = min(r2, 2 * (m * m * slack + 1e-13))
+                            if leaf((v0 * bound0, v1 * bound1), xs):
+                                return
+                if r2 != seen0:  # the leaf shrank the sphere: narrow [lo0, hi0]
+                    rem -= seen0 - r2
+                    seen0 = r2
+                    if rem < 0.0:
+                        break
+                    # rem >= 0 and c0 > 0 here, so q = rem / c0 is not < 0
+                    r = math.sqrt(rem / c0) * (1.0 + 1e-12) + 1e-12
+                    lo0, hi0 = math.ceil(-center - r), math.floor(-center + r)
+                    if not x1:
+                        hi0 = min(hi0, 0)
+                x0 = 2 * mid0 - x0 - (x0 >= mid0)
+                if not lo0 <= x0 <= hi0:
+                    x0 = 2 * mid0 - x0 - (x0 >= mid0)
+                    if not lo0 <= x0 <= hi0:
+                        break
+            xs[0] = 0
+        if r2 != seen1:  # a leaf shrank the sphere: narrow [lo1, hi1]
+            rem1 -= seen1 - r2
+            seen1 = r2
+            if rem1 < 0.0:
+                break
+            r = math.sqrt(rem1 / c1) * (1.0 + 1e-12) + 1e-12
+            lo1, hi1 = math.ceil(-0.0 - r), min(math.floor(-0.0 + r), 0)
+        x1 = 2 * mid1 - x1 - (x1 >= mid1)
+        if not lo1 <= x1 <= hi1:
+            x1 = 2 * mid1 - x1 - (x1 >= mid1)
+            if not lo1 <= x1 <= hi1:
+                break
 
 
 def enumerate_basis_in_box(

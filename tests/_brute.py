@@ -1,11 +1,18 @@
 """Brute-force oracles, deliberately independent of the package: plain
 fractions.Fraction arithmetic, textbook Gaussian elimination, full
-integer-box scans.  Slow on purpose; tests keep the boxes small.  The one
-float routine, lll_float_reference, is the float LLL loop written out
-with a full Gram-Schmidt pass after every change."""
+integer-box scans.  Slow on purpose; tests keep the boxes small.  The
+float routines are lll_float_reference, the float LLL loop written out
+with a full Gram-Schmidt pass after every change, and
+float_walk_reference, the recursive float Fincke-Pohst walk on top of it,
+which warns through the package's `warn_if_near_face` so that its
+warnings carry the package's category and message."""
 
+import math
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
+
+from latflow.backend import FLOAT_SLACK, warn_if_near_face
 
 
 def frac(x):
@@ -442,6 +449,99 @@ def lll_float_reference(cols, max_iters=100_000):
             mu, c = _float_gram_schmidt(b)
             k = max(k - 1, 1)
     return b, u, mu, c
+
+
+def float_walk_reference(basis_cols, bounds, closed, shrink=False, first_only=False):
+    """The recursive float walk, for any n: the box-normalised columns are
+    reduced by lll_float_reference, and a depth-first Fincke-Pohst walk
+    visits the half tree (one point of each +-v pair, the one whose last
+    nonzero coefficient is negative), each level from the integer nearest
+    its center outward.  shrink lowers the sphere to n (m^2 (1 +
+    FLOAT_SLACK) + 1e-13) at each point found, m its sup-norm in the unit
+    box, and narrows the levels on the stack; first_only stops at the
+    first point.  Returns (leaves, nodes, warns): the points in walk order
+    as (repr(point), tuple(xs)), xs their coefficients w.r.t. the reduced
+    basis; the nodes visited; and the face warnings as (category, message)."""
+    n = len(basis_cols)
+    bounds = [float(b) for b in bounds]
+    cols = [[c[i] / bounds[i] for i in range(n)] for c in basis_cols]
+    reduced, _, mu, c = lll_float_reference(cols)
+    xs = [0] * n
+    leaves = []
+    nodes = 0
+    r2 = n * (1.0 + FLOAT_SLACK)
+
+    def level(j, rem):
+        center = 0.0
+        for l in range(j + 1, n):
+            if xs[l]:
+                center = center + mu[l][j] * xs[l]
+        q = rem / c[j]
+        if q < 0.0:
+            return 1, 0, 0, center
+        r = math.sqrt(q) * (1.0 + 1e-12) + 1e-12
+        mid = math.floor(-center + 0.5)
+        return math.ceil(-center - r), math.floor(-center + r), mid, center
+
+    def inside(v):
+        for x, cl in zip(v, closed):
+            a = -x if x < 0 else x
+            if abs(1.0 - a) <= FLOAT_SLACK:
+                warn_if_near_face(1.0 - a)
+            if not (a <= 1.0 if cl else a < 1.0):
+                return False
+        return True
+
+    def rec(j, rem, top):
+        nonlocal nodes, r2
+        if j < 0:
+            if not any(xs):
+                return False
+            v = [0.0] * n
+            for l in range(n):
+                if xs[l]:
+                    for i in range(n):
+                        v[i] = v[i] + xs[l] * reduced[l][i]
+            if not inside(v):
+                return False
+            if shrink:
+                m = max(map(abs, v))
+                r2 = min(r2, n * (m * m * (1.0 + FLOAT_SLACK) + 1e-13))
+            leaves.append((repr(tuple(x * b for x, b in zip(v, bounds))), tuple(xs)))
+            return first_only
+        lo, hi, mid, center = level(j, rem)
+        if top:
+            hi = min(hi, 0)
+        if lo > hi:
+            return False
+        x = mid = min(max(mid, lo), hi)
+        seen = r2
+        while True:
+            nodes += 1
+            xs[j] = x
+            y = 1 * x + center
+            if rec(j - 1, rem - c[j] * y * y, top and not x):
+                return True
+            if r2 != seen:
+                rem -= seen - r2
+                seen = r2
+                if rem < 0.0:
+                    break
+                lo, hi = level(j, rem)[:2]
+                if top:
+                    hi = min(hi, 0)
+            x = 2 * mid - x - (x >= mid)
+            if not lo <= x <= hi:
+                x = 2 * mid - x - (x >= mid)
+                if not lo <= x <= hi:
+                    break
+        xs[j] = 0
+        return False
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec(n - 1, r2, True)
+    return leaves, nodes, [(w.category, str(w.message)) for w in caught]
 
 
 def _mat_mul(a, b):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import os
 import random
 import re
 import signal
@@ -21,7 +22,7 @@ from latflow.backend import (
     Rat,
     rat,
 )
-from latflow.algebra import ExactMatrix, row_unipotent
+from latflow.algebra import ExactMatrix, diagonal_shear, row_unipotent
 from latflow.linalg import clear_denominators
 from latflow.lattice import (
     Box,
@@ -480,6 +481,25 @@ def test_enumeration_refuses_mixed_backends():
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("cols", [
+    [[1, 0, 7], [0, 1, 9]],  # two columns of length 3: not cut to the first two rows
+    [[1], [0, 1]],  # ragged
+    [[1, 0], [0, 1], [1, 1]],  # three columns of length 2
+])
+def test_walk_refuses_a_basis_that_is_not_square(cols, backend):
+    cols = [[_backend_scalar(x, backend) for x in col] for col in cols]
+    n = len(cols)
+    box = Box((_backend_scalar(Rat(3, 2), backend),) * n, (True,) * n)
+    with pytest.raises(ValueError, match="basis must be square"):
+        enumerate_basis_in_box(cols, box, backend)
+    with pytest.raises(ValueError, match="basis must be square"):
+        shortest_sup_norm(cols, backend)
+    if backend == FLOAT:
+        with pytest.raises(ValueError, match="basis must be square"):
+            siegel_transform(cols, Tent((0.0,) * n, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
 @pytest.mark.parametrize("n", [2, 3])
 def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, backend):
     # every shortest vector of Z^n lies on a face of the closed unit cube,
@@ -651,3 +671,87 @@ def test_thin_callers_agree_with_the_full_walk(backend):
             shortest += own
     assert tuple(totals) == _THIN_NODES[backend]
     assert shortest == _SHORTEST_NODES[backend]
+
+
+def _sweep_bases():
+    """The float columns of diag(e^t, e^-t) u(s) for the seeded (t, s) of
+    test_planar_float_lll_matches_reference_on_sweep_translates, and the
+    signed-zero basis whose mu_10 is -0.0."""
+    rng = random.Random(2020)
+    cases = [(rng.uniform(0.0, 12.0), rng.uniform(-1.0, 1.0)) for _ in range(2000)]
+    cases += [(t, 0.0) for t in (0.0, 1.0, 6.5, 12.0)]
+    bases = [[list(col) for col in zip(*diagonal_shear((math.exp(t),), (s,)))] for t, s in cases]
+    bases.append([[1.0, -0.0], [-0.0, 5.0]])
+    return bases
+
+
+# (box, shrink, first_only): shortest_sup_norm's cube, the support of the
+# default tent, that of an off-center tent with mixed faces, and a
+# first-hit walk
+_PLANAR_WALKS = (
+    (Box((1, 1), (True, True)), True, False),
+    (Box((2.0, 2.0), (True, True)), False, False),
+    (Box((2.0, 1.75), (True, False)), False, False),
+    (Box((2.0, 2.0), (True, True)), False, True),
+)
+
+
+def _float_walk(cols, box, budget, shrink=False, first_only=False):
+    """(leaves, warns) of lattice._walk on floats, in the form of
+    _brute.float_walk_reference."""
+    leaves = []
+
+    def keep(point, xs):
+        leaves.append((repr(point), tuple(xs)))
+        return first_only
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lattice._walk(cols, box, FLOAT, budget, keep, shrink=shrink)
+    return leaves, [(w.category, str(w.message)) for w in caught]
+
+
+def test_planar_float_walk_matches_the_general_walk():
+    # the two-level loop against the recursive walk, bit for bit: the same
+    # points in the same order, with the same xs, the same warnings, and
+    # the budget tripping at the same node
+    shrunk = 0
+    for cols in _sweep_bases():
+        for box, shrink, first_only in _PLANAR_WALKS:
+            leaves, nodes, warns = _brute.float_walk_reference(
+                cols, box.bounds, box.closed, shrink=shrink, first_only=first_only)
+            assert _float_walk(cols, box, nodes, shrink, first_only) == (leaves, warns)
+            with pytest.raises(BudgetExceeded, match="exceeded %d nodes" % (nodes - 1)):
+                _float_walk(cols, box, nodes - 1, shrink, first_only)
+            shrunk += shrink and len(leaves) > 1
+    assert shrunk > 100  # many cube walks find a second point after shrinking
+
+
+@pytest.mark.parametrize("cols", [
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[2.0, 0.0], [1.0, 0.5]],  # diag(2, 1/2) u(1/2), dyadic
+])
+@pytest.mark.parametrize("bound", [1.0, 2.0])
+def test_planar_float_walk_warns_at_faces_as_the_general_walk(cols, bound):
+    # both lattices have points exactly on the faces of both boxes
+    for closed in ((True, True), (True, False), (False, True), (False, False)):
+        for shrink in (False, True):
+            box = Box((bound, bound), closed)
+            leaves, nodes, warns = _brute.float_walk_reference(
+                cols, box.bounds, closed, shrink=shrink)
+            # a shrunk sphere may stop short of the faces of the larger box
+            assert warns or shrink
+            assert all(category is FaceProximity for category, _ in warns)
+            assert _float_walk(cols, box, nodes, shrink) == (leaves, warns)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_face_warnings_name_the_lattice_module(n):
+    # warn_if_near_face reports stacklevel=3: a line of lattice.py for the
+    # planar loop and for the general walk alike
+    cols = [[float(i == j) for i in range(n)] for j in range(n)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        enumerate_basis_in_box(cols, Box((1.0,) * n, (True,) * n), FLOAT)
+    assert caught
+    assert {os.path.basename(w.filename) for w in caught} == {"lattice.py"}
