@@ -46,9 +46,7 @@ from .diophantine import (
     RouteDisagreement,
     WindowSpec,
     correspondence_check,
-    dual_translate_matrix,
     minkowski_soluble,
-    primal_translate_matrix,
     window_dual_soluble,
     window_primal_soluble,
 )

@@ -3,11 +3,12 @@ outer involution that swaps a system of linear forms with its dual.
 
 `ExactMatrix` is an immutable dense matrix of exact rationals: its
 constructor coerces every entry with `rat`, so a float entry is refused
-(`BackendMismatch`).  Group elements here are always square; the
-determinant-one checks (one predicate, ``_det_is_one``) are exact.  The
-float side of the package, the Monte-Carlo translates, runs on plain
-lists of rows: `ExpansionRates`, `expanding_diagonal` and
-`diagonal_shear` are float-only.
+(`BackendMismatch`).  Group elements here are always square and their
+determinant-one checks are exact.  A mirror predicate is its plain form
+read through an index flip: `is_dual_block_stabilizer(g, m)` is
+`is_block_stabilizer` of W g^T W.  The float side of the package, the
+Monte-Carlo translates, runs on plain lists of rows: `ExpansionRates`,
+`expanding_diagonal` and `diagonal_shear` are float-only.
 
 Conventions (fixed once, used everywhere):
 
@@ -29,35 +30,19 @@ from . import linalg
 from .backend import Rat, rat
 
 
-def _det_is_one(d, up_to_sign=False):
-    """Whether the exact determinant d is 1 (or -1 too, with up_to_sign)."""
-    return (abs(d) if up_to_sign else d) == 1
-
-
+@dataclass(frozen=True)
 class ExactMatrix:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    rows: tuple
 
-    def __init__(self, rows):
-        coerced = tuple(tuple(rat(x) for x in row) for row in rows)
-        if not coerced or not coerced[0]:
+    def __post_init__(self):
+        rows = tuple(tuple(rat(x) for x in row) for row in self.rows)
+        if not rows or not rows[0]:
             raise ValueError("empty matrix")
-        width = len(coerced[0])
-        if any(len(r) != width for r in coerced):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self._set(coerced)
-
-    def _set(self, rows):
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]))
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __reduce__(self):  # __slots__ + frozen setattr need explicit pickling
-        return (ExactMatrix, (self.rows,))
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -66,7 +51,7 @@ class ExactMatrix:
         are already exact (a matrix's own entries, or the results of
         arithmetic on them), with no per-entry coercion."""
         self = object.__new__(cls)
-        self._set(tuple(map(tuple, rows)))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         return self
 
     @classmethod
@@ -79,15 +64,16 @@ class ExactMatrix:
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- access ------------------------------------------------------------
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+    @property
+    def nrows(self):
+        return len(self.rows)
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
+    @property
+    def ncols(self):
+        return len(self.rows[0])
 
     def columns(self):
-        return tuple(self.column(j) for j in range(self.ncols))
+        return tuple(zip(*self.rows))
 
     def _lists(self):
         return [list(r) for r in self.rows]
@@ -103,16 +89,6 @@ class ExactMatrix:
 
     def det(self):
         return linalg.det(self._lists())
-
-    # -- comparisons ---------------------------------------------------------
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "ExactMatrix(%r)" % ([list(r) for r in self.rows],)
 
 
 @dataclass(frozen=True)
@@ -220,19 +196,17 @@ def is_block_stabilizer(g: ExactMatrix, m: int) -> bool:
         for j in range(n):
             if g.rows[i][j] != (1 if i == j else 0):
                 return False
-    top = [list(g.rows[i][:m]) for i in range(m)]
-    return _det_is_one(linalg.det(top))
+    return linalg.det([list(g.rows[i][:m]) for i in range(m)]) == 1
 
 
 def is_dual_block_stabilizer(g: ExactMatrix, m: int) -> bool:
     """Membership in the mirror subgroup of shape [[I, *], [0, A]] with the
-    lower-right m x m block of determinant one."""
+    lower-right m x m block of determinant one: `is_block_stabilizer` of
+    W g^T W, whose entry (i, j) is g's (n-1-j, n-1-i)."""
     n = g.nrows
-    if not 1 <= m <= n:
-        raise ValueError("block size out of range")
-    for j in range(n - m):
-        for i in range(n):
-            if g.rows[i][j] != (1 if i == j else 0):
-                return False
-    bot = [list(g.rows[i][n - m :]) for i in range(n - m, n)]
-    return _det_is_one(linalg.det(bot))
+    return is_block_stabilizer(
+        ExactMatrix._trusted(
+            [[g.rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
+        ),
+        m,
+    )

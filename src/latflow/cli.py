@@ -688,7 +688,7 @@ def _cmd_layered(cfg):
     report = {
         "n": pres.n,
         "block_sizes": list(pres.block_sizes),
-        "layers": [str(f) for f in pres.layer_forms],
+        "layers": [str(f) for f in pres.growth.layers],
         "anchored": [str(f) for f in pres.anchored],
         "residual": list(pres.residual),
         "errors": {str(i): errs[i] for i in checks},
@@ -696,7 +696,7 @@ def _cmd_layered(cfg):
     }
     print("blocks %s, layers %s, residual %s" % (
         list(pres.block_sizes),
-        [str(f) for f in pres.layer_forms],
+        [str(f) for f in pres.growth.layers],
         [str(x) for x in pres.residual],
     ))
     _emit("layered", cfg, header, table, report)

@@ -77,17 +77,12 @@ def unit_lower_elimination(g: ExactMatrix):
     return ExactMatrix._trusted(h), ExactMatrix._trusted(work)
 
 
-def _is_unit_triangular(g: ExactMatrix, lower: bool) -> bool:
-    n = g.nrows
-    for i in range(n):
-        if g.rows[i][i] != 1:
-            return False
-        for j in range(n):
-            if lower and j > i and g.rows[i][j] != 0:
-                return False
-            if not lower and j < i and g.rows[i][j] != 0:
-                return False
-    return True
+def _is_unit_lower(rows) -> bool:
+    """Whether the square rows have ones on the diagonal and zeros above."""
+    return all(
+        row[i] == 1 and all(x == 0 for x in row[i + 1 :])
+        for i, row in enumerate(rows)
+    )
 
 
 def unit_triangular_avoidance_check(g: ExactMatrix):
@@ -95,12 +90,11 @@ def unit_triangular_avoidance_check(g: ExactMatrix):
     matrix avoids the open unit box, both structurally and by enumeration.
 
     Structurally: the triangular shape forces any lattice point with all
-    coordinates of absolute value < 1 to vanish coordinate by coordinate.
-    Returns (structural_ok, enumerated_ok); both must be True.
+    coordinates of absolute value < 1 to vanish coordinate by coordinate;
+    an upper triangular g is tested as its unit lower transpose.  Returns
+    (structural_ok, enumerated_ok); both must be True.
     """
-    structural = _is_unit_triangular(g, lower=True) or _is_unit_triangular(
-        g, lower=False
-    )
+    structural = _is_unit_lower(g.rows) or _is_unit_lower(g.columns())
     enumerated = avoids_open_unit_box(Lattice(g))
     return structural, enumerated
 

@@ -68,6 +68,8 @@ class Curve:
             raise ValueError("empty domain")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "domain", dom)
+        # not a field: no eq, repr; float(Fraction) is correctly rounded
+        object.__setattr__(self, "_float_coeffs", tuple(tuple(map(float, r)) for r in cs))
 
     @property
     def k(self):
@@ -87,8 +89,8 @@ class Curve:
     def eval_float(self, s):
         s = float(s)
         out = [0.0] * self.k
-        for row in reversed(self.coeffs):
-            out = [v * s + float(c) for v, c in zip(out, row)]
+        for row in reversed(self._float_coeffs):
+            out = [v * s + c for v, c in zip(out, row)]
         return tuple(out)
 
     def derivative(self) -> "Curve":
@@ -170,7 +172,18 @@ def _integral_translate(system, xi, window: WindowSpec):
     each closed-form entry reduced with gcd from integer numerators and
     denominators, and D the lcm of the reduced denominators.  Both translates
     are upper triangular with det 1, checked on every call: the product of
-    the integer diagonal must equal D^(k+1)."""
+    the integer diagonal must equal D^(k+1).
+
+    The primal B is diag(prod N, 1/N_1, ..., 1/N_k) times the first-row
+    shear by xi; it sends x = (p, q_1, ..., q_k) to
+
+        ((prod N)(p + q . xi), q_1/N_1, ..., q_k/N_k).
+
+    The dual B is diag(N_k, ..., N_1, 1/prod N) times the last-column shear
+    by xi; it sends x = (p_k, ..., p_1, q) to
+
+        (N_k (q xi_k + p_k), ..., N_1 (q xi_1 + p_1), q / prod N).
+    """
     k = window.k
     if len(xi) != k:
         raise ValueError("dimension mismatch")
@@ -196,31 +209,6 @@ def _integral_translate(system, xi, window: WindowSpec):
     if math.prod(cols[j][j] for j in range(k + 1)) != d ** (k + 1):
         raise ValueError("%s translate is not unimodular at xi=%r" % (system, xi))
     return d, cols
-
-
-def _translate_matrix(system, window, phi):
-    d, cols = _integral_translate(system, tuple(rat(x) for x in phi), window)
-    return ExactMatrix._trusted([[Rat(c[i], d) for c in cols] for i in range(len(cols))])
-
-
-def primal_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(prod N, 1/N_1, ..., 1/N_k) times the first-row shear by phi:
-    first row (prod N)(1, phi_1, ..., phi_k), then 1/N_j on the diagonal.
-    It sends x = (p, q_1, ..., q_k) to
-
-        ((prod N)(p + q . phi), q_1/N_1, ..., q_k/N_k).
-    """
-    return _translate_matrix("primal", window, phi)
-
-
-def dual_translate_matrix(window: WindowSpec, phi) -> ExactMatrix:
-    """diag(N_k, ..., N_1, 1/prod N) times the last-column shear by phi:
-    row j < k is N_m (e_j + phi_m e_k) with m = k - j, and the last row is
-    e_k / prod N.  It sends x = (p_k, ..., p_1, q) to
-
-        (N_k (q phi_k + p_k), ..., N_1 (q phi_1 + p_1), q / prod N).
-    """
-    return _translate_matrix("dual", window, phi)
 
 
 def _strict_top(num, den):

@@ -64,7 +64,7 @@ from .backend import (
     rat,
     warn_if_near_face,
 )
-from .algebra import ExactMatrix, _det_is_one
+from .algebra import ExactMatrix
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -116,7 +116,7 @@ class Lattice:
         if b.nrows != b.ncols:
             raise ValueError("basis must be square")
         d = b.det()
-        if not _det_is_one(d, up_to_sign=True):
+        if abs(d) != 1:
             raise ValueError("basis is not unimodular (det = %r)" % (d,))
 
     @property

@@ -151,7 +151,7 @@ class LayeredSchedule:
 
     block_sizes  -- anchors m_1 > m_2 > ... > m_k (one per growth class)
     growth       -- per-layer divergent forms t_l, as a GrowthSpec whose
-                    layers (also read as layer_forms) are ClosedForms
+                    layers are ClosedForms
     anchored     -- taubar: coordinate r replaced by its block anchor form
                     (zero form beyond m_1)
     residual     -- lim_i (tau_r(i) - taubar_r(i)), one rational per
@@ -164,10 +164,6 @@ class LayeredSchedule:
     anchored: tuple
     residual: tuple
 
-    @property
-    def layer_forms(self):
-        return self.growth.layers
-
     def exp_identity_error(self, i) -> float:
         """Max relative gap, over diagonal entries, between a_{taubar(i)}
         and exp(sum_l t_l(i) A_{m_l})."""
@@ -175,7 +171,7 @@ class LayeredSchedule:
         try:
             taubar = [f.eval_float(i) for f in self.anchored]
             gen_diag = [0.0] * n
-            for t_form, m in zip(self.layer_forms, self.block_sizes):
+            for t_form, m in zip(self.growth.layers, self.block_sizes):
                 t = t_form.eval_float(i)
                 diag = block_generator(n, m)
                 for j in range(n):

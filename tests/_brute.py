@@ -679,3 +679,31 @@ def rref_reference(rows):
         if r == len(a):
             break
     return a, pivots
+
+
+def dual_block_stabilizer_reference(rows, m):
+    """Membership of the square rows in the mirror subgroup [[I, *], [0, A]]
+    with det A = 1 (A the lower-right m x m block), tested directly."""
+    n = len(rows)
+    if not 1 <= m <= n:
+        raise ValueError("block size out of range")
+    for j in range(n - m):
+        for i in range(n):
+            if rows[i][j] != (1 if i == j else 0):
+                return False
+    return det_reference([list(rows[i][n - m :]) for i in range(n - m, n)]) == 1
+
+
+def unit_triangular_reference(rows, lower):
+    """Whether the square rows are unit lower (or, lower=False, unit upper)
+    triangular, tested directly."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 1:
+            return False
+        for j in range(n):
+            if lower and j > i and rows[i][j] != 0:
+                return False
+            if not lower and j < i and rows[i][j] != 0:
+                return False
+    return True

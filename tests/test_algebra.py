@@ -27,6 +27,7 @@ from latflow.algebra import (
     row_unipotent,
 )
 
+import _brute
 from _brute import random_unimodular
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -144,6 +145,22 @@ def test_matrix_pickles():
     assert h.rows == g.rows and h == g
 
 
+def test_matrix_is_frozen_and_trusted_rows_build_the_same_matrix():
+    rows = [[Rat(1), Rat(-1, 3)], [Rat(0), Rat(2)]]
+    g = ExactMatrix(rows)
+    with pytest.raises(AttributeError):
+        g.rows = ((Rat(1),),)
+    assert g.rows == ((1, Rat(-1, 3)), (0, 2))
+    t = ExactMatrix._trusted(rows)
+    assert t == g and hash(t) == hash(g) and repr(t) == repr(g)
+    assert (g.nrows, g.ncols, g.columns()) == (2, 2, ((1, 0), (Rat(-1, 3), 2)))
+    wide = ExactMatrix([[1, 2, 3]])
+    assert (wide.nrows, wide.ncols, wide.columns()) == (1, 3, ((1,), (2,), (3,)))
+    for bad, message in (([], "empty matrix"), ([[]], "empty matrix"), ([[1, 2], [3]], "ragged rows")):
+        with pytest.raises(ValueError, match=message):
+            ExactMatrix(bad)
+
+
 @given(
     st.lists(rationals, min_size=2, max_size=2),
     st.lists(rationals, min_size=2, max_size=2),
@@ -205,6 +222,55 @@ def test_dual_involution_swaps_block_stabilizers():
     assert is_block_stabilizer(g, 2)
     assert not is_dual_block_stabilizer(g, 2)
     assert is_dual_block_stabilizer(dual_involution(g), 2)
+
+
+def _outcome(predicate, *args):
+    try:
+        return predicate(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def test_dual_block_stabilizer_matches_direct_reference():
+    # [[I, *], [0, A]] with A of det 1, det -1, singular or unit
+    # triangular, sometimes with an identity column broken, tested at every
+    # block size from 0 to n + 1: the flipped predicate answers as the
+    # direct mirror test does, out-of-range errors included
+    rng = random.Random(53)
+    outcomes = []
+    for case in range(1500):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, n)
+        kind = case % 4
+        if kind == 2 and m > 1:  # singular: the last row repeats the first
+            block = [[Rat(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m - 1)]
+            block.append(list(block[0]))
+        elif kind == 2:
+            block = [[Rat(0)]]
+        elif kind == 3:  # unit lower with rationals below the diagonal, or its transpose
+            block = [[Rat(int(i == j)) if i <= j else Rat(rng.randint(-5, 5), rng.randint(1, 4))
+                      for j in range(m)] for i in range(m)]
+            if rng.random() < 0.5:
+                block = [list(c) for c in zip(*block)]
+        else:
+            block = [[Rat(x) for x in row] for row in random_unimodular(rng, m)]
+            if _brute.det_reference(block) != (1 if kind == 0 else -1):
+                block[0] = [-x for x in block[0]]
+        rows = [[Rat(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n - m):
+            for j in range(n - m, n):
+                rows[i][j] = Rat(rng.randint(-9, 9), rng.randint(1, 4))
+        for i in range(m):
+            rows[n - m + i][n - m:] = block[i]
+        if n > m and rng.random() < 0.3:
+            rows[rng.randrange(n)][rng.randrange(n - m)] = Rat(rng.randint(-1, 2))
+        g = ExactMatrix(rows)
+        for size in range(n + 2):
+            got = _outcome(is_dual_block_stabilizer, g, size)
+            assert got == _outcome(_brute.dual_block_stabilizer_reference, rows, size), (rows, size)
+            outcomes.append(got)
+    assert outcomes.count(True) > 1000 and outcomes.count(False) > 1000
+    assert outcomes.count("ValueError: block size out of range") == 3000
 
 
 def test_expansion_rates_validation():

@@ -6,6 +6,11 @@ import os
 import pytest
 
 from latflow.cli import CSV_TAG, _build_parser, main
+from latflow.constructions import (
+    block_transport_witness,
+    staircase_unimodular,
+    unit_lower_elimination,
+)
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -134,6 +139,43 @@ def test_constructions_gamma(capsys):
     out = capsys.readouterr().out
     assert "staircase for weights [2, 3]" in out
     assert "all certificates valid: yes" in out
+
+
+def test_constructions_json_writes_every_matrix_as_rows_of_strings(tmp_path, capsys):
+    # an ExactMatrix is a dataclass too: the report must hold its rows, not
+    # a {"rows": ...} object, at the top level and inside the witness
+    out = str(tmp_path / "gamma")
+    assert main(["constructions", "--gamma", "2,3", "--out", out]) == 0
+    with open(os.path.join(out, "constructions.json")) as fh:
+        report = json.load(fh)
+    staircase = staircase_unimodular((2, 3))
+    h, upper = unit_lower_elimination(staircase)
+    witness = block_transport_witness((2, 3), 1)
+    matrices = {"staircase": staircase, "h": h, "upper": upper}
+    matrices.update({"transport." + key: getattr(witness, key) for key in (
+        "staircase", "h", "upper", "diag", "diag_mirror", "q_mirror", "g")})
+    for key, matrix in matrices.items():
+        got = report
+        for part in key.split("."):
+            got = got[part]
+        assert got == [[str(x) for x in row] for row in matrix.rows], key
+    assert report["transport"]["g"] == [["1", "-1/3", "-1/3"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert report["transport"]["checks"]["q_in_mirror_block"] is True
+
+
+def test_table_bytes_are_pinned(tmp_path, capfdbinary):
+    # the CSV file's tag line ends in LF and its csv.writer rows in CRLF;
+    # the printed table ends every line in LF
+    out = str(tmp_path / "layered")
+    assert main(["layered", "--sequence", "i^2, i^2, i, 5", "--out", out]) == 0
+    with open(os.path.join(out, "layered.csv"), "rb") as fh:
+        assert fh.read() == (
+            b"# latflow-csv v1\nindex,exp_identity_error\r\n5,0.0\r\n10,0.0\r\n"
+        )
+    assert capfdbinary.readouterr().out == (
+        b"blocks [3, 2], layers ['i', 'i^2 - i'], residual ['0', '0', '0', '5']\n"
+        b"# latflow-csv v1\nindex,exp_identity_error\n5,0.0\n10,0.0\n"
+    )
 
 
 def test_constructions_scan_gate(capsys):

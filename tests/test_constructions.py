@@ -61,7 +61,7 @@ def test_unit_triangular_avoidance():
     h, _ = unit_lower_elimination(g)
     structural, enumerated = unit_triangular_avoidance_check(h)
     assert structural and enumerated
-    # sigma images avoid as well (they are unit upper triangular)
+    # sigma images avoid as well (W (h^-1)^T W of a unit lower h is unit lower)
     sig = dual_involution(h)
     structural, enumerated = unit_triangular_avoidance_check(sig)
     assert structural and enumerated
@@ -84,6 +84,37 @@ def test_random_unit_triangular_avoidance():
         structural, enumerated = unit_triangular_avoidance_check(g)
         assert structural and enumerated
         assert avoids_open_unit_box(Lattice(dual_involution(g)))
+
+
+def test_unit_triangular_structure_matches_reference():
+    # lower, upper and full unimodular matrices, with diagonals of ones, a
+    # -1 or a (2, 1/2) pair: the structural verdict is the direct test for
+    # unit lower or unit upper
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    upper_only = 0
+    for case in range(400):
+        n = rng.randint(1, 4)
+        diag = [Rat(1)] * n
+        if case % 4 == 1:
+            diag[rng.randrange(n)] = Rat(-1)
+        elif case % 4 == 2 and n > 1:
+            diag[0], diag[-1] = Rat(2), Rat(1, 2)
+
+        def lower():  # diag on the diagonal, sparse rationals below it
+            return [[diag[i] if i == j else Rat(0) if j > i or rng.random() < 0.4
+                     else Rat(rng.randint(-3, 3), rng.randint(1, 3))
+                     for j in range(n)] for i in range(n)]
+
+        low, up = lower(), [list(c) for c in zip(*lower())]
+        rows = (low, up, _brute._mat_mul(low, up))[case % 3]
+        structural, _ = unit_triangular_avoidance_check(ExactMatrix(rows))
+        want = (_brute.unit_triangular_reference(rows, lower=True)
+                or _brute.unit_triangular_reference(rows, lower=False))
+        assert structural == want, rows
+        verdicts[want] += 1
+        upper_only += want and not _brute.unit_triangular_reference(rows, lower=True)
+    assert verdicts[True] > 150 and verdicts[False] > 150 and upper_only > 40
 
 
 def test_block_transport_witness_small_sweep():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import pickle
 import random
 import sys
 import types
@@ -25,9 +26,7 @@ from latflow.diophantine import (
     RouteDisagreement,
     WindowSpec,
     correspondence_check,
-    dual_translate_matrix,
     minkowski_soluble,
-    primal_translate_matrix,
     window_dual_soluble,
     window_primal_soluble,
 )
@@ -54,6 +53,25 @@ def test_curve_sample_points_exact():
     assert pts == [0, Rat(1, 4), Rat(1, 2), Rat(3, 4)]
 
 
+def test_curve_eval_float_keeps_the_bits_of_per_call_conversion():
+    # the float coefficients are taken once per curve; each value equals
+    # Horner's rule on float(c) taken at every call, and the curve's
+    # equality, repr and pickled copy do not see them
+    rng = random.Random(71)
+    for _ in range(200):
+        k, degree = rng.randint(1, 3), rng.randint(0, 3)
+        rows = [[Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
+                for _ in range(degree + 1)]
+        c = Curve(rows)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(Curve(rows)) and "_float" not in repr(c)
+        for s in (rng.random(), Rat(rng.randint(0, 99), 100), 0, -0.0):
+            want = [0.0] * k
+            for row in reversed(c.coeffs):
+                want = [v * float(s) + float(x) for v, x in zip(want, row)]
+            assert repr(c.eval_float(s)) == repr(copy.eval_float(s)) == repr(tuple(want))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         WindowSpec((), 1)
@@ -65,11 +83,17 @@ def test_window_validation():
     assert w.total_weight() == 6
 
 
+def _translate_matrix(system, window, phi):
+    """The rational translate B of the system at phi, read from (D, D B)."""
+    d, cols = diophantine._integral_translate(system, tuple(Rat(x) for x in phi), window)
+    return ExactMatrix([[Rat(c[i], d) for c in cols] for i in range(len(cols))])
+
+
 def test_translate_matrices_unimodular():
     w = WindowSpec((5, 3, 2), Rat(3, 4))
     phi = (Rat(1, 3), Rat(2), Rat(-1, 2))
-    assert primal_translate_matrix(w, phi).det() == 1
-    assert dual_translate_matrix(w, phi).det() == 1
+    assert _translate_matrix("primal", w, phi).det() == 1
+    assert _translate_matrix("dual", w, phi).det() == 1
 
 
 class _ConstantCurve:
@@ -107,7 +131,7 @@ def test_closed_form_translates_equal_dense_products():
         phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
         total = WindowSpec(weights, 1).total_weight()
         dense = ExactMatrix.diagonal([total] + [1 / nj for nj in weights]) @ row_unipotent(phi)
-        assert repr(primal_translate_matrix(WindowSpec(weights, 1), phi)) == repr(dense)
+        assert repr(_translate_matrix("primal", WindowSpec(weights, 1), phi)) == repr(dense)
     # the O(n) det check of a triangular translate accepts and rejects as
     # the full float det does, at det 1 +- 0.5e-9, 1 +- 2e-9 and nan
     for delta in (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, float("nan")):
@@ -136,11 +160,11 @@ def test_closed_form_translates_equal_dense_products():
         phi = [Rat(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
         total = w.total_weight()
         primal = ExactMatrix.diagonal([total] + [1 / nj for nj in weights])
-        assert primal_translate_matrix(w, phi) == primal @ row_unipotent(phi)
+        assert _translate_matrix("primal", w, phi) == primal @ row_unipotent(phi)
         dual = ExactMatrix.diagonal(weights[::-1] + [1 / total])
-        assert dual_translate_matrix(w, phi) == dual @ dual_involution(row_unipotent([-x for x in phi]))
-        assert primal_translate_matrix(w, phi).det() == 1
-        assert dual_translate_matrix(w, phi).det() == 1
+        assert _translate_matrix("dual", w, phi) == dual @ dual_involution(row_unipotent([-x for x in phi]))
+        assert _translate_matrix("primal", w, phi).det() == 1
+        assert _translate_matrix("dual", w, phi).det() == 1
 
 
 def test_integral_translate_is_the_cleared_closed_form():

@@ -157,17 +157,17 @@ def test_ordered_from_walks_below_root_bound():
 def test_layered_presentation_two_blocks():
     pres = layered_presentation(RateSchedule.parse("2*i, i, 3"))
     assert pres.block_sizes == (2, 1)
-    assert [str(f) for f in pres.layer_forms] == ["i", "i"]
+    assert [str(f) for f in pres.growth.layers] == ["i", "i"]
     assert [str(f) for f in pres.anchored] == ["2*i", "i", "0"]
     assert [int(x) for x in pres.residual] == [0, 0, 3]
     # partial sums of layer forms recover the anchors
-    assert str(pres.layer_forms[0] + pres.layer_forms[1]) == "2*i"
+    assert str(pres.growth.layers[0] + pres.growth.layers[1]) == "2*i"
 
 
 def test_layered_presentation_shared_growth():
     pres = layered_presentation(RateSchedule.parse("i^2, i^2, i, 5"))
     assert pres.block_sizes == (3, 2)
-    assert [str(f) for f in pres.layer_forms] == ["i", "i^2 - i"]
+    assert [str(f) for f in pres.growth.layers] == ["i", "i^2 - i"]
     assert [int(x) for x in pres.residual] == [0, 0, 0, 5]
 
 
