@@ -75,20 +75,17 @@ class ExactMatrix:
     def columns(self):
         return tuple(zip(*self.rows))
 
-    def _lists(self):
-        return [list(r) for r in self.rows]
-
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: linalg reads the row tuples and writes new rows ----------
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return ExactMatrix._trusted(linalg.mat_mul(self._lists(), other._lists()))
+        return ExactMatrix._trusted(linalg.mat_mul(self.rows, other.rows))
 
     def inverse(self):
-        return ExactMatrix._trusted(linalg.inverse(self._lists()))
+        return ExactMatrix._trusted(linalg.inverse(self.rows))
 
     def det(self):
-        return linalg.det(self._lists())
+        return linalg.det(self.rows)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def dual_involution(g: ExactMatrix) -> ExactMatrix:
     Conjugation by the reversal W is done by index flipping rather than two
     matrix products.
     """
-    it = linalg.transpose(linalg.inverse(g._lists()))
+    it = linalg.transpose(linalg.inverse(g.rows))
     n = len(it)
     return ExactMatrix._trusted(
         [[it[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]

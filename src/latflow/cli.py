@@ -17,7 +17,6 @@ _CONFIG_TYPES); explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -38,6 +37,7 @@ from .constructions import (
     unit_triangular_avoidance_check,
     varying_first_weight_scan,
 )
+from . import weights
 from .diophantine import Curve, RouteDisagreement
 from .experiments import (
     ImprovabilityRow,
@@ -49,7 +49,6 @@ from .experiments import (
     nondivergence_scan,
     shear_invariance_scan,
 )
-from . import linalg
 from .lattice import Tent
 from .sequences import RateSchedule, layered_presentation
 from .weights import (
@@ -88,26 +87,10 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_TAG + "\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([str(x) for x in row])
-
-
 def _row_table(row_type, rows):
     """CSV header and rows of a list of row_type dataclasses, in field order."""
     names = [f.name for f in fields(row_type)]
     return names, [[getattr(r, name) for name in names] for r in rows]
-
-
-def _print_table(header, rows):
-    print(CSV_TAG)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(x) for x in row))
 
 
 def _manifest(command, cfg):
@@ -129,15 +112,22 @@ def _manifest(command, cfg):
 
 
 def _emit(command, cfg, header, rows, report):
-    """Print the table; with --out also write csv + json + manifest."""
+    """Print the table; with --out also write csv + json + manifest.
+
+    The table is one set of lines.  Printed, each ends in LF; in the CSV
+    file the tag line ends in LF and the others in CRLF.  No cell holds a
+    comma, a quote or a line end, so no cell is quoted."""
     if header is not None:
-        _print_table(header, rows)
+        lines = [",".join(header)] + [",".join(str(x) for x in row) for row in rows]
+        print(CSV_TAG)
+        print("\n".join(lines))
     out = cfg.get("out")
     if not out:
         return
     os.makedirs(out, exist_ok=True)
     if header is not None:
-        _write_csv(os.path.join(out, command + ".csv"), header, rows)
+        with open(os.path.join(out, command + ".csv"), "w", newline="") as fh:
+            fh.write(CSV_TAG + "\n" + "".join(line + "\r\n" for line in lines))
     with open(os.path.join(out, command + ".json"), "w") as fh:
         json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -236,6 +226,18 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _tolerance(cfg, key):
+    """The gate tolerance cfg[key], a rational when its flag is text, or
+    None when absent.  NaN or a negative tolerance is a usage error, not a
+    gate that fails."""
+    tol = cfg[key]
+    if isinstance(tol, str):
+        tol = rat(tol)
+    if tol is not None and not tol >= 0:
+        raise ValueError("--%s must be at least 0, got %s" % (key.replace("_", "-"), cfg[key]))
+    return tol
+
+
 def _split_list(text):
     return [t.strip() for t in text.split(",") if t.strip()]
 
@@ -272,6 +274,22 @@ def _parse_schedule(cfg):
     return RateSchedule.parse(_require(cfg, "sequence"))
 
 
+def _curve_schedule_indices(cfg):
+    """The curve, the rate schedule and the index list of a sweep, parsed
+    in that order."""
+    curve = _parse_curve(cfg)
+    schedule = _parse_schedule(cfg)
+    if cfg["indices"] is not None:
+        idx = _ints(cfg["indices"])
+    elif cfg["imax"] is not None:
+        idx = list(range(schedule.ordered_from(), cfg["imax"] + 1))
+    else:
+        raise ValueError("need --indices or --imax")
+    if not idx:
+        raise ValueError("empty index list")
+    return curve, schedule, idx
+
+
 def _parse_growth(text):
     """Layers comma-separated; monomials '+'-separated, each c:p."""
     layers = []
@@ -295,18 +313,6 @@ def _parse_rep(text):
     raise ValueError("rep must be wedge:n:d or adjoint:n; got %r" % text)
 
 
-def _resolve_indices(cfg, schedule):
-    if cfg["indices"] is not None:
-        idx = _ints(cfg["indices"])
-    elif cfg["imax"] is not None:
-        idx = list(range(schedule.ordered_from(), cfg["imax"] + 1))
-    else:
-        raise ValueError("need --indices or --imax")
-    if not idx:
-        raise ValueError("empty index list")
-    return idx
-
-
 def _build_tent(cfg, n):
     center = (
         _floats(cfg["tent_center"])
@@ -319,6 +325,8 @@ def _build_tent(cfg, n):
 
 
 def _experiment_kwargs(cfg):
+    if cfg["threads"] < 1:
+        raise ValueError("--threads must be at least 1, got %d" % cfg["threads"])
     kw = {"threads": cfg["threads"], "grid": cfg["grid"], "seed": cfg["seed"]}
     if cfg.get("budget") is not None:
         # a budget below one node would report every walk as a blow-up
@@ -389,9 +397,8 @@ EQUIDIST_DEFAULTS = dict(
 
 
 def _cmd_equidist(cfg):
-    curve = _parse_curve(cfg)
-    schedule = _parse_schedule(cfg)
-    indices = _resolve_indices(cfg, schedule)
+    curve, schedule, indices = _curve_schedule_indices(cfg)
+    tol = _tolerance(cfg, "gap_tol")
     tent = _build_tent(cfg, curve.k + 1)
     rows = equidistribution_siegel(
         curve,
@@ -406,8 +413,8 @@ def _cmd_equidist(cfg):
     ok = True
     # asymptotic statement: gate the largest index only, in any listed order
     last = max(rows, key=lambda r: r.index)
-    if cfg["gap_tol"] is not None:
-        ok = last.rel_gap <= cfg["gap_tol"]
+    if tol is not None:
+        ok = last.rel_gap <= tol
     report = {"rows": rows, "gap_tol": cfg["gap_tol"], "ok": ok}
     _emit("equidist", cfg, header, table, report)
     if cfg["gap_tol"] is not None:
@@ -433,9 +440,8 @@ NONDIV_DEFAULTS = dict(
 
 
 def _cmd_nondiv(cfg):
-    curve = _parse_curve(cfg)
-    schedule = _parse_schedule(cfg)
-    indices = _resolve_indices(cfg, schedule)
+    curve, schedule, indices = _curve_schedule_indices(cfg)
+    tol = _tolerance(cfg, "frac_tol")
     rows = nondivergence_scan(
         curve,
         schedule,
@@ -446,8 +452,7 @@ def _cmd_nondiv(cfg):
     )
     header, table = _row_table(NondivergenceRow, rows)
     ok = True
-    if cfg["frac_tol"] is not None:
-        tol = rat(cfg["frac_tol"])
+    if tol is not None:
         ok = all(r.fraction <= tol for r in rows)
     report = {"rows": rows, "frac_tol": cfg["frac_tol"], "ok": ok}
     _emit("nondiv", cfg, header, table, report)
@@ -478,9 +483,8 @@ TWIST_DEFAULTS = dict(
 
 
 def _cmd_twist(cfg):
-    curve = _parse_curve(cfg)
-    schedule = _parse_schedule(cfg)
-    indices = _resolve_indices(cfg, schedule)
+    curve, schedule, indices = _curve_schedule_indices(cfg)
+    tol = _tolerance(cfg, "defect_tol")
     tent = _build_tent(cfg, curve.k + 1)
     rows = shear_invariance_scan(
         curve,
@@ -495,9 +499,8 @@ def _cmd_twist(cfg):
     # t = 0 is the untwisted average itself; its defect must be exact zero
     exact_zero = all(r.defect == 0.0 for r in rows if r.t == 0.0)
     ok = exact_zero
-    if cfg["defect_tol"] is not None:
+    if tol is not None:
         last = max(r.index for r in rows)
-        tol = cfg["defect_tol"]
         ok = exact_zero and all(
             r.defect <= tol * r.sup_f
             for r in rows
@@ -534,10 +537,7 @@ def _random_support_points(rng, n, m1):
             tuple(rng.randint(-3, 3) for _ in range(m1)) + (0,) * (n - 1 - m1)
             for _ in range(m1 + 1)
         ]
-        diffs = [
-            [rat(p[i] - pts[0][i]) for i in range(m1)] for p in pts[1:]
-        ]
-        if linalg.rank(diffs) == m1:
+        if weights._points_ok(pts, n, m1)[0]:
             return pts
 
 
@@ -563,6 +563,7 @@ def _cmd_lemma_verify(cfg):
     trials = cfg["trials"]
     if trials < 0:
         raise ValueError("--trials must be at least 0, got %d" % trials)
+    weights.validate_block_sizes(rep.n, sizes)
     rng = random.Random(cfg["seed"])
 
     failures = []
@@ -625,12 +626,12 @@ def _cmd_constructions(cfg):
         raise ValueError("need --gamma or --scan-tail")
 
     if cfg["gamma"] is not None:
-        weights = _ints(cfg["gamma"])
-        gamma = staircase_unimodular(weights)
+        gamma_weights = _ints(cfg["gamma"])
+        gamma = staircase_unimodular(gamma_weights)
         h, upper = unit_lower_elimination(gamma)
         structural, enumerated = unit_triangular_avoidance_check(h)
-        witness = block_transport_witness(weights, cfg["lead"])
-        print("staircase for weights %s (det %s):" % (weights, gamma.det()))
+        witness = block_transport_witness(gamma_weights, cfg["lead"])
+        print("staircase for weights %s (det %s):" % (gamma_weights, gamma.det()))
         for row in gamma.rows:
             print("  " + "  ".join(str(x) for x in row))
         print("unit lower eliminator h:")
@@ -643,7 +644,7 @@ def _cmd_constructions(cfg):
         print("block transport checks: %s" % witness.checks)
         ok = structural and enumerated and witness.ok
         report = {
-            "weights": weights,
+            "weights": gamma_weights,
             "staircase": gamma,
             "h": h,
             "upper": upper,
@@ -679,10 +680,11 @@ LAYERED_DEFAULTS = dict(sequence=None, check_at="5,10", err_tol=1e-9, **_OUT_FLA
 
 def _cmd_layered(cfg):
     schedule = _parse_schedule(cfg)
+    tol = _tolerance(cfg, "err_tol")
     pres = layered_presentation(schedule)
     checks = _ints(cfg["check_at"])
     errs = {i: pres.exp_identity_error(i) for i in checks}
-    ok = all(e <= cfg["err_tol"] for e in errs.values())
+    ok = all(e <= tol for e in errs.values())
     header = ["index", "exp_identity_error"]
     table = [[i, errs[i]] for i in checks]
     report = {

@@ -13,8 +13,9 @@ nonzero point in the window box.  Every decision here is exact; two
 independent routes are compared whenever the direct loop is affordable.
 The direct route loops over the inequality system on Python integers,
 each inequality scaled by the common denominator of its two sides; the
-lattice route enumerates the integral translate.  The two share no
-helper, so a fault in one cannot hide in the other.
+lattice route asks for the first hit of the integral translate in the
+window box, the query `minkowski_soluble` asks of its forms.  The two
+routes share no helper, so a fault in one cannot hide in the other.
 
 The two systems are exchanged by the outer involution of SL(k+1), and one
 decider serves both: each system brings only what is its own, namely its
@@ -79,19 +80,18 @@ class Curve:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def eval_exact(self, s):
-        s = rat(s)
-        out = [Rat(0)] * self.k
-        for row in reversed(self.coeffs):
+    @staticmethod
+    def _horner(rows, s, zero):
+        out = [zero] * len(rows[0])
+        for row in reversed(rows):
             out = [v * s + c for v, c in zip(out, row)]
         return tuple(out)
 
+    def eval_exact(self, s):
+        return self._horner(self.coeffs, rat(s), Rat(0))
+
     def eval_float(self, s):
-        s = float(s)
-        out = [0.0] * self.k
-        for row in reversed(self._float_coeffs):
-            out = [v * s + c for v, c in zip(out, row)]
-        return tuple(out)
+        return self._horner(self._float_coeffs, float(s), 0.0)
 
     def derivative(self) -> "Curve":
         if self.degree == 0:
@@ -343,6 +343,17 @@ def _check_dual_witness(xi, window, witness):
     return q != 0 or any(ps)
 
 
+def _first_hit(cols, bounds, budget):
+    """The coefficients, in the basis cols, of the first nonzero lattice
+    point v found with |v_0| <= bounds[0] and |v_j| < bounds[j] for j >= 1,
+    or None when there is none: the question of Minkowski's linear forms
+    theorem, with the first face closed."""
+    pts = enumerate_basis_in_box(
+        cols, Box(bounds, (True,) + (False,) * (len(bounds) - 1)), EXACT, budget, first_only=True
+    )
+    return pts[0][1] if pts else None
+
+
 def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, check):
     """The decision both systems share, given the system's own pieces: its
     direct loop and that loop's iteration count, the map from lattice
@@ -359,14 +370,8 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
             answers["direct"] = direct(xi, window)
     if route in ("auto", "lattice"):
         d, cols = _integral_translate(system, xi, window)
-        pts = enumerate_basis_in_box(
-            cols,
-            Box((window.radius * d,) * (window.k + 1), (True,) + (False,) * window.k),
-            EXACT,
-            budget,
-            first_only=True,
-        )
-        answers["lattice"] = (True, witness_of(pts[0][1])) if pts else (False, None)
+        c = _first_hit(cols, (window.radius * d,) * (window.k + 1), budget)
+        answers["lattice"] = (False, None) if c is None else (True, witness_of(c))
     kinds = {s for s, _ in answers.values()}
     if len(kinds) > 1:
         raise RouteDisagreement(
@@ -417,14 +422,8 @@ def minkowski_soluble(forms: ExactMatrix, alphas, mu=1, budget=DEFAULT_NODE_BUDG
     if len(alphas) != n or any(not a > 0 for a in alphas):
         raise ValueError("need %d positive bounds" % n)
     mu = rat(mu)
-    box = Box(tuple(mu * a for a in alphas), (True,) + (False,) * (n - 1))
-    pts = enumerate_basis_in_box(
-        forms.columns(), box, EXACT, budget=budget, first_only=True
-    )
-    if not pts:
-        return False, None
-    _, coeffs = pts[0]
-    return True, coeffs
+    x = _first_hit(forms.columns(), tuple(mu * a for a in alphas), budget)
+    return x is not None, x
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
+
+import latflow
 
 from latflow.cli import CSV_TAG, _build_parser, main
 from latflow.constructions import (
@@ -427,6 +431,92 @@ def test_negative_trials_is_usage_error(tmp_path, capsys):
     # no trials still runs the alignment and containment checks
     assert main(argv + ["--trials", "0"]) == 0
     assert "0 trials, alignment ok, containment ok -> all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sizes", ["3", "4", "0", "-1"])
+def test_lemma_verify_block_size_out_of_range_is_usage_error(sizes):
+    # checked before the first draw: no draw of m1 >= n - 1 or m1 < 0
+    # coordinates passes the rank test, so a redraw loop would never end;
+    # run in a child process so that a hang fails on the timeout
+    src = os.path.dirname(os.path.dirname(latflow.__file__))
+    argv = ["lemma-verify", "--rep", "adjoint:3", "--config-sizes=" + sizes, "--trials", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latflow.cli"] + argv,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: block sizes must lie in [1, n)")
+
+
+_SMALL = ["--imax", "2", "--samples", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, shown",
+    [
+        (["equidist", "--gap-tol", "nan"] + _SMALL, None, "--gap-tol must be at least 0, got nan"),
+        (["equidist", "--gap-tol=-1"] + _SMALL, None, "--gap-tol must be at least 0, got -1.0"),
+        (["equidist"] + _SMALL, {"gap_tol": math.nan}, "--gap-tol must be at least 0, got nan"),
+        (["twist", "--defect-tol=-0.5"] + _SMALL, None, "--defect-tol must be at least 0, got -0.5"),
+        (["twist"] + _SMALL, {"defect_tol": math.nan}, "--defect-tol must be at least 0, got nan"),
+        (["nondiv", "--frac-tol=-1/2"] + _SMALL, None, "--frac-tol must be at least 0, got -1/2"),
+        (["nondiv"] + _SMALL, {"frac_tol": "-1"}, "--frac-tol must be at least 0, got -1"),
+        (["layered", "--sequence", "i", "--err-tol", "nan"], None,
+         "--err-tol must be at least 0, got nan"),
+        (["layered", "--sequence", "i"], {"err_tol": -1e-9}, "--err-tol must be at least 0, got -1e-09"),
+        (["nondiv", "--threads", "-4"] + _SMALL, None, "--threads must be at least 1, got -4"),
+        (["nondiv", "--threads", "0"] + _SMALL, None, "--threads must be at least 1, got 0"),
+        (["improvability", "--samples", "3"], {"threads": 0}, "--threads must be at least 1, got 0"),
+    ],
+)
+def test_nan_or_negative_tolerance_and_no_threads_are_usage_errors(
+    tmp_path, capsys, argv, config, shown
+):
+    # a NaN tolerance fails every gate and a negative one every gate but an
+    # exact zero: both read as failed verifications (exit 1) unless refused
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + shown)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["improvability", "--weights", "10,10;100,100", "--samples", "6"],
+        ["equidist", "--imax", "3", "--samples", "6", "--grid", "random", "--gap-tol", "9"],
+        ["nondiv", "--imax", "3", "--samples", "20", "--eps", "0.05,0.2"],
+        ["twist", "--indices", "4", "--samples", "6", "--grid", "random"],
+        ["lemma-verify", "--rep", "adjoint:4", "--config-sizes", "2,1", "--growth", "1:1,1:2",
+         "--trials", "2"],
+        ["constructions", "--scan-tail", "5/2", "--scan-weights", "10", "--threshold"],
+        ["layered", "--sequence", "2*i, i, 3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_file_is_the_printed_table_with_crlf_rows(tmp_path, capfdbinary, argv):
+    # one table, two renderings: the tag line ends in LF in both, every other
+    # line in LF on stdout and in CRLF in the file; no cell is quoted
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = (out / (argv[0] + ".csv")).read_bytes()
+    tag, sep, rest = data.partition(b"\n")
+    assert tag == CSV_TAG.encode() and sep
+    rows = rest.split(b"\r\n")
+    assert len(rows) > 2 and rows[-1] == b""
+    assert not any(b"\r" in r or b"\n" in r or b'"' in r for r in rows)
+    printed = capfdbinary.readouterr().out
+    table = b"\n".join([tag] + rows)
+    assert printed.startswith(table) or b"\n" + table in printed
 
 
 # -- the CLI surface, pinned flag by flag ----------------------------------

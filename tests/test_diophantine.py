@@ -254,6 +254,37 @@ def test_minkowski_soluble_on_unimodular_forms():
         assert all(abs(v) < a for v, a in zip(vals[1:], alphas[1:]))
 
 
+@pytest.mark.parametrize("mu", [Rat(1, 2), Rat(3, 4)])
+def test_minkowski_soluble_below_full_radius_matches_brute_force(mu):
+    # below radius 1 Minkowski's theorem guarantees nothing, so both answers
+    # occur; the brute scan lists every point of the box |v_1| <= mu a_1,
+    # |v_j| < mu a_j, and an integral bound puts lattice points on its faces
+    rng = random.Random(int(mu * 8))
+    answers = []
+    for _ in range(120):
+        n = rng.choice((2, 3))
+        forms = ExactMatrix(_brute.random_unimodular(rng, n, ops=4))
+        alphas = (Rat(rng.randint(1, 4), rng.randint(1, 2)),)
+        while len(alphas) < n:
+            a = Rat(rng.randint(1, 4), rng.randint(1, 2))
+            if a != alphas[-1]:
+                alphas += (a,)
+        bounds = [mu * a for a in alphas]
+        hits = _brute.enumerate_box_coeffs(forms.columns(), bounds, (True,) + (False,) * (n - 1))
+        ok, x = minkowski_soluble(forms, alphas, mu)
+        assert ok is bool(hits), (forms.rows, alphas)
+        answers.append(ok)
+        if not ok:
+            assert x is None
+            continue
+        assert tuple(x) in {c for _, c in hits}
+        vals = _brute.mat_vec(forms.rows, x)
+        assert any(vals)
+        assert abs(vals[0]) <= bounds[0]
+        assert all(abs(v) < b for v, b in zip(vals[1:], bounds[1:]))
+    assert 0 < answers.count(False) < len(answers)
+
+
 def test_minkowski_refuses_float_backend():
     # float forms never reach the decision: the matrix refuses them when built
     with pytest.raises(BackendMismatch):
