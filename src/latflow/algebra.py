@@ -120,10 +120,7 @@ class ExpansionRates:
         return len(self.weights) + 1
 
     def total_weight(self):
-        p = self.weights[0]
-        for w in self.weights[1:]:
-            p = p * w
-        return p
+        return math.prod(self.weights)
 
 
 def expanding_diagonal(rates: ExpansionRates):
@@ -145,9 +142,7 @@ def diagonal_shear(weights, shift):
         raise ValueError("dimension mismatch")
     weights = [float(x) for x in weights]
     shift = [0.0 + float(x) for x in shift]
-    total = weights[0]
-    for x in weights[1:]:
-        total = total * x
+    total = math.prod(weights)
     n = len(weights) + 1
     rows = [[total] + [total * x for x in shift]]
     for j, x in enumerate(weights):

@@ -270,15 +270,11 @@ def _parse_curve(cfg):
     return curve
 
 
-def _parse_schedule(cfg):
-    return RateSchedule.parse(_require(cfg, "sequence"))
-
-
 def _curve_schedule_indices(cfg):
     """The curve, the rate schedule and the index list of a sweep, parsed
     in that order."""
     curve = _parse_curve(cfg)
-    schedule = _parse_schedule(cfg)
+    schedule = RateSchedule.parse(_require(cfg, "sequence"))
     if cfg["indices"] is not None:
         idx = _ints(cfg["indices"])
     elif cfg["imax"] is not None:
@@ -679,7 +675,7 @@ LAYERED_DEFAULTS = dict(sequence=None, check_at="5,10", err_tol=1e-9, **_OUT_FLA
 
 
 def _cmd_layered(cfg):
-    schedule = _parse_schedule(cfg)
+    schedule = RateSchedule.parse(_require(cfg, "sequence"))
     tol = _tolerance(cfg, "err_tol")
     pres = layered_presentation(schedule)
     checks = _ints(cfg["check_at"])

@@ -11,6 +11,7 @@ All of this is exact integer/rational arithmetic, certified two ways
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .backend import Rat, rat
@@ -144,9 +145,7 @@ def block_transport_witness(weights, leading_ones):
     s = staircase_unimodular(wprime)
     h, upper = unit_lower_elimination(s)
 
-    total = Rat(1)
-    for x in wprime:
-        total = total * x
+    total = math.prod(wprime)
     diag = ExactMatrix.diagonal([total] + [Rat(1) / Rat(x) for x in wprime])
     diag_mirror = ExactMatrix.diagonal(
         [Rat(x) for x in reversed(wprime)] + [Rat(1) / total]

@@ -151,12 +151,9 @@ class WindowSpec:
         mu = rat(self.radius)
         if not (0 < mu <= 1):
             raise ValueError("window radius must lie in (0, 1]")
-        total = Rat(1)
-        for x in w:
-            total = total * x
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "radius", mu)
-        object.__setattr__(self, "_total", total)  # not a field: no eq, repr
+        object.__setattr__(self, "_total", math.prod(w))  # not a field: no eq, repr
 
     @property
     def k(self):

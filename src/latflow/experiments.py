@@ -91,13 +91,11 @@ def _check_det(d):
 
 
 def _check_triangular_det(cols):
-    """_check_det of a triangular basis, from the product 1.0 d_0 ... d_{n-1}
-    of its diagonal in order: the product `linalg.det(approx=True)` forms,
-    with no row update, for a triangular matrix."""
-    d = 1.0
-    for j, col in enumerate(cols):
-        d = d * col[j]
-    _check_det(d)
+    """_check_det of a triangular basis, from the product d_0 ... d_{n-1}
+    of its diagonal in order (`math.prod`, from 1): the product
+    `linalg.det(approx=True)` forms, with no row update, for a triangular
+    matrix."""
+    _check_det(math.prod(col[j] for j, col in enumerate(cols)))
 
 
 def translate_lattice(curve: Curve, rates: ExpansionRates, s, doubled=False):
@@ -389,9 +387,14 @@ def improvability_scan(
     The L = 0 row is the vacuous conjunction, fraction 1.  A sample's
     windows are decided in row order up to its first window where both
     systems are insoluble; the later rows cannot change its prefixes.
+    Each weight row needs one weight per curve coordinate.
     """
-    samples = sample_grid(curve, count, grid, seed)
     rows = [tuple(r) for r in weight_rows]
+    for pos, r in enumerate(rows, 1):
+        if len(r) != curve.k:
+            raise ValueError("weight row %d (%s) has %d weights; the curve has dimension %d"
+                             % (pos, ",".join(map(str, r)), len(r), curve.k))
+    samples = sample_grid(curve, count, grid, seed)
     mu_list = [rat(mu) for mu in mu_list]
     jobs = [(curve, tuple(WindowSpec(r, mu) for r in rows), budget) for mu in mu_list]
     out = []
@@ -439,12 +442,15 @@ def shear_invariance_scan(
     exists (zero head, or the scalar-block negative case) are skipped and
     counted.  The expansion used here is the *anchored* one (residuals
     stripped), which the aligning elements commute with.  The defect at
-    t = 0 is exactly 0 by construction.
+    t = 0 is exactly 0 by construction.  Every t must be finite.
     """
+    t_list = [float(t) for t in t_list]
+    bad = [t for t in t_list if not math.isfinite(t)]
+    if bad:
+        raise ValueError("shear t must be finite, got %r" % (bad[0],))
     pres = layered_presentation(schedule)
     block = pres.block_sizes[-1]  # innermost layer block, the shear's home
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
-    t_list = [float(t) for t in t_list]
     sup_f = tent.height
     deriv = curve.derivative()
     jobs = [

@@ -551,11 +551,7 @@ class Tent:
     def integral(self):
         """Integral over n-space: height * (2 radius)^n / (n + 1)."""
         n = self.dim
-        two_r = 2 * self.radius
-        val = self.height
-        for _ in range(n):
-            val = val * two_r
-        return val / (n + 1)
+        return math.prod([2 * self.radius] * n, start=self.height) / (n + 1)
 
 
 def siegel_transform(basis_cols, tent: Tent, budget=DEFAULT_NODE_BUDGET):

@@ -65,6 +65,8 @@ class RepSpace:
     degree: int = 1
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("a representation of SL(n) needs n >= 2, got n = %r" % (self.n,))
         if self.kind not in ("wedge", "adjoint"):
             raise ValueError("kind must be 'wedge' or 'adjoint'")
         if self.kind == "wedge" and not 1 <= self.degree <= self.n - 1:
@@ -199,20 +201,6 @@ class RepSpace:
         )
         return ExactMatrix._trusted(zip(*_over(cols, scale)))
 
-    def weight_of(self, lab, block_sizes):
-        """Per-block eigenvalue tuple of a basis label."""
-        sizes = validate_block_sizes(self.n, block_sizes)
-        out = []
-        for m in sizes:
-            diag = [Rat(m)] + [Rat(-1)] * m + [Rat(0)] * (self.n - m - 1)
-            if self.kind == "wedge":
-                out.append(sum(diag[i - 1] for i in lab))
-            elif lab[0] == "E":
-                out.append(diag[lab[1] - 1] - diag[lab[2] - 1])
-            else:
-                out.append(Rat(0))
-        return tuple(out)
-
 
 def _over(rows, scale):
     """Rows of the Rats x / scale for rows of integers x; with scale 1 each
@@ -266,8 +254,19 @@ def _wedge_replace(J, t, p):
 
 
 def weight_table(rep: RepSpace, block_sizes):
-    """Ordered mapping label -> weight tuple."""
-    return {lab: rep.weight_of(lab, block_sizes) for lab in rep.labels()}
+    """Ordered mapping label -> weight tuple: the eigenvalues of each
+    block's `block_generator` on the basis vector, read off its diagonal
+    (d_i + d_j + ... on a wedge monomial, d_p - d_q on E_pq, 0 on H_i)."""
+    n = rep.n
+    gens = [block_generator(n, m) for m in validate_block_sizes(n, block_sizes)]
+    diags = [[g.rows[i][i] for i in range(n)] for g in gens]
+
+    def eigenvalue(d, lab):
+        if rep.kind == "wedge":
+            return sum(d[i - 1] for i in lab)
+        return d[lab[1] - 1] - d[lab[2] - 1] if lab[0] == "E" else Rat(0)
+
+    return {lab: tuple(eigenvalue(d, lab) for d in diags) for lab in rep.labels()}
 
 
 @dataclass(frozen=True)
@@ -410,20 +409,9 @@ class GrowthSpec:
         """Sign of the limit of weight . t_i: '+', '-', or '0' (bounded)."""
         if len(weight) != self.k:
             raise ValueError("weight length mismatch")
-        agg = {}
-        for mu, layer in zip(weight, self.layers):
-            mu = rat(mu)
-            if mu == 0:
-                continue
-            for c, p in layer.terms:
-                if p > 0:
-                    agg[p] = agg.get(p, Rat(0)) + mu * c
-        for p in sorted(agg, reverse=True):
-            if agg[p] > 0:
-                return "+"
-            if agg[p] < 0:
-                return "-"
-        return "0"
+        terms = [(mu * c, p) for mu, t in zip(weight, self.layers) for c, p in t.terms if p > 0]
+        c, _ = ClosedForm(tuple(terms)).leading
+        return "+" if c > 0 else "-" if c < 0 else "0"
 
 
 @dataclass(frozen=True)
@@ -459,10 +447,10 @@ def split_spaces(rep: RepSpace, block_sizes, growth: GrowthSpec) -> WeightSplit:
 # every argument and the result are frozen, so one split serves all trials
 @functools.lru_cache(maxsize=64)
 def _split(rep, sizes, growth):
-    labs = rep.labels()
-    ws = tuple(rep.weight_of(lab, sizes) for lab in labs)
+    table = weight_table(rep, sizes)
+    ws = tuple(table.values())
     cls = tuple(growth.classify(w) for w in ws)
-    return WeightSplit(rep, sizes, growth, labs, ws, cls)
+    return WeightSplit(rep, sizes, growth, tuple(table), ws, cls)
 
 
 def _combine(coeffs, scaled):
@@ -586,13 +574,11 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     invariant component.  Both lists are empty when the space is trivial,
     so the checks find nothing to violate.
     """
-    sizes = validate_block_sizes(rep.n, block_sizes)
-    if growth.k != len(sizes):
-        raise ValueError("growth/block count mismatch")
-    spanning, pts = _points_ok(points, rep.n, sizes[0])
+    split = split_spaces(rep, block_sizes, growth)
+    m1 = split.block_sizes[0]
+    spanning, pts = _points_ok(points, rep.n, m1)
     if require_spanning and not spanning:
-        raise ValueError("points must affinely span the embedded R^%d" % sizes[0])
-    split = split_spaces(rep, sizes, growth)
+        raise ValueError("points must affinely span the embedded R^%d" % m1)
     actions = _shear_actions(rep, pts)
     space = _space_from_actions(split, actions)
     if not space.dim:
@@ -626,7 +612,7 @@ def _layered_violations(split, pts, space, images, kernels):
     return violations
 
 
-def _spanning_violations(split, pts, space, kernels):
+def _spanning_violations(pts, space, kernels):
     """(point, vector) for each hypothesis vector whose translate loses its
     fully invariant component."""
     basis = linalg.clear_denominators(space.basis)
@@ -655,7 +641,7 @@ def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
         its first-(k-1)-blocks-invariant component.
     """
     split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
-    spanning = _report(space, _spanning_violations(split, pts, space, kernels))
+    spanning = _report(space, _spanning_violations(pts, space, kernels))
     if growth.k == 1:
         return spanning, spanning
     return _report(space, _layered_violations(split, pts, space, images, kernels)), spanning
@@ -668,11 +654,16 @@ class AlignmentReport:
     violations: tuple
 
 
-def _elementary(n, p, q) -> ExactMatrix:
-    """The n x n elementary matrix E_pq (1-based p, q)."""
-    rows = [[Rat(0)] * n for _ in range(n)]
-    rows[p - 1][q - 1] = Rat(1)
-    return ExactMatrix._trusted(rows)
+def _elementary_actions(rep: RepSpace, block, last):
+    """The algebra matrix of each elementary E_pq with p <= block and
+    q <= last, q != p (1-based), p major."""
+    n = rep.n
+    for p in range(block):
+        for q in range(last):
+            if q != p:
+                rows = [[Rat(0)] * n for _ in range(n)]
+                rows[p][q] = Rat(1)
+                yield rep.algebra_matrix(ExactMatrix._trusted(rows))
 
 
 def _support_components(rep: RepSpace, block):
@@ -693,15 +684,11 @@ def _support_components(rep: RepSpace, block):
         if ra != rb:
             parent[ra] = rb
 
-    for p in range(1, block + 1):
-        for q in range(1, block + 1):
-            if p == q:
-                continue
-            act = rep.algebra_matrix(_elementary(rep.n, p, q))
-            for j in range(dim):
-                for i in range(dim):
-                    if act.rows[i][j] != 0:
-                        union(i, j)
+    for act in _elementary_actions(rep, block, block):
+        for j in range(dim):
+            for i in range(dim):
+                if act.rows[i][j] != 0:
+                    union(i, j)
     comps = {}
     for i in range(dim):
         comps.setdefault(find(i), []).append(i)
@@ -772,11 +759,7 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     """
     if not 1 <= block <= rep.n:
         raise ValueError("block out of range")
-    rows = []
-    for p in range(1, block + 1):
-        for q in range(1, rep.n + 1):
-            if q != p:
-                rows.extend(rep.algebra_matrix(_elementary(rep.n, p, q)).rows)
+    rows = [row for act in _elementary_actions(rep, block, rep.n) for row in act.rows]
     return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
 
 

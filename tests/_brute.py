@@ -591,6 +591,41 @@ def rep_labels(n, kind, degree):
     return labs + [("H", i) for i in range(1, n)]
 
 
+def weight_reference(n, kind, lab, sizes):
+    """Per-block eigenvalue tuple of a basis label, one diagonal
+    diag(m, -1 x m, 0, ...) written out per block size m."""
+    out = []
+    for m in sizes:
+        diag = [Fraction(m)] + [Fraction(-1)] * m + [Fraction(0)] * (n - m - 1)
+        if kind == "wedge":
+            out.append(sum(diag[i - 1] for i in lab))
+        elif lab[0] == "E":
+            out.append(diag[lab[1] - 1] - diag[lab[2] - 1])
+        else:
+            out.append(Fraction(0))
+    return tuple(out)
+
+
+def classify_reference(layer_terms, weight):
+    """Sign of the leading term of sum_l weight[l] t_l(i), each t_l given by
+    its (c, p) terms: the coefficients of each exponent p > 0 summed in a
+    dict and scanned from the largest p down to the first nonzero sum."""
+    agg = {}
+    for mu, terms in zip(weight, layer_terms):
+        mu = Fraction(mu)
+        if mu == 0:
+            continue
+        for c, p in terms:
+            if p > 0:
+                agg[p] = agg.get(p, Fraction(0)) + mu * c
+    for p in sorted(agg, reverse=True):
+        if agg[p] > 0:
+            return "+"
+        if agg[p] < 0:
+            return "-"
+    return "0"
+
+
 def _sl_basis(n, lab):
     m = [[Fraction(0)] * n for _ in range(n)]
     if lab[0] == "E":

@@ -452,6 +452,31 @@ def test_lemma_verify_block_size_out_of_range_is_usage_error(sizes):
     assert proc.stderr.startswith("error: block sizes must lie in [1, n)")
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        # the default moment curve of n = 1 has no component; the rep is refused first
+        (["lemma-verify", "--rep", "adjoint:1", "--config-sizes", "1", "--trials", "1"],
+         "a representation of SL(n) needs n >= 2, got n = 1"),
+        (["lemma-verify", "--rep", "adjoint:0", "--config-sizes", "1", "--trials", "1"],
+         "a representation of SL(n) needs n >= 2, got n = 0"),
+        (["lemma-verify", "--rep", "wedge:1:1", "--config-sizes", "1", "--trials", "1"],
+         "a representation of SL(n) needs n >= 2, got n = 1"),
+        # not "basis is not unimodular (det = 0.0)"
+        (["twist", "--indices", "2", "--samples", "5", "--t", "inf"], "shear t must be finite, got inf"),
+        (["twist", "--indices", "2", "--samples", "5", "--t", "0,nan"], "shear t must be finite, got nan"),
+        # not "point/window dimension mismatch"
+        (["improvability", "--weights", "10", "--samples", "3"],
+         "weight row 1 (10) has 1 weights; the curve has dimension 2"),
+    ],
+)
+def test_input_refused_by_name_is_usage_error(capsys, argv, shown):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % shown
+
+
 _SMALL = ["--imax", "2", "--samples", "5"]
 
 

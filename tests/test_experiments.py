@@ -1,10 +1,13 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from latflow.backend import Rat
-from latflow.algebra import ExactMatrix, ExpansionRates, dual_involution
+from latflow.algebra import ExactMatrix, ExpansionRates, diagonal_shear, dual_involution
+from latflow.constructions import block_transport_witness
 from latflow import experiments, linalg
 from latflow.diophantine import Curve, WindowSpec, window_dual_soluble, window_primal_soluble
 from latflow.lattice import Tent
@@ -249,6 +252,86 @@ def test_shear_scan_refuses_overflowing_heads():
         shear_invariance_scan(
             curve, RateSchedule.parse("i, i"), (4,), (0.0,), 3, tent
         )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the scan started work before refusing its input")
+
+
+@pytest.mark.parametrize("t, shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_shear_scan_refuses_a_non_finite_t_before_any_work(monkeypatch, t, shown):
+    # an infinite twist used to reach the determinant check, which blamed
+    # the basis: "basis is not unimodular (det = 0.0)"
+    monkeypatch.setattr(experiments, "layered_presentation", _no_work)
+    monkeypatch.setattr(experiments, "sample_grid", _no_work)
+    tent = Tent((0.0, 0.0), 2.0, 1.0)
+    with pytest.raises(ValueError, match=r"^shear t must be finite, got %s$" % shown):
+        shear_invariance_scan(Curve.parse("s"), RateSchedule.parse("i"), (2,), (0.0, t), 5, tent)
+
+
+def test_improvability_scan_refuses_a_row_of_another_length_before_any_work(monkeypatch):
+    # a one-weight row on a 2-D curve used to fail inside the first window
+    # decision with "point/window dimension mismatch"
+    monkeypatch.setattr(experiments, "sample_grid", _no_work)
+    curve = Curve.parse("s,s^2")
+    for rows, shown in [
+        ([(10,)], "weight row 1 (10) has 1 weights; the curve has dimension 2"),
+        ([(10, 10), (1, Rat(5, 2), 3)], "weight row 2 (1,5/2,3) has 3 weights; the curve has dimension 2"),
+    ]:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(shown)):
+            improvability_scan(curve, rows, [Rat(1, 2)], 3)
+
+
+def _left_to_right(start, xs):
+    for x in xs:
+        start = start * x
+    return start
+
+
+def test_products_keep_the_bits_of_the_left_to_right_loop(monkeypatch):
+    # math.prod multiplies in order from the int 1, and 1 * x == x exactly:
+    # each product site equals the loop it replaced, in repr, on seeded
+    # magnitudes across the float range, with products that overflow to
+    # inf or round to -0.0
+    rng = random.Random(2706)
+
+    def draw(low, signed):
+        x = 10.0 ** rng.uniform(low, 200)
+        return -x if signed and rng.random() < 0.5 else x
+
+    signed = [[draw(-200, True) for _ in range(rng.randint(1, 6))] for _ in range(300)]
+    signed += [[1e200, 1e200], [-1e-200, 1e-200], [1e300, -1e300, 1e-300], [math.inf, -2.0]]
+    assert any(repr(_left_to_right(1.0, xs)) == "-0.0" for xs in signed)
+    assert any(_left_to_right(1.0, xs) == -math.inf for xs in signed)
+    integrals = []
+    for xs in signed:
+        shear = diagonal_shear(xs, [0.0] * len(xs))
+        assert repr(shear[0][0]) == repr(_left_to_right(xs[0], xs[1:]))
+        rates = sorted((abs(x) + 1.0 for x in xs), reverse=True)
+        assert repr(ExpansionRates(rates).total_weight()) == repr(_left_to_right(rates[0], rates[1:]))
+        radius, height, n = abs(xs[0]), abs(xs[-1]), len(xs)
+        if radius < math.inf and height < math.inf:
+            want = _left_to_right(height, [2 * radius] * n) / (n + 1)
+            integrals.append(Tent((0.0,) * n, radius, height).integral())
+            assert repr(integrals[-1]) == repr(want)
+    assert math.inf in integrals and 0.0 in integrals
+
+    seen = []
+    monkeypatch.setattr(experiments, "_check_det", seen.append)
+    for xs in signed + [[-0.0, 3.0], [math.nan, 2.0]]:
+        cols = [[x if i == j else 0.5 for i in range(len(xs))] for j, x in enumerate(xs)]
+        experiments._check_triangular_det(cols)
+        assert repr(seen.pop()) == repr(_left_to_right(1.0, xs))
+
+    for _ in range(40):
+        w = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        rats = [Rat(x, rng.randint(1, x)) for x in w]
+        total = WindowSpec(rats, 1).total_weight()
+        assert type(total) is Fraction and repr(total) == repr(_left_to_right(Rat(1), rats))
+        m = rng.randint(0, len(w))
+        want = _left_to_right(Rat(1), [1] * m + w[m:])
+        diag = block_transport_witness(w, m).diag.rows
+        assert repr(diag[0][0]) == repr(want)
 
 
 def test_thread_determinism():

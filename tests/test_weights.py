@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,11 +25,13 @@ from latflow.weights import (
 
 from _brute import (
     algebra_matrix_reference,
+    classify_reference,
     frac,
     group_matrix_reference,
     mat_vec,
     random_rational_invertible,
     random_unimodular,
+    weight_reference,
 )
 
 
@@ -134,6 +137,65 @@ def test_growth_spec_classify():
 def test_growth_spec_merges_monomials():
     g = GrowthSpec((ClosedForm(((1, 1), (2, 1))),))  # i + 2i collapses to 3i
     assert g.layers[0].terms == ((Rat(3), Rat(1)),)
+
+
+def test_rep_space_refuses_n_below_two():
+    # refused by name, not by a later error about a curve or a block size
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=r"needs n >= 2, got n = %d$" % n):
+            RepSpace(n, "adjoint")
+    with pytest.raises(ValueError, match=r"got n = 1$"):
+        RepSpace(1, "wedge", 1)
+
+
+def _seeded_growth(rng, k):
+    """k divergent layers whose top terms share the exponent 2, with two
+    lower terms each from a pool of rational exponents, so that a weight
+    can cancel the top terms and classify by a lower exponent."""
+    pool = (Rat(3, 2), 1, Rat(1, 2), Rat(1, 3), 0)
+    return GrowthSpec(tuple(
+        ClosedForm(((rng.randint(1, 3), 2),) + tuple((rng.randint(-3, 3), p) for p in rng.sample(pool, 2)))
+        for _ in range(k)
+    ))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_weight_table_and_classes_match_the_per_label_references(n):
+    # every rep and every strictly decreasing tuple of block sizes, against
+    # a diagonal written out per label and an exponent-dict classification
+    rng = random.Random(27000 + n)
+    below_top = 0
+    for rep in _all_reps(n):
+        for k in range(1, n):
+            for sizes in itertools.combinations(range(n - 1, 0, -1), k):
+                table = weight_table(rep, sizes)
+                assert tuple(table) == rep.labels()
+                for lab, w in table.items():
+                    assert w == weight_reference(n, rep.kind, lab, sizes)
+                    assert all(type(x) is Fraction for x in w)
+                growths = [GrowthSpec.simple([(1, 1)] * k)] + [_seeded_growth(rng, k) for _ in range(2)]
+                for growth in growths:
+                    terms = [layer.terms for layer in growth.layers]
+                    split = split_spaces(rep, sizes, growth)
+                    assert split.labels == rep.labels()
+                    assert split.weights == tuple(table.values())
+                    drawn = [
+                        tuple(Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k))
+                        for _ in range(3)
+                    ]
+                    if k >= 2:  # (c_2, -c_1, 0, ...) cancels the top terms
+                        (c1, _), (c2, _) = terms[0][0], terms[1][0]
+                        drawn.append((c2, -c1) + (0,) * (k - 2))
+                    for w in list(split.weights) + drawn:
+                        got = growth.classify(w)
+                        assert got == classify_reference(terms, w)
+                        top = sum(mu * layer.terms[0][0] for mu, layer in zip(w, growth.layers))
+                        if growth is not growths[0] and top == 0 and got != "0":
+                            below_top += 1
+                    assert split.classes == tuple(classify_reference(terms, w) for w in split.weights)
+    # cancelled top terms, classified by a lower (often rational) exponent;
+    # one block (n = 2) cancels only with a zero weight
+    assert below_top > 0 or n == 2
 
 
 def test_split_spaces_partitions_basis():
