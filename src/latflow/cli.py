@@ -560,6 +560,7 @@ def _cmd_lemma_verify(cfg):
     if trials < 0:
         raise ValueError("--trials must be at least 0, got %d" % trials)
     weights.validate_block_sizes(rep.n, sizes)
+    weights._check_curve_dim(rep, curve)
     rng = random.Random(cfg["seed"])
 
     failures = []

@@ -8,11 +8,12 @@ magnitude.  The exact `det` scales its input by the common denominator
 and runs fraction-free (Bareiss) elimination on integers.  `rref` (and
 with it `rank` and `kernel_basis`) is fraction-free per row: each row is
 scaled to integers by its own denominators, Gauss-Jordan runs on those,
-and the Fractions x / pivot are built once at the end.  `rref` and the
-float `det` skip zero entries: `rref` updates only the columns where the
-pivot row is nonzero beyond a row's rescaling, and `det` updates no row
-whose entry below the pivot is zero, so sparse and triangular input is
-cheap.
+and the Fractions x / pivot are built once at the end.  The exact
+`inverse` is the right half of `rref([a | I])`, so it runs the same way.
+`rref` and the float `det` skip zero entries: `rref` updates only the
+columns where the pivot row is nonzero beyond a row's rescaling, and `det`
+updates no row whose entry below the pivot is zero, so sparse and
+triangular input is cheap.
 gram_schmidt takes float or rational entries (not plain ints, which `/`
 turns into floats); its only caller here is the float LLL.
 
@@ -133,12 +134,19 @@ def det(a, approx=False):
 
 
 def inverse(a, approx=False):
+    """Inverse of a square matrix.  Exact input: the right half of
+    rref([a | I]), so it runs fraction-free like `rref` and refuses floats
+    as `rat` does; a is singular when the left half lacks a pivot.  approx
+    runs float Gauss-Jordan with pivots picked by magnitude."""
     n = len(a)
     m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
     if not approx:
-        m = [[rat(x) for x in row] for row in m]
+        rows, pivots = rref(m)
+        if pivots[:n] != list(range(n)):
+            raise ValueError("singular matrix")
+        return [row[n:] for row in rows]
     for j in range(n):
-        piv = _pivot_index([m[i][j] for i in range(n)], j, approx)
+        piv = _pivot_index([m[i][j] for i in range(n)], j, True)
         if piv < 0:
             raise ValueError("singular matrix")
         m[piv], m[j] = m[j], m[piv]
@@ -166,17 +174,32 @@ def rref(a):
     """Exact reduced row echelon form; returns (rref_rows, pivot_columns).
 
     Fraction-free: each row is scaled to integers by its own denominators
-    and Gauss-Jordan runs on those.  Clearing column j of a row with entry f
-    against the pivot row with entry p sets it to (p row - f pivot_row) / g
-    for g = gcd(p, f), touching only the pivot row's nonzero columns beyond
-    the rescaling, and then divides the row by the gcd of its entries.  A
-    pivot row stays an integer multiple of its reduced row, so the
+    (`_primitive_row`) and Gauss-Jordan runs on those (`_gauss_jordan`).
+    A pivot row stays an integer multiple of its reduced row, so the
     Fractions x / pivot are built once at the end; the reduced form is
     unique, so they are the entries any exact elimination gives.
     """
     if not a:
         return [], []
     rows = [_primitive_row(row) for row in a]
+    pivots = _gauss_jordan(rows)
+    zero = Rat(0)
+    out = [[Rat(x, row[j]) if x else zero for x in row] for row, j in zip(rows, pivots)]
+    out += [[zero] * len(rows[0]) for _ in range(len(pivots), len(rows))]
+    return out, pivots
+
+
+def _gauss_jordan(rows):
+    """Gauss-Jordan in place on a nonempty list of primitive integer rows
+    (`_primitive_row`); returns the pivot columns.
+
+    Afterwards rows[t] is an integer multiple, with coprime entries, of
+    row t of the reduced row echelon form, and the rows from len(pivots)
+    on are zero.  Clearing column j of a row with entry f against the
+    pivot row with entry p sets it to (p row - f pivot_row) / g for
+    g = gcd(p, f), touching only the pivot row's nonzero columns beyond the
+    rescaling, and then divides the row by the gcd of its entries.
+    """
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -211,10 +234,7 @@ def rref(a):
         r += 1
         if r == nrows:
             break
-    zero = Rat(0)
-    out = [[Rat(x, row[j]) if x else zero for x in row] for row, j in zip(rows, pivots)]
-    out += [[zero] * ncols for _ in range(r, nrows)]
-    return out, pivots
+    return pivots
 
 
 def rank(a):

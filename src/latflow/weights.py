@@ -513,27 +513,41 @@ def _points_ok(points, n, m1):
     return linalg.rank(diffs) == m1, pts
 
 
-def _shear_actions(rep: RepSpace, points):
-    """The representation matrix of the shear u(e), once per point."""
-    return [rep.group_matrix(row_unipotent(e)) for e in points]
-
-
-def _space_from_actions(split: WeightSplit, actions) -> Subspace:
-    """Vectors v with u(e) v free of every expanding weight direction, for
-    each given action u(e)."""
-    dim = split.rep.dim
-    plus = split.indices("+")
-    rows = [list(act.rows[i]) for act in actions for i in plus]
+def _kernel_space(dim, rows) -> Subspace:
+    """The common kernel of the rows, the whole space when there are none."""
     if not rows:
-        return Subspace(dim, tuple(tuple(linalg.identity(dim)[i]) for i in range(dim)))
+        return Subspace(dim, tuple(tuple(row) for row in linalg.identity(dim)))
     return Subspace.from_generators(linalg.kernel_basis(rows), dim)
 
 
 def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
     """Vectors all of whose shear translates by the given points have zero
-    component in every expanding weight direction."""
-    split = split_spaces(rep, block_sizes, growth)
-    return _space_from_actions(split, _shear_actions(rep, points))
+    component in every expanding weight direction: the common kernel of the
+    expanding rows of the actions u(e).
+
+    The points are read one at a time, so they may come lazily, and each
+    action is computed when its point is reached.  The rows are held as
+    integers (`linalg._primitive_row`).  Once at least rep.dim are held
+    they are replaced by the nonzero rows of their rref, each kept as an
+    integer multiple (`linalg._gauss_jordan`), and once their rank reaches
+    rep.dim the space is {0} and no further point is read.  The answer is
+    the one all points give: more rows only shrink the kernel, and the rref
+    is unique, so the reduced rows have the kernel of the rows they
+    replace.  With no expanding index, or no points, the space is the whole
+    space.
+    """
+    dim = rep.dim
+    plus = split_spaces(rep, block_sizes, growth).indices("+")
+    rows = []
+    for e in points if plus else ():
+        act = rep.group_matrix(row_unipotent(e))
+        rows += [linalg._primitive_row(act.rows[i]) for i in plus]
+        if len(rows) >= dim:
+            pivots = linalg._gauss_jordan(rows)
+            if len(pivots) == dim:
+                return Subspace(dim, ())
+            del rows[len(pivots) :]
+    return _kernel_space(dim, rows)
 
 
 @dataclass(frozen=True)
@@ -579,8 +593,8 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     spanning, pts = _points_ok(points, rep.n, m1)
     if require_spanning and not spanning:
         raise ValueError("points must affinely span the embedded R^%d" % m1)
-    actions = _shear_actions(rep, pts)
-    space = _space_from_actions(split, actions)
+    actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
+    space = _kernel_space(rep.dim, [act.rows[i] for act in actions for i in split.indices("+")])
     if not space.dim:
         return split, pts, space, [], []
     images = []
@@ -763,19 +777,26 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
 
 
+def _check_curve_dim(rep: RepSpace, curve):
+    """Refuse a curve that does not map into Q^{n-1}."""
+    if curve.k != rep.n - 1:
+        raise ValueError("curve must map into Q^%d" % (rep.n - 1))
+
+
 def curve_hypothesis_fixed_check(rep: RepSpace, block_sizes, growth: GrowthSpec, curve):
     """The hypothesis space generated by sampling a full polynomial curve is
     fixed by the leading block subgroup.
 
     Sampling at entry_degree * curve.degree + 1 distinct parameters spans
     the same constraint space as the whole curve (Vandermonde), so the
-    finite check is exact, not a heuristic.
+    finite check is exact, not a heuristic.  The samples are evaluated
+    lazily, so those after `hypothesis_space` finds {0} never are, and {0}
+    lies in every subspace, so then `block_invariant_space` is not built.
     """
     sizes = validate_block_sizes(rep.n, block_sizes)
-    if curve.k != rep.n - 1:
-        raise ValueError("curve must map into Q^%d" % (rep.n - 1))
+    _check_curve_dim(rep, curve)
     count = rep.entry_degree * max(curve.degree, 1) + 1
-    pts = [curve.eval_exact(s) for s in curve.sample_points(count)]
+    pts = (curve.eval_exact(s) for s in curve.sample_points(count))
     space = hypothesis_space(rep, sizes, growth, pts)
-    target = block_invariant_space(rep, sizes[0] + 1)
-    return _report(space, () if space.is_contained_in(target) else space.basis)
+    contained = not space.dim or space.is_contained_in(block_invariant_space(rep, sizes[0] + 1))
+    return _report(space, () if contained else space.basis)

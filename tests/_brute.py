@@ -5,13 +5,16 @@ float routines are lll_float_reference, the float LLL loop written out
 with a full Gram-Schmidt pass after every change, and
 float_walk_reference, the recursive float Fincke-Pohst walk on top of it,
 which warns through the package's `warn_if_near_face` so that its
-warnings carry the package's category and message."""
+warnings carry the package's category and message.  The hypothesis-space
+references check the early stop alone, so they stack the package's own
+actions and take the package's kernel."""
 
 import math
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
+from latflow import linalg, weights
 from latflow.backend import FLOAT_SLACK, warn_if_near_face
 
 
@@ -26,14 +29,18 @@ def mat_vec(rows, v):
     return [sum((frac(a) * frac(x) for a, x in zip(row, v)), Fraction(0)) for row in rows]
 
 
-def invert(rows):
+def inverse_reference(rows):
+    """Gauss-Jordan on Fractions, whole rows, the first nonzero entry as
+    pivot; ValueError("singular matrix") when a column has none."""
     n = len(rows)
     a = [
         [frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
         for i, row in enumerate(rows)
     ]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         d = a[col][col]
         a[col] = [x / d for x in a[col]]
@@ -62,7 +69,7 @@ def coefficient_tops(basis_cols, bounds):
     cols = [[frac(x) for x in c] for c in basis_cols]
     n = len(cols)
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    inv = invert(rows)
+    inv = inverse_reference(rows)
     return [
         _floor(sum(abs(inv[i][j]) * frac(bounds[j]) for j in range(n)))
         for i in range(n)
@@ -654,7 +661,7 @@ def group_matrix_reference(n, kind, degree, g):
             [det_reference([[g[i - 1][j - 1] for j in J] for i in I]) for J in labs]
             for I in labs
         ]
-    ginv = invert(g)
+    ginv = inverse_reference(g)
     cols = [_sl_coords(n, _mat_mul(_mat_mul(g, _sl_basis(n, lab)), ginv)) for lab in labs]
     return [list(r) for r in zip(*cols)]
 
@@ -742,3 +749,23 @@ def unit_triangular_reference(rows, lower):
             if not lower and j < i and rows[i][j] != 0:
                 return False
     return True
+
+
+def hypothesis_space_reference(split, actions):
+    """The hypothesis space with no early stop: the expanding rows of every
+    action stacked, and one kernel_basis of all of them.  It checks only
+    the early stop, so the split, the actions and the kernel come from the
+    package."""
+    dim = split.rep.dim
+    rows = [list(act.rows[i]) for act in actions for i in split.indices("+")]
+    if not rows:
+        return weights.Subspace(dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+    return weights.Subspace.from_generators(linalg.kernel_basis(rows), dim)
+
+
+def fixed_check_reference(space, target):
+    """(ok, hypothesis_dim, violations) of the containment check of the
+    hypothesis space in the target block_invariant_space, for every space,
+    {0} included."""
+    ok = space.is_contained_in(target)
+    return ok, space.dim, () if ok else space.basis

@@ -9,6 +9,7 @@ import pytest
 
 import latflow
 
+from latflow import cli
 from latflow.cli import CSV_TAG, _build_parser, main
 from latflow.constructions import (
     block_transport_witness,
@@ -280,6 +281,20 @@ def test_lemma_verify_cli(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_lemma_verify_refuses_a_wrong_curve_before_the_trials(monkeypatch, capsys):
+    # the curve's dimension is checked before any trial runs
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the curve was checked")
+
+    monkeypatch.setattr(cli, "lemma_reports", no_trials)
+    argv = ["lemma-verify", "--rep", "adjoint:6", "--config-sizes", "3", "--curve", "s",
+            "--trials", "30"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: curve must map into Q^5"
 
 
 # the lemma-sweep benchmark configs at seed 0 with fewer trials: trial rows

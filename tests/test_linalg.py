@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -6,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from latflow.algebra import diagonal_shear
-from latflow.backend import LLLIterationCap, Rat
+from latflow.backend import BackendMismatch, LLLIterationCap, Rat
 from latflow.linalg import (
     clear_denominators,
     det,
     gram_schmidt,
+    inverse,
     kernel_basis,
     lll_integral,
     lll_reduce,
@@ -239,6 +241,37 @@ def test_exact_det_matches_fraction_elimination():
     assert det([[1, 2, 3], [2, 4, 5], [1, 1, 1]]) == _brute.det_reference([[1, 2, 3], [2, 4, 5], [1, 1, 1]])
     assert det([[0, 0], [0, 5]]) == 0
     assert det([[0, Fraction(1, 2)], [Fraction(2, 3), 5]]) == Fraction(-1, 3)
+
+
+def test_exact_inverse_matches_fraction_gauss_jordan():
+    # the right half of rref([a | I]) against Gauss-Jordan on Fractions, on
+    # the det cases (zero corners that need a row swap, singular matrices)
+    # and on the same matrices with rational entries
+    rng = random.Random(43)
+    singular = swapped = 0
+    for rows in itertools.islice(_integer_det_cases(rng), 400):
+        frac_rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+        for a in (rows, frac_rows):
+            if _brute.det_reference(a) == 0:
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    inverse(a)
+                singular += 1
+                continue
+            got = inverse(a)
+            assert all(type(x) is Rat for row in got for x in row)
+            assert got == _brute.inverse_reference(a)
+            swapped += a[0][0] == 0
+    assert singular > 0 and swapped > 0
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        inverse([[0]])
+
+
+def test_exact_inverse_refuses_floats():
+    for rows in ([[1.0, 0], [0, 1]], [[2, Fraction(1, 3)], [0.5, 1]]):
+        with pytest.raises(BackendMismatch):
+            inverse(rows)
+    # the float branch takes them
+    assert inverse([[2.0, 0.0], [0.0, 4.0]], approx=True) == [[0.5, 0.0], [0.0, 0.25]]
 
 
 def test_exact_det_of_integer_matrices_stays_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from latflow.backend import BackendMismatch, Rat
 from latflow.algebra import ExactMatrix, row_unipotent
+from latflow import weights
 from latflow.diophantine import Curve
 from latflow.weights import (
     ClosedForm,
     GrowthSpec,
     RepSpace,
+    Subspace,
     block_generator,
     block_invariant_space,
     curve_hypothesis_fixed_check,
@@ -26,8 +29,10 @@ from latflow.weights import (
 from _brute import (
     algebra_matrix_reference,
     classify_reference,
+    fixed_check_reference,
     frac,
     group_matrix_reference,
+    hypothesis_space_reference,
     mat_vec,
     random_rational_invertible,
     random_unimodular,
@@ -398,3 +403,113 @@ def test_hypothesis_space_shrinks_with_points():
     three = hypothesis_space(rep, (2,), growth, [(0, 0), (1, 0), (0, 1)])
     assert three.dim <= one.dim
     assert three.is_contained_in(one)
+
+
+def _curves(n, rng):
+    """The moment curve, two curves in a proper subspace (s, 2s, 3s, ...
+    and s, 0, ..., 0) and a seeded generic curve of degree n - 1, each
+    into Q^{n-1}."""
+    k = n - 1
+    generic = ", ".join(
+        " + ".join("%d/%d*s^%d" % (rng.randint(-9, 9), rng.randint(1, 5), p) for p in range(n))
+        for _ in range(k)
+    )
+    return [
+        Curve.parse(", ".join("s^%d" % (j + 1) for j in range(k))),
+        Curve.parse(", ".join("%d*s" % (j + 1) for j in range(k))),
+        Curve.parse(", ".join(["s"] + ["0"] * (k - 1))),
+        Curve.parse(generic),
+    ]
+
+
+def _sizes_and_growth(n):
+    """Every valid set of block sizes for SL(n), with one simple growth
+    layer i^l per block l."""
+    for k in range(1, n):
+        for sizes in itertools.combinations(range(n - 1, 0, -1), k):
+            yield sizes, GrowthSpec.simple([(1, l) for l in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hypothesis_space_and_fixed_check_match_the_references(n):
+    # the early stop returns the space all the curve's samples give, and
+    # the fixed check the report of a check that always builds the target
+    rng = random.Random(2800 + n)
+    for rep in _all_reps(n):
+        targets = {m: block_invariant_space(rep, m + 1) for m in range(1, n)}
+        for curve in _curves(n, rng):
+            count = rep.entry_degree * max(curve.degree, 1) + 1
+            pts = [curve.eval_exact(s) for s in curve.sample_points(count)]
+            actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
+            for sizes, growth in _sizes_and_growth(n):
+                want = hypothesis_space_reference(split_spaces(rep, sizes, growth), actions)
+                assert hypothesis_space(rep, sizes, growth, iter(pts)) == want
+                got = curve_hypothesis_fixed_check(rep, sizes, growth, curve)
+                assert (got.ok, got.hypothesis_dim, got.violations) == fixed_check_reference(
+                    want, targets[sizes[0]]
+                )
+
+
+def test_hypothesis_space_without_points_or_expanding_index_is_everything(monkeypatch):
+    rep = RepSpace(4, "adjoint")
+    growth = GrowthSpec.simple([(1, 1)])
+    everything = Subspace.from_generators(
+        [[int(i == j) for j in range(rep.dim)] for i in range(rep.dim)], rep.dim
+    )
+    split = split_spaces(rep, (2,), growth)
+    assert hypothesis_space(rep, (2,), growth, []) == everything
+    assert hypothesis_space_reference(split, []) == everything
+    # no valid split lacks an expanding weight (their leading growth terms
+    # sum to a nonzero traceless diagonal), so one is forced here
+    flat = dataclasses.replace(split, classes=("0",) * rep.dim)
+    monkeypatch.setattr(weights, "split_spaces", lambda *args: flat)
+    pts = [(1, 2, 3), (0, 1, 0)]
+    actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
+    assert hypothesis_space(rep, (2,), growth, pts) == everything
+    assert hypothesis_space_reference(flat, actions) == everything
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fixed_check_stops_at_the_zero_space(monkeypatch):
+    # wedge:6:3 with sizes 4,2 reaches {0} after 4 of its 16 sample points,
+    # and {0} lies in every subspace, so no target is built
+    rep = RepSpace(6, "wedge", 3)
+    growth = GrowthSpec.simple([(1, 1), (1, 2)])
+    curve = Curve.parse("s, s^2, s^3, s^4, s^5")
+    assert rep.entry_degree * curve.degree + 1 == 16
+    actions = _count_calls(monkeypatch, RepSpace, "group_matrix")
+
+    def no_target(*args):
+        raise AssertionError("block_invariant_space built for the zero space")
+
+    monkeypatch.setattr(weights, "block_invariant_space", no_target)
+    report = curve_hypothesis_fixed_check(rep, (4, 2), growth, curve)
+    assert (report.ok, report.hypothesis_dim) == (True, 0)
+    assert len(actions) == 4
+
+
+def test_fixed_check_builds_the_target_for_a_nonzero_space(monkeypatch):
+    # a space that is not {0}: every sample is read and the target is built,
+    # once, whether the space lies in it (wedge:6:3) or not (s, 2s)
+    for rep, sizes, curve, ok in [
+        (RepSpace(6, "wedge", 3), (2,), Curve.parse("s, s^2, s^3, s^4, s^5"), True),
+        (RepSpace(3, "adjoint"), (2,), Curve.parse("s, 2*s"), False),
+    ]:
+        with monkeypatch.context() as m:
+            actions = _count_calls(m, RepSpace, "group_matrix")
+            targets = _count_calls(m, weights, "block_invariant_space")
+            report = curve_hypothesis_fixed_check(rep, sizes, GrowthSpec.simple([(1, 1)]), curve)
+            assert report.ok is ok and report.hypothesis_dim > 0
+            assert len(actions) == rep.entry_degree * curve.degree + 1
+            assert len(targets) == 1
