@@ -539,7 +539,7 @@ def _random_support_points(rng, n, m1):
 
 def _cmd_lemma_verify(cfg):
     rep = _parse_rep(_require(cfg, "rep"))
-    sizes = tuple(_ints(_require(cfg, "config_sizes")))
+    sizes = weights.validate_block_sizes(rep.n, _ints(_require(cfg, "config_sizes")))
     k = len(sizes)
     if cfg["growth"] is not None:
         growth = _parse_growth(cfg["growth"])
@@ -559,7 +559,6 @@ def _cmd_lemma_verify(cfg):
     trials = cfg["trials"]
     if trials < 0:
         raise ValueError("--trials must be at least 0, got %d" % trials)
-    weights.validate_block_sizes(rep.n, sizes)
     weights._check_curve_dim(rep, curve)
     rng = random.Random(cfg["seed"])
 

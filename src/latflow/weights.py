@@ -14,9 +14,10 @@ avoid the expanding part must keep a nonzero bounded-or-better shadow.
 The group and algebra actions follow the structure of the matrices rather
 than multiplying dense ones.  On the adjoint, g E_pq g^-1 is the rank-one
 product (column p of g)(row q of g^-1) and [x, E_pq] is
-(column p of x) e_q^T - e_p (row q of x); on a wedge power every minor of
-g comes from one shared Laplace expansion.  Zero factors are skipped
-throughout; shears u(e) are mostly zeros.
+(column p of x) e_q^T - e_p (row q of x); on a wedge power column J of g
+is the exterior product of the sparse columns j of g, and columns that
+share a prefix share its product.  Zero factors are skipped throughout;
+shears u(e) are mostly zeros.
 
 Everything in this module runs on the exact backend, and its linear
 algebra runs on integers.  The minors and the rank-one terms are computed
@@ -28,6 +29,7 @@ Fractions only.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -146,8 +148,10 @@ class RepSpace:
     def group_matrix(self, g: ExactMatrix) -> ExactMatrix:
         """The representation matrix of a group element.
 
-        Wedge: entry (I, J) is the minor of g on rows I and columns J, all
-        taken from one shared Laplace expansion (`_wedge_minors`).  Adjoint:
+        Wedge: entry (I, J) is the minor of g on rows I and columns J, the
+        coefficient of e_I in g e_{j_1} ^ ... ^ g e_{j_d}; the columns are
+        exterior products of sparse columns (`_wedge_columns`), and only
+        the nonzero minors are written over one shared zero.  Adjoint:
         g E_pq g^-1 is the rank-one matrix (column p of g)(row q of g^-1).
         Both run on integers: the minors of D g, and the rank-one terms of
         D_1 g and D_2 g^-1, for D, D_1 and D_2 the common denominators
@@ -158,11 +162,13 @@ class RepSpace:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
         if self.kind == "wedge":
             scale, rows = linalg.clear_denominators(g.rows)
-            minors = _wedge_minors(rows, self.degree)
-            labs = [tuple(i - 1 for i in lab) for lab in self.labels()]
-            return ExactMatrix._trusted(
-                _over([[minors[I, J] for J in labs] for I in labs], scale**self.degree)
-            )
+            den, zero = scale**self.degree, Rat(0)
+            index = {lab: t for t, lab in enumerate(self.labels())}
+            out = [[zero] * self.dim for _ in range(self.dim)]
+            for t, col in enumerate(_wedge_columns(rows, self.degree)):
+                for I, c in col:
+                    out[index[I]][t] = Rat(c, den)
+            return ExactMatrix._trusted(out)
         # g E_pq g^-1 = (column p of g)(row q of g^-1)
         d1, gcols = linalg.clear_denominators(g.columns())
         d2, ginv = linalg.clear_denominators(g.inverse().rows)
@@ -211,33 +217,35 @@ def _over(rows, scale):
     return [[Rat(x, scale) if x else zero for x in row] for row in rows]
 
 
-def _wedge_minors(rows, d):
-    """Every d x d minor of the square integer matrix rows, keyed by (row
-    indices, column indices), 0-based sorted tuples.
+def _wedge_columns(rows, d):
+    """Column J of the d-th wedge power of the square integer matrix rows,
+    for every J in `RepSpace.labels` order: the (I, minor of rows on rows I
+    and columns J) pairs whose minor is nonzero, I and J 1-based sorted
+    tuples.
 
-    Each minor is expanded along its first column into minors one size
-    smaller on the remaining columns, so every smaller minor is computed
-    once and shared; zero entries and zero sub-minors are skipped.
+    Column J is g e_{j_1} ^ ... ^ g e_{j_d}: the column of its prefix
+    J[:-1], built once and shared by every J that starts with it, wedged
+    with the sparse column j_d of g.  e_I ^ e_i is 0 for i in I, and
+    otherwise e_{I + i} with the sign of the len(I) - k entries of I that
+    e_i passes, k its insertion point.  Zero entries and zero sums are
+    dropped, so the column of a shear u(e) has at most d + 1 pairs.
     """
     n = len(rows)
-    # a size-s minor is needed only on the last s columns of a degree-d set,
-    # which start at column d - s or later
-    minors = {((i,), (j,)): rows[i][j] for i in range(n) for j in range(d - 1, n)}
-    for s in range(2, d + 1):
-        bigger = {}
-        for J in itertools.combinations(range(d - s, n), s):
-            j, rest = J[0], J[1:]
-            for I in itertools.combinations(range(n), s):
-                total = 0
-                for t, i in enumerate(I):
-                    x = rows[i][j]
-                    if x != 0:
-                        m = minors[I[:t] + I[t + 1 :], rest]
-                        if m != 0:
-                            total = total - x * m if t % 2 else total + x * m
-                bigger[I, J] = total
-        minors = bigger
-    return minors
+    cols = [[(i + 1, rows[i][j]) for i in range(n) if rows[i][j] != 0] for j in range(n)]
+    labs = list(itertools.combinations(range(1, n + 1), d))
+    built = {(): [((), 1)]}
+    for J in labs:
+        for t in range(1, d + 1):
+            if J[:t] not in built:
+                acc = {}
+                for I, x in built[J[: t - 1]]:
+                    for i, y in cols[J[t - 1] - 1]:
+                        k = bisect.bisect_left(I, i)
+                        if k == len(I) or I[k] != i:
+                            key = I[:k] + (i,) + I[k:]
+                            acc[key] = acc.get(key, 0) + (-x * y if (len(I) - k) % 2 else x * y)
+                built[J[:t]] = [(I, x) for I, x in acc.items() if x != 0]
+    return [built[J] for J in labs]
 
 
 def _wedge_replace(J, t, p):
@@ -714,52 +722,49 @@ def weight_alignment_check(rep: RepSpace, block_sizes):
     differences line up along the last coordinate.
 
     Checks (a) the centralizer-shift scalar identity on the leading columns,
-    (b) the exact affine relation mu_l - nu_l = f_l (mu_k - nu_k) for every
-    weight pair in every piece, and (c) on the grid {1/2, 1, 2}^k of layer
-    values t, the sign equivalences: mu.t >= nu.t iff mu_k >= nu_k iff (for
-    k >= 2) the truncated forms satisfy the same inequality.
+    (b) the exact affine relation mu_l - nu_l = f_l (mu_k - nu_k), f_l =
+    (m_l + 1) / (m_k + 1), for every weight pair in every piece, and (c) on
+    the grid {1/2, 1, 2}^k of layer values t, the sign equivalences: mu.t >=
+    nu.t iff mu_k >= nu_k iff (for k >= 2) the truncated forms satisfy the
+    same inequality.  (b) and (c) run on integers: the weights times their
+    common denominator, (b) multiplied through by m_k + 1 and the grid by 2,
+    which changes no equality and no sign.  Each block generator's diagonal
+    is read once.
     """
     sizes = validate_block_sizes(rep.n, block_sizes)
     k = len(sizes)
     mk = sizes[-1]
-    factors = [Rat(m + 1, mk + 1) for m in sizes]
     violations = []
 
     # (a) scalar identity on the defining representation's leading block
-    for m, f in zip(sizes[:-1], factors[:-1]):
-        gl = block_generator(rep.n, m)
-        gk = block_generator(rep.n, mk)
-        scalar_expect = Rat(m - mk, mk + 1)
+    gk = block_generator(rep.n, mk).rows if k > 1 else ()
+    for m in sizes[:-1]:
+        gl = block_generator(rep.n, m).rows
+        f, scalar_expect = Rat(m + 1, mk + 1), Rat(m - mk, mk + 1)
         for i in range(mk + 1):
-            got = gl.rows[i][i] - f * gk.rows[i][i]
+            got = gl[i][i] - f * gk[i][i]
             if got != scalar_expect:
                 violations.append(("scalar-identity", m, i, got))
 
-    table = weight_table(rep, sizes)
     labs = rep.labels()
+    _, ws = linalg.clear_denominators(weight_table(rep, sizes).values())
     comps = _support_components(rep, mk + 1)
-    grid = list(itertools.product((Rat(1, 2), Rat(1), Rat(2)), repeat=k))
+    grid = list(zip(itertools.product((Rat(1, 2), Rat(1), Rat(2)), repeat=k),
+                    itertools.product((1, 2, 4), repeat=k)))
 
     for comp in comps:
-        ws = [table[labs[i]] for i in comp]
-        for a in range(len(ws)):
-            for b in range(a + 1, len(ws)):
-                mu, nu = ws[a], ws[b]
-                dk = mu[-1] - nu[-1]
-                for l in range(k - 1):
-                    if mu[l] - nu[l] != factors[l] * dk:
-                        violations.append(("affine-relation", labs[comp[a]], labs[comp[b]]))
-                        break
-                for t in grid:
-                    lhs = sum((mu[l] - nu[l]) * t[l] for l in range(k))
-                    if (lhs >= 0) != (dk >= 0):
-                        violations.append(("grid-sign", labs[comp[a]], labs[comp[b]], t))
-                    if k >= 2:
-                        head = sum((mu[l] - nu[l]) * t[l] for l in range(k - 1))
-                        if (head >= 0) != (dk >= 0):
-                            violations.append(
-                                ("grid-sign-truncated", labs[comp[a]], labs[comp[b]], t)
-                            )
+        for a, b in itertools.combinations(comp, 2):
+            diff = [x - y for x, y in zip(ws[a], ws[b])]
+            dk, pair = diff[-1], (labs[a], labs[b])
+            if any(d * (mk + 1) != (m + 1) * dk for d, m in zip(diff[:-1], sizes)):
+                violations.append(("affine-relation",) + pair)
+            up = dk >= 0
+            for t, t2 in grid:
+                head = sum(d * x for d, x in zip(diff[:-1], t2))
+                if (head + dk * t2[-1] >= 0) != up:
+                    violations.append(("grid-sign",) + pair + (t,))
+                if k >= 2 and (head >= 0) != up:
+                    violations.append(("grid-sign-truncated",) + pair + (t,))
     return AlignmentReport(not violations, len(comps), tuple(violations))
 
 

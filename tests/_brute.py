@@ -7,7 +7,9 @@ float_walk_reference, the recursive float Fincke-Pohst walk on top of it,
 which warns through the package's `warn_if_near_face` so that its
 warnings carry the package's category and message.  The hypothesis-space
 references check the early stop alone, so they stack the package's own
-actions and take the package's kernel."""
+actions and take the package's kernel; alignment_reference checks the
+integer scaling alone, so it reads the package's weight table and
+components."""
 
 import math
 import warnings
@@ -769,3 +771,75 @@ def fixed_check_reference(space, target):
     {0} included."""
     ok = space.is_contained_in(target)
     return ok, space.dim, () if ok else space.basis
+
+
+def wedge_minors_reference(rows, d):
+    """Every d x d minor of the square integer matrix rows, keyed by (row
+    indices, column indices), 0-based sorted tuples, by Laplace expansion
+    along the first column into minors one size smaller, each computed
+    once and shared."""
+    n = len(rows)
+    # a size-s minor is needed only on the last s columns of a degree-d set,
+    # which start at column d - s or later
+    minors = {((i,), (j,)): rows[i][j] for i in range(n) for j in range(d - 1, n)}
+    for s in range(2, d + 1):
+        bigger = {}
+        for J in combinations(range(d - s, n), s):
+            j, rest = J[0], J[1:]
+            for I in combinations(range(n), s):
+                total = 0
+                for t, i in enumerate(I):
+                    x = rows[i][j]
+                    if x != 0:
+                        m = minors[I[:t] + I[t + 1 :], rest]
+                        if m != 0:
+                            total = total - x * m if t % 2 else total + x * m
+                bigger[I, J] = total
+        minors = bigger
+    return minors
+
+
+def alignment_reference(rep, sizes):
+    """weights.AlignmentReport of the weight alignment check with every
+    comparison on Fractions: the affine relation against the factor
+    (m_l + 1) / (m_k + 1), the grid {1/2, 1, 2}^k as it is.  It checks the
+    integer scaling alone, so the table (looked up on the module when
+    called), the generators and the components come from the package."""
+    sizes = weights.validate_block_sizes(rep.n, sizes)
+    k = len(sizes)
+    mk = sizes[-1]
+    factors = [Fraction(m + 1, mk + 1) for m in sizes]
+    violations = []
+    for m, f in zip(sizes[:-1], factors[:-1]):
+        gl = weights.block_generator(rep.n, m)
+        gk = weights.block_generator(rep.n, mk)
+        scalar_expect = Fraction(m - mk, mk + 1)
+        for i in range(mk + 1):
+            got = gl.rows[i][i] - f * gk.rows[i][i]
+            if got != scalar_expect:
+                violations.append(("scalar-identity", m, i, got))
+    table = weights.weight_table(rep, sizes)
+    labs = rep.labels()
+    comps = weights._support_components(rep, mk + 1)
+    grid = list(product((Fraction(1, 2), Fraction(1), Fraction(2)), repeat=k))
+    for comp in comps:
+        ws = [table[labs[i]] for i in comp]
+        for a in range(len(ws)):
+            for b in range(a + 1, len(ws)):
+                mu, nu = ws[a], ws[b]
+                dk = mu[-1] - nu[-1]
+                for l in range(k - 1):
+                    if mu[l] - nu[l] != factors[l] * dk:
+                        violations.append(("affine-relation", labs[comp[a]], labs[comp[b]]))
+                        break
+                for t in grid:
+                    lhs = sum((mu[l] - nu[l]) * t[l] for l in range(k))
+                    if (lhs >= 0) != (dk >= 0):
+                        violations.append(("grid-sign", labs[comp[a]], labs[comp[b]], t))
+                    if k >= 2:
+                        head = sum((mu[l] - nu[l]) * t[l] for l in range(k - 1))
+                        if (head >= 0) != (dk >= 0):
+                            violations.append(
+                                ("grid-sign-truncated", labs[comp[a]], labs[comp[b]], t)
+                            )
+    return weights.AlignmentReport(not violations, len(comps), tuple(violations))

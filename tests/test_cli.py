@@ -470,6 +470,22 @@ def test_lemma_verify_block_size_out_of_range_is_usage_error(sizes):
 @pytest.mark.parametrize(
     "argv, shown",
     [
+        # not "missing --growth (one c:p layer per block)"
+        (["--config-sizes", "3,3"], "block sizes must be strictly decreasing"),
+        # not "growth has 1 layers for 0 blocks"
+        (["--config-sizes", "", "--growth", "1:1"], "need at least one block size"),
+    ],
+)
+def test_lemma_verify_checks_block_sizes_before_the_growth(capsys, argv, shown):
+    assert main(["lemma-verify", "--rep", "wedge:6:3"] + argv + ["--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % shown
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
         # the default moment curve of n = 1 has no component; the rep is refused first
         (["lemma-verify", "--rep", "adjoint:1", "--config-sizes", "1", "--trials", "1"],
          "a representation of SL(n) needs n >= 2, got n = 1"),

@@ -28,6 +28,7 @@ from latflow.weights import (
 
 from _brute import (
     algebra_matrix_reference,
+    alignment_reference,
     classify_reference,
     fixed_check_reference,
     frac,
@@ -36,6 +37,7 @@ from _brute import (
     mat_vec,
     random_rational_invertible,
     random_unimodular,
+    wedge_minors_reference,
     weight_reference,
 )
 
@@ -93,21 +95,56 @@ def _frac_rows(m):
     return [[frac(x) for x in row] for row in m.rows]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_group_matrix_matches_dense_reference(n):
     # rational, integer unimodular and shear elements; every wedge degree
-    # and the adjoint, against minors by elimination and g X g^-1
+    # and the adjoint, against minors by elimination and g X g^-1; above
+    # n = 6 wedge:7:3 alone, and wedge:8:4 on the shears alone
     rng = random.Random(7000 + n)
-    for rep in _all_reps(n):
+    for rep in _all_reps(n) if n <= 6 else [RepSpace(n, "wedge", n // 2)]:
         for _ in range(3):
             elements = [
                 random_rational_invertible(rng, n),
                 random_unimodular(rng, n),
                 row_unipotent([_sparse_rat(rng) for _ in range(n - 1)]).rows,
             ]
-            for g in elements:
+            for g in elements if n <= 7 else elements[2:]:
                 got = rep.group_matrix(ExactMatrix(g))
                 assert _frac_rows(got) == group_matrix_reference(n, rep.kind, rep.degree, g)
+
+
+def _integer_matrices(rng, n):
+    """A dense integer matrix, a shear u(e) with zeros in e, a permutation
+    matrix, and two singular ones: a zero column and a repeated column."""
+    dense = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    e = [0] + [rng.choice((-3, -1, 2, 5)) for _ in range(n - 2)]
+    rng.shuffle(e)
+    shear = [[1] + e] + [[int(i == j) for j in range(n)] for i in range(1, n)]
+    perm = rng.sample(range(n), n)
+    permutation = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    a, b = rng.sample(range(n), 2)
+    zero_column = [[0 if j == a else x for j, x in enumerate(row)] for row in dense]
+    repeated = [[row[a] if j == b else x for j, x in enumerate(row)] for row in dense]
+    return [dense, shear, permutation, zero_column, repeated]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_wedge_columns_match_the_laplace_minors(n):
+    rng = random.Random(2900 + n)
+    for rows in _integer_matrices(rng, n) + _integer_matrices(rng, n):
+        for d in range(1, n + 1):
+            nonzero = {}
+            for (I, J), m in wedge_minors_reference(rows, d).items():
+                if m != 0:
+                    nonzero.setdefault(J, {})[tuple(i + 1 for i in I)] = m
+            labs = RepSpace(n, "wedge", d).labels() if d < n else (tuple(range(1, n + 1)),)
+            cols = weights._wedge_columns(rows, d)
+            assert len(cols) == len(labs)
+            # column t is the column of labs[t], with no zero value stored
+            for J, col in zip(labs, cols):
+                assert all(x != 0 for _, x in col)
+                assert len(dict(col)) == len(col)
+                assert dict(col) == nonzero.get(tuple(j - 1 for j in J), {})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -340,6 +377,36 @@ def test_weight_alignment_across_reps():
         report = weight_alignment_check(rep, sizes)
         assert report.ok, (rep, sizes, report.violations)
         assert report.component_count >= 1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_weight_alignment_matches_the_fraction_reference(n):
+    # every rep of SL(n) and every strictly decreasing size tuple, k <= 3
+    for rep in _all_reps(n):
+        for k in (1, 2, 3):
+            for sizes in itertools.combinations(range(n - 1, 0, -1), k):
+                assert weight_alignment_check(rep, sizes) == alignment_reference(rep, sizes)
+
+
+@pytest.mark.parametrize("shift", [-10, Rat(-21, 2)])
+def test_weight_alignment_reports_a_perturbed_table_like_the_reference(monkeypatch, shift):
+    # one weight moved by an integer, or made a half-integer: both checks
+    # report the same violations, in the same order; against H_1, weight
+    # (0, 0), the pair's sign at t = (1/2, 2) is +, and at t = (1/2, 1) -
+    table_of = weights.weight_table
+
+    def perturbed(rep, sizes):
+        table = table_of(rep, sizes)
+        first, last = table["E", 1, 2]
+        table["E", 1, 2] = (first + shift, last)
+        return table
+
+    monkeypatch.setattr(weights, "weight_table", perturbed)
+    rep, sizes = RepSpace(4, "adjoint"), (2, 1)
+    got = weight_alignment_check(rep, sizes)
+    kinds = {v[0] for v in got.violations}
+    assert kinds == {"affine-relation", "grid-sign", "grid-sign-truncated"}
+    assert got == alignment_reference(rep, sizes)
 
 
 def test_curve_containment_check():
