@@ -39,12 +39,14 @@ visits one point of each +-v pair, the one whose last nonzero
 coefficient is negative: the node budget counts that half tree, and a
 FaceProximity warning fires once per pair it visits.
 `enumerate_basis_in_box` collects the points, pulls their coefficients back
-to the given basis and adds each point's mirror; `enumerate_in_box` is
-built on it.  `shortest_sup_norm` walks the closed unit cube once itself,
-keeping a running minimum m: each point found shrinks the search sphere to
-n m^2 (with the first sphere's slack), and the intervals of the levels on
-the stack narrow with it.  The box stays the unit cube, so every point it
-visits has the bits of a full walk; it takes no mirrors, pull-back or sort.
+to the given basis and adds each point's mirror (for n = 2 on scalars);
+`enumerate_in_box` is built on it, and `siegel_transform` sums the tent over
+its sorted points with `Tent.total`.  `shortest_sup_norm` walks the closed
+unit cube once itself, keeping a running minimum m: each point found
+shrinks the search sphere to n m^2 (with the first sphere's slack), and the
+intervals of the levels on the stack narrow with it.  The box stays the
+unit cube, so every point it visits has the bits of a full walk; it takes
+no mirrors, pull-back or sort.
 """
 
 from __future__ import annotations
@@ -474,6 +476,9 @@ def enumerate_basis_in_box(
     emptiness is the only question.  The backend names the scalar kind of
     the box bounds; a float bound on the exact backend, or a Fraction bound
     on the float one, raises BackendMismatch (see `_walk`).
+
+    Two columns pull back and mirror on scalars, with the same ints and
+    floats as the loop over n (a mirror is 0 - v: a zero stays +0.0).
     """
     found = []
 
@@ -481,13 +486,22 @@ def enumerate_basis_in_box(
         found.append((point, tuple(xs)))
         return first_only
 
-    u_rows = list(zip(*_walk(basis_cols, box, backend, budget, keep)))
+    u_cols = _walk(basis_cols, box, backend, budget, keep)
     results = []
-    for v, x_red in found:
-        coeffs = tuple(sum(map(mul, row, x_red)) for row in u_rows)
-        results.append((v, coeffs))
-        if not first_only:  # the mirror -v; 0 - t keeps a zero coordinate +0.0
-            results.append((tuple(0 - t for t in v), tuple(-c for c in coeffs)))
+    if len(u_cols) == 2:  # the loop below on scalars: the same ints and floats
+        (u00, u10), (u01, u11) = u_cols
+        for v, (x0, x1) in found:
+            c0, c1 = 0 + u00 * x0 + u01 * x1, 0 + u10 * x0 + u11 * x1
+            results.append((v, (c0, c1)))
+            if not first_only:
+                results.append(((0 - v[0], 0 - v[1]), (-c0, -c1)))
+    else:
+        u_rows = list(zip(*u_cols))
+        for v, x_red in found:
+            coeffs = tuple(sum(map(mul, row, x_red)) for row in u_rows)
+            results.append((v, coeffs))
+            if not first_only:  # the mirror -v; 0 - t keeps a zero coordinate +0.0
+                results.append((tuple(0 - t for t in v), tuple(-c for c in coeffs)))
     results.sort(key=itemgetter(0))
     return results
 
@@ -523,6 +537,8 @@ class Tent:
     def __post_init__(self):
         center = tuple(float(x) for x in self.center)
         radius, height = float(self.radius), float(self.height)
+        if not center:
+            raise ValueError("tent center must have at least one coordinate")
         if not all(math.isfinite(x) for x in center):
             raise ValueError("tent center must be finite, got %r" % (center,))
         for name, x in (("radius", radius), ("height", height)):
@@ -539,14 +555,28 @@ class Tent:
         return len(self.center)
 
     def value(self, v):
-        dist = None
-        for x, cx in zip(v, self.center):
-            d = x - cx
-            if d < 0:
-                d = -d
-            dist = d if dist is None else (d if d > dist else dist)
-        t = 1 - dist / self.radius
-        return self.height * t if t > 0 else 0.0
+        """The tent at the point v, whose length must be dim."""
+        if len(v) != self.dim:
+            raise ValueError("point of length %d for a tent of dimension %d" % (len(v), self.dim))
+        return self.total((v,))
+
+    def total(self, points):
+        """0.0 plus the tent at each point in the order given, the tent read
+        once: per point the max of |x - c| in coordinate order, t = 1 - max
+        / radius, and height * t when t > 0.  Lengths are not checked."""
+        center, radius, height = self.center, self.radius, self.height
+        total = 0.0
+        for v in points:
+            dist = None
+            for x, cx in zip(v, center):
+                d = x - cx
+                if d < 0:
+                    d = -d
+                dist = d if dist is None else (d if d > dist else dist)
+            t = 1 - dist / radius
+            if t > 0:  # else the value is 0.0, and total + 0.0 == total
+                total = total + height * t
+        return total
 
     def integral(self):
         """Integral over n-space: height * (2 radius)^n / (n + 1)."""
@@ -556,13 +586,11 @@ class Tent:
 
 def siegel_transform(basis_cols, tent: Tent, budget=DEFAULT_NODE_BUDGET):
     """Sum of the tent over the nonzero points of the lattice spanned by the
-    float basis columns."""
+    float basis columns, in the sorted order of `enumerate_basis_in_box`."""
     if tent.dim != len(basis_cols):
         raise ValueError("dimension mismatch")
-    total = 0.0
-    for v, _ in enumerate_basis_in_box(basis_cols, tent.support_box, FLOAT, budget=budget):
-        total = total + tent.value(v)
-    return total
+    pairs = enumerate_basis_in_box(basis_cols, tent.support_box, FLOAT, budget=budget)
+    return tent.total(map(itemgetter(0), pairs))
 
 
 def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):

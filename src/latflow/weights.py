@@ -512,13 +512,13 @@ def _points_ok(points, n, m1):
     and affinely span that copy of R^{m1}."""
     pts = [tuple(rat(x) for x in p) for p in points]
     if any(len(p) != n - 1 for p in pts):
-        return False, pts
+        return False
     if any(any(x != 0 for x in p[m1:]) for p in pts):
-        return False, pts
+        return False
     if len(pts) < m1 + 1:
-        return False, pts
+        return False
     diffs = [[p[i] - pts[0][i] for i in range(m1)] for p in pts[1:]]
-    return linalg.rank(diffs) == m1, pts
+    return linalg.rank(diffs) == m1
 
 
 def _kernel_space(dim, rows) -> Subspace:
@@ -598,8 +598,8 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     """
     split = split_spaces(rep, block_sizes, growth)
     m1 = split.block_sizes[0]
-    spanning, pts = _points_ok(points, rep.n, m1)
-    if require_spanning and not spanning:
+    pts = [tuple(rat(x) for x in p) for p in points]
+    if require_spanning and not _points_ok(pts, rep.n, m1):
         raise ValueError("points must affinely span the embedded R^%d" % m1)
     actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
     space = _kernel_space(rep.dim, [act.rows[i] for act in actions for i in split.indices("+")])
@@ -661,7 +661,9 @@ def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
         still avoid the truncated expanding directions;
     (ii) a translate whose fully-invariant component vanishes also loses
         its first-(k-1)-blocks-invariant component.
-    """
+
+    require_spanning=False skips the span test (`_points_ok`), for points
+    a caller has drawn with it."""
     split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
     spanning = _report(space, _spanning_violations(pts, space, kernels))
     if growth.k == 1:

@@ -9,12 +9,15 @@ warnings carry the package's category and message.  The hypothesis-space
 references check the early stop alone, so they stack the package's own
 actions and take the package's kernel; alignment_reference checks the
 integer scaling alone, so it reads the package's weight table and
-components."""
+components.  pull_back_and_mirror and tent_value are the enumeration's
+loop over n coordinates and the tent's value written out once more, the
+references for the planar pull-back and for `Tent.total`."""
 
 import math
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter, mul
 
 from latflow import linalg, weights
 from latflow.backend import FLOAT_SLACK, warn_if_near_face
@@ -199,6 +202,37 @@ def tent_sum(basis_cols, center, radius, height):
         if dist < radius:
             total += height * (1 - dist / radius)
     return total
+
+
+def pull_back_and_mirror(found, u_cols, first_only=False):
+    """The pull-back and mirror of `lattice.enumerate_basis_in_box` as one
+    loop over any n: found holds the walk's (point, xs) pairs in walk
+    order and u_cols the columns of its U.  Each coefficient is
+    sum(map(mul, row, xs)) over a row of U, each mirror 0 - t per
+    coordinate with -coeffs, and the list is sorted stably by point."""
+    u_rows = list(zip(*u_cols))
+    results = []
+    for v, x_red in found:
+        coeffs = tuple(sum(map(mul, row, x_red)) for row in u_rows)
+        results.append((v, coeffs))
+        if not first_only:
+            results.append((tuple(0 - t for t in v), tuple(-c for c in coeffs)))
+    results.sort(key=itemgetter(0))
+    return results
+
+
+def tent_value(v, center, radius, height):
+    """The float sup-norm tent at v: |x - c| per coordinate, their max in
+    coordinate order (the first of equal ones kept), t = 1 - max / radius,
+    and height * t, or 0.0 when t <= 0."""
+    dist = None
+    for x, cx in zip(v, center):
+        d = x - cx
+        if d < 0:
+            d = -d
+        dist = d if dist is None else (d if d > dist else dist)
+    t = 1 - dist / radius
+    return height * t if t > 0 else 0.0
 
 
 def primal_soluble(xi, weights, mu):

@@ -297,6 +297,28 @@ def test_lemma_verify_refuses_a_wrong_curve_before_the_trials(monkeypatch, capsy
     assert err.strip() == "error: curve must map into Q^5"
 
 
+def test_lemma_verify_rank_tests_each_draw_once(monkeypatch, capsys):
+    # the CLI's draw loop tests each draw for spanning, and lemma_reports
+    # does not test the accepted ones again: every rank is a draw's
+    from latflow import linalg, weights
+
+    calls = {"points_ok": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weights, "_points_ok", counted("points_ok", weights._points_ok))
+    monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
+    argv = ["lemma-verify", "--rep", "adjoint:4", "--config-sizes", "2,1", "--growth", "1:1,1:2",
+            "--trials", "10"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("all checks passed")
+    assert calls == {"points_ok": 13, "rank": 13}  # 13 draws for 10 trials at seed 0
+
+
 # the lemma-sweep benchmark configs at seed 0 with fewer trials: trial rows
 # (trial, projection_ok, hypothesis_dim, spanning_ok, spanning_dim) as
 # recorded from the rational elimination these replace

@@ -341,6 +341,26 @@ def test_integer_walk_matches_fraction_oracles(seed):
         checked += 1
 
 
+def _seeded_bases(rng, n, backend):
+    """(columns, box): a unimodular integer basis with small shifts added,
+    rational on the exact backend and float (many entries still integers)
+    on the float one, and a box with random bounds and faces.  None when
+    the shifts made the basis singular or nearly so (|det| < 1/1000, where
+    floats such as 1/3 may leave the float columns dependent)."""
+    rows = _brute.random_unimodular(rng, n)
+    if backend == FLOAT:
+        shifts = (0.0, 0.0, 0.1, -0.1, 0.5, 1 / 3)
+        cols = [[rows[i][j] + rng.choice(shifts) for i in range(n)] for j in range(n)]
+        bounds = tuple(rng.choice((1.0, 1.5, 2.0, rng.uniform(0.5, 2.5))) for _ in range(n))
+    else:
+        cols = [[Rat(rows[i][j]) + rng.choice((0, 0, Rat(1, 3), Rat(-1, 2))) for i in range(n)]
+                for j in range(n)]
+        bounds = tuple(rng.choice((Rat(1), Rat(3, 2), Rat(2), Rat(7, 3))) for _ in range(n))
+    if abs(_brute.det_reference(cols)) < Fraction(1, 1000):
+        return None
+    return cols, Box(bounds, tuple(rng.random() < 0.5 for _ in range(n)))
+
+
 def test_mirrors_equal_the_walk_bit_for_bit():
     # The walk reaches one point of each +-v pair and the enumeration adds
     # the other as a mirror.  On -B the walk computes, with its own
@@ -350,21 +370,11 @@ def test_mirrors_equal_the_walk_bit_for_bit():
     # produces.
     rng = random.Random(13)
     for case in range(400):
-        n = 2 + case % 3
-        rows = _brute.random_unimodular(rng, n)
-        if case % 2:
-            backend = FLOAT
-            shifts = (0.0, 0.0, 0.1, -0.1, 0.5, 1 / 3)
-            cols = [[rows[i][j] + rng.choice(shifts) for i in range(n)] for j in range(n)]
-            bounds = tuple(rng.choice((1.0, 1.5, 2.0, rng.uniform(0.5, 2.5))) for _ in range(n))
-        else:
-            backend = EXACT
-            cols = [[Rat(rows[i][j]) + rng.choice((0, 0, Rat(1, 3), Rat(-1, 2))) for i in range(n)]
-                    for j in range(n)]
-            bounds = tuple(rng.choice((Rat(1), Rat(3, 2), Rat(2), Rat(7, 3))) for _ in range(n))
-        if _brute.det_reference(cols) == 0:
+        backend = FLOAT if case % 2 else EXACT
+        drawn = _seeded_bases(rng, 2 + case % 3, backend)
+        if drawn is None:
             continue
-        box = Box(bounds, tuple(rng.random() < 0.5 for _ in range(n)))
+        cols, box = drawn
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FaceProximity)
             mine = enumerate_basis_in_box(cols, box, backend)
@@ -430,6 +440,112 @@ def test_siegel_matches_brute_sum():
         mine = siegel_transform(_columns(g, FLOAT), tent)
         ref = float(_brute.tent_sum(g.columns(), [0, 0], Rat(3, 2), 1))
         assert mine == pytest.approx(ref, abs=1e-9)
+
+
+def _walk_in_walk_order(cols, box, backend, first_only=False):
+    """(found, u_cols): the (point, xs) pairs that lattice._walk hands its
+    leaf, in walk order, and the columns of its U."""
+    found = []
+
+    def keep(point, xs):
+        found.append((point, tuple(xs)))
+        return first_only
+
+    return found, lattice._walk(cols, box, backend, lattice.DEFAULT_NODE_BUDGET, keep)
+
+
+@pytest.mark.parametrize("backend", [FLOAT, EXACT])
+def test_pull_back_and_mirrors_match_the_loop_over_n(backend):
+    # the planar scalars against the loop over n coordinates, in repr (a
+    # -0.0 or a float where an int belongs fails), full and first_only;
+    # n = 3 pins the loop itself
+    rng = random.Random(31)
+    skew_u = zero_coords = 0
+    for case in range(300):
+        n = 2 if case % 4 else 3
+        drawn = _seeded_bases(rng, n, backend)
+        if drawn is None:
+            continue
+        cols, box = drawn
+        for first_only in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FaceProximity)
+                found, u_cols = _walk_in_walk_order(cols, box, backend, first_only)
+                mine = enumerate_basis_in_box(cols, box, backend, first_only=first_only)
+            assert repr(mine) == repr(_brute.pull_back_and_mirror(found, u_cols, first_only))
+        skew_u += n == 2 and u_cols[1][0] != u_cols[0][1]
+        zero_coords += any(x == 0 for p, _ in found for x in p)
+    assert skew_u > 50  # U not symmetric: u01 and u10 cannot be swapped unseen
+    assert zero_coords > 50  # mirrors of zero coordinates, which must stay +0.0
+
+
+_TENTS = (
+    Tent((0.0, 0.0), 2.0, 1.0),
+    Tent((0.5, -0.25), 1.5, 0.5),  # off-center, unequal support bounds
+    Tent((-0.0, 0.25), 1.25, 3.0),
+    Tent((0.0, 0.0, 0.0), 1.5, 1.0),
+    Tent((0.25, -0.0, -0.5), 1.75, 2.0),
+)
+
+
+def test_siegel_transform_is_the_sorted_tent_value_sum():
+    # siegel_transform against 0.0 + the reference value at each point, in
+    # the sorted order of enumerate_basis_in_box, to the last bit; the sum
+    # in walk order differs in the last bits on some of these bases
+    rng = random.Random(41)
+    unordered = faces = 0
+    for case in range(200):
+        tent = _TENTS[case % len(_TENTS)]
+        drawn = _seeded_bases(rng, tent.dim, FLOAT)
+        if drawn is None:
+            continue
+        cols = drawn[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            mine = siegel_transform(cols, tent)
+            points = [p for p, _ in enumerate_basis_in_box(cols, tent.support_box, FLOAT)]
+            found, _ = _walk_in_walk_order(cols, tent.support_box, FLOAT)
+        values = [_brute.tent_value(p, tent.center, tent.radius, tent.height) for p in points]
+        total = 0.0
+        for x in values:
+            total = total + x
+        assert repr(mine) == repr(total)
+        walk_order = 0.0
+        for p, _ in found:
+            for q in (p, tuple(0 - t for t in p)):
+                walk_order = walk_order + _brute.tent_value(q, tent.center, tent.radius, tent.height)
+        unordered += walk_order != total
+        faces += any(max(abs(x - c) for x, c in zip(p, tent.center)) == tent.radius for p in points)
+    assert unordered > 20
+    assert faces > 20  # points with t = 0 exactly
+
+
+def test_tent_total_and_value_match_the_reference_at_ties_and_signed_zeros():
+    # ties between the coordinates' distances, -0.0 in points and centers,
+    # and points on the support face (t = 0) or outside it
+    coords = (-0.0, 0.0, 0.25, -0.25, 0.5, -1.5, 1.75, 2.0, -2.0, 3.0)
+    for tent in _TENTS[:3]:
+        points = [(x, y) for x in coords for y in coords]
+        want = [_brute.tent_value(p, tent.center, tent.radius, tent.height) for p in points]
+        assert [repr(tent.value(p)) for p in points] == [repr(w) for w in want]
+        total = 0.0
+        for w in want:
+            total = total + w
+        assert repr(tent.total(points)) == repr(total)
+    face = Tent((0.0, 0.0), 2.0, 1.0)
+    assert repr(face.value((2.0, -0.0))) == repr(face.value((-0.0, -2.0))) == "0.0"
+    assert face.total([]) == 0.0
+
+
+def test_tent_refuses_an_empty_center_and_points_of_another_length():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Tent((), 1, 1)
+    tent = Tent((0.0, 0.0), 2, 1)
+    for v in [(1.0,), (1.0, 0.0, 0.0), ()]:
+        with pytest.raises(ValueError, match="point of length %d for a tent of dimension 2" % len(v)):
+            tent.value(v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        siegel_transform([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], tent)
 
 
 def _covolume_one_basis(rng, n):
@@ -653,7 +769,7 @@ def test_thin_callers_agree_with_the_full_walk(backend):
                 in_tent = enumerate_basis_in_box(cols, tent.support_box, FLOAT)
                 total = 0.0
                 for p, _ in in_tent:
-                    total = total + tent.value(p)
+                    total = total + _brute.tent_value(p, tent.center, tent.radius, tent.height)
                 assert repr(siegel_transform(cols, tent)) == repr(total)
                 tent_nodes = _nodes(
                     lambda b: enumerate_basis_in_box(cols, tent.support_box, FLOAT, budget=b))
