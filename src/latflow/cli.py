@@ -655,14 +655,16 @@ def _cmd_constructions(cfg):
     tail = tuple(_rats(cfg["scan_tail"]))
     first_weights = _rats(cfg["scan_weights"])
     mu = rat(cfg["scan_mu"])
-    scan = varying_first_weight_scan(tail, first_weights, mu)
+    if cfg["threshold"]:
+        # the threshold runs the one full scan, at mu, and hands it back
+        thr, _, scan = scan_radius_threshold(tail, first_weights, mu)
+        report = {"scan": scan, "threshold": thr}
+        print("all-soluble radius threshold (to %s): %s" % (THRESHOLD_STEP, thr))
+    else:
+        scan = varying_first_weight_scan(tail, first_weights, mu)
+        report = {"scan": scan}
     header = ["first_weight", "point", "soluble"]
     table = [[w, " ".join(str(c) for c in p), sol] for w, p, sol in scan.rows]
-    report = {"scan": scan}
-    if cfg["threshold"]:
-        thr, at_thr = scan_radius_threshold(tail, first_weights)
-        report["threshold"] = thr
-        print("all-soluble radius threshold (to %s): %s" % (THRESHOLD_STEP, thr))
     _emit("constructions", cfg, header, table, report)
     print("radius %s, tail %s: %d insoluble of %d"
           % (mu, ",".join(map(str, tail)), len(scan.insoluble), len(scan.rows)))

@@ -201,10 +201,11 @@ class ScanReport:
         return not self.insoluble
 
 
-def varying_first_weight_scan(fixed_tail, first_weights, mu):
+def varying_first_weight_scan(fixed_tail, first_weights, mu, witnesses=None):
     """Primal solubility of every point of default_scan_grid for every
     first weight, with the remaining weights fixed; the heart of the
-    half-integral experiment."""
+    half-integral experiment.  A dict passed as witnesses receives the
+    witness of every soluble case, keyed by (window weights, point)."""
     tail = tuple(rat(x) for x in fixed_tail)
     grid = default_scan_grid()
     kdim = 1 + len(tail)
@@ -215,37 +216,39 @@ def varying_first_weight_scan(fixed_tail, first_weights, mu):
     for n1 in first_weights:
         w = WindowSpec((rat(n1),) + tail, mu)
         for xi in grid:
-            soluble, _ = window_primal_soluble(xi, w, route="lattice")
+            soluble, witness = window_primal_soluble(xi, w, route="lattice")
             rows.append((n1, xi, soluble))
             if not soluble:
                 bad.append((n1, xi))
+            elif witnesses is not None:
+                witnesses[(w.weights, xi)] = witness
     return ScanReport(rat(mu), tail, tuple(first_weights), tuple(rows), tuple(bad))
 
 
-def scan_radius_threshold(fixed_tail, first_weights):
+def scan_radius_threshold(fixed_tail, first_weights, mu=1):
     """Smallest radius in [1/2, 1], to THRESHOLD_STEP by bisection, at
     which the scan is all-soluble; solubility is monotone in the radius, so
-    bisection is sound.  Returns (threshold, report_at_threshold); raises
-    if even radius 1 fails.
+    bisection is sound.  Returns (threshold, report_at_threshold, scan),
+    scan the full scan at radius mu; raises if even radius 1 fails.
 
-    Only radius 1 runs a full scan.  Radius 1/2, the bottom of the range,
-    is decided next and is the threshold when it is all-soluble; then each
-    bisection radius is decided case by case, (first weight, grid point),
-    and stops at its first insoluble case.  Every case keeps its last
-    witness: one that passes the substitution check at the new radius
-    makes the case soluble with no walk.  The report at the threshold is
-    the radius-1 report at the threshold radius, all soluble."""
+    Only radius mu runs a full scan, and it keeps the witness of every
+    soluble case.  Radius 1 is decided next, then radius 1/2, the bottom of
+    the range, which is the threshold when it is all-soluble; then each
+    bisection radius.  Each of these is decided case by case, (first
+    weight, grid point), and stops at its first insoluble case.  Every case
+    keeps its last witness: one that passes the substitution check at the
+    new radius makes the case soluble with no walk, so a case is walked
+    again only where its witness fails.  The report at the threshold is
+    the scan's at the threshold radius, all soluble."""
     lo, hi = Rat(1, 2), Rat(1)
-    top = varying_first_weight_scan(fixed_tail, first_weights, hi)
-    if not top.all_soluble:
-        raise ValueError("scan not soluble even at radius %s" % hi)
-    weights = [(rat(n1),) + top.fixed_tail for n1 in top.first_weights]
-    grid = default_scan_grid()
     witnesses = {}
+    scan = varying_first_weight_scan(fixed_tail, first_weights, mu, witnesses)
+    weights = [(rat(n1),) + scan.fixed_tail for n1 in scan.first_weights]
+    grid = default_scan_grid()
 
-    def all_soluble(mu):
+    def all_soluble(radius):
         for w in weights:
-            window = WindowSpec(w, mu)
+            window = WindowSpec(w, radius)
             for xi in grid:
                 cached = witnesses.get((w, xi))
                 if cached is not None and _check_primal_witness(xi, window, cached):
@@ -256,12 +259,18 @@ def scan_radius_threshold(fixed_tail, first_weights):
                 witnesses[(w, xi)] = witness
         return True
 
+    def answer(radius):
+        rows = tuple((n1, xi, True) for n1, xi, _ in scan.rows)
+        return radius, replace(scan, radius=radius, rows=rows, insoluble=()), scan
+
+    if not all_soluble(hi):
+        raise ValueError("scan not soluble even at radius %s" % hi)
     if all_soluble(lo):
-        return lo, replace(top, radius=lo)
+        return answer(lo)
     while hi - lo > THRESHOLD_STEP:
         mid = (lo + hi) / 2
         if all_soluble(mid):
             hi = mid
         else:
             lo = mid
-    return hi, replace(top, radius=hi)
+    return answer(hi)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from operator import mul
 
 from .backend import LLLIterationCap, Rat, rat
 
@@ -416,8 +417,8 @@ def lll_integral(b, max_iters=100_000):
     c[i] = d[i+1] / d[i].  Column k is size-reduced against
     j = k-1, ..., 0 with q = floor(mu_kj + 1/2) (so mu = 1/2 reduces and
     mu = -1/2 does not).  Every size reduction and swap updates only the
-    entries it changes; Gram-Schmidt is never recomputed.  Raises
-    RuntimeError after max_iters passes and ValueError on dependent
+    entries it changes, in place; Gram-Schmidt is never recomputed.
+    Raises RuntimeError after max_iters passes and ValueError on dependent
     columns.  A rational basis is reduced as D * cols, D its common
     denominator (clear_denominators): mu and the Lovasz test do not see D,
     so the steps taken are those of LLL on cols itself.
@@ -428,49 +429,56 @@ def lll_integral(b, max_iters=100_000):
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
+        bi, li = b[i], lam[i]
         for j in range(i + 1):
-            s = dot(b[i], b[j])
+            lj = lam[j]
+            s = sum(map(mul, bi, b[j]))
             for m in range(j):
-                s = (d[m + 1] * s - lam[i][m] * lam[j][m]) // d[m]
+                s = (d[m + 1] * s - li[m] * lj[m]) // d[m]
             if j < i:
-                lam[i][j] = s
+                li[j] = s
             elif s == 0:
                 raise ValueError("linearly dependent columns")
             else:
                 d[i + 1] = s
+    entries = range(len(b[0]) if n else 0)
     k = 1
     iters = 0
     while k < n:
         iters += 1
         if iters > max_iters:
             raise RuntimeError("LLL failed to terminate")
-        lk = lam[k]
+        bk, uk, lk = b[k], u[k], lam[k]
         for j in range(k - 1, -1, -1):
             dj = d[j + 1]
             q = (2 * lk[j] + dj) // (2 * dj)  # floor(mu_kj + 1/2)
             if q != 0:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                bj, uj, lj = b[j], u[j], lam[j]
+                for i in entries:
+                    bk[i] -= q * bj[i]
+                for i in range(n):
+                    uk[i] -= q * uj[i]
                 lk[j] -= q * dj
-                lj = lam[j]
                 for i in range(j):
                     lk[i] -= q * lj[i]
         l = lk[k - 1]
+        dk = d[k]
         # c_k >= (3/4 - mu^2) c_{k-1}, times 4 d[k] d[k-1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
+        if 4 * d[k + 1] * d[k - 1] >= 3 * dk * dk - 4 * l * l:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
+            b[k], b[k - 1] = b[k - 1], bk
+            u[k], u[k - 1] = u[k - 1], uk
             lk1 = lam[k - 1]
             for j in range(k - 1):
                 lk[j], lk1[j] = lk1[j], lk[j]
-            dk = (d[k - 1] * d[k + 1] + l * l) // d[k]
+            dk1 = d[k + 1]
+            dnew = (d[k - 1] * dk1 + l * l) // dk
             for i in range(k + 1, n):
                 li = lam[i]
                 t = li[k]
-                li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
-                li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
-            d[k] = dk
+                li[k] = s = (dk1 * li[k - 1] - l * t) // dk
+                li[k - 1] = (dnew * t + l * s) // dk1
+            d[k] = dnew
             k = max(k - 1, 1)
     return b, u, lam, d

@@ -378,6 +378,15 @@ def threshold_by_full_scans(scan, fixed_tail, first_weights, lo, hi, step):
     return hi, best
 
 
+def threshold_by_two_scans(scan, fixed_tail, first_weights, mu, lo, hi, step):
+    """`constructions --threshold` by two full scans: the scan at mu, which
+    the command prints, and threshold_by_full_scans on [lo, hi].  Returns
+    (threshold, the scan at it, the scan at mu), in the order of
+    `scan_radius_threshold`."""
+    printed = scan(fixed_tail, first_weights, mu)
+    return threshold_by_full_scans(scan, fixed_tail, first_weights, lo, hi, step) + (printed,)
+
+
 def random_unimodular(rng, n, ops=6, max_mult=2):
     """Integer matrix of determinant +-1 built from elementary row ops;
     small multipliers keep the inverse (hence brute scans) small."""
@@ -433,6 +442,68 @@ def lll_reference(cols):
             u[k], u[k - 1] = u[k - 1], u[k]
             k = max(k - 1, 1)
     return b, u
+
+
+def lll_integral_reference(b, max_iters=100_000):
+    """The integral LLL of integer columns written with a fresh list per
+    size-reduced column and a dot product per Gram entry; returns
+    (reduced, u, lam, d) as `linalg.lll_integral` does, with the same
+    RuntimeError after max_iters passes and ValueError on dependent
+    columns."""
+    n = len(b)
+    b = [list(col) for col in b]
+    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = b[i][0] * b[j][0]
+            for x, y in zip(b[i][1:], b[j][1:]):
+                s = s + x * y
+            for m in range(j):
+                s = (d[m + 1] * s - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = s
+            elif s == 0:
+                raise ValueError("linearly dependent columns")
+            else:
+                d[i + 1] = s
+    k = 1
+    iters = 0
+    while k < n:
+        iters += 1
+        if iters > max_iters:
+            raise RuntimeError("LLL failed to terminate")
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            q = (2 * lk[j] + dj) // (2 * dj)  # floor(mu_kj + 1/2)
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                lk[j] -= q * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        l = lk[k - 1]
+        # c_k >= (3/4 - mu^2) c_{k-1}, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            lk1 = lam[k - 1]
+            for j in range(k - 1):
+                lk[j], lk1[j] = lk1[j], lk[j]
+            dk = (d[k - 1] * d[k + 1] + l * l) // d[k]
+            for i in range(k + 1, n):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
+                li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
+            d[k] = dk
+            k = max(k - 1, 1)
+    return b, u, lam, d
 
 
 def _float_dot(u, v):

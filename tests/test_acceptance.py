@@ -301,7 +301,7 @@ def test_criterion_11_half_integral_scan_threshold():
         rep = varying_first_weight_scan(tail, (10, 100, 1000, 10000), Rat(19, 20))
         assert rep.all_soluble
         assert len(rep.rows) == 400
-        thr, at_thr = scan_radius_threshold(tail, (10, 100))
+        thr, at_thr, _ = scan_radius_threshold(tail, (10, 100))
         assert thr == Rat(103, 128)
         assert at_thr.all_soluble
         below = varying_first_weight_scan(tail, (10, 100), thr - Rat(1, 128))

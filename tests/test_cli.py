@@ -11,11 +11,16 @@ import latflow
 
 from latflow import cli
 from latflow.cli import CSV_TAG, _build_parser, main
+from latflow.backend import Rat
 from latflow.constructions import (
+    THRESHOLD_STEP,
     block_transport_witness,
     staircase_unimodular,
     unit_lower_elimination,
+    varying_first_weight_scan,
 )
+
+import _brute
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -195,6 +200,42 @@ def test_constructions_scan_gate(capsys):
     # the tail is printed as --scan-tail takes it, on either rational backend
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "radius 19/20, tail 5/2: 0 insoluble of 100"
+
+
+@pytest.mark.parametrize(
+    "argv, threshold, last",
+    [
+        (["--scan-tail", "5/2", "--scan-weights", "10,100"], "103/128",
+         "radius 19/20, tail 5/2: 0 insoluble of 200"),
+        (["--scan-tail", "2", "--scan-weights", "10,100"], "1",
+         "radius 19/20, tail 2: 8 insoluble of 200"),
+        (["--scan-tail", "7", "--scan-weights", "10", "--scan-mu", "1/2"], "1/2",
+         "radius 1/2, tail 7: 0 insoluble of 100"),
+    ],
+    ids=["all-soluble-at-mu", "insoluble-at-mu", "soluble-at-the-bottom"],
+)
+def test_threshold_output_is_the_two_scan_reference(tmp_path, capsys, monkeypatch,
+                                                     argv, threshold, last):
+    # one scan at --scan-mu seeds the bisection and is the scan printed;
+    # stdout, CSV and JSON are those of a full scan at --scan-mu plus a
+    # bisection by one full scan per radius
+    def run(name):
+        out = tmp_path / name
+        assert main(["constructions"] + argv + ["--threshold", "--out", str(out)]) == 0
+        return [capsys.readouterr().out.encode()] + [
+            (out / f).read_bytes() for f in ("constructions.csv", "constructions.json")]
+
+    got = run("one")
+
+    def two_scans(tail, first_weights, mu):
+        return _brute.threshold_by_two_scans(
+            varying_first_weight_scan, tail, first_weights, mu, Rat(1, 2), Rat(1), THRESHOLD_STEP)
+
+    monkeypatch.setattr(cli, "scan_radius_threshold", two_scans)
+    assert got == run("two")
+    lines = got[0].decode().splitlines()
+    assert lines[0] == "all-soluble radius threshold (to 1/128): %s" % threshold
+    assert lines[-1] == last
 
 
 def test_equidist_gate(capsys, tmp_path):

@@ -157,7 +157,7 @@ def test_integer_tail_control_has_insoluble_points():
     assert (10, (Rat(1, 20), Rat(1, 2))) in rep.insoluble
     # and no radius short of 1 clears the grid: the bisection runs all the
     # way up to the Dirichlet endpoint
-    thr, at = scan_radius_threshold((2,), (10,))
+    thr, at, _ = scan_radius_threshold((2,), (10,))
     assert thr == 1 and at.all_soluble
 
 
@@ -169,7 +169,7 @@ def test_half_integral_tail_scan_soluble():
 
 def test_half_integral_threshold_below_dirichlet():
     # the half-integral tail genuinely improves the radius: 103/128 < 19/20
-    thr, at = scan_radius_threshold((Rat(5, 2),), (10,))
+    thr, at, _ = scan_radius_threshold((Rat(5, 2),), (10,))
     assert thr == Rat(103, 128)
     assert at.all_soluble
     below = varying_first_weight_scan((Rat(5, 2),), (10,), thr - Rat(1, 128))
@@ -187,17 +187,25 @@ def test_half_integral_threshold_below_dirichlet():
 ])
 def test_threshold_matches_full_scan_bisection(tail, first_weights):
     # the cached witnesses and the early exit leave every bisection answer,
-    # and the report at the threshold, as one full scan per radius gives them;
-    # tails 7 and 100/3 are all-soluble at 1/2, the bottom of the range
+    # and the report at the threshold, as one full scan per radius gives them,
+    # from whichever radius the seeding scan ran at; that scan is handed back
+    # as is.  Tails 7 and 100/3 are all-soluble at 1/2, the bottom of the range
     want = _brute.threshold_by_full_scans(
         varying_first_weight_scan, tail, first_weights, Rat(1, 2), Rat(1), THRESHOLD_STEP
     )
-    assert scan_radius_threshold(tail, first_weights) == want
+    for mu in (1, Rat(19, 20), Rat(1, 2)):
+        thr, at, scan = scan_radius_threshold(tail, first_weights, mu)
+        assert (thr, at) == want
+        assert scan == varying_first_weight_scan(tail, first_weights, mu)
 
 
 def test_threshold_walks_only_where_a_witness_fails(monkeypatch):
-    # one full scan at radius 1 (200 walks), then a walk only for the cases
-    # whose last witness fails at the new radius; seven full scans take 1,400
+    # one full scan at mu (200 walks) seeds every case with its witness;
+    # then a case is walked only where that witness fails at the new
+    # radius, and a radius stops at its first insoluble case.  The scan's
+    # witnesses at 1 and at 19/20 are the same first hits, and they pass
+    # at every all-soluble radius down to 103/128, so the bisection walks
+    # once at each of 1/2, 3/4, 25/32 and 51/64
     calls = []
     decide = constructions.window_primal_soluble
 
@@ -206,10 +214,25 @@ def test_threshold_walks_only_where_a_witness_fails(monkeypatch):
         return decide(*args, **kwargs)
 
     monkeypatch.setattr(constructions, "window_primal_soluble", counted)
-    thr, at = scan_radius_threshold((Rat(5, 2),), (10, 100))
-    assert thr == Rat(103, 128) and at.all_soluble
-    assert len(calls) == 404
-    assert calls.count(1) == 200
+    bisection = [Rat(1, 2), Rat(3, 4), Rat(25, 32), Rat(51, 64)]
+    for mu in (1, Rat(19, 20)):
+        calls.clear()
+        thr, at, scan = scan_radius_threshold((Rat(5, 2),), (10, 100), mu)
+        assert thr == Rat(103, 128) and at.all_soluble and at.radius == thr
+        assert scan.radius == mu and scan.all_soluble
+        assert len(calls) == 204
+        assert calls[:200] == [mu] * 200
+        assert calls[200:] == bisection
+    # the integer control: 8 cases are insoluble at 19/20, and only those
+    # are walked at radius 1
+    calls.clear()
+    thr, at, scan = scan_radius_threshold((2,), (10, 100), Rat(19, 20))
+    assert thr == 1 and at.all_soluble and len(scan.insoluble) == 8
+    assert calls[:200] == [Rat(19, 20)] * 200
+    assert calls[200:208] == [1] * 8
+    assert calls.count(1) == 8
+    # then one walk per bisection radius, each at its first insoluble case
+    assert calls[208:] == [1 - Rat(1, 2 ** e) for e in range(1, 8)]
 
 
 def test_scan_rejects_misshapen_grid():

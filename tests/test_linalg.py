@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from latflow import diophantine, lattice
 from latflow.algebra import diagonal_shear
+from latflow.diophantine import WindowSpec
 from latflow.backend import BackendMismatch, LLLIterationCap, Rat
 from latflow.linalg import (
     clear_denominators,
@@ -69,6 +71,69 @@ def test_exact_lll_matches_reference_loop(seed):
         for k in range(1, n):
             assert all(-Fraction(1, 2) <= mu[k][j] < Fraction(1, 2) for j in range(k))
             assert c[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * c[k - 1]
+
+
+def _sparse_integral_basis(rng, n):
+    """Independent integer columns, about 40% of the entries zero and the
+    others of up to 13 digits."""
+    while True:
+        cols = [[0 if rng.random() < 0.4 else rng.randint(-9, 9) * 10 ** rng.randint(0, 12)
+                 for _ in range(n)] for _ in range(n)]
+        if det([[cols[j][i] for j in range(n)] for i in range(n)]) != 0:
+            return cols
+
+
+def _outcome(f, cols, **kwargs):
+    try:
+        return f(cols, **kwargs)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_lll_matches_the_fresh_list_reference(seed):
+    # the in-place updates return the integers the fresh lists give
+    rng = random.Random(3100 + seed)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            cols = _sparse_integral_basis(rng, n)
+            assert lll_integral(cols) == _brute.lll_integral_reference(cols)
+        _, cols = clear_denominators(_random_basis(rng, n))
+        assert lll_integral(cols) == _brute.lll_integral_reference(cols)
+
+
+def test_exact_lll_matches_the_reference_on_window_translates():
+    # the columns the window deciders reduce: both integral translates of a
+    # batch of random windows, as given and normalised by the window box
+    rng = random.Random(3101)
+    for _ in range(150):
+        k = rng.choice((1, 2, 3))
+        xi = tuple(Rat(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k))
+        window = WindowSpec(tuple(rng.randint(1, 6) for _ in range(k)), Rat(rng.randint(1, 8), 8))
+        for system in ("primal", "dual"):
+            d, cols = diophantine._integral_translate(system, xi, window)
+            _, scaled = lattice._integral_box_basis(cols, (window.radius * d,) * (k + 1))
+            for c in (cols, scaled):
+                assert lll_integral(c) == _brute.lll_integral_reference(c)
+
+
+def test_exact_lll_fails_as_the_reference_does():
+    # dependent columns, and the pass cap at one and two passes
+    for cols in ([[2, 4], [1, 2]], [[0, 0], [1, 0]], [[1, 0, 2], [0, 1, 0], [3, 0, 6]],
+                 [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        want = _outcome(_brute.lll_integral_reference, cols)
+        assert want == (ValueError, "linearly dependent columns")
+        assert _outcome(lll_integral, cols) == want
+    rng = random.Random(3102)
+    capped = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            cols = _sparse_integral_basis(rng, n)
+            for iters in (1, 2):
+                want = _outcome(_brute.lll_integral_reference, cols, max_iters=iters)
+                assert _outcome(lll_integral, cols, max_iters=iters) == want
+                capped += want == (RuntimeError, "LLL failed to terminate")
+    assert capped > 40
 
 
 def _float_basis(rng, n):
