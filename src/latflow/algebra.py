@@ -115,10 +115,6 @@ class ExpansionRates:
         """Constructor from additive (log) rates."""
         return cls(tuple(math.exp(float(t)) for t in rates))
 
-    @property
-    def n(self):
-        return len(self.weights) + 1
-
     def total_weight(self):
         return math.prod(self.weights)
 

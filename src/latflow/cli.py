@@ -238,29 +238,26 @@ def _tolerance(cfg, key):
     return tol
 
 
-def _split_list(text):
-    return [t.strip() for t in text.split(",") if t.strip()]
+def _split_list(text, sep=","):
+    return [t.strip() for t in text.split(sep) if t.strip()]
 
 
-def _floats(text):
-    return [float(x) for x in _split_list(text)]
+def _list_flag(cfg, key, kind=str, sep=","):
+    """The items of the list flag cfg[key], each read by kind.  A missing
+    or empty list is a usage error, raised before any table is printed."""
+    items = _split_list(_require(cfg, key), sep)
+    if not items:
+        raise ValueError("--%s wants at least one value, got %r" % (key.replace("_", "-"), cfg[key]))
+    return [kind(t) for t in items]
 
 
-def _ints(text):
-    return [int(x) for x in _split_list(text)]
-
-
-def _rats(text):
-    return [rat(x) for x in _split_list(text)]
-
-
-def _weight_rows(text):
+def _weight_rows(cfg):
     """Rows of rational weights, '10,10;100,100'."""
-    return [tuple(_rats(r)) for r in text.split(";") if r.strip()]
+    return [tuple(map(rat, _split_list(r))) for r in _list_flag(cfg, "weights", sep=";")]
 
 
 def _parse_curve(cfg):
-    dom = _rats(cfg["domain"]) if cfg["domain"] is not None else [0, 1]
+    dom = _list_flag(cfg, "domain", rat) if cfg["domain"] is not None else [0, 1]
     if len(dom) != 2:
         raise ValueError("--domain wants two endpoints")
     curve = Curve.parse(_require(cfg, "curve"), tuple(dom))
@@ -276,20 +273,19 @@ def _curve_schedule_indices(cfg):
     curve = _parse_curve(cfg)
     schedule = RateSchedule.parse(_require(cfg, "sequence"))
     if cfg["indices"] is not None:
-        idx = _ints(cfg["indices"])
-    elif cfg["imax"] is not None:
-        idx = list(range(schedule.ordered_from(), cfg["imax"] + 1))
-    else:
+        return curve, schedule, _list_flag(cfg, "indices", int)
+    if cfg["imax"] is None:
         raise ValueError("need --indices or --imax")
-    if not idx:
-        raise ValueError("empty index list")
-    return curve, schedule, idx
+    lo = schedule.ordered_from()
+    if cfg["imax"] < lo:
+        raise ValueError("--imax must be at least %d, the first ordered index, got %d" % (lo, cfg["imax"]))
+    return curve, schedule, list(range(lo, cfg["imax"] + 1))
 
 
-def _parse_growth(text):
+def _parse_growth(cfg):
     """Layers comma-separated; monomials '+'-separated, each c:p."""
     layers = []
-    for part in _split_list(text):
+    for part in _list_flag(cfg, "growth"):
         monos = []
         for m in part.split("+"):
             c, sep, p = m.partition(":")
@@ -311,7 +307,7 @@ def _parse_rep(text):
 
 def _build_tent(cfg, n):
     center = (
-        _floats(cfg["tent_center"])
+        _list_flag(cfg, "tent_center", float)
         if cfg["tent_center"] is not None
         else [0.0] * n
     )
@@ -352,8 +348,8 @@ def _cmd_improvability(cfg):
     curve = _parse_curve(cfg)
     rows = improvability_scan(
         curve,
-        _weight_rows(cfg["weights"]),
-        _rats(cfg["mu"]),
+        _weight_rows(cfg),
+        _list_flag(cfg, "mu", rat),
         cfg["samples"],
         **_experiment_kwargs(cfg),
     )
@@ -442,7 +438,7 @@ def _cmd_nondiv(cfg):
         curve,
         schedule,
         indices,
-        _floats(cfg["eps"]),
+        _list_flag(cfg, "eps", float),
         cfg["samples"],
         **_experiment_kwargs(cfg),
     )
@@ -486,7 +482,7 @@ def _cmd_twist(cfg):
         curve,
         schedule,
         indices,
-        _floats(cfg["t"]),
+        _list_flag(cfg, "t", float),
         cfg["samples"],
         tent,
         **_experiment_kwargs(cfg),
@@ -539,10 +535,11 @@ def _random_support_points(rng, n, m1):
 
 def _cmd_lemma_verify(cfg):
     rep = _parse_rep(_require(cfg, "rep"))
-    sizes = weights.validate_block_sizes(rep.n, _ints(_require(cfg, "config_sizes")))
+    # an empty list is refused by the block sizes' own check
+    sizes = weights.validate_block_sizes(rep.n, _split_list(_require(cfg, "config_sizes")))
     k = len(sizes)
     if cfg["growth"] is not None:
-        growth = _parse_growth(cfg["growth"])
+        growth = _parse_growth(cfg)
     elif k == 1:
         growth = GrowthSpec.simple([(1, 1)])
     else:
@@ -622,7 +619,7 @@ def _cmd_constructions(cfg):
         raise ValueError("need --gamma or --scan-tail")
 
     if cfg["gamma"] is not None:
-        gamma_weights = _ints(cfg["gamma"])
+        gamma_weights = _list_flag(cfg, "gamma", int)
         gamma = staircase_unimodular(gamma_weights)
         h, upper = unit_lower_elimination(gamma)
         structural, enumerated = unit_triangular_avoidance_check(h)
@@ -652,8 +649,8 @@ def _cmd_constructions(cfg):
         print("all certificates valid: %s" % ("yes" if ok else "NO"))
         return 0 if ok else 1
 
-    tail = tuple(_rats(cfg["scan_tail"]))
-    first_weights = _rats(cfg["scan_weights"])
+    tail = tuple(_list_flag(cfg, "scan_tail", rat))
+    first_weights = _list_flag(cfg, "scan_weights", rat)
     mu = rat(cfg["scan_mu"])
     if cfg["threshold"]:
         # the threshold runs the one full scan, at mu, and hands it back
@@ -680,7 +677,7 @@ def _cmd_layered(cfg):
     schedule = RateSchedule.parse(_require(cfg, "sequence"))
     tol = _tolerance(cfg, "err_tol")
     pres = layered_presentation(schedule)
-    checks = _ints(cfg["check_at"])
+    checks = _list_flag(cfg, "check_at", int)
     errs = {i: pres.exp_identity_error(i) for i in checks}
     ok = all(e <= tol for e in errs.values())
     header = ["index", "exp_identity_error"]

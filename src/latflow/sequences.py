@@ -107,9 +107,6 @@ class RateSchedule:
         """Ambient dimension (one more than the number of coordinates)."""
         return len(self.forms) + 1
 
-    def eval_exact(self, i):
-        return tuple(f.eval_exact(i) for f in self.forms)
-
     def ordered_from(self) -> int:
         """Smallest index from which the coordinates are provably
         nonnegative and nonincreasing (they are only *eventually* so).

@@ -23,8 +23,10 @@ Everything in this module runs on the exact backend, and its linear
 algebra runs on integers.  The minors and the rank-one terms are computed
 on D g (and D' g^-1, or D x), D the common denominator, and each entry is
 divided once at the end; the images of the hypothesis space under the
-shears are summed the same way.  Every matrix and vector returned holds
-Fractions only.
+shears are summed the same way, and the E_pq actions of the alignment and
+containment checks stay integer columns.  One loop, `_hypothesis`, computes
+the hypothesis space for the containment check and the lemma trials alike,
+each shear action once.  Every matrix and vector returned holds Fractions.
 """
 
 from __future__ import annotations
@@ -176,13 +178,18 @@ class RepSpace:
         return ExactMatrix._trusted(zip(*_over(cols, d1 * d2)))
 
     def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """The derived (Lie algebra) action of a traceless matrix,
-        accumulated on the integers D x and divided by D once, D the common
-        denominator of x."""
+        """The derived (Lie algebra) action of a traceless matrix: the
+        integer columns of the action of D x (`_algebra_columns`), D the
+        common denominator of x, each entry divided by D once."""
         if x.nrows != self.n:
             raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
-        labs = self.labels()
         scale, xrows = linalg.clear_denominators(x.rows)
+        return ExactMatrix._trusted(zip(*_over(self._algebra_columns(xrows), scale)))
+
+    def _algebra_columns(self, xrows):
+        """Integer columns of the derived action of the n x n integer
+        matrix xrows."""
+        labs = self.labels()
         if self.kind == "wedge":
             index = {J: t for t, J in enumerate(labs)}
             cols = []
@@ -199,13 +206,12 @@ class RepSpace:
                         J2, sign = res
                         col[index[J2]] = col[index[J2]] + sign * c
                 cols.append(col)
-            return ExactMatrix._trusted(zip(*_over(cols, scale)))
+            return cols
         # [x, E_pq] = (column p of x) e_q^T - e_p (row q of x)
         xcols, unit = list(zip(*xrows)), linalg.identity(self.n)
-        cols = self._adjoint_columns(
+        return self._adjoint_columns(
             lambda p, q: [(False, xcols[p], unit[q]), (True, unit[p], xrows[q])]
         )
-        return ExactMatrix._trusted(zip(*_over(cols, scale)))
 
 
 def _over(rows, scale):
@@ -311,9 +317,6 @@ class ClosedForm:
         return cls(tuple(terms))
 
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        return ClosedForm(self.terms + other.terms)
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         return ClosedForm(self.terms + tuple((-c, p) for c, p in other.terms))
@@ -521,41 +524,42 @@ def _points_ok(points, n, m1):
     return linalg.rank(diffs) == m1
 
 
-def _kernel_space(dim, rows) -> Subspace:
-    """The common kernel of the rows, the whole space when there are none."""
-    if not rows:
-        return Subspace(dim, tuple(tuple(row) for row in linalg.identity(dim)))
-    return Subspace.from_generators(linalg.kernel_basis(rows), dim)
-
-
-def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
-    """Vectors all of whose shear translates by the given points have zero
-    component in every expanding weight direction: the common kernel of the
-    expanding rows of the actions u(e).
+def _hypothesis(rep: RepSpace, plus, points):
+    """(space, actions): the common kernel of the rows plus of the actions
+    u(e) of the points, and the actions of the points read, in order.
 
     The points are read one at a time, so they may come lazily, and each
-    action is computed when its point is reached.  The rows are held as
-    integers (`linalg._primitive_row`).  Once at least rep.dim are held
+    action is computed once, when its point is reached.  The rows are held
+    as integers (`linalg._primitive_row`).  Once at least rep.dim are held
     they are replaced by the nonzero rows of their rref, each kept as an
     integer multiple (`linalg._gauss_jordan`), and once their rank reaches
     rep.dim the space is {0} and no further point is read.  The answer is
     the one all points give: more rows only shrink the kernel, and the rref
     is unique, so the reduced rows have the kernel of the rows they
-    replace.  With no expanding index, or no points, the space is the whole
-    space.
+    replace.  With no rows, the space is the whole space.
     """
     dim = rep.dim
-    plus = split_spaces(rep, block_sizes, growth).indices("+")
-    rows = []
-    for e in points if plus else ():
-        act = rep.group_matrix(row_unipotent(e))
-        rows += [linalg._primitive_row(act.rows[i]) for i in plus]
+    rows, actions = [], []
+    for e in points:
+        actions.append(rep.group_matrix(row_unipotent(e)))
+        rows += [linalg._primitive_row(actions[-1].rows[i]) for i in plus]
         if len(rows) >= dim:
             pivots = linalg._gauss_jordan(rows)
             if len(pivots) == dim:
-                return Subspace(dim, ())
+                return Subspace(dim, ()), actions
             del rows[len(pivots) :]
-    return _kernel_space(dim, rows)
+    if not rows:
+        return Subspace(dim, tuple(tuple(row) for row in linalg.identity(dim))), actions
+    return Subspace.from_generators(linalg.kernel_basis(rows), dim), actions
+
+
+def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
+    """Vectors all of whose shear translates by the given points have zero
+    component in every expanding weight direction: the common kernel of the
+    expanding rows of the actions u(e), from `_hypothesis`, the one loop
+    that `lemma_reports` runs too.  The points may come lazily, and none is
+    read after the space is {0}."""
+    return _hypothesis(rep, split_spaces(rep, block_sizes, growth).indices("+"), points)[0]
 
 
 @dataclass(frozen=True)
@@ -590,19 +594,19 @@ def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     """The common core of the lemma checks: (split, points, space, images,
     shadow_kernels).
 
-    space is the hypothesis space of the points and images[t] holds the
-    columns u(e_t) b over its basis b; shadow_kernels[t] holds the
-    coefficient vectors y whose translate u(e_t) (sum y b) has no fully
-    invariant component.  Both lists are empty when the space is trivial,
-    so the checks find nothing to violate.
+    space is the hypothesis space of the points (`_hypothesis`) and
+    images[t] holds the columns u(e_t) b over its basis b, from the same
+    actions; shadow_kernels[t] holds the coefficient vectors y whose
+    translate u(e_t) (sum y b) has no fully invariant component.  Both lists
+    are empty when the space is trivial, so the checks find nothing to
+    violate.
     """
     split = split_spaces(rep, block_sizes, growth)
     m1 = split.block_sizes[0]
     pts = [tuple(rat(x) for x in p) for p in points]
     if require_spanning and not _points_ok(pts, rep.n, m1):
         raise ValueError("points must affinely span the embedded R^%d" % m1)
-    actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
-    space = _kernel_space(rep.dim, [act.rows[i] for act in actions for i in split.indices("+")])
+    space, actions = _hypothesis(rep, split.indices("+"), pts)
     if not space.dim:
         return split, pts, space, [], []
     images = []
@@ -646,7 +650,8 @@ def _spanning_violations(pts, space, kernels):
 
 
 def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
-    """(projection report, spanning report) from one pass over the points.
+    """(projection report, spanning report) from one pass over the points,
+    the loop `_hypothesis` that `hypothesis_space` runs too.
 
     The spanning report is the full-strength conclusion: on the hypothesis
     space, every shear translate keeps a nonzero fully-invariant
@@ -679,15 +684,16 @@ class AlignmentReport:
 
 
 def _elementary_actions(rep: RepSpace, block, last):
-    """The algebra matrix of each elementary E_pq with p <= block and
-    q <= last, q != p (1-based), p major."""
+    """The algebra action of each elementary E_pq with p <= block and
+    q <= last, q != p (1-based), p major, as its integer columns
+    (`RepSpace._algebra_columns`, D = 1)."""
     n = rep.n
     for p in range(block):
         for q in range(last):
             if q != p:
-                rows = [[Rat(0)] * n for _ in range(n)]
-                rows[p][q] = Rat(1)
-                yield rep.algebra_matrix(ExactMatrix._trusted(rows))
+                rows = [[0] * n for _ in range(n)]
+                rows[p][q] = 1
+                yield rep._algebra_columns(rows)
 
 
 def _support_components(rep: RepSpace, block):
@@ -708,10 +714,10 @@ def _support_components(rep: RepSpace, block):
         if ra != rb:
             parent[ra] = rb
 
-    for act in _elementary_actions(rep, block, block):
-        for j in range(dim):
-            for i in range(dim):
-                if act.rows[i][j] != 0:
+    for cols in _elementary_actions(rep, block, block):
+        for j, col in enumerate(cols):
+            for i, x in enumerate(col):
+                if x != 0:
                     union(i, j)
     comps = {}
     for i in range(dim):
@@ -780,7 +786,7 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     """
     if not 1 <= block <= rep.n:
         raise ValueError("block out of range")
-    rows = [row for act in _elementary_actions(rep, block, rep.n) for row in act.rows]
+    rows = [row for cols in _elementary_actions(rep, block, rep.n) for row in zip(*cols)]
     return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
 
 

@@ -275,7 +275,7 @@ def test_dual_block_stabilizer_matches_direct_reference():
 
 def test_expansion_rates_validation():
     r = ExpansionRates((4.0, 2.0, 1.0))
-    assert r.n == 4
+    assert len(r.weights) == 3
     assert r.total_weight() == pytest.approx(8.0)
     with pytest.raises(ValueError):
         ExpansionRates((1.0, 2.0))  # must be nonincreasing

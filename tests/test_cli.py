@@ -107,19 +107,48 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, cmd, config, message)
     assert "Traceback" not in err
 
 
+def test_empty_table_keeps_its_header(capsys):
+    assert main(["lemma-verify", "--rep", "adjoint:3", "--config-sizes", "2", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        CSV_TAG, "trial,projection_ok,hypothesis_dim,spanning_ok,spanning_dim"
+    ]
+
+
+def _empty(flag, value):
+    return "%s wants at least one value, got %r" % (flag, value)
+
+
 @pytest.mark.parametrize(
-    "argv, header",
+    "argv, shown",
     [
-        (["improvability", "--mu", "", "--samples", "5"], "mu,prefix,hits,count,fraction"),
-        (["nondiv", "--eps", "", "--imax", "3", "--samples", "5"],
-         "index,eps,count,below,fraction"),
-        (["twist", "--t", "", "--imax", "3", "--samples", "5"],
-         "index,t,used,skipped,base_average,sheared_average,defect,sup_f"),
+        (["improvability", "--mu", "", "--samples", "5"], _empty("--mu", "")),
+        (["improvability", "--mu", ",", "--samples", "5"], _empty("--mu", ",")),
+        (["improvability", "--weights", ";", "--samples", "5"], _empty("--weights", ";")),
+        (["nondiv", "--eps", "", "--imax", "3", "--samples", "5"], _empty("--eps", "")),
+        (["nondiv", "--imax", "2", "--samples", "5", "--eps", ","], _empty("--eps", ",")),
+        # not "max() arg is an empty sequence" after the header
+        (["nondiv", "--imax", "2", "--samples", "5", "--eps", ",", "--frac-tol", "0.1"],
+         _empty("--eps", ",")),
+        (["nondiv", "--indices", ",", "--samples", "5"], _empty("--indices", ",")),
+        (["nondiv", "--imax", "0", "--samples", "5"],
+         "--imax must be at least 1, the first ordered index, got 0"),
+        (["twist", "--t", "", "--imax", "3", "--samples", "5"], _empty("--t", "")),
+        (["twist", "--indices", "2", "--samples", "5", "--t", ","], _empty("--t", ",")),
+        # not a gate passed with "0 insoluble of 0"
+        (["constructions", "--scan-tail", "5/2", "--scan-weights", ",", "--expect-soluble"],
+         _empty("--scan-weights", ",")),
+        (["layered", "--sequence", "i^2, i", "--check-at", ","], _empty("--check-at", ",")),
     ],
+    ids=["improvability-mu", "improvability-mu-comma", "improvability-weights", "nondiv-eps",
+         "nondiv-eps-comma", "nondiv-eps-frac-tol", "nondiv-indices", "nondiv-imax", "twist-t",
+         "twist-t-comma", "constructions-scan-weights", "layered-check-at"],
 )
-def test_empty_table_keeps_its_header(capsys, argv, header):
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[:2] == [CSV_TAG, header]
+def test_empty_list_flag_is_usage_error(capsys, argv, shown):
+    # refused before any table is printed, by a message that names the flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % shown
 
 
 def test_layered_prints_csv(capsys):

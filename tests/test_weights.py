@@ -367,6 +367,31 @@ def test_random_spanning_points_never_violate():
             assert projection.ok and spanning.ok
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_support_components_match_the_dense_reference(n):
+    # the union-find of the support graph of every dense E_pq action, p and
+    # q in the block, grouped by first member as the package groups them
+    for rep in _all_reps(n):
+        for block in range(2, n + 1):
+            parent = list(range(rep.dim))
+
+            def find(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for p, q in itertools.permutations(range(block), 2):
+                x = [[int((i, j) == (p, q)) for j in range(n)] for i in range(n)]
+                for i, row in enumerate(algebra_matrix_reference(n, rep.kind, rep.degree, x)):
+                    for j, v in enumerate(row):
+                        if v != 0:
+                            parent[find(i)] = find(j)
+            comps = {}
+            for i in range(rep.dim):
+                comps.setdefault(find(i), []).append(i)
+            assert weights._support_components(rep, block) == list(comps.values()), (rep, block)
+
+
 def test_weight_alignment_across_reps():
     for rep, sizes in [
         (RepSpace(3, "wedge", 2), (2, 1)),
@@ -534,6 +559,11 @@ def test_hypothesis_space_without_points_or_expanding_index_is_everything(monkey
     actions = [rep.group_matrix(row_unipotent(e)) for e in pts]
     assert hypothesis_space(rep, (2,), growth, pts) == everything
     assert hypothesis_space_reference(flat, actions) == everything
+    # the lemma checks act on every point of the whole space, each once
+    counted = _count_calls(monkeypatch, RepSpace, "group_matrix")
+    projection, spanning = lemma_reports(rep, (2,), growth, pts, require_spanning=False)
+    assert projection.hypothesis_dim == spanning.hypothesis_dim == rep.dim
+    assert len(counted) == len(pts)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -546,6 +576,26 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.mark.parametrize(
+    "rep, sizes, pts, dim, calls",
+    [
+        # {0} after 4 of the 5 points: the fifth is never acted on
+        (RepSpace(6, "wedge", 3), (4, 2),
+         [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)], 0, 4),
+        # a space that is not {0}: each point's action is computed once, for
+        # the space and for its images alike
+        (RepSpace(4, "adjoint"), (2, 1), [(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2, 3),
+    ],
+    ids=["wedge63-zero", "adjoint4"],
+)
+def test_lemma_reports_act_on_each_point_once(monkeypatch, rep, sizes, pts, dim, calls):
+    actions = _count_calls(monkeypatch, RepSpace, "group_matrix")
+    projection, spanning = lemma_reports(rep, sizes, GrowthSpec.simple([(1, 1), (1, 2)]), pts)
+    assert projection.hypothesis_dim == spanning.hypothesis_dim == dim
+    assert projection.ok and spanning.ok
+    assert len(actions) == calls
 
 
 def test_fixed_check_stops_at_the_zero_space(monkeypatch):
