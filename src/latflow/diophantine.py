@@ -355,7 +355,9 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
     """The decision both systems share, given the system's own pieces: its
     direct loop and that loop's iteration count, the map from lattice
     coefficients to its witness, and its witness check.  The lattice route
-    walks the integral translate D B in the window box scaled by D."""
+    walks the integral translate D B in the window box scaled by D, both on
+    integers: for the radius mu = mn / md, the columns md (D B) in the box
+    of int bounds mn D, which has the same box-normalised basis."""
     if route not in ("auto", "direct", "lattice"):
         raise ValueError("unknown route %r; choose auto, direct or lattice" % (route,))
     xi = tuple(rat(x) for x in xi)
@@ -367,7 +369,10 @@ def _decide(system, xi, window, route, budget, direct, direct_cost, witness_of, 
             answers["direct"] = direct(xi, window)
     if route in ("auto", "lattice"):
         d, cols = _integral_translate(system, xi, window)
-        c = _first_hit(cols, (window.radius * d,) * (window.k + 1), budget)
+        mn, md = window.radius.as_integer_ratio()
+        if md != 1:
+            cols = [[md * x for x in col] for col in cols]
+        c = _first_hit(cols, (mn * d,) * (window.k + 1), budget)
         answers["lattice"] = (False, None) if c is None else (True, witness_of(c))
     kinds = {s for s, _ in answers.values()}
     if len(kinds) > 1:

@@ -172,25 +172,22 @@ def _window_flags_at(job, s):
 
 
 def _shear_at(job, s):
-    curve, deriv, rates, tent, t_list, block, budget = job
+    curve, deriv, diag, tent, shears, block, budget = job
     n = curve.k + 1
     z = _aligning_element(deriv.eval_float(s)[:block], n)
     if z is None:
         return None
     # u(shift) is the shear with unit weights, entry for entry
-    unit = (1.0,) * (n - 1)
     m = linalg.mat_mul(
-        linalg.mat_mul(z, expanding_diagonal(rates)),
-        diagonal_shear(unit, curve.eval_float(s)),
+        linalg.mat_mul(z, diag), diagonal_shear((1.0,) * (n - 1), curve.eval_float(s))
     )
     base_val = siegel_transform(_checked_columns(m), tent, budget)
     sheared = []
-    for t in t_list:
-        if t == 0:
+    for shear in shears:
+        if shear is None:
             sheared.append(base_val)  # u(0) = identity, exactly
             continue
-        shift = (t,) + (0.0,) * (n - 2)
-        g = linalg.mat_mul(diagonal_shear(unit, shift), m)
+        g = linalg.mat_mul(shear, m)
         sheared.append(siegel_transform(_checked_columns(g), tent, budget))
     return base_val, tuple(sheared)
 
@@ -443,6 +440,13 @@ def shear_invariance_scan(
     counted.  The expansion used here is the *anchored* one (residuals
     stripped), which the aligning elements commute with.  The defect at
     t = 0 is exactly 0 by construction.  Every t must be finite.
+
+    What depends only on the index or on t is built once, into the jobs:
+    each index's expanding diagonal `expanding_diagonal(rates)`, and the
+    row shear `diagonal_shear(unit, (t, 0.0, ...))` of each t != 0 (None
+    for t == 0, -0.0 included, whose value is the base's).  These are the
+    matrices each sample built before, so every value is the same, bit
+    for bit.
     """
     t_list = [float(t) for t in t_list]
     bad = [t for t in t_list if not math.isfinite(t)]
@@ -453,13 +457,19 @@ def shear_invariance_scan(
     svals = [float(s) for s in sample_grid(curve, count, grid, seed)]
     sup_f = tent.height
     deriv = curve.derivative()
+    # the row shears u(t e_1), None for t == 0, shared by every index
+    n = curve.k + 1
+    unit = (1.0,) * (n - 1)
+    shears = tuple(
+        None if t == 0 else diagonal_shear(unit, (t,) + (0.0,) * (n - 2)) for t in t_list
+    )
     jobs = [
         (
             curve,
             deriv,
-            float_expansion(pres.anchored, i),
+            expanding_diagonal(float_expansion(pres.anchored, i)),
             tent,
-            t_list,
+            shears,
             block,
             budget,
         )

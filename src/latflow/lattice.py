@@ -3,9 +3,11 @@
 The enumeration engine LLL-reduces the basis, circumscribes the box with a
 sphere, and walks a depth-first Fincke-Pohst tree with per-level integer
 intervals.  On the exact backend the box normalisation itself runs on
-integers: each entry c/b of the normalised basis is reduced with gcd from
-the numerators and denominators of c and of its bound b, and D is the lcm
-of the reduced denominators.  Everything from there to the leaf runs on
+integers: the entries are cleared of their common denominator, each row
+of the normalised basis c/b is reduced with one gcd of its entries and
+its bound b, and D is the lcm of the rows' reduced denominators, the lcm
+of the entries' own (an int bound is read as it is, so a window scaled to
+integers builds no Fraction).  Everything from there to the leaf runs on
 Python integers: LLL is integral, the walk takes its centers and radii from
 the integer Gram determinants and scaled coefficients that LLL returns
 (interval ends come from math.isqrt), each leaf is tested against the box
@@ -21,18 +23,20 @@ and computes det B = det(D B) / D^n by fraction-free (Bareiss)
 elimination.  The float lattices of the Monte-Carlo sweeps are plain lists
 of basis columns, checked where they are built: `siegel_transform` sums a
 float `Tent`, whose support box is built once with the tent, over the
-points of such columns, and `shortest_sup_norm` takes columns on either
-backend.
+points of such columns (a planar tent reads its two coordinates on
+scalars, the loop over n's operations in its order), and
+`shortest_sup_norm` takes columns on either backend.
 
 One walk (`_walk`) serves both backends and hands each point in the box to
 a leaf callback; it refuses a basis that is not square.  On floats, a
 planar basis (n = 2, every walk of the sweeps on the default curve) is
-walked after its LLL reduction by `_walk_planar`, two nested loops on
-scalars that do the recursive walk's floating-point operations in its
-order: the same points in the same order, the same node count, stops and
-warnings, bit for bit.  A `Box` carries no backend: it holds its bounds
-as given, and the walk's `backend` argument names their scalar kind
-once.  One rule holds: an exact walk refuses a float anywhere
+divided by its two bounds on scalars and walked after its LLL reduction
+by `_walk_planar`, two nested loops on scalars that do the recursive
+walk's floating-point operations in its order: the same points in the
+same order, the same node count, stops and warnings, bit for bit.  A
+`Box` carries no backend: it holds its bounds as given, and the walk's
+`backend` argument names their scalar kind once.  One rule holds: an
+exact walk refuses a float anywhere
 (`BackendMismatch`), in a basis entry or a bound; a float walk computes
 in floats and refuses a `Fraction` bound.  Ints serve both.  The walk
 visits one point of each +-v pair, the one whose last nonzero
@@ -42,15 +46,16 @@ FaceProximity warning fires once per pair it visits.
 to the given basis and adds each point's mirror (for n = 2 on scalars);
 `enumerate_in_box` is built on it, and `siegel_transform` sums the tent over
 its sorted points with `Tent.total`.  `shortest_sup_norm` walks the closed
-unit cube once itself, keeping a running minimum m: each point found
-shrinks the search sphere to n m^2 (with the first sphere's slack), and the
-intervals of the levels on the stack narrow with it.  The box stays the
-unit cube, so every point it visits has the bits of a full walk; it takes
-no mirrors, pull-back or sort.
+unit cube, built once per dimension, keeping a running minimum m: each
+point found shrinks the search sphere to n m^2 (with the first sphere's
+slack), and the intervals of the levels on the stack narrow with it.
+The box stays the unit cube, so every point it visits has the bits of a
+full walk; it takes no mirrors, pull-back or sort.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
@@ -128,25 +133,39 @@ class Lattice:
 
 def _integral_box_basis(basis_cols, bounds):
     """(D, columns of D y) for the box-normalised basis y_ji = c_ji / b_i of
-    exact columns c and box bounds b.  Each quotient is formed from integer
-    numerators and denominators and reduced with gcd, and D is the lcm of
-    the reduced denominators: the same D and columns as a Fraction division
-    followed by linalg.clear_denominators.  Int entries build no Fraction."""
-    n = len(basis_cols)
-    b_num = [b.numerator for b in bounds]
-    b_den = [b.denominator for b in bounds]
-    quotients = []
-    for c in basis_cols:
-        col = []
-        for i in range(n):
-            x = c[i] if type(c[i]) is int else rat(c[i])
-            num = x.numerator * b_den[i]
-            den = x.denominator * b_num[i]
-            g = math.gcd(num, den)
-            col.append((num // g, den // g))
-        quotients.append(col)
-    scale = math.lcm(*(den for col in quotients for _, den in col))
-    return scale, [[num * (scale // den) for num, den in col] for col in quotients]
+    exact columns c and box bounds b, with one gcd per row: the same D and
+    columns as a Fraction division followed by linalg.clear_denominators.
+    Int entries build no Fraction, and an int bound is read as it is.
+
+    The entries are first cleared of their common denominator L: with
+    C_ji = L c_ji and the bound b_i L = P_i / Q_i in lowest terms, the
+    quotients C_ji / (P_i / Q_i) are the y_ji.  Row i then takes the one
+    gcd G_i = gcd_j C_ji, g_i = gcd(P_i, G_i) and D_i = P_i / g_i, and
+    each y_ji = (C_ji / g_i) Q_i / D_i.  The reduced denominator of y_ji is
+    P_i / gcd(P_i, C_ji), as gcd(P_i, Q_i) = 1, and at each prime p the
+    largest of its exponents over the row is max(0, v_p(P_i) - min_j
+    v_p(C_ji)), that of D_i.  So D_i is the lcm of the row's reduced
+    denominators, D = lcm_i D_i is the lcm of all of them, the per-entry
+    D, and the entries of D y are (C_ji / g_i) Q_i (D / D_i)."""
+    if all(type(x) is int for c in basis_cols for x in c):
+        cols, clear = basis_cols, 1
+    else:
+        cols = [[x if type(x) is int else rat(x) for x in c] for c in basis_cols]
+        clear = math.lcm(*(x.denominator for c in cols for x in c))
+        cols = [[x.numerator * (clear // x.denominator) for x in c] for c in cols]
+    gs, qs, ds = [], [], []  # g_i, Q_i and D_i of each row
+    for row, b in zip(zip(*cols), bounds):
+        p, q = b.numerator, b.denominator
+        if clear != 1:
+            g = math.gcd(clear, q)
+            p, q = p * (clear // g), q // g  # b_i L in lowest terms
+        g = math.gcd(p, *row)  # gcd(P_i, G_i)
+        gs.append(g)
+        qs.append(q)
+        ds.append(p // g)
+    scale = math.lcm(*ds)
+    factors = [q * (scale // d) for q, d in zip(qs, ds)]
+    return scale, [[x // g * f for x, g, f in zip(c, gs, factors)] for c in cols]
 
 
 def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
@@ -165,20 +184,22 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
     (n columns of length n).
 
     The backend names the scalar kind of the box bounds.  The exact walk
-    takes each bound through `rat` and each basis entry too, so a float
-    anywhere raises BackendMismatch; the float walk divides the columns
-    by the bounds in floats and raises BackendMismatch for a Fraction
-    bound.  Int bounds serve both.
+    takes each bound but an int through `rat`, and each basis entry too,
+    so a float anywhere raises BackendMismatch; the float walk divides
+    the columns by the bounds in floats and raises BackendMismatch for a
+    Fraction bound.  Int bounds serve both.
 
     shrink=True lowers the search sphere to sphere(m), about n m^2, at each
     point found, m its sup-norm in the normalised box: the walk reaches
     every point no longer than the shortest so far and skips most others.
 
-    On the float backend with n = 2 the walk after the reduction is
-    `_walk_planar`, which does this recursion's floating-point operations
-    in its order: the leaf sees the same points, xs and order, and the
-    budget, the stops and the FaceProximity warnings fall on the same
-    nodes.  The exact backend and n >= 3 take the recursion below.
+    On the float backend with n = 2, after the same refusals, the two
+    columns are divided by the two bounds on scalars (the quotients of the
+    loop over n), and the walk after the reduction is `_walk_planar`,
+    which does this recursion's floating-point operations in its order:
+    the leaf sees the same points, xs and order, and the budget, the stops
+    and the FaceProximity warnings fall on the same nodes.  The exact
+    backend and n >= 3 take the recursion below.
     """
     n = len(basis_cols)
     if any(len(col) != n for col in basis_cols):
@@ -211,7 +232,7 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
         # Radii are kept as integers over the one denominator
         # M = lcm_j(d_j d_{j+1}), so the step is w_j y^2 with
         # w_j = M / (d_j d_{j+1}), and |y| <= isqrt(rem // w_j) is exact.
-        bounds = [rat(b) for b in box.bounds]
+        bounds = [b if type(b) is int else rat(b) for b in box.bounds]
         scale, cols = _integral_box_basis(basis_cols, bounds)
         reduced, u_cols, lam, d = linalg.lll_integral(cols)
         den = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
@@ -249,12 +270,17 @@ def _walk(basis_cols, box: Box, backend, budget, leaf, shrink=False):
             )
         # dividing by a float bound takes an int or Fraction entry to
         # float(entry) / bound, so the columns are floats on any input
+        if n == 2:  # the division below on scalars, then the planar loops
+            (a0, a1), (b0, b1) = basis_cols
+            bounds = bound0, bound1 = float(box.bounds[0]), float(box.bounds[1])
+            reduced, u_cols, mu, c = linalg.lll_reduce(
+                [[a0 / bound0, a1 / bound1], [b0 / bound0, b1 / bound1]]
+            )
+            _walk_planar(reduced, mu[1][0], c, bounds, closed, budget, leaf, shrink)
+            return u_cols
         bounds = [float(b) for b in box.bounds]
         cols = [[c[i] / bounds[i] for i in range(n)] for c in basis_cols]
         reduced, u_cols, mu, c = linalg.lll_reduce(cols)
-        if n == 2:
-            _walk_planar(reduced, mu[1][0], c, bounds, closed, budget, leaf, shrink)
-            return u_cols
         r2 = n * (1.0 + FLOAT_SLACK)
 
         def sphere(m):
@@ -563,9 +589,28 @@ class Tent:
     def total(self, points):
         """0.0 plus the tent at each point in the order given, the tent read
         once: per point the max of |x - c| in coordinate order, t = 1 - max
-        / radius, and height * t when t > 0.  Lengths are not checked."""
+        / radius, and height * t when t > 0.  Lengths are not checked.
+
+        A planar tent reads the two coordinates of each point on scalars:
+        d = x_0 - c_0 and e = x_1 - c_1, each negated if below 0, the max
+        e if e > d else d, then t as above: the loop's operations in its
+        order, so the same floats bit for bit.  It unpacks each point, so
+        there a point of another length raises ValueError."""
         center, radius, height = self.center, self.radius, self.height
         total = 0.0
+        if len(center) == 2:
+            c0, c1 = center
+            for x0, x1 in points:
+                d = x0 - c0
+                if d < 0:
+                    d = -d
+                e = x1 - c1
+                if e < 0:
+                    e = -e
+                t = 1 - (e if e > d else d) / radius
+                if t > 0:
+                    total = total + height * t
+            return total
         for v in points:
             dist = None
             for x, cx in zip(v, center):
@@ -593,6 +638,13 @@ def siegel_transform(basis_cols, tent: Tent, budget=DEFAULT_NODE_BUDGET):
     return tent.total(map(itemgetter(0), pairs))
 
 
+@functools.cache
+def _unit_cube(n):
+    """The closed unit cube [-1, 1]^n, built once per dimension; its int
+    bounds serve both backends."""
+    return Box((1,) * n, (True,) * n)
+
+
 def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):
     """Sup-norm of a shortest nonzero vector of the covolume-1 lattice
     spanned by the basis columns, on the given backend.
@@ -604,6 +656,7 @@ def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):
     longer than m (on a nearly divergent translate, the multiples of one
     tiny vector that fill the cube); it needs no mirrors and no coefficients.
     On floats, FaceProximity warns only for the points the walk visits.
+    The cube is built once per dimension (`_unit_cube`).
     """
     best = None
 
@@ -614,9 +667,7 @@ def shortest_sup_norm(basis_cols, backend, budget=DEFAULT_NODE_BUDGET):
             best = m
         return False
 
-    n = len(basis_cols)
-    cube = Box((1,) * n, (True,) * n)
-    _walk(basis_cols, cube, backend, budget, keep, shrink=True)
+    _walk(basis_cols, _unit_cube(len(basis_cols)), backend, budget, keep, shrink=True)
     if best is None:
         raise RuntimeError("no lattice point in the closed unit cube; basis badly scaled")
     return best

@@ -783,10 +783,20 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     The algebra is generated by the E_pq with p in the block and q != p.
     Those with q in the block generate sl(block), since [E_pq, E_qp] =
     E_pp - E_qq, and a vector that X and Y send to 0 is sent to 0 by [X, Y].
+    The zero rows of the actions are dropped before the one kernel_basis
+    (rref ignores them, so the kernel is the same); with no nonzero row the
+    space is the whole space.
     """
     if not 1 <= block <= rep.n:
         raise ValueError("block out of range")
-    rows = [row for cols in _elementary_actions(rep, block, rep.n) for row in zip(*cols)]
+    rows = [
+        row
+        for cols in _elementary_actions(rep, block, rep.n)
+        for row in zip(*cols)
+        if any(row)
+    ]
+    if not rows:
+        return Subspace.from_generators(linalg.identity(rep.dim), rep.dim)
     return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
 
 

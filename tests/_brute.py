@@ -11,7 +11,9 @@ actions and take the package's kernel; alignment_reference checks the
 integer scaling alone, so it reads the package's weight table and
 components.  pull_back_and_mirror and tent_value are the enumeration's
 loop over n coordinates and the tent's value written out once more, the
-references for the planar pull-back and for `Tent.total`."""
+references for the planar pull-back and for `Tent.total`.  shear_at is
+the twist scan's per-sample function as it was before the scan built its
+diagonal and its row shears once per job: it builds both at every sample."""
 
 import math
 import warnings
@@ -19,8 +21,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter, mul
 
-from latflow import linalg, weights
+from latflow import experiments, linalg, weights
+from latflow.algebra import diagonal_shear, expanding_diagonal
 from latflow.backend import FLOAT_SLACK, warn_if_near_face
+from latflow.lattice import siegel_transform
 
 
 def frac(x):
@@ -233,6 +237,34 @@ def tent_value(v, center, radius, height):
         dist = d if dist is None else (d if d > dist else dist)
     t = 1 - dist / radius
     return height * t if t > 0 else 0.0
+
+
+def shear_at(job, s):
+    """(base, sheared values) of the twist scan at the sample s, or None
+    when no aligning element exists, for the job (curve, deriv, rates,
+    tent, t_list, block, budget): the Siegel sum of z a u(phi(s)) Z^n and
+    of u(t e_1) z a u(phi(s)) Z^n for each t, with a and each u(t e_1)
+    built here."""
+    curve, deriv, rates, tent, t_list, block, budget = job
+    n = curve.k + 1
+    z = experiments._aligning_element(deriv.eval_float(s)[:block], n)
+    if z is None:
+        return None
+    unit = (1.0,) * (n - 1)
+    m = linalg.mat_mul(
+        linalg.mat_mul(z, expanding_diagonal(rates)),
+        diagonal_shear(unit, curve.eval_float(s)),
+    )
+    base_val = siegel_transform(experiments._checked_columns(m), tent, budget)
+    sheared = []
+    for t in t_list:
+        if t == 0:
+            sheared.append(base_val)
+            continue
+        shift = (t,) + (0.0,) * (n - 2)
+        g = linalg.mat_mul(diagonal_shear(unit, shift), m)
+        sheared.append(siegel_transform(experiments._checked_columns(g), tent, budget))
+    return base_val, tuple(sheared)
 
 
 def primal_soluble(xi, weights, mu):

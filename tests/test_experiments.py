@@ -10,8 +10,8 @@ from latflow.algebra import ExactMatrix, ExpansionRates, diagonal_shear, dual_in
 from latflow.constructions import block_transport_witness
 from latflow import experiments, linalg
 from latflow.diophantine import Curve, WindowSpec, window_dual_soluble, window_primal_soluble
-from latflow.lattice import Tent
-from latflow.sequences import RateSchedule
+from latflow.lattice import DEFAULT_NODE_BUDGET, Tent
+from latflow.sequences import RateSchedule, float_expansion, layered_presentation
 from latflow.experiments import (
     ImprovabilityRow,
     _aligning_element,
@@ -252,6 +252,41 @@ def test_shear_scan_refuses_overflowing_heads():
         shear_invariance_scan(
             curve, RateSchedule.parse("i, i"), (4,), (0.0,), 3, tent
         )
+
+
+def _reference_shear_rows(curve, schedule, indices, t_list, count, tent, seed):
+    """shear_invariance_scan's rows on a random grid, from _brute.shear_at,
+    which builds the diagonal and every row shear at each sample."""
+    pres = layered_presentation(schedule)
+    svals = [float(s) for s in sample_grid(curve, count, "random", seed)]
+    deriv = curve.derivative()
+    rows = []
+    for i in indices:
+        job = (curve, deriv, float_expansion(pres.anchored, i), tent, t_list,
+               pres.block_sizes[-1], DEFAULT_NODE_BUDGET)
+        used = [v for v in (_brute.shear_at(job, s) for s in svals) if v is not None]
+        base = sum(v[0] for v in used) / len(used)
+        for pos, t in enumerate(t_list):
+            sheared = sum(v[1][pos] for v in used) / len(used)
+            rows.append(experiments.ShearRow(i, t, len(used), count - len(used), base, sheared,
+                                             abs(sheared - base), tent.height))
+    return rows
+
+
+@pytest.mark.parametrize("t_list", [(0.0, 1.0), (1.0, 0.0, -2.5, 1.0), (-0.0, 3.0)])
+@pytest.mark.parametrize("curve, sequence, indices", [
+    ("s", "i", (2, 5)),
+    ("s,s^2", "i,i", (2, 3)),
+])
+def test_shear_scan_rows_match_the_per_sample_shears(t_list, curve, sequence, indices):
+    # the diagonal and the row shears built once per job give the rows of
+    # building both at every sample, under repr; a t of -0.0 is the base
+    curve, schedule = Curve.parse(curve), RateSchedule.parse(sequence)
+    tent = Tent((0.0,) * (curve.k + 1), 2.0, 1.0)
+    rows = shear_invariance_scan(curve, schedule, indices, t_list, 12, tent, grid="random", seed=0)
+    want = _reference_shear_rows(curve, schedule, indices, t_list, 12, tent, 0)
+    assert repr(rows) == repr(want)
+    assert all(r.used > 0 and (r.defect > 0) == (r.t != 0) for r in rows)
 
 
 def _no_work(*args, **kwargs):

@@ -537,6 +537,47 @@ def test_tent_total_and_value_match_the_reference_at_ties_and_signed_zeros():
     assert face.total([]) == 0.0
 
 
+def test_planar_tent_total_is_the_reference_sum_in_order():
+    # the planar scalars of Tent.total against 0.0 plus the reference value
+    # at each point, in order, under repr: seeded centers with -0.0 and
+    # unequal support bounds, points at +-0.0, ties between the two
+    # distances, and points on the face (t = 0) or outside it.  Dyadic
+    # offsets keep the faces and the ties exact
+    rng = random.Random(53)
+    grid = (-0.0, 0.0, 0.25, -0.25, 0.5, -0.75, 1.25, -1.5)
+    steps = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # in units of the radius
+    swapped = unsigned = ties = faces = zeros = 0
+    for _ in range(400):
+        c0, c1 = rng.choice(grid), rng.choice(grid)
+        radius, height = rng.choice((0.5, 1.0, 1.25, 2.0)), rng.choice((0.5, 1.0, 3.0))
+        tent = Tent((c0, c1), radius, height)
+        points = []
+        for _ in range(rng.randint(0, 12)):
+            k0 = rng.choice(steps)
+            k1 = k0 if rng.random() < 0.3 else rng.choice(steps)
+            p = [c0 + rng.choice((-1, 1)) * k0 * radius, c1 + rng.choice((-1, 1)) * k1 * radius]
+            if rng.random() < 0.2:
+                p[rng.randrange(2)] = rng.choice((-0.0, 0.0))
+            points.append(tuple(p))
+        total = 0.0
+        for p in points:
+            total = total + _brute.tent_value(p, tent.center, radius, height)
+        assert repr(tent.total(points)) == repr(total)
+        assert repr(tent.total(iter(points))) == repr(total)
+        flip = 0.0
+        for p in points:
+            flip = flip + _brute.tent_value(p, (c1, c0), radius, height)
+        swapped += repr(flip) != repr(total)
+        for x0, x1 in points:
+            d, e = abs(x0 - c0), abs(x1 - c1)
+            unsigned += x1 < c1 and e > d and e < radius  # e taken as x1 - c1 < 0 loses it
+            ties += d == e < radius
+            faces += max(d, e) == radius
+            zeros += (x0 == 0 or x1 == 0) and max(d, e) < radius
+    assert swapped > 100 and unsigned > 100
+    assert ties > 100 and faces > 100 and zeros > 100
+
+
 def test_tent_refuses_an_empty_center_and_points_of_another_length():
     with pytest.raises(ValueError, match="at least one coordinate"):
         Tent((), 1, 1)
@@ -634,6 +675,32 @@ def test_shortest_sup_norm_of_critical_lattice_takes_one_cube(monkeypatch, n, ba
     assert got == 1 and type(got) is type(_backend_scalar(1, backend))
     assert len(calls) == 1
     assert calls[0].bounds == (_backend_scalar(1, backend),) * n and all(calls[0].closed)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_shortest_sup_norm_walks_the_cube_of_its_own_dimension(monkeypatch, backend):
+    # the closed unit cube is built once per dimension: calls in dimensions
+    # 2, 3 and 4, in turn and again, each walk the cube of their own n
+    boxes = []
+    real = lattice._walk
+
+    def recorded(*args, **kwargs):
+        boxes.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_walk", recorded)
+    dims = (2, 3, 4, 2, 4, 3)
+    for n in dims:
+        # diag(2, ..., 2, 2^(1-n)): the shortest vector is the last column
+        diag = [2] * (n - 1) + [Rat(1, 2 ** (n - 1))]
+        g = ExactMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FaceProximity)
+            got = shortest_sup_norm(_columns(g, backend), backend)
+        assert got == diag[-1]
+    assert [box.bounds for box in boxes] == [(1,) * n for n in dims]
+    assert [box.closed for box in boxes] == [(True,) * n for n in dims]
+    assert all(type(b) is int for box in boxes for b in box.bounds)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
