@@ -589,13 +589,13 @@ class Tent:
     def total(self, points):
         """0.0 plus the tent at each point in the order given, the tent read
         once: per point the max of |x - c| in coordinate order, t = 1 - max
-        / radius, and height * t when t > 0.  Lengths are not checked.
+        / radius, and height * t when t > 0.  A point of another length
+        than the center raises ValueError.
 
         A planar tent reads the two coordinates of each point on scalars:
         d = x_0 - c_0 and e = x_1 - c_1, each negated if below 0, the max
         e if e > d else d, then t as above: the loop's operations in its
-        order, so the same floats bit for bit.  It unpacks each point, so
-        there a point of another length raises ValueError."""
+        order, so the same floats bit for bit."""
         center, radius, height = self.center, self.radius, self.height
         total = 0.0
         if len(center) == 2:
@@ -613,7 +613,7 @@ class Tent:
             return total
         for v in points:
             dist = None
-            for x, cx in zip(v, center):
+            for x, cx in zip(v, center, strict=True):
                 d = x - cx
                 if d < 0:
                     d = -d

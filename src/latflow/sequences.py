@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ExpansionRates
-from .weights import ClosedForm, GrowthSpec, block_generator, validate_block_sizes
+from .weights import ClosedForm, GrowthSpec, _generator_diagonal, validate_block_sizes
 
 __all__ = [
     "ClosedForm",
@@ -170,9 +170,8 @@ class LayeredSchedule:
             gen_diag = [0.0] * n
             for t_form, m in zip(self.growth.layers, self.block_sizes):
                 t = t_form.eval_float(i)
-                diag = block_generator(n, m)
-                for j in range(n):
-                    gen_diag[j] += t * float(diag.rows[j][j])
+                for j, x in enumerate(_generator_diagonal(n, m)):
+                    gen_diag[j] += t * float(x)
             lhs = [math.exp(sum(taubar))] + [math.exp(-v) for v in taubar]
             rhs = [math.exp(v) for v in gen_diag]
         except OverflowError:

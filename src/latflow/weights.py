@@ -21,12 +21,14 @@ shears u(e) are mostly zeros.
 
 Everything in this module runs on the exact backend, and its linear
 algebra runs on integers.  The minors and the rank-one terms are computed
-on D g (and D' g^-1, or D x), D the common denominator, and each entry is
-divided once at the end; the images of the hypothesis space under the
-shears are summed the same way, and the E_pq actions of the alignment and
-containment checks stay integer columns.  One loop, `_hypothesis`, computes
-the hypothesis space for the containment check and the lemma trials alike,
-each shear action once.  Every matrix and vector returned holds Fractions.
+on D g (and D' g^-1), D the common denominator, and each entry is divided
+once at the end; the E_pq actions of the alignment and containment checks
+are integer columns.  One loop, `_hypothesis`, computes the hypothesis
+space for the containment check and the lemma trials alike, each shear
+action once, and `lemma_reports` builds both reports in one pass over
+those actions, on integer images of the hypothesis basis.  The kernel of
+no rows is the whole space (`_kernel`).  Every matrix and vector returned
+holds Fractions.
 """
 
 from __future__ import annotations
@@ -43,10 +45,16 @@ from .algebra import ExactMatrix, row_unipotent
 
 def block_generator(n, m) -> ExactMatrix:
     """diag(m, -1 x m, 0 x (n - m - 1)): the traceless diagonal generator
-    attached to block size m."""
+    attached to block size m, built from `_generator_diagonal`."""
+    return ExactMatrix.diagonal(_generator_diagonal(n, m))
+
+
+def _generator_diagonal(n, m):
+    """The diagonal of the block generator of size m, as Fractions: the
+    one place it is written."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    return ExactMatrix.diagonal([m] + [-1] * m + [0] * (n - m - 1))
+    return tuple(Rat(x) for x in [m] + [-1] * m + [0] * (n - m - 1))
 
 
 def validate_block_sizes(n, sizes):
@@ -177,15 +185,6 @@ class RepSpace:
         cols = self._adjoint_columns(lambda p, q: [(False, gcols[p], ginv[q])])
         return ExactMatrix._trusted(zip(*_over(cols, d1 * d2)))
 
-    def algebra_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """The derived (Lie algebra) action of a traceless matrix: the
-        integer columns of the action of D x (`_algebra_columns`), D the
-        common denominator of x, each entry divided by D once."""
-        if x.nrows != self.n:
-            raise ValueError("acting matrix must be %d x %d" % (self.n, self.n))
-        scale, xrows = linalg.clear_denominators(x.rows)
-        return ExactMatrix._trusted(zip(*_over(self._algebra_columns(xrows), scale)))
-
     def _algebra_columns(self, xrows):
         """Integer columns of the derived action of the n x n integer
         matrix xrows."""
@@ -269,11 +268,11 @@ def _wedge_replace(J, t, p):
 
 def weight_table(rep: RepSpace, block_sizes):
     """Ordered mapping label -> weight tuple: the eigenvalues of each
-    block's `block_generator` on the basis vector, read off its diagonal
-    (d_i + d_j + ... on a wedge monomial, d_p - d_q on E_pq, 0 on H_i)."""
+    block's generator on the basis vector, read off its diagonal
+    (`_generator_diagonal`): d_i + d_j + ... on a wedge monomial, d_p - d_q
+    on E_pq, 0 on H_i."""
     n = rep.n
-    gens = [block_generator(n, m) for m in validate_block_sizes(n, block_sizes)]
-    diags = [[g.rows[i][i] for i in range(n)] for g in gens]
+    diags = [_generator_diagonal(n, m) for m in validate_block_sizes(n, block_sizes)]
 
     def eigenvalue(d, lab):
         if rep.kind == "wedge":
@@ -464,6 +463,18 @@ def _split(rep, sizes, growth):
     return WeightSplit(rep, sizes, growth, tuple(table), ws, cls)
 
 
+def _int_sum(coeffs, vecs):
+    """The integer vector sum of c * v over paired integer coefficients and
+    integer vectors; zero coefficients and entries are skipped."""
+    out = [0] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c != 0:
+            for i, x in enumerate(v):
+                if x != 0:
+                    out[i] += c * x
+    return out
+
+
 def _combine(coeffs, scaled):
     """The vector sum of c * v over paired rational coefficients and
     vectors, given the vectors as scaled = (E, E * vecs) with E * vecs
@@ -471,13 +482,15 @@ def _combine(coeffs, scaled):
     D c and divides by D E once, D the coefficients' common denominator."""
     scale, (ints,) = linalg.clear_denominators([coeffs])
     vscale, vecs = scaled
-    out = [0] * len(vecs[0])
-    for c, v in zip(ints, vecs):
-        if c != 0:
-            for i, x in enumerate(v):
-                if x != 0:
-                    out[i] += c * x
-    return _over([out], scale * vscale)[0]
+    return _over([_int_sum(ints, vecs)], scale * vscale)[0]
+
+
+def _kernel(rows, dim):
+    """Fraction basis of the common kernel of the rows in Q^dim.  No rows
+    leave the whole space, the unit vectors; `linalg.kernel_basis([])` is []."""
+    if not rows:
+        return [[Rat(int(i == j)) for j in range(dim)] for i in range(dim)]
+    return linalg.kernel_basis(rows)
 
 
 @dataclass(frozen=True)
@@ -536,7 +549,7 @@ def _hypothesis(rep: RepSpace, plus, points):
     rep.dim the space is {0} and no further point is read.  The answer is
     the one all points give: more rows only shrink the kernel, and the rref
     is unique, so the reduced rows have the kernel of the rows they
-    replace.  With no rows, the space is the whole space.
+    replace.  With no rows, the space is the whole space (`_kernel`).
     """
     dim = rep.dim
     rows, actions = [], []
@@ -548,9 +561,7 @@ def _hypothesis(rep: RepSpace, plus, points):
             if len(pivots) == dim:
                 return Subspace(dim, ()), actions
             del rows[len(pivots) :]
-    if not rows:
-        return Subspace(dim, tuple(tuple(row) for row in linalg.identity(dim))), actions
-    return Subspace.from_generators(linalg.kernel_basis(rows), dim), actions
+    return Subspace.from_generators(_kernel(rows, dim), dim), actions
 
 
 def hypothesis_space(rep: RepSpace, block_sizes, growth: GrowthSpec, points) -> Subspace:
@@ -575,83 +586,10 @@ def _report(space: Subspace, violations):
     return LemmaReport(not violations, space.dim, tuple(violations), notes)
 
 
-def _kernel_on_selected_rows(cols, row_indices, dim_h):
-    """Coefficient kernel of the map v -> (u(e) v restricted to rows).
-
-    An empty row selection means the projection is identically zero, so its
-    kernel is everything — NOT nothing; that case matters when a
-    representation has no fully-invariant weight direction at all.
-    """
-    if not row_indices:
-        return [
-            [Rat(1) if i == j else Rat(0) for i in range(dim_h)] for j in range(dim_h)
-        ]
-    mat = [[col[i] for col in cols] for i in row_indices]
-    return linalg.kernel_basis(mat)
-
-
-def _lemma_images(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning):
-    """The common core of the lemma checks: (split, points, space, images,
-    shadow_kernels).
-
-    space is the hypothesis space of the points (`_hypothesis`) and
-    images[t] holds the columns u(e_t) b over its basis b, from the same
-    actions; shadow_kernels[t] holds the coefficient vectors y whose
-    translate u(e_t) (sum y b) has no fully invariant component.  Both lists
-    are empty when the space is trivial, so the checks find nothing to
-    violate.
-    """
-    split = split_spaces(rep, block_sizes, growth)
-    m1 = split.block_sizes[0]
-    pts = [tuple(rat(x) for x in p) for p in points]
-    if require_spanning and not _points_ok(pts, rep.n, m1):
-        raise ValueError("points must affinely span the embedded R^%d" % m1)
-    space, actions = _hypothesis(rep, split.indices("+"), pts)
-    if not space.dim:
-        return split, pts, space, [], []
-    images = []
-    for act in actions:
-        cols = linalg.clear_denominators(act.columns())
-        images.append([_combine(b, cols) for b in space.basis])
-    zero_full = split.zero_weight_indices()
-    kernels = [_kernel_on_selected_rows(cols, zero_full, space.dim) for cols in images]
-    return split, pts, space, images, kernels
-
-
-def _layered_violations(split, pts, space, images, kernels):
-    """Clauses (i) and (ii) of the projection report (`lemma_reports`),
-    point by point."""
-    rep, growth = split.rep, split.growth
-    plus_trunc = split_spaces(rep, split.block_sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
-    zero_head = split.zero_weight_indices(first=growth.k - 1)
-    basis = linalg.clear_denominators(space.basis)
-    violations = []
-    for e, cols, kernel in zip(pts, images, kernels):
-        for i in plus_trunc:
-            if any(col[i] != 0 for col in cols):
-                violations.append(("expanding-after-truncation", e, i))
-        hmat = [[col[i] for col in cols] for i in zero_head]
-        for y in kernel:
-            if any(linalg.dot(row, y) != 0 for row in hmat):
-                vec = _combine(y, basis)
-                violations.append(("invariant-shadow-lost", e, tuple(vec)))
-    return violations
-
-
-def _spanning_violations(pts, space, kernels):
-    """(point, vector) for each hypothesis vector whose translate loses its
-    fully invariant component."""
-    basis = linalg.clear_denominators(space.basis)
-    return [
-        (e, tuple(_combine(y, basis)))
-        for e, kernel in zip(pts, kernels)
-        for y in kernel
-    ]
-
-
 def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, require_spanning=True):
-    """(projection report, spanning report) from one pass over the points,
-    the loop `_hypothesis` that `hypothesis_space` runs too.
+    """(projection report, spanning report) from one pass over the points:
+    the loop `_hypothesis` that `hypothesis_space` runs too, then one loop
+    over (point, shear action) that builds both reports.
 
     The spanning report is the full-strength conclusion: on the hypothesis
     space, every shear translate keeps a nonzero fully-invariant
@@ -667,13 +605,40 @@ def lemma_reports(rep: RepSpace, block_sizes, growth: GrowthSpec, points, requir
     (ii) a translate whose fully-invariant component vanishes also loses
         its first-(k-1)-blocks-invariant component.
 
+    The images u(e) b of the hypothesis basis are integer columns, the
+    basis cleared once (S b) summed over the action's cleared columns
+    (E u(e)): one positive multiple S E of the true images per point, so
+    no zero test and no kernel changes.  The coefficients y whose translate
+    has no fully invariant component are the kernel of the images' fully
+    invariant rows (`_kernel`), and a violation names the vector y b.
+
     require_spanning=False skips the span test (`_points_ok`), for points
     a caller has drawn with it."""
-    split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
-    spanning = _report(space, _spanning_violations(pts, space, kernels))
-    if growth.k == 1:
-        return spanning, spanning
-    return _report(space, _layered_violations(split, pts, space, images, kernels)), spanning
+    split = split_spaces(rep, block_sizes, growth)
+    m1, k = split.block_sizes[0], growth.k
+    pts = [tuple(rat(x) for x in p) for p in points]
+    if require_spanning and not _points_ok(pts, rep.n, m1):
+        raise ValueError("points must affinely span the embedded R^%d" % m1)
+    space, actions = _hypothesis(rep, split.indices("+"), pts)
+    layered, spanning = [], []
+    if space.dim:  # else there is no image and no violation
+        zero_full = split.zero_weight_indices()
+        if k > 1:
+            plus_trunc = split_spaces(rep, split.block_sizes[:-1], growth.truncate(k - 1)).indices("+")
+            zero_head = split.zero_weight_indices(first=k - 1)
+        basis = linalg.clear_denominators(space.basis)
+        for e, act in zip(pts, actions):
+            cols = linalg.clear_denominators(act.columns())[1]
+            rows = list(zip(*(_int_sum(b, cols) for b in basis[1])))
+            kernel = _kernel([rows[i] for i in zero_full], space.dim)
+            vecs = [tuple(_combine(y, basis)) for y in kernel]
+            spanning += [(e, vec) for vec in vecs]
+            if k > 1:
+                layered += [("expanding-after-truncation", e, i) for i in plus_trunc if any(rows[i])]
+                layered += [("invariant-shadow-lost", e, vec) for y, vec in zip(kernel, vecs)
+                            if any(linalg.dot(rows[i], y) != 0 for i in zero_head)]
+    spanning = _report(space, spanning)
+    return (spanning if k == 1 else _report(space, layered)), spanning
 
 
 @dataclass(frozen=True)
@@ -745,12 +710,12 @@ def weight_alignment_check(rep: RepSpace, block_sizes):
     violations = []
 
     # (a) scalar identity on the defining representation's leading block
-    gk = block_generator(rep.n, mk).rows if k > 1 else ()
+    dk = _generator_diagonal(rep.n, mk) if k > 1 else ()
     for m in sizes[:-1]:
-        gl = block_generator(rep.n, m).rows
+        dl = _generator_diagonal(rep.n, m)
         f, scalar_expect = Rat(m + 1, mk + 1), Rat(m - mk, mk + 1)
         for i in range(mk + 1):
-            got = gl[i][i] - f * gk[i][i]
+            got = dl[i] - f * dk[i]
             if got != scalar_expect:
                 violations.append(("scalar-identity", m, i, got))
 
@@ -785,7 +750,7 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
     E_pp - E_qq, and a vector that X and Y send to 0 is sent to 0 by [X, Y].
     The zero rows of the actions are dropped before the one kernel_basis
     (rref ignores them, so the kernel is the same); with no nonzero row the
-    space is the whole space.
+    space is the whole space (`_kernel`).
     """
     if not 1 <= block <= rep.n:
         raise ValueError("block out of range")
@@ -795,9 +760,7 @@ def block_invariant_space(rep: RepSpace, block) -> Subspace:
         for row in zip(*cols)
         if any(row)
     ]
-    if not rows:
-        return Subspace.from_generators(linalg.identity(rep.dim), rep.dim)
-    return Subspace.from_generators(linalg.kernel_basis(rows), rep.dim)
+    return Subspace.from_generators(_kernel(rows, rep.dim), rep.dim)
 
 
 def _check_curve_dim(rep: RepSpace, curve):

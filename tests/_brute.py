@@ -13,7 +13,10 @@ components.  pull_back_and_mirror and tent_value are the enumeration's
 loop over n coordinates and the tent's value written out once more, the
 references for the planar pull-back and for `Tent.total`.  shear_at is
 the twist scan's per-sample function as it was before the scan built its
-diagonal and its row shears once per job: it builds both at every sample."""
+diagonal and its row shears once per job: it builds both at every sample.
+lemma_reports_reference is the lemma checks through the three helpers
+they used before one pass built both reports: Fraction images cleared per
+basis vector, then a spanning and a layered pass of their own."""
 
 import math
 import warnings
@@ -23,7 +26,7 @@ from operator import itemgetter, mul
 
 from latflow import experiments, linalg, weights
 from latflow.algebra import diagonal_shear, expanding_diagonal
-from latflow.backend import FLOAT_SLACK, warn_if_near_face
+from latflow.backend import FLOAT_SLACK, rat, warn_if_near_face
 from latflow.lattice import siegel_transform
 
 
@@ -980,3 +983,82 @@ def alignment_reference(rep, sizes):
                                 ("grid-sign-truncated", labs[comp[a]], labs[comp[b]], t)
                             )
     return weights.AlignmentReport(not violations, len(comps), tuple(violations))
+
+
+def _kernel_on_selected_rows(cols, row_indices, dim_h):
+    """Coefficient kernel of the map v -> (u(e) v restricted to rows).
+
+    An empty row selection means the projection is identically zero, so its
+    kernel is everything — NOT nothing; that case matters when a
+    representation has no fully-invariant weight direction at all.
+    """
+    if not row_indices:
+        return [
+            [Fraction(1) if i == j else Fraction(0) for i in range(dim_h)] for j in range(dim_h)
+        ]
+    mat = [[col[i] for col in cols] for i in row_indices]
+    return linalg.kernel_basis(mat)
+
+
+def _lemma_images(rep, block_sizes, growth, points, require_spanning):
+    """The common core of the lemma checks: (split, points, space, images,
+    shadow_kernels), with the images u(e_t) b as Fractions, each basis
+    vector b cleared and divided on its own."""
+    split = weights.split_spaces(rep, block_sizes, growth)
+    m1 = split.block_sizes[0]
+    pts = [tuple(rat(x) for x in p) for p in points]
+    if require_spanning and not weights._points_ok(pts, rep.n, m1):
+        raise ValueError("points must affinely span the embedded R^%d" % m1)
+    space, actions = weights._hypothesis(rep, split.indices("+"), pts)
+    if not space.dim:
+        return split, pts, space, [], []
+    images = []
+    for act in actions:
+        cols = linalg.clear_denominators(act.columns())
+        images.append([weights._combine(b, cols) for b in space.basis])
+    zero_full = split.zero_weight_indices()
+    kernels = [_kernel_on_selected_rows(cols, zero_full, space.dim) for cols in images]
+    return split, pts, space, images, kernels
+
+
+def _layered_violations(split, pts, space, images, kernels):
+    """Clauses (i) and (ii) of the projection report, point by point."""
+    rep, growth = split.rep, split.growth
+    plus_trunc = weights.split_spaces(rep, split.block_sizes[:-1], growth.truncate(growth.k - 1)).indices("+")
+    zero_head = split.zero_weight_indices(first=growth.k - 1)
+    basis = linalg.clear_denominators(space.basis)
+    violations = []
+    for e, cols, kernel in zip(pts, images, kernels):
+        for i in plus_trunc:
+            if any(col[i] != 0 for col in cols):
+                violations.append(("expanding-after-truncation", e, i))
+        hmat = [[col[i] for col in cols] for i in zero_head]
+        for y in kernel:
+            if any(linalg.dot(row, y) != 0 for row in hmat):
+                vec = weights._combine(y, basis)
+                violations.append(("invariant-shadow-lost", e, tuple(vec)))
+    return violations
+
+
+def _spanning_violations(pts, space, kernels):
+    """(point, vector) for each hypothesis vector whose translate loses its
+    fully invariant component."""
+    basis = linalg.clear_denominators(space.basis)
+    return [
+        (e, tuple(weights._combine(y, basis)))
+        for e, kernel in zip(pts, kernels)
+        for y in kernel
+    ]
+
+
+def lemma_reports_reference(rep, block_sizes, growth, points, require_spanning=True):
+    """(projection report, spanning report) of weights.lemma_reports through
+    three helpers: the images of each basis vector as Fractions, then the
+    spanning and the layered violations in passes of their own.  It checks
+    the one pass alone, so the split, the hypothesis space and its actions,
+    the kernels and the vector sums come from the package."""
+    split, pts, space, images, kernels = _lemma_images(rep, block_sizes, growth, points, require_spanning)
+    spanning = weights._report(space, _spanning_violations(pts, space, kernels))
+    if growth.k == 1:
+        return spanning, spanning
+    return weights._report(space, _layered_violations(split, pts, space, images, kernels)), spanning

@@ -585,6 +585,13 @@ def test_tent_refuses_an_empty_center_and_points_of_another_length():
     for v in [(1.0,), (1.0, 0.0, 0.0), ()]:
         with pytest.raises(ValueError, match="point of length %d for a tent of dimension 2" % len(v)):
             tent.value(v)
+    # total holds every dimension to one length rule: the planar branch
+    # unpacks each point, the loop zips it strictly against the center
+    for tent in (Tent((0.0, 0.0), 2, 1), Tent((0.0, 0.0, 0.0), 2, 1), Tent((0.0,) * 4, 2, 1)):
+        for v in [(1.0,), (1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), ()]:
+            if len(v) != tent.dim:
+                with pytest.raises(ValueError):
+                    tent.total([(0.0,) * tent.dim, v])
     with pytest.raises(ValueError, match="dimension mismatch"):
         siegel_transform([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], tent)
 

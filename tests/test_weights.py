@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from _brute import (
     frac,
     group_matrix_reference,
     hypothesis_space_reference,
+    lemma_reports_reference,
     mat_vec,
     random_rational_invertible,
     random_unimodular,
@@ -149,17 +151,22 @@ def test_wedge_columns_match_the_laplace_minors(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_algebra_matrix_matches_dense_reference(n):
+    # the integer columns of the action of D x, divided by D, D the common
+    # denominator of the traceless rational x
     rng = random.Random(8000 + n)
     for rep in _all_reps(n):
         for _ in range(3):
             x = [[_sparse_rat(rng) for _ in range(n)] for _ in range(n)]
             x[n - 1][n - 1] = -sum(x[i][i] for i in range(n - 1))
-            got = rep.algebra_matrix(ExactMatrix(x))
-            assert _frac_rows(got) == algebra_matrix_reference(n, rep.kind, rep.degree, x)
-            # a float matrix is refused when built, never carried into the
-            # exact result
+            d = math.lcm(*(v.denominator for row in x for v in row))
+            cols = rep._algebra_columns([[int(v * d) for v in row] for row in x])
+            assert all(type(c) is int for col in cols for c in col)
+            got = [[Fraction(c, d) for c in row] for row in zip(*cols)]
+            assert got == algebra_matrix_reference(n, rep.kind, rep.degree, x)
+            # a float matrix is refused when built, never carried into an
+            # exact action
             with pytest.raises(BackendMismatch):
-                rep.algebra_matrix(ExactMatrix([[float(v) for v in row] for row in x]))
+                ExactMatrix([[float(v) for v in row] for row in x])
 
 
 def test_growth_spec_classify():
@@ -365,6 +372,98 @@ def test_random_spanning_points_never_violate():
         for rep in (RepSpace(4, "adjoint"), RepSpace(4, "wedge", 2)):
             projection, spanning = lemma_reports(rep, (2, 1), growth, pts)
             assert projection.ok and spanning.ok
+
+
+def _spanning_integer_points(rng, n, m1):
+    """m1 + 1 integer points of Q^(n-1), supported on the first m1
+    coordinates, that affinely span them."""
+    while True:
+        pts = [tuple(rng.randint(-3, 3) if j < m1 else 0 for j in range(n - 1)) for _ in range(m1 + 1)]
+        if weights._points_ok(pts, n, m1):
+            return pts
+
+
+def _lemma_cases(rng):
+    """(rep, sizes, growth, points, require_spanning): wedge and adjoint
+    with k = 1, 2, 3 blocks, each with spanning integer points and with one
+    or two rational points that span nothing; wedge:3:1 and wedge:4:1 have
+    no fully invariant weight."""
+    growths = [GrowthSpec.simple([(1, l) for l in range(1, k + 1)]) for k in (1, 2, 3)]
+    for rep in [RepSpace(3, "adjoint"), RepSpace(3, "wedge", 2), RepSpace(4, "adjoint"),
+                RepSpace(4, "wedge", 2), RepSpace(5, "adjoint"), RepSpace(3, "wedge", 1),
+                RepSpace(4, "wedge", 1)]:
+        n = rep.n
+        for k in range(1, min(n, 4)):
+            for sizes in itertools.combinations(range(n - 1, 0, -1), k):
+                for growth in (growths[k - 1], _seeded_growth(rng, k)):
+                    yield rep, sizes, growth, _spanning_integer_points(rng, n, sizes[0]), True
+                    for count in (1, 2):
+                        pts = [tuple(_sparse_rat(rng) for _ in range(n - 1)) for _ in range(count)]
+                        yield rep, sizes, growth, pts, False
+
+
+def _same_lemma_reports(rep, sizes, growth, pts, spanning_pts, seen):
+    got = lemma_reports(rep, sizes, growth, pts, require_spanning=spanning_pts)
+    want = lemma_reports_reference(rep, sizes, growth, pts, require_spanning=spanning_pts)
+    assert repr(got) == repr(want) and got == want, (rep, sizes, growth, pts)
+    if growth.k == 1:
+        assert got[0] is got[1]
+    for kind, *_ in got[0].violations if growth.k > 1 else ():
+        seen[kind] += 1
+    seen["spanning"] += len(got[1].violations)
+    seen["trivial"] += not got[1].hypothesis_dim
+    if not split_spaces(rep, sizes, growth).zero_weight_indices() and got[1].hypothesis_dim:
+        seen["no-invariant-weight"] += 1
+
+
+def test_lemma_reports_match_the_three_helper_reference(monkeypatch):
+    # the one pass over (point, action) against the three helpers it
+    # replaced (images, spanning pass, layered pass): the same reports,
+    # violations in the same order with the same Fraction vectors, and at
+    # k = 1 one object
+    rng = random.Random(3400)
+    seen = dict.fromkeys(["expanding-after-truncation", "invariant-shadow-lost", "spanning",
+                          "trivial", "no-invariant-weight"], 0)
+    for case in _lemma_cases(rng):
+        _same_lemma_reports(*case, seen)
+    # clause (i) cannot fire on a true split: the truncated expanding weights
+    # lie among the full ones, whose components the hypothesis space kills.
+    # A truncated split that calls every weight expanding makes it fire
+    assert seen["expanding-after-truncation"] == 0
+    real = weights.split_spaces
+
+    def forced(rep, sizes, growth):
+        split = real(rep, sizes, growth)
+        return split if len(sizes) == 2 else dataclasses.replace(split, classes=("+",) * rep.dim)
+
+    monkeypatch.setattr(weights, "split_spaces", forced)
+    for rep in (RepSpace(4, "adjoint"), RepSpace(4, "wedge", 2)):
+        for count in (1, 2):
+            pts = [tuple(_sparse_rat(rng) for _ in range(3)) for _ in range(count)]
+            _same_lemma_reports(rep, (2, 1), GrowthSpec.simple([(1, 1), (1, 2)]), pts, False, seen)
+    # every clause is reached, and the whole-space kernel of no rows too
+    assert all(seen.values()), seen
+
+
+def test_every_subspace_holds_fractions(monkeypatch):
+    # with no points, with the forced flat split and on wedge:3:1, which has
+    # no zero weight, every entry is a Fraction, the whole space included
+    def entries(space):
+        assert all(type(x) is Fraction for v in space.basis for x in v), space
+        return space.dim
+
+    one = GrowthSpec.simple([(1, 1)])
+    adjoint, wedge = RepSpace(4, "adjoint"), RepSpace(3, "wedge", 1)
+    assert entries(hypothesis_space(adjoint, (2,), one, [])) == adjoint.dim
+    assert entries(hypothesis_space(wedge, (2,), one, [])) == wedge.dim
+    assert entries(hypothesis_space(wedge, (2,), one, [(Rat(1, 2), 3)])) == 2
+    for rep in (adjoint, wedge):
+        for block in range(1, rep.n + 1):
+            entries(block_invariant_space(rep, block))
+    assert entries(block_invariant_space(wedge, 2)) == 0 < entries(block_invariant_space(wedge, 1))
+    flat = dataclasses.replace(split_spaces(adjoint, (2,), one), classes=("0",) * adjoint.dim)
+    monkeypatch.setattr(weights, "split_spaces", lambda *args: flat)
+    assert entries(hypothesis_space(adjoint, (2,), one, [(1, 2, 3), (0, 1, 0)])) == adjoint.dim
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
